@@ -1,13 +1,12 @@
 //! `repro` — regenerates every table and figure of the paper, writes /
 //! serves frozen cluster snapshots, batch-tracks thefts over the
-//! transaction-graph index, and runs / load-tests the TCP query service.
+//! transaction-graph index, and runs the TCP query service.
 //!
-//! Usage: `repro [--scale tiny|default|paper] [--json] [--out FILE]
-//! [experiment...]` where each `experiment` is one of `fig1 tab1 h1 fp
-//! super h2 fig2 tab2 tab3` (default: `all`). Repeated experiments run
-//! once; `all` must stand alone; `--json` additionally emits one
-//! machine-readable timing object per experiment. `repro snapshot save
-//! <file>` clusters the simulated economy once and writes the
+//! Usage: `repro [--scale tiny|default|paper] [experiment...]` where each
+//! `experiment` is one of `fig1 tab1 h1 fp super h2 fig2 tab2 tab3`
+//! (default: `all`). Repeated experiments run once; `all` must stand
+//! alone. Tables and figures go to stdout, timings to stderr. `repro
+//! snapshot save <file>` clusters the simulated economy once and writes the
 //! [`ClusterSnapshot`] artifact; `repro snapshot query <file>` reloads it
 //! and answers address → cluster lookups without replaying the chain.
 //! `repro taint` builds the columnar [`TxGraph`] once and tracks the
@@ -16,14 +15,13 @@
 //! block by block through the sharded ingest pipeline across a sweep of
 //! shard counts, asserting each sweep point reproduces the batch
 //! clustering exactly and timing per-block cost. `repro serve` starts the
-//! `fistful-serve` query server over the simulated economy; `repro
-//! serve-bench` drives a closed-loop load generator against it, sweeping
-//! worker counts with the response cache on and off. Parsing lives in
-//! [`fistful_bench::cli`].
+//! `fistful-serve` query server over the simulated economy. Parsing lives
+//! in [`fistful_bench::cli`]. Throughput and latency are measured by the
+//! separate `benchmark/` package, not here.
 
-use fistful_bench::cli::{self, CliOutcome, Command, RunPlan, DEFAULT_SERVE_CACHE};
-use fistful_bench::json::Json;
-use fistful_bench::servebench::{self, RequestKind, RequestPools};
+#![forbid(unsafe_code)]
+
+use fistful_bench::cli::{self, CliOutcome, Command, RunPlan};
 use fistful_bench::{btc_round, serve_artifacts, silk_road_starts, theft_loots, Workbench};
 use fistful_chain::amount::Amount;
 use fistful_core::change::{self, ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
@@ -65,20 +63,14 @@ fn main() {
         Command::Run(plan) => run_experiments(&plan),
         Command::SnapshotSave { scale, path } => snapshot_save(&scale, &path),
         Command::SnapshotQuery { path, addresses, top } => snapshot_query(&path, &addresses, top),
-        Command::Taint { scale, thefts, threads, max_txs, json, out } => {
-            taint(&scale, &thefts, threads, max_txs, json, out.as_deref())
+        Command::Taint { scale, thefts, threads, max_txs } => {
+            taint(&scale, &thefts, threads, max_txs)
         }
-        Command::Ingest { scale, shards, epoch, json, out } => {
-            ingest(&scale, &shards, epoch, json, out.as_deref())
-        }
-        Command::StoreSave { scale, dir, json, out } => {
-            store_save(&scale, &dir, json, out.as_deref())
-        }
-        Command::StoreOpen { dir, verify_scale, json, out } => {
-            store_open(&dir, verify_scale.as_deref(), json, out.as_deref())
-        }
-        Command::StoreAppend { scale, dir, epochs, shards, json, out } => {
-            store_append(&scale, &dir, epochs, shards, json, out.as_deref())
+        Command::Ingest { scale, shards, epoch } => ingest(&scale, &shards, epoch),
+        Command::StoreSave { scale, dir } => store_save(&scale, &dir),
+        Command::StoreOpen { dir, verify_scale } => store_open(&dir, verify_scale.as_deref()),
+        Command::StoreAppend { scale, dir, epochs, shards } => {
+            store_append(&scale, &dir, epochs, shards)
         }
         Command::Serve {
             scale,
@@ -103,69 +95,6 @@ fn main() {
             shards,
             event_loop,
         ),
-        Command::ServeBench {
-            scale,
-            threads,
-            connections,
-            idle,
-            requests,
-            mix,
-            event_loop,
-            json,
-            out,
-        } => serve_bench(
-            &scale,
-            &threads,
-            connections,
-            idle,
-            requests,
-            &mix,
-            event_loop,
-            json,
-            out.as_deref(),
-        ),
-    }
-}
-
-/// Collects `--json` output lines and delivers them at exit: to stdout
-/// (after the human-readable output) or to the `--out` file.
-struct JsonSink {
-    enabled: bool,
-    out: Option<String>,
-    lines: Vec<String>,
-}
-
-impl JsonSink {
-    fn new(enabled: bool, out: Option<&str>) -> JsonSink {
-        JsonSink { enabled, out: out.map(str::to_string), lines: Vec::new() }
-    }
-
-    fn push(&mut self, object: Json) {
-        if self.enabled {
-            self.lines.push(object.emit());
-        }
-    }
-
-    fn finish(self) {
-        if !self.enabled {
-            return;
-        }
-        match self.out {
-            None => {
-                for line in &self.lines {
-                    println!("{line}");
-                }
-            }
-            Some(path) => {
-                let mut body = self.lines.join("\n");
-                body.push('\n');
-                if let Err(e) = std::fs::write(&path, body) {
-                    eprintln!("repro: cannot write `{path}`: {e}");
-                    std::process::exit(1);
-                }
-                eprintln!("# wrote {} JSON object(s) to {path}", self.lines.len());
-            }
-        }
     }
 }
 
@@ -181,24 +110,10 @@ fn sim_config(scale: &str) -> SimConfig {
 fn run_experiments(plan: &RunPlan) {
     let cfg = sim_config(&plan.scale);
     let want = |name: &str| plan.experiments.iter().any(|e| e == name);
-    let mut sink = JsonSink::new(plan.json, plan.out.as_deref());
-    // One timing object per experiment: the stable perf-trajectory record
-    // (schema `fistful.repro.run/1`) a BENCH_*.json file accumulates
-    // across PRs.
-    let record = |sink: &mut JsonSink, experiment: &str, scale: &str, seconds: f64| {
-        sink.push(Json::obj(vec![
-            ("schema", "fistful.repro.run/1".into()),
-            ("experiment", experiment.into()),
-            ("scale", scale.into()),
-            ("seconds", seconds.into()),
-        ]));
-    };
 
     // Figure 1 needs no economy.
     if want("fig1") {
-        let t = std::time::Instant::now();
         fig1();
-        record(&mut sink, "fig1", &plan.scale, t.elapsed().as_secs_f64());
     }
 
     // Everything except fig1 runs over the simulated economy.
@@ -215,7 +130,6 @@ fn run_experiments(plan: &RunPlan) {
             wb.eco.chain.resolved().tx_count(),
             wb.eco.chain.resolved().address_count()
         );
-        record(&mut sink, "economy", &plan.scale, t0.elapsed().as_secs_f64());
         // The graph-backed experiments share one index, built once.
         let graph = plan
             .experiments
@@ -223,7 +137,6 @@ fn run_experiments(plan: &RunPlan) {
             .any(|e| e == "tab2" || e == "tab3")
             .then(|| TxGraph::build(wb.eco.chain.resolved()));
         for exp in &plan.experiments {
-            let t = std::time::Instant::now();
             match exp.as_str() {
                 "fig1" => continue, // already ran, economy-free
                 "tab1" => tab1(&wb),
@@ -236,17 +149,14 @@ fn run_experiments(plan: &RunPlan) {
                 "tab3" => tab3(&wb, graph.as_ref().expect("graph built for tab3")),
                 other => unreachable!("cli::parse admitted unknown experiment `{other}`"),
             }
-            record(&mut sink, exp, &plan.scale, t.elapsed().as_secs_f64());
         }
     }
-    sink.finish();
 }
 
 /// Either serving engine behind one handle: the threaded
 /// connection-per-worker loop or the poll(2) event loop. Both speak the
 /// same wire protocol, expose the same stats, and accept the same
-/// hot-swap publisher, so `serve` and `serve-bench` stay engine-agnostic
-/// past startup.
+/// hot-swap publisher, so `serve` stays engine-agnostic past startup.
 enum Engine {
     Threaded(fistful_serve::Server),
     Event(fistful_serve::EventServer),
@@ -285,13 +195,6 @@ impl Engine {
         match self {
             Engine::Threaded(s) => s.metrics_handle(),
             Engine::Event(s) => s.metrics_handle(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Engine::Threaded(s) => s.shutdown(),
-            Engine::Event(s) => s.shutdown(),
         }
     }
 }
@@ -445,157 +348,6 @@ fn serve(
     }
 }
 
-/// `serve-bench`: sweep server worker counts with the response cache on
-/// and off, driving the closed-loop load generator against each. With
-/// `--idle N`, each run additionally parks N unmeasured keep-alive
-/// connections on the server (the high-connection-count mode); with
-/// `--event-loop`, the poll(2) engine serves instead of the threaded one.
-#[allow(clippy::too_many_arguments)]
-fn serve_bench(
-    scale: &str,
-    threads: &[usize],
-    connections: usize,
-    idle: usize,
-    requests: usize,
-    mix: &[(String, u32)],
-    event_loop: bool,
-    json: bool,
-    out: Option<&str>,
-) {
-    let cfg = sim_config(scale);
-    eprintln!(
-        "# building economy (scale={scale}, blocks={}, users={}) ...",
-        cfg.blocks, cfg.users
-    );
-    let wb = Workbench::build(cfg);
-    let artifacts = std::sync::Arc::new(serve_artifacts(&wb));
-    let loots: Vec<Vec<(u32, u32)>> =
-        theft_loots(wb.eco.chain.resolved(), &wb.eco.script_report.thefts)
-            .into_iter()
-            .map(|(_, loot)| loot)
-            .collect();
-    let pools = RequestPools::build(&artifacts, &loots, 256, cli::DEFAULT_TAINT_MAX_TXS as u32);
-    let mix: Vec<(RequestKind, u32)> = mix
-        .iter()
-        .map(|(name, weight)| {
-            (RequestKind::from_name(name).expect("cli validated mix kinds"), *weight)
-        })
-        .collect();
-
-    let mut sink = JsonSink::new(json, out);
-    for &workers in threads {
-        for cache_entries in [DEFAULT_SERVE_CACHE, 0] {
-            let config = fistful_serve::ServeConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers,
-                cache_entries,
-                max_taint_txs: cli::DEFAULT_TAINT_MAX_TXS,
-            };
-            let started = if event_loop {
-                fistful_serve::EventServer::start(
-                    fistful_serve::EventServeConfig::from(config),
-                    std::sync::Arc::clone(&artifacts),
-                )
-                .map(Engine::Event)
-            } else {
-                fistful_serve::Server::start(config, std::sync::Arc::clone(&artifacts))
-                    .map(Engine::Threaded)
-            };
-            let server = match started {
-                Ok(server) => server,
-                Err(e) => {
-                    eprintln!("repro: cannot start bench server: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let engine = server.name();
-            let before = server.stats();
-            let measured = servebench::run_load(
-                server.local_addr(),
-                &pools,
-                &mix,
-                connections,
-                idle,
-                requests,
-            );
-            let after = server.stats();
-            // Scrape the fresh-per-run engine over the binary protocol
-            // before it shuts down: its per-type counters must equal the
-            // load generator's issued counts exactly (requests are
-            // counted at dispatch entry, before the cache is consulted).
-            let metrics = fistful_serve::Client::connect(server.local_addr())
-                .and_then(|mut c| c.metrics_dump())
-                .unwrap_or_else(|e| {
-                    eprintln!("repro: cannot scrape bench server metrics: {e}");
-                    std::process::exit(1);
-                });
-            server.shutdown();
-            let summary = servebench::summarize(
-                measured,
-                engine,
-                workers,
-                cache_entries,
-                connections,
-                requests,
-                &before,
-                &after,
-                &metrics,
-            );
-            for t in &summary.types {
-                assert_eq!(
-                    t.server_count,
-                    t.count as u64,
-                    "server-side {} counter disagrees with the load generator",
-                    t.kind.label()
-                );
-            }
-            print_serve_bench_run(&summary);
-            sink.push(summary.to_json(scale));
-        }
-    }
-    sink.finish();
-}
-
-/// Human-readable report of one serve-bench run.
-fn print_serve_bench_run(s: &servebench::RunSummary) {
-    println!(
-        "\n== serve-bench: {} engine, {} worker(s), cache {}{} ==",
-        s.engine,
-        s.workers,
-        if s.cache_entries > 0 { format!("on ({} entries)", s.cache_entries) } else { "off".to_string() },
-        if s.idle_connections > 0 {
-            format!(", {} idle conn(s)", s.idle_connections)
-        } else {
-            String::new()
-        }
-    );
-    println!(
-        "{} connection(s) x {} requests = {} total in {:.2}s ({:.0} req/s); cache {} hits / {} misses",
-        s.connections,
-        s.requests_per_connection,
-        s.total_requests,
-        s.elapsed_secs,
-        s.rps,
-        s.cache_hits,
-        s.cache_misses
-    );
-    println!(
-        "{:<10} {:>8} {:>8} {:>10} {:>10} {:>10}",
-        "type", "count", "served", "req/s", "p50 us", "p99 us"
-    );
-    for t in &s.types {
-        println!(
-            "{:<10} {:>8} {:>8} {:>10.0} {:>10.1} {:>10.1}",
-            t.kind.label(),
-            t.count,
-            t.server_count,
-            t.rps,
-            t.p50_us,
-            t.p99_us
-        );
-    }
-}
-
 /// `snapshot save`: cluster once (refined H2 + naming), freeze, write.
 fn snapshot_save(scale: &str, path: &str) {
     let cfg = sim_config(scale);
@@ -697,7 +449,7 @@ fn snapshot_query(path: &str, addresses: &[u32], top: usize) {
 
 /// `taint`: the batch multi-theft engine over the transaction-graph index,
 /// cross-checked against (and timed versus) the legacy per-theft walks.
-fn taint(scale: &str, names: &[String], threads: usize, max_txs: usize, json: bool, out: Option<&str>) {
+fn taint(scale: &str, names: &[String], threads: usize, max_txs: usize) {
     let cfg = sim_config(scale);
     eprintln!(
         "# building economy (scale={scale}, blocks={}, users={}) ...",
@@ -790,31 +542,6 @@ fn taint(scale: &str, names: &[String], threads: usize, max_txs: usize, json: bo
         cases.len(),
         sequential.as_secs_f64() / batch.as_secs_f64().max(1e-9)
     );
-
-    // One perf-trajectory record per theft plus a timing summary (schema
-    // `fistful.repro.taint/1`) for BENCH_*.json files.
-    let mut sink = JsonSink::new(json, out);
-    for ((name, _), trace) in cases.iter().zip(&traces) {
-        sink.push(Json::obj(vec![
-            ("schema", "fistful.repro.taint/1".into()),
-            ("scale", scale.into()),
-            ("theft", name.as_str().into()),
-            ("txs", (trace.movements.len() as u64).into()),
-            ("pattern", trace.pattern.as_str().into()),
-            ("to_exchanges_btc", trace.to_exchanges.to_btc().into()),
-            ("dormant_btc", trace.dormant.to_btc().into()),
-        ]));
-    }
-    sink.push(Json::obj(vec![
-        ("schema", "fistful.repro.taint/1".into()),
-        ("scale", scale.into()),
-        ("thefts", (cases.len() as u64).into()),
-        ("threads", (workers as u64).into()),
-        ("graph_build_seconds", built.as_secs_f64().into()),
-        ("batch_seconds", batch.as_secs_f64().into()),
-        ("legacy_seconds", sequential.as_secs_f64().into()),
-    ]));
-    sink.finish();
 }
 
 /// `ingest`: the sharded ingest sweep. Replays the economy block by block
@@ -822,7 +549,7 @@ fn taint(scale: &str, names: &[String], threads: usize, max_txs: usize, json: bo
 /// batch and per-block incremental engines as baselines), asserts each
 /// sweep point lands on exactly the batch clustering, and reports
 /// per-block ingest cost per engine.
-fn ingest(scale: &str, shards: &[usize], epoch: usize, json: bool, out: Option<&str>) {
+fn ingest(scale: &str, shards: &[usize], epoch: usize) {
     let cfg = sim_config(scale);
     eprintln!(
         "# building economy (scale={scale}, blocks={}, users={}) ...",
@@ -840,21 +567,6 @@ fn ingest(scale: &str, shards: &[usize], epoch: usize, json: bool, out: Option<&
         chain.address_count()
     );
 
-    let mut sink = JsonSink::new(json, out);
-    let record = |sink: &mut JsonSink, engine: &str, n_shards: u64, seconds: f64, clusters: usize| {
-        sink.push(Json::obj(vec![
-            ("schema", "fistful.repro.ingest/1".into()),
-            ("scale", scale.into()),
-            ("engine", engine.into()),
-            ("shards", n_shards.into()),
-            ("epoch_blocks", (epoch as u64).into()),
-            ("blocks", (blocks as u64).into()),
-            ("txs", (txs as u64).into()),
-            ("seconds", seconds.into()),
-            ("us_per_block", (seconds * 1e6 / blocks.max(1) as f64).into()),
-            ("clusters", (clusters as u64).into()),
-        ]));
-    };
     println!(
         "{:<14} {:>7} {:>10} {:>12} {:>10}",
         "engine", "shards", "seconds", "us/block", "clusters"
@@ -875,7 +587,6 @@ fn ingest(scale: &str, shards: &[usize], epoch: usize, json: bool, out: Option<&
     let batch = Clusterer::with_h2(h2.clone()).run(chain);
     let batch_secs = t.elapsed().as_secs_f64();
     row("batch", 0, batch_secs, batch.cluster_count());
-    record(&mut sink, "batch", 0, batch_secs, batch.cluster_count());
 
     // Baseline 2: the single-threaded per-block incremental engine.
     let t = std::time::Instant::now();
@@ -888,7 +599,6 @@ fn ingest(scale: &str, shards: &[usize], epoch: usize, json: bool, out: Option<&
     let inc_secs = t.elapsed().as_secs_f64();
     assert_clusterings_match("incremental", &inc_snapshot, &batch);
     row("incremental", 0, inc_secs, inc_snapshot.cluster_count());
-    record(&mut sink, "incremental", 0, inc_secs, inc_snapshot.cluster_count());
 
     // The sweep: the sharded pipeline at every requested shard count. On a
     // single-core box this proves correctness scaling (identical output at
@@ -904,13 +614,11 @@ fn ingest(scale: &str, shards: &[usize], epoch: usize, json: bool, out: Option<&
         let secs = t.elapsed().as_secs_f64();
         assert_clusterings_match(&format!("sharded x{n}"), &clustering, &batch);
         row("sharded", n as u64, secs, clustering.cluster_count());
-        record(&mut sink, "sharded", n as u64, secs, clustering.cluster_count());
     }
     println!(
         "every engine reproduced the batch clustering exactly ({} clusters)",
         batch.cluster_count()
     );
-    sink.finish();
 }
 
 /// Hard equality between an ingest engine's output and the batch ground
@@ -943,7 +651,7 @@ fn store_or_die<T>(what: &str, result: Result<T, fistful_store::StoreError>) -> 
 
 /// `store save`: build every serving artifact once and write the columnar
 /// store directory (`chain.fst` + the serving bundle).
-fn store_save(scale: &str, dir: &str, json: bool, out: Option<&str>) {
+fn store_save(scale: &str, dir: &str) {
     let cfg = sim_config(scale);
     eprintln!(
         "# building economy (scale={scale}, blocks={}, users={}) ...",
@@ -952,9 +660,7 @@ fn store_save(scale: &str, dir: &str, json: bool, out: Option<&str>) {
     let t0 = std::time::Instant::now();
     let wb = Workbench::build(cfg);
     eprintln!("# economy ready in {:.1?}; clustering + indexing ...", t0.elapsed());
-    let t1 = std::time::Instant::now();
     let artifacts = serve_artifacts(&wb);
-    let built = t1.elapsed();
 
     let dir_path = Path::new(dir);
     if let Err(e) = std::fs::create_dir_all(dir_path) {
@@ -979,24 +685,11 @@ fn store_save(scale: &str, dir: &str, json: bool, out: Option<&str>) {
     println!(
         "reopen it with `repro store open {dir}` — no chain replay, no re-clustering"
     );
-
-    let mut sink = JsonSink::new(json, out);
-    sink.push(Json::obj(vec![
-        ("schema", "fistful.repro.store/1".into()),
-        ("op", "save".into()),
-        ("scale", scale.into()),
-        ("chain_bytes", chain_bytes.into()),
-        ("bundle_bytes", bundle_bytes.into()),
-        ("total_bytes", (chain_bytes + bundle_bytes).into()),
-        ("build_seconds", built.as_secs_f64().into()),
-        ("encode_seconds", encoded.as_secs_f64().into()),
-    ]));
-    sink.finish();
 }
 
 /// `store open`: reopen a store directory without replaying the chain,
 /// optionally differentially verified against an in-RAM rebuild.
-fn store_open(dir: &str, verify_scale: Option<&str>, json: bool, out: Option<&str>) {
+fn store_open(dir: &str, verify_scale: Option<&str>) {
     let dir_path = Path::new(dir);
     let deltas = store_or_die("cannot list store directory", delta_files(dir_path)).len();
     let t0 = std::time::Instant::now();
@@ -1012,16 +705,6 @@ fn store_open(dir: &str, verify_scale: Option<&str>, json: bool, out: Option<&st
         artifacts.graph.tx_count(),
     );
 
-    let mut record = vec![
-        ("schema", Json::from("fistful.repro.store/1")),
-        ("op", "open".into()),
-        ("open_seconds", opened.as_secs_f64().into()),
-        ("addresses", (artifacts.snapshot.address_count() as u64).into()),
-        ("clusters", (artifacts.snapshot.cluster_count() as u64).into()),
-        ("txs", (artifacts.graph.tx_count() as u64).into()),
-        ("deltas_folded", (deltas as u64).into()),
-        ("verified", verify_scale.is_some().into()),
-    ];
     if let Some(scale) = verify_scale {
         let cfg = sim_config(scale);
         eprintln!(
@@ -1055,19 +738,14 @@ fn store_open(dir: &str, verify_scale: Option<&str>, json: bool, out: Option<&st
             "verified byte-identical to an in-RAM rebuild: open {opened:.1?} vs rebuild \
              {rebuilt_secs:.1?} ({speedup:.1}x)"
         );
-        record.push(("rebuild_seconds", rebuilt_secs.as_secs_f64().into()));
-        record.push(("speedup", speedup.into()));
     }
-    let mut sink = JsonSink::new(json, out);
-    sink.push(Json::obj(record));
-    sink.finish();
 }
 
 /// `store append`: replay the economy through the sharded ingest pipeline,
 /// writing the base snapshot at the first epoch boundary and one delta
 /// container per later boundary — then prove the on-disk base + deltas
 /// materialize to exactly the full batch export, byte for byte.
-fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool, out: Option<&str>) {
+fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize) {
     let cfg = sim_config(scale);
     eprintln!(
         "# building economy (scale={scale}, blocks={}, users={}) ...",
@@ -1095,11 +773,9 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
         }
     }
 
-    let mut sink = JsonSink::new(json, out);
     let t0 = std::time::Instant::now();
     let mut pipe = ShardedIngest::new(IngestConfig::with_h2(shards, epoch_blocks, wb.refined_config()));
     let mut prev: Option<ClusterSnapshot> = None;
-    let mut base_bytes = 0u64;
     let mut delta_bytes = 0u64;
     let mut delta_no = 0usize;
     let mut last_reconciled = 0;
@@ -1108,14 +784,13 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
     // size is proportional to what the epoch changed, not to the chain.
     let mut on_boundary = |pipe: &mut ShardedIngest,
                            prev: &mut Option<ClusterSnapshot>,
-                           delta_no: &mut usize,
-                           sink: &mut JsonSink| {
+                           delta_no: &mut usize| {
         match prev.take() {
             None => {
                 let snap = pipe.export_snapshot(chain, &wb.tagdb);
                 let mut w = StoreWriter::new();
                 snap.write_store(&mut w);
-                base_bytes = store_or_die(
+                let base_bytes = store_or_die(
                     "cannot write base snapshot",
                     w.write_to(&dir_path.join(SNAPSHOT_FILE)),
                 );
@@ -1148,15 +823,6 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
                     delta.assign.len(),
                     delta.clusters.len()
                 );
-                sink.push(Json::obj(vec![
-                    ("schema", "fistful.repro.store/1".into()),
-                    ("op", "append-delta".into()),
-                    ("scale", scale.into()),
-                    ("epoch", (*delta_no as u64 + 1).into()),
-                    ("bytes", bytes.into()),
-                    ("assign_entries", (delta.assign.len() as u64).into()),
-                    ("cluster_entries", (delta.clusters.len() as u64).into()),
-                ]));
                 *prev = Some(snap);
             }
         }
@@ -1165,7 +831,7 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
         pipe.ingest_block(&block);
         if pipe.reconciled_txs() != last_reconciled {
             last_reconciled = pipe.reconciled_txs();
-            on_boundary(&mut pipe, &mut prev, &mut delta_no, &mut sink);
+            on_boundary(&mut pipe, &mut prev, &mut delta_no);
         }
     }
     // The flush can both process a final partial epoch and resolve pending
@@ -1173,7 +839,7 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
     // export, so always offer one more boundary (it no-ops when nothing
     // changed).
     pipe.flush(chain);
-    on_boundary(&mut pipe, &mut prev, &mut delta_no, &mut sink);
+    on_boundary(&mut pipe, &mut prev, &mut delta_no);
     let elapsed = t0.elapsed();
     let full = prev.expect("at least one epoch boundary on a non-empty chain");
 
@@ -1222,19 +888,6 @@ fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize, json: bool
          (deltas shrink toward O(new blocks) when epochs are merge-free; cross-epoch merges \
          cascade cluster renumbering and grow them)"
     );
-    sink.push(Json::obj(vec![
-        ("schema", "fistful.repro.store/1".into()),
-        ("op", "append".into()),
-        ("scale", scale.into()),
-        ("epochs", (epochs as u64).into()),
-        ("boundaries", (delta_no as u64 + 1).into()),
-        ("shards", (shards as u64).into()),
-        ("base_bytes", base_bytes.into()),
-        ("delta_bytes", delta_bytes.into()),
-        ("full_export_bytes", full_export_bytes.into()),
-        ("seconds", elapsed.as_secs_f64().into()),
-    ]));
-    sink.finish();
 }
 
 /// Figure 1: how a transaction propagates, gets mined, and settles.

@@ -1,9 +1,6 @@
 //! Argument parsing for the `repro` binary, factored out so the dedupe,
-//! `all`-mixing, `--json`, and `snapshot`/`taint`/`ingest`/`serve`/
-//! `serve-bench` subcommand rules are unit-testable without spawning the
-//! binary.
-
-use crate::servebench::RequestKind;
+//! `all`-mixing, and `snapshot`/`taint`/`ingest`/`store`/`serve`
+//! subcommand rules are unit-testable without spawning the binary.
 
 /// Every experiment `repro` knows, in presentation order.
 pub const EXPERIMENTS: [&str; 9] =
@@ -22,7 +19,7 @@ pub const DEFAULT_TAINT_MAX_TXS: usize = 5_000;
 /// Default port for `repro serve`.
 pub const DEFAULT_SERVE_PORT: u16 = 7833;
 
-/// Default response-cache capacity for `repro serve` and `serve-bench`.
+/// Default response-cache capacity for `repro serve`.
 pub const DEFAULT_SERVE_CACHE: usize = 4096;
 
 /// Default shard-count sweep for `repro ingest`.
@@ -30,18 +27,6 @@ pub const DEFAULT_INGEST_SHARDS: [usize; 4] = [1, 2, 4, 8];
 
 /// Default epoch length (blocks between reconciles) for `repro ingest`.
 pub const DEFAULT_INGEST_EPOCH: usize = 16;
-
-/// Default concurrent connections for `repro serve-bench`.
-pub const DEFAULT_BENCH_CONNECTIONS: usize = 4;
-
-/// Default requests per connection for `repro serve-bench`.
-pub const DEFAULT_BENCH_REQUESTS: usize = 2_000;
-
-/// Default server-worker sweep for `repro serve-bench`.
-pub const DEFAULT_BENCH_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Default request mix for `repro serve-bench`.
-pub const DEFAULT_BENCH_MIX: &str = "addr:6,cluster:2,balance:1,taint:1";
 
 /// Default epoch count for `repro store append`.
 pub const DEFAULT_STORE_EPOCHS: usize = 4;
@@ -54,28 +39,20 @@ pub const DEFAULT_STORE_SHARDS: usize = 4;
 /// help text cannot drift from what the parser accepts.
 pub fn usage() -> String {
     let scales = SCALES.join("|");
-    let mix_kinds = RequestKind::ALL.map(RequestKind::label).join("|");
     format!(
-        "usage: repro [--scale {scales}] [--json] [--out FILE] [experiment...]\n\
+        "usage: repro [--scale {scales}] [experiment...]\n\
          \x20      repro snapshot save <file> [--scale {scales}]\n\
          \x20      repro snapshot query <file> [address-id...] [--top N]\n\
          \x20      repro taint [--scale {scales}] [--thefts all|name,name,...]\n\
-         \x20                  [--threads N] [--max-txs M] [--json] [--out FILE]\n\
+         \x20                  [--threads N] [--max-txs M]\n\
          \x20      repro ingest [--scale {scales}] [--shards N,N,...] [--epoch K]\n\
-         \x20                  [--json] [--out FILE]\n\
-         \x20      repro store save <dir> [--scale {scales}] [--json] [--out FILE]\n\
-         \x20      repro store open <dir> [--verify-scale {scales}] [--json] [--out FILE]\n\
+         \x20      repro store save <dir> [--scale {scales}]\n\
+         \x20      repro store open <dir> [--verify-scale {scales}]\n\
          \x20      repro store append <dir> [--scale {scales}] [--epochs K] [--shards N]\n\
-         \x20                  [--json] [--out FILE]\n\
          \x20      repro serve [--scale {scales}] [--port P] [--metrics-port P]\n\
          \x20                  [--workers N] [--cache N] [--event-loop] [--live]\n\
          \x20                  [--store DIR] [--epoch K] [--shards N]\n\
-         \x20      repro serve-bench [--scale {scales}] [--threads N,N,...]\n\
-         \x20                  [--connections M] [--idle I] [--requests R]\n\
-         \x20                  [--mix kind:w,...] [--event-loop] [--json] [--out FILE]\n\
          experiments: all {} (default: all)\n\
-         --json emits one machine-readable JSON object per experiment (to\n\
-         \x20      stdout, or to FILE with --out, which implies --json)\n\
          snapshot subcommands:\n\
          \x20 save  — cluster the simulated economy (refined H2 + naming) and\n\
          \x20         write the frozen ClusterSnapshot artifact to <file>\n\
@@ -114,14 +91,7 @@ pub fn usage() -> String {
          \x20        --shards shards, persisting per-epoch deltas to --store\n\
          \x20        so a restart resumes from disk; --metrics-port binds a\n\
          \x20        second listener (must differ from --port; 0 = ephemeral)\n\
-         \x20        answering GET /metrics with the Prometheus text exposition\n\
-         serve-bench — closed-loop load generator against an in-process\n\
-         \x20        server: sweeps --threads worker counts with the cache on\n\
-         \x20        and off, reporting throughput and p50/p99 latency per\n\
-         \x20        request type; --event-loop benches the poll-loop server,\n\
-         \x20        --idle holds I extra unmeasured keep-alive connections\n\
-         \x20        open for the whole run (the high-connection-count mode);\n\
-         \x20        mix kinds: {mix_kinds}",
+         \x20        answering GET /metrics with the Prometheus text exposition",
         EXPERIMENTS.join(" ")
     )
 }
@@ -135,10 +105,6 @@ pub struct RunPlan {
     /// Experiments to run, in first-mention order, deduplicated. Contains
     /// every experiment when `all` (or nothing) was requested.
     pub experiments: Vec<String>,
-    /// Emit one machine-readable JSON timing object per experiment.
-    pub json: bool,
-    /// Where the JSON objects go (`None` = stdout). Implies `json`.
-    pub out: Option<String>,
 }
 
 /// A fully parsed `repro` invocation.
@@ -175,10 +141,6 @@ pub enum Command {
         threads: usize,
         /// Per-theft taint-walk transaction bound.
         max_txs: usize,
-        /// Emit one machine-readable JSON object per tracked theft.
-        json: bool,
-        /// Where the JSON objects go (`None` = stdout). Implies `json`.
-        out: Option<String>,
     },
     /// `ingest`: replay the economy through the sharded ingest pipeline
     /// across a sweep of shard counts, checking each against the batch
@@ -190,10 +152,6 @@ pub enum Command {
         shards: Vec<usize>,
         /// Blocks per reconcile epoch; positive.
         epoch: usize,
-        /// Emit one machine-readable JSON object per sweep point.
-        json: bool,
-        /// Where the JSON objects go (`None` = stdout). Implies `json`.
-        out: Option<String>,
     },
     /// `store save <dir>`: build every serving artifact once and write the
     /// columnar store directory.
@@ -202,10 +160,6 @@ pub enum Command {
         scale: String,
         /// Store directory path.
         dir: String,
-        /// Emit machine-readable JSON records.
-        json: bool,
-        /// Where the JSON objects go (`None` = stdout). Implies `json`.
-        out: Option<String>,
     },
     /// `store open <dir>`: reopen a store directory without replaying the
     /// chain, optionally verifying against an in-RAM rebuild.
@@ -215,10 +169,6 @@ pub enum Command {
         /// When set, rebuild the artifacts at this scale and assert the
         /// reopened ones are byte-identical.
         verify_scale: Option<String>,
-        /// Emit machine-readable JSON records.
-        json: bool,
-        /// Where the JSON objects go (`None` = stdout). Implies `json`.
-        out: Option<String>,
     },
     /// `store append <dir>`: replay the economy through the sharded ingest
     /// pipeline, writing a base snapshot at the first epoch boundary and a
@@ -232,10 +182,6 @@ pub enum Command {
         epochs: usize,
         /// Shard count for the ingest replay; positive.
         shards: usize,
-        /// Emit machine-readable JSON records.
-        json: bool,
-        /// Where the JSON objects go (`None` = stdout). Implies `json`.
-        out: Option<String>,
     },
     /// `serve`: build the serving artifacts once and run the TCP query
     /// server until killed.
@@ -267,30 +213,6 @@ pub enum Command {
         /// Serve with the event-driven poll loop instead of the threaded
         /// connection-per-worker loop.
         event_loop: bool,
-    },
-    /// `serve-bench`: the closed-loop load generator over an in-process
-    /// server, swept across worker counts with the cache on and off.
-    ServeBench {
-        /// One of [`SCALES`].
-        scale: String,
-        /// Server worker counts to sweep, in order.
-        threads: Vec<usize>,
-        /// Concurrent client connections driving the measured closed
-        /// loop.
-        connections: usize,
-        /// Extra idle keep-alive connections held open (unmeasured) for
-        /// the whole run — the high-connection-count mode.
-        idle: usize,
-        /// Requests per connection.
-        requests: usize,
-        /// Weighted request mix as `(kind, weight)` pairs.
-        mix: Vec<(String, u32)>,
-        /// Bench the event-driven poll loop instead of the threaded one.
-        event_loop: bool,
-        /// Emit one machine-readable JSON object per run.
-        json: bool,
-        /// Where the JSON objects go (`None` = stdout). Implies `json`.
-        out: Option<String>,
     },
 }
 
@@ -335,27 +257,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliOutcome> {
         Some("ingest") => return parse_ingest(&args[1..]),
         Some("store") => return parse_store(&args[1..]),
         Some("serve") => return parse_serve(&args[1..]),
-        Some("serve-bench") => return parse_serve_bench(&args[1..]),
         _ => {}
     }
     let mut scale = "default".to_string();
     let mut named: Vec<String> = Vec::new();
     let mut saw_all = false;
-    let mut json = false;
-    let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => scale = parse_scale(it.next())?,
             "--help" | "-h" => return Err(CliOutcome::Help),
-            "--json" => json = true,
-            "--out" => {
-                let Some(path) = it.next() else {
-                    return Err(CliOutcome::Error("--out requires a file path".to_string()));
-                };
-                out = Some(path.clone());
-                json = true;
-            }
             "all" => saw_all = true,
             other => {
                 if !EXPERIMENTS.contains(&other) {
@@ -377,7 +288,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliOutcome> {
     } else {
         named
     };
-    Ok(Command::Run(RunPlan { scale, experiments, json, out }))
+    Ok(Command::Run(RunPlan { scale, experiments }))
 }
 
 /// Parses a positive integer option value.
@@ -466,110 +377,6 @@ fn parse_serve(args: &[String]) -> Result<Command, CliOutcome> {
     })
 }
 
-/// Parses a `--mix kind:weight,...` specification.
-fn parse_mix(spec: &str) -> Result<Vec<(String, u32)>, CliOutcome> {
-    let mut mix: Vec<(String, u32)> = Vec::new();
-    for entry in spec.split(',') {
-        let Some((kind, weight)) = entry.split_once(':') else {
-            return Err(CliOutcome::Error(format!(
-                "mix entry `{entry}` is not of the form kind:weight"
-            )));
-        };
-        let kind = kind.trim();
-        if RequestKind::from_name(kind).is_none() {
-            let known = RequestKind::ALL.map(RequestKind::label).join(", ");
-            return Err(CliOutcome::Error(format!(
-                "unknown mix kind `{kind}` (known: {known})"
-            )));
-        }
-        let weight: u32 = match weight.trim().parse() {
-            Ok(w) if w > 0 => w,
-            _ => {
-                return Err(CliOutcome::Error(format!(
-                    "mix weight for `{kind}` must be a positive integer"
-                )))
-            }
-        };
-        if mix.iter().any(|(k, _)| k == kind) {
-            return Err(CliOutcome::Error(format!("mix names `{kind}` twice")));
-        }
-        mix.push((kind.to_string(), weight));
-    }
-    Ok(mix)
-}
-
-/// Parses the arguments after the `serve-bench` keyword.
-fn parse_serve_bench(args: &[String]) -> Result<Command, CliOutcome> {
-    let mut scale = "default".to_string();
-    let mut threads: Vec<usize> = DEFAULT_BENCH_THREADS.to_vec();
-    let mut connections = DEFAULT_BENCH_CONNECTIONS;
-    let mut idle = 0usize;
-    let mut requests = DEFAULT_BENCH_REQUESTS;
-    let mut mix = parse_mix(DEFAULT_BENCH_MIX).expect("default mix parses");
-    let mut event_loop = false;
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => scale = parse_scale(it.next())?,
-            "--help" | "-h" => return Err(CliOutcome::Help),
-            "--threads" => {
-                let Some(list) = it.next() else {
-                    return Err(CliOutcome::Error("invalid --threads value".to_string()));
-                };
-                threads = Vec::new();
-                for part in list.split(',') {
-                    match part.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => {
-                            if !threads.contains(&n) {
-                                threads.push(n);
-                            }
-                        }
-                        _ => {
-                            return Err(CliOutcome::Error(format!(
-                                "invalid worker count `{part}` in --threads"
-                            )))
-                        }
-                    }
-                }
-                if threads.is_empty() {
-                    return Err(CliOutcome::Error("--threads names no worker counts".to_string()));
-                }
-            }
-            "--connections" => connections = parse_count("--connections", it.next())?,
-            "--idle" => {
-                // Unlike the other counts, zero idle connections is valid
-                // (and the default).
-                idle = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return Err(CliOutcome::Error("invalid --idle value".to_string())),
-                };
-            }
-            "--requests" => requests = parse_count("--requests", it.next())?,
-            "--mix" => {
-                let Some(spec) = it.next() else {
-                    return Err(CliOutcome::Error("--mix requires a value".to_string()));
-                };
-                mix = parse_mix(spec)?;
-            }
-            "--event-loop" => event_loop = true,
-            "--json" => json = true,
-            "--out" => {
-                let Some(path) = it.next() else {
-                    return Err(CliOutcome::Error("--out requires a file path".to_string()));
-                };
-                out = Some(path.clone());
-                json = true;
-            }
-            other => {
-                return Err(CliOutcome::Error(format!("unknown serve-bench option `{other}`")))
-            }
-        }
-    }
-    Ok(Command::ServeBench { scale, threads, connections, idle, requests, mix, event_loop, json, out })
-}
-
 /// Parses the arguments after the `snapshot` keyword.
 fn parse_snapshot(args: &[String]) -> Result<Command, CliOutcome> {
     let sub = match args.first() {
@@ -654,8 +461,6 @@ fn parse_taint(args: &[String]) -> Result<Command, CliOutcome> {
     let mut saw_all = false;
     let mut threads = 0usize;
     let mut max_txs = DEFAULT_TAINT_MAX_TXS;
-    let mut json = false;
-    let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -691,14 +496,6 @@ fn parse_taint(args: &[String]) -> Result<Command, CliOutcome> {
                     }
                 }
             }
-            "--json" => json = true,
-            "--out" => {
-                let Some(path) = it.next() else {
-                    return Err(CliOutcome::Error("--out requires a file path".to_string()));
-                };
-                out = Some(path.clone());
-                json = true;
-            }
             other => {
                 return Err(CliOutcome::Error(format!(
                     "unknown taint option `{other}`"
@@ -711,7 +508,7 @@ fn parse_taint(args: &[String]) -> Result<Command, CliOutcome> {
             "`all` cannot be combined with named thefts".to_string(),
         ));
     }
-    Ok(Command::Taint { scale, thefts, threads, max_txs, json, out })
+    Ok(Command::Taint { scale, thefts, threads, max_txs })
 }
 
 /// Parses the arguments after the `ingest` keyword.
@@ -725,8 +522,6 @@ fn parse_ingest(args: &[String]) -> Result<Command, CliOutcome> {
     let mut scale = "default".to_string();
     let mut shards: Vec<usize> = DEFAULT_INGEST_SHARDS.to_vec();
     let mut epoch = DEFAULT_INGEST_EPOCH;
-    let mut json = false;
-    let mut out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -756,20 +551,12 @@ fn parse_ingest(args: &[String]) -> Result<Command, CliOutcome> {
                 }
             }
             "--epoch" => epoch = parse_count("--epoch", it.next())?,
-            "--json" => json = true,
-            "--out" => {
-                let Some(path) = it.next() else {
-                    return Err(CliOutcome::Error("--out requires a file path".to_string()));
-                };
-                out = Some(path.clone());
-                json = true;
-            }
             other => {
                 return Err(CliOutcome::Error(format!("unknown ingest option `{other}`")))
             }
         }
     }
-    Ok(Command::Ingest { scale, shards, epoch, json, out })
+    Ok(Command::Ingest { scale, shards, epoch })
 }
 
 /// Parses the arguments after the `store` keyword.
@@ -800,8 +587,6 @@ fn parse_store(args: &[String]) -> Result<Command, CliOutcome> {
     let mut verify_scale: Option<String> = None;
     let mut epochs = DEFAULT_STORE_EPOCHS;
     let mut shards = DEFAULT_STORE_SHARDS;
-    let mut json = false;
-    let mut out: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -810,14 +595,6 @@ fn parse_store(args: &[String]) -> Result<Command, CliOutcome> {
             "--verify-scale" if sub == "open" => verify_scale = Some(parse_scale(it.next())?),
             "--epochs" if sub == "append" => epochs = parse_count("--epochs", it.next())?,
             "--shards" if sub == "append" => shards = parse_count("--shards", it.next())?,
-            "--json" => json = true,
-            "--out" => {
-                let Some(path) = it.next() else {
-                    return Err(CliOutcome::Error("--out requires a file path".to_string()));
-                };
-                out = Some(path.clone());
-                json = true;
-            }
             other if other.starts_with('-') => {
                 return Err(CliOutcome::Error(format!("unknown store {sub} option `{other}`")))
             }
@@ -833,9 +610,9 @@ fn parse_store(args: &[String]) -> Result<Command, CliOutcome> {
         CliOutcome::Error(format!("store {sub} requires a store directory"))
     })?;
     Ok(match sub {
-        "save" => Command::StoreSave { scale, dir, json, out },
-        "open" => Command::StoreOpen { dir, verify_scale, json, out },
-        _ => Command::StoreAppend { scale, dir, epochs, shards, json, out },
+        "save" => Command::StoreSave { scale, dir },
+        "open" => Command::StoreOpen { dir, verify_scale },
+        _ => Command::StoreAppend { scale, dir, epochs, shards },
     })
 }
 
@@ -968,9 +745,7 @@ mod tests {
                 scale: "default".into(),
                 thefts: vec![],
                 threads: 0,
-                max_txs: DEFAULT_TAINT_MAX_TXS,
-                json: false,
-                out: None
+                max_txs: DEFAULT_TAINT_MAX_TXS
             }
         );
         // `--thefts all` is the explicit spelling of the default.
@@ -993,19 +768,9 @@ mod tests {
                 // Duplicates collapse, first-mention order kept.
                 thefts: vec!["Betcoin".into(), "Bitfloor".into()],
                 threads: 4,
-                max_txs: 99,
-                json: false,
-                out: None
+                max_txs: 99
             }
         );
-        // --out implies --json, exactly like run mode.
-        let Command::Taint { json, out, .. } =
-            parse(&args(&["taint", "--out", "taint.json"])).unwrap()
-        else {
-            panic!("expected taint");
-        };
-        assert!(json, "--out implies --json");
-        assert_eq!(out.as_deref(), Some("taint.json"));
     }
 
     #[test]
@@ -1037,33 +802,21 @@ mod tests {
             Command::Ingest {
                 scale: "default".into(),
                 shards: DEFAULT_INGEST_SHARDS.to_vec(),
-                epoch: DEFAULT_INGEST_EPOCH,
-                json: false,
-                out: None
+                epoch: DEFAULT_INGEST_EPOCH
             }
         );
         assert_eq!(
             parse(&args(&[
-                "ingest", "--scale", "tiny", "--shards", "2,8,2", "--epoch", "7", "--json"
+                "ingest", "--scale", "tiny", "--shards", "2,8,2", "--epoch", "7"
             ]))
             .unwrap(),
             Command::Ingest {
                 scale: "tiny".into(),
                 // Duplicate shard counts collapse, order kept.
                 shards: vec![2, 8],
-                epoch: 7,
-                json: true,
-                out: None
+                epoch: 7
             }
         );
-        // --out implies --json.
-        let Command::Ingest { json, out, .. } =
-            parse(&args(&["ingest", "--out", "ingest.json"])).unwrap()
-        else {
-            panic!("expected ingest");
-        };
-        assert!(json, "--out implies --json");
-        assert_eq!(out.as_deref(), Some("ingest.json"));
     }
 
     #[test]
@@ -1117,20 +870,11 @@ mod tests {
             "--verify-scale",
             "--epochs",
             "serve",
-            "serve-bench",
-            "--json",
-            "--out",
-            "--connections",
-            "--idle",
             "--event-loop",
-            "--mix",
             "--metrics-port",
             "GET /metrics",
         ] {
             assert!(usage.contains(needle), "usage is missing `{needle}`");
-        }
-        for kind in RequestKind::ALL {
-            assert!(usage.contains(kind.label()), "usage is missing mix kind `{}`", kind.label());
         }
     }
 
@@ -1138,23 +882,21 @@ mod tests {
     fn store_parses_every_subcommand() {
         assert_eq!(
             parse(&args(&["store", "save", "art"])).unwrap(),
-            Command::StoreSave { scale: "default".into(), dir: "art".into(), json: false, out: None }
+            Command::StoreSave { scale: "default".into(), dir: "art".into() }
         );
         assert_eq!(
-            parse(&args(&["store", "save", "--scale", "tiny", "art", "--json"])).unwrap(),
-            Command::StoreSave { scale: "tiny".into(), dir: "art".into(), json: true, out: None }
+            parse(&args(&["store", "save", "--scale", "tiny", "art"])).unwrap(),
+            Command::StoreSave { scale: "tiny".into(), dir: "art".into() }
         );
         assert_eq!(
             parse(&args(&["store", "open", "art"])).unwrap(),
-            Command::StoreOpen { dir: "art".into(), verify_scale: None, json: false, out: None }
+            Command::StoreOpen { dir: "art".into(), verify_scale: None }
         );
         assert_eq!(
             parse(&args(&["store", "open", "art", "--verify-scale", "tiny"])).unwrap(),
             Command::StoreOpen {
                 dir: "art".into(),
-                verify_scale: Some("tiny".into()),
-                json: false,
-                out: None
+                verify_scale: Some("tiny".into())
             }
         );
         assert_eq!(
@@ -1163,21 +905,16 @@ mod tests {
                 scale: "default".into(),
                 dir: "art".into(),
                 epochs: DEFAULT_STORE_EPOCHS,
-                shards: DEFAULT_STORE_SHARDS,
-                json: false,
-                out: None
+                shards: DEFAULT_STORE_SHARDS
             }
         );
-        // --out implies --json, exactly like run mode.
-        let Command::StoreAppend { epochs, shards, json, out, .. } = parse(&args(&[
-            "store", "append", "art", "--epochs", "7", "--shards", "2", "--out", "s.json",
+        let Command::StoreAppend { epochs, shards, .. } = parse(&args(&[
+            "store", "append", "art", "--epochs", "7", "--shards", "2",
         ]))
         .unwrap() else {
             panic!("expected store append");
         };
         assert_eq!((epochs, shards), (7, 2));
-        assert!(json, "--out implies --json");
-        assert_eq!(out.as_deref(), Some("s.json"));
     }
 
     #[test]
@@ -1207,22 +944,6 @@ mod tests {
         }
         assert_eq!(parse(&args(&["store", "--help"])), Err(CliOutcome::Help));
         assert_eq!(parse(&args(&["store", "open", "-h"])), Err(CliOutcome::Help));
-    }
-
-    #[test]
-    fn json_and_out_flags_parse_on_run_mode() {
-        let plan = run_plan(&["--json", "fig1"]);
-        assert!(plan.json);
-        assert_eq!(plan.out, None);
-        // --out implies --json.
-        let plan = run_plan(&["--out", "results.json", "h1"]);
-        assert!(plan.json);
-        assert_eq!(plan.out.as_deref(), Some("results.json"));
-        // Neither flag set by default.
-        let plan = run_plan(&["fig1"]);
-        assert!(!plan.json);
-        assert!(plan.out.is_none());
-        assert!(matches!(parse(&args(&["--out"])), Err(CliOutcome::Error(_))));
     }
 
     #[test]
@@ -1320,79 +1041,5 @@ mod tests {
             );
         }
         assert_eq!(parse(&args(&["serve", "--help"])), Err(CliOutcome::Help));
-    }
-
-    #[test]
-    fn serve_bench_parses_defaults_and_overrides() {
-        let Command::ServeBench { scale, threads, connections, idle, requests, mix, event_loop, json, out } =
-            parse(&args(&["serve-bench"])).unwrap()
-        else {
-            panic!("expected serve-bench");
-        };
-        assert_eq!(scale, "default");
-        assert_eq!(threads, DEFAULT_BENCH_THREADS.to_vec());
-        assert_eq!(connections, DEFAULT_BENCH_CONNECTIONS);
-        assert_eq!(idle, 0);
-        assert_eq!(requests, DEFAULT_BENCH_REQUESTS);
-        assert_eq!(mix, parse_mix(DEFAULT_BENCH_MIX).unwrap());
-        assert!(!event_loop);
-        assert!(!json && out.is_none());
-
-        let Command::ServeBench { threads, connections, idle, requests, mix, event_loop, json, out, .. } =
-            parse(&args(&[
-                "serve-bench",
-                "--threads",
-                "2,1,2",
-                "--connections",
-                "8",
-                "--idle",
-                "1008",
-                "--requests",
-                "100",
-                "--mix",
-                "ping:1,taint:3",
-                "--event-loop",
-                "--out",
-                "bench.json",
-            ]))
-            .unwrap()
-        else {
-            panic!("expected serve-bench");
-        };
-        // Duplicate worker counts collapse, order kept.
-        assert_eq!(threads, vec![2, 1]);
-        assert_eq!(connections, 8);
-        assert_eq!(idle, 1008);
-        assert_eq!(requests, 100);
-        assert_eq!(mix, vec![("ping".to_string(), 1), ("taint".to_string(), 3)]);
-        assert!(event_loop);
-        assert!(json, "--out implies --json");
-        assert_eq!(out.as_deref(), Some("bench.json"));
-    }
-
-    #[test]
-    fn serve_bench_errors_are_usage_errors() {
-        for bad in [
-            &["serve-bench", "--threads", "0"][..],
-            &["serve-bench", "--threads", "1,x"],
-            &["serve-bench", "--threads"],
-            &["serve-bench", "--connections", "0"],
-            &["serve-bench", "--idle", "nope"],
-            &["serve-bench", "--idle"],
-            &["serve-bench", "--requests", "none"],
-            &["serve-bench", "--mix", "addr"],
-            &["serve-bench", "--mix", "addr:0"],
-            &["serve-bench", "--mix", "bogus:1"],
-            &["serve-bench", "--mix", "addr:1,addr:2"],
-            &["serve-bench", "--mix"],
-            &["serve-bench", "--out"],
-            &["serve-bench", "--bogus"],
-        ] {
-            assert!(
-                matches!(parse(&args(bad)), Err(CliOutcome::Error(_))),
-                "expected usage error for {bad:?}"
-            );
-        }
-        assert_eq!(parse(&args(&["serve-bench", "-h"])), Err(CliOutcome::Help));
     }
 }

@@ -1,9 +1,9 @@
 //! Shared experiment harness: builds the simulated economy once and
 //! derives everything the paper's tables and figures need.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
-pub mod json;
-pub mod servebench;
 
 use fistful_chain::resolve::AddressId;
 use fistful_core::change::ChangeConfig;
@@ -77,8 +77,11 @@ impl Workbench {
 /// Derives the query service's full serving bundle from a finished
 /// workbench: the frozen snapshot, the transaction-graph index, the
 /// refined Heuristic-2 change labels, and the precomputed balance series
-/// (sampled like `repro fig2`). Shared by `repro serve`, `repro
-/// serve-bench`, `bench_serve`, and the socket integration suite.
+/// (sampled like `repro fig2`). Shared by `repro serve`, `repro store`,
+/// and the socket integration suites. `benchmark/` builds the same bundle
+/// from the library crates and times its stages as
+/// `core.snapshot.build_ms`, `flow.balance.series_ms` and
+/// `flow.graph.build_ms`.
 ///
 /// The refined clustering is run once and its own change labels
 /// (`Clustering::change_labels`) are reused for the taint handlers —
@@ -136,7 +139,8 @@ pub fn btc_round(amount: fistful_chain::amount::Amount) -> u64 {
 /// Resolves each scripted theft's loot outputs to `(name, [(tx, vout)])`
 /// pairs — the input shape of the batch taint engine. Thefts whose loot
 /// cannot be located on the chain (script disabled at tiny scales) are
-/// omitted. Shared by `repro tab3`, `repro taint`, and `bench_graph`.
+/// omitted. Shared by `repro tab3`, `repro taint`, the `serve_roundtrip`
+/// example, and the integration suites.
 pub fn theft_loots(
     chain: &fistful_chain::resolve::ResolvedChain,
     thefts: &[fistful_sim::scripts::TheftReport],

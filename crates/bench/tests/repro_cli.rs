@@ -165,54 +165,6 @@ fn taint_rejects_unknown_theft_names() {
     assert!(stderr.contains("known:"), "{stderr}");
 }
 
-/// Parses every JSON line (the `--json` output convention: one compact
-/// object per line, each starting with `{`) out of a blob of mixed
-/// human/machine output.
-fn json_lines(stdout: &str) -> Vec<fistful_bench::json::Json> {
-    stdout
-        .lines()
-        .filter(|l| l.starts_with('{'))
-        .map(|l| fistful_bench::json::parse(l).unwrap_or_else(|e| panic!("bad JSON `{l}`: {e}")))
-        .collect()
-}
-
-#[test]
-fn json_flag_emits_one_parseable_timing_object_per_experiment() {
-    // fig1 needs no simulated economy, so this stays fast.
-    let out = repro(&["--json", "fig1"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let objects = json_lines(&stdout);
-    assert_eq!(objects.len(), 1, "one object per experiment:\n{stdout}");
-    let obj = &objects[0];
-    assert_eq!(obj.get("schema").unwrap().as_str(), Some("fistful.repro.run/1"));
-    assert_eq!(obj.get("experiment").unwrap().as_str(), Some("fig1"));
-    assert_eq!(obj.get("scale").unwrap().as_str(), Some("default"));
-    let seconds = obj.get("seconds").unwrap().as_f64().unwrap();
-    assert!((0.0..600.0).contains(&seconds), "implausible timing {seconds}");
-    // The human-readable output still prints.
-    assert!(stdout.contains("== Figure 1"), "{stdout}");
-}
-
-#[test]
-fn json_out_flag_writes_the_objects_to_a_file() {
-    let dir = std::env::temp_dir().join(format!("repro-json-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bench.json");
-
-    let out = repro(&["--out", path.to_str().unwrap(), "fig1"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    // With --out, the JSON goes to the file, not stdout.
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(json_lines(&stdout).is_empty(), "{stdout}");
-    let body = std::fs::read_to_string(&path).unwrap();
-    let objects = json_lines(&body);
-    assert_eq!(objects.len(), 1, "{body}");
-    assert_eq!(objects[0].get("experiment").unwrap().as_str(), Some("fig1"));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 #[test]
 fn ingest_usage_errors_exit_two() {
     // The tentpole's typed usage errors: zero shards and a zero-block
@@ -237,54 +189,28 @@ fn ingest_usage_errors_exit_two() {
 
 #[test]
 fn ingest_sweeps_shard_counts_and_matches_batch_at_tiny_scale() {
-    let out = repro(&[
-        "ingest", "--scale", "tiny", "--shards", "1,3", "--epoch", "8", "--json",
-    ]);
+    let out = repro(&["ingest", "--scale", "tiny", "--shards", "1,3", "--epoch", "8"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     // The binary asserts every engine's output equals the batch clustering
     // before printing this line.
     assert!(stdout.contains("reproduced the batch clustering exactly"), "{stdout}");
+    assert!(stdout.contains("epoch = 8 block(s)"), "{stdout}");
 
-    // Machine-readable: batch + incremental baselines, then one record per
-    // swept shard count, all under the ingest schema.
-    let objects = json_lines(&stdout);
-    assert_eq!(objects.len(), 4, "{stdout}");
-    for obj in &objects {
-        assert_eq!(obj.get("schema").unwrap().as_str(), Some("fistful.repro.ingest/1"));
-        assert_eq!(obj.get("scale").unwrap().as_str(), Some("tiny"));
-        assert_eq!(obj.get("epoch_blocks").unwrap().as_f64(), Some(8.0));
-        assert!(obj.get("us_per_block").unwrap().as_f64().unwrap() > 0.0);
-        assert!(obj.get("clusters").unwrap().as_f64().unwrap() > 0.0);
-    }
-    let engines: Vec<_> =
-        objects.iter().map(|o| o.get("engine").unwrap().as_str().unwrap().to_string()).collect();
-    assert_eq!(engines, ["batch", "incremental", "sharded", "sharded"], "{stdout}");
-    assert_eq!(objects[2].get("shards").unwrap().as_f64(), Some(1.0));
-    assert_eq!(objects[3].get("shards").unwrap().as_f64(), Some(3.0));
-    // Every engine computed the same partition.
-    let clusters = objects[0].get("clusters").unwrap().as_f64();
-    assert!(objects.iter().all(|o| o.get("clusters").unwrap().as_f64() == clusters));
-}
-
-#[test]
-fn taint_json_emits_per_theft_records_and_a_summary() {
-    let out = repro(&["taint", "--scale", "tiny", "--threads", "2", "--max-txs", "500", "--json"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let objects = json_lines(&stdout);
-    assert!(objects.len() >= 2, "per-theft records plus a summary:\n{stdout}");
-    for obj in &objects {
-        assert_eq!(obj.get("schema").unwrap().as_str(), Some("fistful.repro.taint/1"));
-    }
-    let (summary, thefts) = objects.split_last().unwrap();
-    for t in thefts {
-        assert!(t.get("theft").unwrap().as_str().is_some());
-        assert!(t.get("txs").unwrap().as_f64().unwrap() >= 0.0);
-    }
-    assert_eq!(summary.get("thefts").unwrap().as_f64(), Some(thefts.len() as f64));
-    assert_eq!(summary.get("threads").unwrap().as_f64(), Some(2.0));
-    assert!(summary.get("batch_seconds").unwrap().as_f64().unwrap() > 0.0);
+    // One table row per engine: batch + incremental baselines, then one
+    // per swept shard count, every one with the same cluster count.
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|cols| cols.len() == 5 && cols[0] != "engine")
+        .collect();
+    let engines: Vec<(&str, &str)> = rows.iter().map(|cols| (cols[0], cols[1])).collect();
+    assert_eq!(
+        engines,
+        [("batch", "0"), ("incremental", "0"), ("sharded", "1"), ("sharded", "3")],
+        "{stdout}"
+    );
+    assert!(rows.iter().all(|cols| cols[4] == rows[0][4]), "{stdout}");
 }
 
 #[test]
@@ -322,55 +248,44 @@ fn store_save_open_append_round_trip_at_tiny_scale() {
     let dir_s = dir.to_str().unwrap();
 
     // save: all four container files land on disk.
-    let out = repro(&["store", "save", "--scale", "tiny", dir_s, "--json"]);
+    let out = repro(&["store", "save", "--scale", "tiny", dir_s]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("wrote"), "{stdout}");
     for file in ["chain.fst", "graph.fst", "snapshot.fst", "serve.fst"] {
         assert!(dir.join(file).exists(), "missing {file}:\n{stdout}");
     }
-    let objects = json_lines(&stdout);
-    assert_eq!(objects.len(), 1, "{stdout}");
-    assert_eq!(objects[0].get("schema").unwrap().as_str(), Some("fistful.repro.store/1"));
-    assert_eq!(objects[0].get("op").unwrap().as_str(), Some("save"));
-    assert!(objects[0].get("total_bytes").unwrap().as_f64().unwrap() > 0.0);
 
     // open with differential verification: the reopened bundle must be
     // byte-identical to an in-RAM rebuild (the binary asserts before
     // printing), and opening must not replay the chain.
-    let out = repro(&["store", "open", dir_s, "--verify-scale", "tiny", "--json"]);
+    let out = repro(&["store", "open", dir_s, "--verify-scale", "tiny"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("verified byte-identical"), "{stdout}");
-    let objects = json_lines(&stdout);
-    assert_eq!(objects.len(), 1, "{stdout}");
-    assert_eq!(objects[0].get("op").unwrap().as_str(), Some("open"));
-    assert_eq!(objects[0].get("verified"), Some(&fistful_bench::json::Json::Bool(true)));
-    assert!(objects[0].get("rebuild_seconds").unwrap().as_f64().unwrap() > 0.0);
 
     // append: base + per-epoch deltas, materialized byte-for-byte.
-    let out = repro(&[
-        "store", "append", "--scale", "tiny", dir_s, "--epochs", "3", "--json",
-    ]);
+    let out = repro(&["store", "append", "--scale", "tiny", dir_s, "--epochs", "3"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("materialize byte-for-byte"), "{stdout}");
-    let objects = json_lines(&stdout);
-    let (summary, deltas) = objects.split_last().unwrap();
-    assert_eq!(summary.get("op").unwrap().as_str(), Some("append"));
-    assert_eq!(summary.get("epochs").unwrap().as_f64(), Some(3.0));
-    assert!(summary.get("base_bytes").unwrap().as_f64().unwrap() > 0.0);
-    // One on-disk delta container per append-delta record, in application
-    // order, with its size accounted in the summary.
-    assert!(summary.get("full_export_bytes").unwrap().as_f64().unwrap() > 0.0);
-    let mut delta_total = 0.0;
-    for (i, d) in deltas.iter().enumerate() {
-        assert_eq!(d.get("op").unwrap().as_str(), Some("append-delta"));
-        let name = format!("snapshot.delta.{:06}.fst", i + 1);
-        assert!(dir.join(&name).exists(), "missing {name}:\n{stdout}");
-        delta_total += d.get("bytes").unwrap().as_f64().unwrap();
+    assert!(stdout.contains("3 epoch(s)"), "{stdout}");
+    // One on-disk delta container per reported delta boundary, in
+    // application order, with their sizes summing to the reported total.
+    let mut delta_total = 0u64;
+    let mut deltas = 0;
+    for line in stdout.lines().filter(|l| l.contains(": delta ")) {
+        deltas += 1;
+        let name = format!("snapshot.delta.{deltas:06}.fst");
+        assert!(line.contains(&name), "delta {deltas} out of order: {line}");
+        delta_total += std::fs::metadata(dir.join(&name))
+            .unwrap_or_else(|e| panic!("missing {name}: {e}\n{stdout}"))
+            .len();
     }
-    assert_eq!(summary.get("delta_bytes").unwrap().as_f64(), Some(delta_total), "{stdout}");
+    assert!(
+        stdout.contains(&format!("append cost: {delta_total} delta bytes total")),
+        "{stdout}"
+    );
 
     // The refreshed snapshot + deltas still open as a serving bundle.
     let out = repro(&["store", "open", dir_s]);
@@ -384,73 +299,9 @@ fn store_save_open_append_round_trip_at_tiny_scale() {
 }
 
 #[test]
-fn serve_bench_reports_per_type_latency_and_cache_counters() {
-    let out = repro(&[
-        "serve-bench",
-        "--scale",
-        "tiny",
-        "--threads",
-        "2",
-        "--connections",
-        "2",
-        "--requests",
-        "150",
-        "--mix",
-        "addr:3,taint:1",
-        "--json",
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // Human-readable report: one run with the cache on, one with it off.
-    assert!(stdout.contains("cache on"), "{stdout}");
-    assert!(stdout.contains("cache off"), "{stdout}");
-    assert!(stdout.contains("p50 us"), "{stdout}");
-
-    // Machine-readable: one object per run, with per-type stats.
-    let objects = json_lines(&stdout);
-    assert_eq!(objects.len(), 2, "{stdout}");
-    let cached = &objects[0];
-    assert_eq!(
-        cached.get("schema").unwrap().as_str(),
-        Some("fistful.repro.serve-bench/3")
-    );
-    assert_eq!(cached.get("engine").unwrap().as_str(), Some("threaded"));
-    assert_eq!(cached.get("idle_connections").unwrap().as_f64(), Some(0.0));
-    assert_eq!(cached.get("workers").unwrap().as_f64(), Some(2.0));
-    assert_eq!(cached.get("total_requests").unwrap().as_f64(), Some(300.0));
-    assert!(cached.get("throughput_rps").unwrap().as_f64().unwrap() > 0.0);
-    // The repeated-key workload actually hits the cache.
-    assert!(cached.get("cache_hits").unwrap().as_f64().unwrap() > 0.0, "{stdout}");
-    for kind in ["addr", "taint"] {
-        let t = cached.get("types").unwrap().get(kind).unwrap_or_else(|| {
-            panic!("missing per-type stats for `{kind}`:\n{stdout}")
-        });
-        assert!(t.get("count").unwrap().as_f64().unwrap() > 0.0);
-        assert!(t.get("p99_us").unwrap().as_f64().unwrap() >= t.get("p50_us").unwrap().as_f64().unwrap());
-        // The server's scraped per-type counter agrees exactly with the
-        // load generator's issued count (requests are counted at
-        // dispatch entry, before the response cache short-circuits).
-        assert_eq!(
-            t.get("server_count").unwrap().as_f64(),
-            t.get("count").unwrap().as_f64(),
-            "scraped `{kind}` counter diverges from issued count:\n{stdout}"
-        );
-    }
-    // The cache-off run reports zero cache traffic.
-    let uncached = &objects[1];
-    assert_eq!(uncached.get("cache_entries").unwrap().as_f64(), Some(0.0));
-    assert_eq!(uncached.get("cache_hits").unwrap().as_f64(), Some(0.0));
-}
-
-#[test]
-fn serve_bench_usage_errors_exit_two() {
+fn serve_usage_errors_exit_two() {
     for bad in [
-        &["serve-bench", "--mix", "bogus:1"][..],
-        &["serve-bench", "--mix", "addr"],
-        &["serve-bench", "--threads", "0"],
-        &["serve-bench", "--connections", "none"],
-        &["serve-bench", "--bogus"],
-        &["serve", "--port", "notaport"],
+        &["serve", "--port", "notaport"][..],
         &["serve", "--metrics-port", "notaport"],
         // One explicit port cannot hold both the binary and the scrape
         // listener.
@@ -469,8 +320,13 @@ fn serve_bench_usage_errors_exit_two() {
 fn help_lists_the_serve_commands() {
     let out = repro(&["--help"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for needle in ["repro serve", "serve-bench", "--json", "--mix"] {
+    for needle in ["repro serve", "--event-loop", "--live", "--metrics-port"] {
         assert!(stdout.contains(needle), "--help is missing `{needle}`:\n{stdout}");
+    }
+    // Timing is the `benchmark/` package's job: no load generator and no
+    // machine-readable timing records here.
+    for gone in ["bench", "--json", "--out"] {
+        assert!(!stdout.contains(gone), "--help still mentions `{gone}`:\n{stdout}");
     }
 }
 

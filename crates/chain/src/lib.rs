@@ -25,6 +25,7 @@
 //! assert_eq!(chain.height(), Some(0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod address;

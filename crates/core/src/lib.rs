@@ -22,6 +22,7 @@
 //! served to concurrent readers; [`metrics`] scores everything against
 //! simulator ground truth.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod change;

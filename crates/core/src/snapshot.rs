@@ -9,8 +9,8 @@
 //! structure with O(1) address → [`ClusterInfo`] lookup. It holds no locks
 //! and no interior mutability, so wrapping it in an
 //! [`Arc`](std::sync::Arc) shares it across any number of reader threads
-//! with zero synchronization (see `bench_snapshot` for measured
-//! multi-thread lookup throughput).
+//! with zero synchronization (`benchmark/` reports the per-lookup cost as
+//! `core.snapshot.lookup_ns` on its `serve_point_cold` workload).
 //!
 //! # Wire format (version 1)
 //!
@@ -50,7 +50,7 @@
 //! The double-SHA-256 checksum is computed with the workspace's own
 //! [`sha256d`] — no external crates are
 //! involved anywhere in the format, so the offline vendored-dependency
-//! caveats in `vendor/README.md` (stand-in `rand`/`proptest`/`criterion`)
+//! caveats in `vendor/README.md` (stand-in `rand`/`proptest`)
 //! do not affect snapshot bytes: files written here decode identically
 //! under the real registry crates.
 

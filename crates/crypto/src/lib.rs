@@ -30,6 +30,7 @@
 //! assert!(kp.public().verify(&msg, &sig));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base58;

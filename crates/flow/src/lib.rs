@@ -26,6 +26,7 @@
 //!   every entry point here runs against the reloaded artifact without
 //!   replaying the chain).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;

@@ -92,7 +92,8 @@ pub fn track_theft_indexed(
 /// stall the rest of the batch. Results land in input order. With
 /// `threads <= 1` this degrades to a sequential loop that still reuses a
 /// single scratch — the right mode on one core, and still well ahead of
-/// per-theft legacy re-walks (see `bench_graph`).
+/// per-theft legacy re-walks (`repro taint` times both; `benchmark/`
+/// reports the batch as `flow.theft.batch_track_us` on `batch_cluster`).
 ///
 /// The graph, labels, and directory are shared immutably across workers —
 /// wrap the graph in an [`Arc`](std::sync::Arc) if the caller also needs

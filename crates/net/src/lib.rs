@@ -10,6 +10,7 @@
 //! [`event::EventQueue`] orders message deliveries by virtual time, nodes
 //! are plain state machines, and everything derives from one RNG seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

@@ -39,7 +39,8 @@
 //! shard is a classic O(1) LRU — a hash map into a slab of entries linked
 //! into a recency list — evicting the least-recently-used entry when full.
 //! Hit/miss counters are process-wide atomics, surfaced through the
-//! `Stats` request and `repro serve-bench`. Each shard additionally
+//! `Stats` request (`benchmark/` reports them as `serve.cache.hit_ratio`
+//! on its `serve_*` workloads). Each shard additionally
 //! keeps its own hit/miss/eviction tallies — plain integers bumped
 //! under the shard lock the operation already holds, so they cost
 //! nothing extra — surfaced per shard through the metrics layer

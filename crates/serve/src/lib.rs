@@ -42,10 +42,11 @@
 //!   binary [`Request::MetricsDump`] exposes the identical snapshot over
 //!   the FSRV protocol.
 //!
-//! `repro serve` runs the server over a simulated economy from the CLI,
-//! and `repro serve-bench` is the closed-loop load generator
-//! (throughput + p50/p99 latency per request type); `bench_serve` measures
-//! codec, cache, and end-to-end round-trip cost.
+//! `repro serve` runs the server over a simulated economy from the CLI.
+//! `benchmark/` drives both engines closed-loop on its `serve_*`
+//! workloads, reporting throughput and latency end to end and the codec
+//! (`serve.protocol.*`), cache (`serve.cache.*`) and round-trip
+//! (`serve.client.*`) costs per layer.
 //!
 //! # Example: start a server, query it, shut it down
 //!
@@ -89,6 +90,7 @@
 //! server.shutdown();
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -101,6 +103,8 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 pub mod store;
+// `sys` holds the crate's one `unsafe` block, around `poll(2)`.
+#[allow(unsafe_code)]
 pub(crate) mod sys;
 
 pub use cache::{CacheClass, CacheFloors, CacheShardStats, ShardedCache};

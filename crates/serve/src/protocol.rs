@@ -429,8 +429,9 @@ pub enum Request {
         height: u64,
     },
     /// A snapshot of the server's full metric registry — the binary
-    /// scrape path, so `serve-bench` and the typed client read the same
-    /// counters the HTTP `/metrics` exporter renders, without HTTP.
+    /// scrape path, so `benchmark/`'s serve workloads and the typed client
+    /// read the same counters the HTTP `/metrics` exporter renders, without
+    /// HTTP.
     MetricsDump,
 }
 

@@ -30,6 +30,7 @@
 //! assert!(eco.chain.resolved().tx_count() > 100);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -35,6 +35,7 @@
 //! assert_eq!(store.u32s("demo/ids").unwrap(), vec![1, 2]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaincol;

@@ -20,6 +20,8 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
+#![forbid(unsafe_code)]
+
 pub use fistful_chain as chain;
 pub use fistful_core as core;
 pub use fistful_crypto as crypto;
