@@ -1,28 +1,23 @@
 //! Pay-to-pubkey-hash addresses.
 //!
-//! An [`Address`] is the 20-byte `hash160` payload. It can be derived from a
-//! real secp256k1 public key (full-crypto mode) or minted directly from a
-//! seed (fast mode, used by the large-scale economy simulator where
-//! signatures are not exercised — see DESIGN.md).
+//! An [`Address`] is the 20-byte `hash160` payload. The simulator mints
+//! addresses directly from seeds: the analysis only ever compares and
+//! groups payloads, so no key stands behind one (see ARCHITECTURE.md).
 
 use fistful_crypto::base58;
 use fistful_crypto::hash::Hash160;
-use fistful_crypto::keys::{PublicKey, ADDRESS_VERSION};
 use fistful_crypto::sha256::hash160;
 use std::fmt;
 
-/// A pay-to-pubkey-hash address: the `hash160` of a public key.
+/// The Base58Check version byte for pay-to-pubkey-hash addresses.
+pub const ADDRESS_VERSION: u8 = 0x00;
+
+/// A pay-to-pubkey-hash address: a 20-byte `hash160` payload.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Address(pub Hash160);
 
 impl Address {
-    /// Derives the address of a public key (`hash160(compressed encoding)`).
-    pub fn from_public_key(pk: &PublicKey) -> Address {
-        Address(pk.address_hash())
-    }
-
-    /// Mints an address deterministically from a seed, without elliptic-curve
-    /// work. Used by the simulator's fast mode; such addresses cannot sign.
+    /// Mints an address deterministically from a seed.
     pub fn from_seed(seed: u64) -> Address {
         let mut preimage = Vec::with_capacity(21);
         preimage.extend_from_slice(b"fistful-addr\x00");
@@ -76,7 +71,6 @@ impl fmt::Debug for Address {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fistful_crypto::keys::KeyPair;
 
     #[test]
     fn base58_round_trip() {
@@ -104,12 +98,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(c, d);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn pubkey_address_matches_keys_module() {
-        let kp = KeyPair::from_seed(99);
-        let addr = Address::from_public_key(kp.public());
-        assert_eq!(addr.to_base58(), kp.public().address_string());
     }
 }

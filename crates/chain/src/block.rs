@@ -1,5 +1,6 @@
-//! Blocks and block headers, with proof-of-work mining for tests and the
-//! network simulator.
+//! Blocks and block headers. Headers keep Bitcoin's shape, nonce included,
+//! but nothing mines or checks proof-of-work: the simulator appends blocks
+//! to a chain the analysis takes as already validated (see ARCHITECTURE.md).
 
 use crate::encode::{decode_vec, encode_vec, Decodable, DecodeError, Encodable, Reader, Writer};
 use crate::merkle::merkle_root;
@@ -18,7 +19,7 @@ pub struct BlockHeader {
     pub merkle_root: Hash256,
     /// Unix timestamp.
     pub time: u64,
-    /// Proof-of-work nonce.
+    /// Nonce field (always 0 on blocks the builder assembles).
     pub nonce: u64,
 }
 
@@ -26,11 +27,6 @@ impl BlockHeader {
     /// The block hash: double-SHA-256 of the header encoding.
     pub fn hash(&self) -> Hash256 {
         sha256d(&self.encode_to_vec())
-    }
-
-    /// True if the hash meets the proof-of-work target.
-    pub fn meets_target(&self, target: &Hash256) -> bool {
-        self.hash().meets_target(target)
     }
 }
 
@@ -59,7 +55,7 @@ impl Decodable for BlockHeader {
 /// A block: header plus transactions (coinbase first).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Block {
-    /// The proof-of-work header.
+    /// The header.
     pub header: BlockHeader,
     /// Transactions; index 0 must be the coinbase.
     pub transactions: Vec<Transaction>,
@@ -75,19 +71,6 @@ impl Block {
     pub fn computed_merkle_root(&self) -> Hash256 {
         let txids: Vec<Hash256> = self.transactions.iter().map(|t| t.txid()).collect();
         merkle_root(&txids)
-    }
-
-    /// Searches nonces until the header meets `target`. Returns the number
-    /// of attempts. Intended for easy targets only.
-    pub fn mine(&mut self, target: &Hash256) -> u64 {
-        let mut attempts = 0u64;
-        loop {
-            attempts += 1;
-            if self.header.meets_target(target) {
-                return attempts;
-            }
-            self.header.nonce = self.header.nonce.wrapping_add(1);
-        }
     }
 }
 
@@ -161,19 +144,6 @@ mod tests {
         block.transactions.push(coinbase(1));
         block.header.merkle_root = block.computed_merkle_root();
         assert_ne!(block.hash(), h1);
-    }
-
-    #[test]
-    fn mining_finds_easy_target() {
-        let mut block = sample_block();
-        let target =
-            Hash256::from_hex("0fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")
-                .unwrap();
-        let attempts = block.mine(&target);
-        assert!(block.header.meets_target(&target));
-        // With a 1/16 target, success within a few hundred attempts is
-        // overwhelming.
-        assert!(attempts < 1000, "took {attempts} attempts");
     }
 
     #[test]

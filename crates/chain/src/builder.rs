@@ -6,7 +6,6 @@ use crate::block::{Block, BlockHeader};
 use crate::chainstate::ChainState;
 use crate::params::Params;
 use crate::transaction::{OutPoint, Transaction, TxIn, TxOut};
-use fistful_crypto::keys::KeyPair;
 
 /// Builds a transaction input-by-input, output-by-output.
 #[derive(Default)]
@@ -40,7 +39,7 @@ impl TransactionBuilder {
         self
     }
 
-    /// Builds without witnesses (fast mode).
+    /// Builds the transaction, every input with an empty witness.
     pub fn build_unsigned(self) -> Transaction {
         Transaction {
             version: 1,
@@ -48,20 +47,6 @@ impl TransactionBuilder {
             outputs: self.outputs,
             lock_time: self.lock_time,
         }
-    }
-
-    /// Builds and signs every input with the keys returned by `key_for`
-    /// (input index → key pair).
-    pub fn build_signed<F>(self, key_for: F) -> Transaction
-    where
-        F: Fn(usize) -> KeyPair,
-    {
-        let mut tx = self.build_unsigned();
-        for i in 0..tx.inputs.len() {
-            let key = key_for(i);
-            tx.sign_input(i, &key);
-        }
-        tx
     }
 }
 
@@ -125,7 +110,7 @@ impl<'a> BlockBuilder<'a> {
     }
 
     /// Assembles the block on `chain`'s tip: sets the previous hash, merkle
-    /// root and timestamp, and mines if the parameters demand proof-of-work.
+    /// root and timestamp.
     pub fn build_on(self, chain: &ChainState) -> Block {
         let height = chain.next_height();
         let mut block = Block {
@@ -139,9 +124,6 @@ impl<'a> BlockBuilder<'a> {
             transactions: self.transactions,
         };
         block.header.merkle_root = block.computed_merkle_root();
-        if self.params.verify_pow {
-            block.mine(&self.params.pow_target);
-        }
         block
     }
 }
@@ -163,33 +145,6 @@ mod tests {
         assert_eq!(tx.outputs.len(), 1);
         assert_eq!(tx.lock_time, 7);
         assert!(tx.inputs.iter().all(|i| i.witness.is_empty()));
-    }
-
-    #[test]
-    fn signed_build_verifies() {
-        let key = KeyPair::from_seed(3);
-        let addr = Address::from_public_key(key.public());
-        let tx = TransactionBuilder::new()
-            .input(OutPoint { txid: sha256d(b"prev"), vout: 0 })
-            .output(Address::from_seed(9), Amount::from_btc(1))
-            .build_signed(|_| key);
-        assert!(tx.verify_input(0, &addr));
-    }
-
-    #[test]
-    fn block_builder_mines_when_required() {
-        let mut params = Params::regtest();
-        params.verify_pow = true;
-        params.pow_target = fistful_crypto::hash::Hash256::from_hex(
-            "0fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
-        )
-        .unwrap();
-        let chain = ChainState::new(params.clone());
-        let block = BlockBuilder::new(&params)
-            .coinbase_to(Address::from_seed(1), 0, Amount::from_btc(50))
-            .build_on(&chain);
-        assert!(block.header.meets_target(&params.pow_target));
-        assert_eq!(block.header.merkle_root, block.computed_merkle_root());
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! A Bitcoin-style block-chain substrate.
 //!
 //! This crate implements the ledger the paper's analysis runs over:
-//! transactions with multiple inputs and outputs, blocks with proof-of-work
-//! headers and merkle roots, a UTXO set, full consensus validation
-//! (including the 50 BTC → 25 BTC subsidy halving at block 210,000), and a
+//! transactions with multiple inputs and outputs, blocks with merkle-rooted
+//! headers, a UTXO set, value and structure validation (including the
+//! 50 BTC → 25 BTC subsidy halving at block 210,000), and a
 //! [`chainstate::ChainState`] that maintains an analysis-friendly
 //! [`resolve::ResolvedChain`] view with interned address ids.
+//!
+//! Like the chain the paper parsed, this one is taken as already
+//! authorized: there are no signatures and no proof-of-work to check, only
+//! who spends what (see ARCHITECTURE.md).
 //!
 //! # Example
 //!

@@ -1,18 +1,14 @@
 //! Consensus parameters.
 //!
-//! [`Params::bitcoin_2013`] mirrors mainnet as the paper saw it (50 BTC
-//! subsidy halving to 25 BTC at height 210,000); [`Params::regtest`] keeps
-//! the same money schedule but a trivial proof-of-work target and no
-//! coinbase maturity wait, for fast simulation.
+//! [`Params::regtest`] keeps mainnet's money schedule as the paper saw it
+//! (50 BTC subsidy halving to 25 BTC at height 210,000) with no coinbase
+//! maturity wait, for fast simulation.
 
 use crate::amount::Amount;
-use fistful_crypto::hash::Hash256;
 
 /// Chain-wide consensus parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Params {
-    /// Proof-of-work target: block hashes must be numerically ≤ this.
-    pub pow_target: Hash256,
     /// Initial block subsidy.
     pub initial_subsidy: Amount,
     /// Blocks between subsidy halvings (210,000 on mainnet).
@@ -20,12 +16,6 @@ pub struct Params {
     /// Blocks a coinbase output must wait before being spent
     /// (100 on mainnet).
     pub coinbase_maturity: u64,
-    /// Whether validation checks ECDSA witnesses. Disabled in the
-    /// simulator's fast mode (clustering never inspects signatures).
-    pub verify_signatures: bool,
-    /// Whether validation checks proof-of-work. Disabled when the economy
-    /// simulator fabricates blocks directly.
-    pub verify_pow: bool,
     /// Seconds between blocks (for timestamp synthesis).
     pub block_interval_secs: u64,
     /// Unix timestamp of the genesis block.
@@ -33,39 +23,14 @@ pub struct Params {
 }
 
 impl Params {
-    /// Mainnet-like parameters as of the paper's 2013 measurement window.
-    pub fn bitcoin_2013() -> Params {
-        Params {
-            // A very easy target so tests can actually mine; real mainnet
-            // difficulty is irrelevant to the analysis.
-            pow_target: Hash256::from_hex(
-                "00ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
-            )
-            .unwrap(),
-            initial_subsidy: Amount::from_btc(50),
-            halving_interval: 210_000,
-            coinbase_maturity: 100,
-            verify_signatures: true,
-            verify_pow: true,
-            block_interval_secs: 600,
-            // 2009-01-03, the real genesis date.
-            genesis_time: 1_231_006_505,
-        }
-    }
-
     /// Fast parameters for tests and large simulations.
     pub fn regtest() -> Params {
         Params {
-            pow_target: Hash256::from_hex(
-                "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
-            )
-            .unwrap(),
             initial_subsidy: Amount::from_btc(50),
             halving_interval: 210_000,
             coinbase_maturity: 0,
-            verify_signatures: false,
-            verify_pow: false,
             block_interval_secs: 600,
+            // 2009-01-03, the real genesis date.
             genesis_time: 1_231_006_505,
         }
     }
@@ -91,7 +56,7 @@ mod tests {
 
     #[test]
     fn subsidy_halving_schedule() {
-        let p = Params::bitcoin_2013();
+        let p = Params::regtest();
         assert_eq!(p.subsidy_at(0), Amount::from_btc(50));
         assert_eq!(p.subsidy_at(209_999), Amount::from_btc(50));
         // The halving the paper mentions: 28 Nov 2012, height 210,000.
@@ -102,7 +67,7 @@ mod tests {
 
     #[test]
     fn total_supply_below_cap() {
-        let p = Params::bitcoin_2013();
+        let p = Params::regtest();
         let mut total: u128 = 0;
         for halving in 0..64u64 {
             total += (p.subsidy_at(halving * 210_000).to_sat() as u128) * 210_000;

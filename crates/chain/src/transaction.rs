@@ -2,17 +2,15 @@
 //!
 //! Inputs spend previous outputs in full — the only way to make change is an
 //! explicit change output, which is exactly the idiom Heuristic 2 of the
-//! paper exploits. Ownership is authorized by an ECDSA signature over the
-//! transaction's [`sighash`](Transaction::sighash) when full-crypto mode is
-//! in use; the simulator's fast mode leaves witnesses empty (validation of
-//! signatures is then disabled — see DESIGN.md).
+//! paper exploits. Like the chain the paper analysed, this one is taken as
+//! already authorized: inputs carry no signatures and validation checks
+//! value and structure only, since clustering reads who spends with whom,
+//! never whether a signature verifies (see ARCHITECTURE.md).
 
 use crate::address::Address;
 use crate::amount::Amount;
 use crate::encode::{decode_vec, encode_vec, Decodable, DecodeError, Encodable, Reader, Writer};
 use fistful_crypto::hash::Hash256;
-use fistful_crypto::keys::KeyPair;
-use fistful_crypto::secp256k1::Signature;
 use fistful_crypto::sha256::sha256d;
 use std::fmt;
 
@@ -52,33 +50,20 @@ impl Decodable for OutPoint {
 
 /// A transaction input.
 ///
-/// `witness` carries `pubkey(33) || signature(64)` in full-crypto mode, or
-/// arbitrary bytes for a coinbase (height + extra nonce), or nothing in the
-/// simulator's fast mode.
+/// `witness` carries arbitrary bytes for a coinbase (height + extra nonce)
+/// and is empty for every other input.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TxIn {
     /// The output being spent (null for coinbase).
     pub prevout: OutPoint,
-    /// Authorization data; see type-level docs.
+    /// Opaque input data; see type-level docs.
     pub witness: Vec<u8>,
 }
 
 impl TxIn {
-    /// An input spending `prevout` with no witness (fast mode).
+    /// An input spending `prevout` with an empty witness.
     pub fn unsigned(prevout: OutPoint) -> TxIn {
         TxIn { prevout, witness: Vec::new() }
-    }
-
-    /// Splits a full-crypto witness into `(pubkey, signature)` if present.
-    pub fn witness_parts(&self) -> Option<([u8; 33], [u8; 64])> {
-        if self.witness.len() != 97 {
-            return None;
-        }
-        let mut pk = [0u8; 33];
-        let mut sig = [0u8; 64];
-        pk.copy_from_slice(&self.witness[..33]);
-        sig.copy_from_slice(&self.witness[33..]);
-        Some((pk, sig))
     }
 }
 
@@ -162,96 +147,6 @@ impl Transaction {
             .iter()
             .try_fold(Amount::ZERO, |acc, o| acc.checked_add(o.value))
     }
-
-    /// The digest that input signatures commit to: the encoding with every
-    /// witness blanked (a simplified `SIGHASH_ALL`).
-    pub fn sighash(&self) -> Hash256 {
-        let mut stripped = self.clone();
-        for input in &mut stripped.inputs {
-            input.witness.clear();
-        }
-        let mut preimage = stripped.encode_to_vec();
-        preimage.extend_from_slice(b"fistful-sighash-all");
-        sha256d(&preimage)
-    }
-
-    /// Signs input `index` with `key`, installing the full-crypto witness.
-    /// Panics if `index` is out of range.
-    pub fn sign_input(&mut self, index: usize, key: &KeyPair) {
-        let digest = self.sighash();
-        let sig = key.sign(&digest);
-        let mut witness = Vec::with_capacity(97);
-        witness.extend_from_slice(&key.public().to_bytes());
-        witness.extend_from_slice(&sig.to_bytes());
-        self.inputs[index].witness = witness;
-    }
-
-    /// Verifies the signature on input `index` against `expected`, the
-    /// address of the output being spent.
-    pub fn verify_input(&self, index: usize, expected: &Address) -> bool {
-        let Some(input) = self.inputs.get(index) else {
-            return false;
-        };
-        let Some((pk_bytes, sig_bytes)) = input.witness_parts() else {
-            return false;
-        };
-        // The pubkey must hash to the spent output's address.
-        let pk_hash = fistful_crypto::sha256::hash160(&pk_bytes);
-        if pk_hash != expected.0 {
-            return false;
-        }
-        // Decompress: recover the affine point from the compressed bytes by
-        // re-deriving y is not implemented; instead witnesses carry the
-        // compressed key and verification reconstructs it via trial parse.
-        let Some(pubkey) = parse_compressed_pubkey(&pk_bytes) else {
-            return false;
-        };
-        let sig = Signature::from_bytes(&sig_bytes);
-        let digest = self.sighash();
-        fistful_crypto::secp256k1::verify(&pubkey, digest.as_bytes(), &sig)
-    }
-}
-
-/// Parses a compressed SEC1 public key (point decompression via
-/// `y = sqrt(x³+7)`, selecting the root with matching parity).
-pub fn parse_compressed_pubkey(bytes: &[u8; 33]) -> Option<fistful_crypto::secp256k1::Affine> {
-    use fistful_crypto::field::{Fe, P};
-    use fistful_crypto::u256::U256;
-
-    let want_odd = match bytes[0] {
-        0x02 => false,
-        0x03 => true,
-        _ => return None,
-    };
-    let mut xb = [0u8; 32];
-    xb.copy_from_slice(&bytes[1..]);
-    let x = Fe::from_be_bytes(&xb);
-    let rhs = x.square().mul(&x).add(&Fe::from_u64(7));
-    // p ≡ 3 (mod 4), so sqrt(a) = a^((p+1)/4) when a is a QR. p+1 would
-    // overflow 256 bits, so compute the exponent as (p-3)/4 + 1.
-    let (pm3, _) = P.overflowing_sub(&U256::from_u64(3));
-    let exp = shr2(&pm3); // (p-3)/4
-    let (exp_plus_1, _) = exp.overflowing_add(&U256::ONE); // (p+1)/4
-    let y = rhs.pow(&exp_plus_1);
-    if y.square() != rhs {
-        return None; // x is not on the curve
-    }
-    let y = if y.is_odd() == want_odd { y } else { y.neg() };
-    let point = fistful_crypto::secp256k1::Affine { x, y, infinity: false };
-    point.is_on_curve().then_some(point)
-}
-
-/// Right-shift a U256 by two bits.
-fn shr2(v: &fistful_crypto::u256::U256) -> fistful_crypto::u256::U256 {
-    let l = v.limbs;
-    fistful_crypto::u256::U256 {
-        limbs: [
-            (l[0] >> 2) | (l[1] << 62),
-            (l[1] >> 2) | (l[2] << 62),
-            (l[2] >> 2) | (l[3] << 62),
-            l[3] >> 2,
-        ],
-    }
 }
 
 impl Encodable for Transaction {
@@ -333,56 +228,6 @@ mod tests {
         let mut not_cb = cb.clone();
         not_cb.inputs.push(TxIn::unsigned(OutPoint { txid: sha256d(b"x"), vout: 1 }));
         assert!(!not_cb.is_coinbase());
-    }
-
-    #[test]
-    fn sighash_ignores_witnesses() {
-        let tx = sample_tx();
-        let h1 = tx.sighash();
-        let mut signed = tx.clone();
-        signed.inputs[0].witness = vec![0xaa; 97];
-        assert_eq!(signed.sighash(), h1);
-        assert_ne!(signed.txid(), tx.txid());
-    }
-
-    #[test]
-    fn sign_and_verify_input() {
-        let key = KeyPair::from_seed(5);
-        let spend_addr = Address::from_public_key(key.public());
-        let mut tx = sample_tx();
-        tx.sign_input(0, &key);
-        assert!(tx.verify_input(0, &spend_addr));
-        // Wrong expected address fails.
-        assert!(!tx.verify_input(0, &Address::from_seed(99)));
-        // Out-of-range index fails.
-        assert!(!tx.verify_input(5, &spend_addr));
-        // Tampering with an output invalidates the signature.
-        let mut tampered = tx.clone();
-        tampered.outputs[0].value = Amount::from_btc(10);
-        assert!(!tampered.verify_input(0, &spend_addr));
-    }
-
-    #[test]
-    fn unsigned_input_fails_verification() {
-        let tx = sample_tx();
-        assert!(!tx.verify_input(0, &Address::from_seed(1)));
-    }
-
-    #[test]
-    fn pubkey_decompression_round_trip() {
-        for seed in 1..10u64 {
-            let kp = KeyPair::from_seed(seed);
-            let compressed = kp.public().to_bytes();
-            let point = parse_compressed_pubkey(&compressed).unwrap();
-            assert_eq!(point, kp.public().0, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn pubkey_decompression_rejects_bad_prefix() {
-        let mut bytes = KeyPair::from_seed(1).public().to_bytes();
-        bytes[0] = 0x05;
-        assert!(parse_compressed_pubkey(&bytes).is_none());
     }
 
     #[test]

@@ -37,11 +37,6 @@ pub enum ValidationError {
         /// Height at which the spend was attempted.
         spent: u64,
     },
-    /// An ECDSA witness failed verification.
-    BadSignature {
-        /// Index of the offending input within the transaction.
-        input_index: usize,
-    },
     /// The block has no transactions.
     EmptyBlock,
     /// The first transaction is not a coinbase.
@@ -50,8 +45,6 @@ pub enum ValidationError {
     ExtraCoinbase,
     /// The header's merkle root does not match the transactions.
     BadMerkleRoot,
-    /// The block hash misses the proof-of-work target.
-    BadProofOfWork,
     /// The header does not connect to the current tip.
     BadPrevHash {
         /// The tip hash the header was required to reference.
@@ -85,14 +78,10 @@ impl std::fmt::Display for ValidationError {
             ValidationError::ImmatureCoinbaseSpend { created, spent } => {
                 write!(f, "coinbase from height {created} spent at {spent}")
             }
-            ValidationError::BadSignature { input_index } => {
-                write!(f, "bad signature on input {input_index}")
-            }
             ValidationError::EmptyBlock => write!(f, "block has no transactions"),
             ValidationError::FirstNotCoinbase => write!(f, "first tx is not a coinbase"),
             ValidationError::ExtraCoinbase => write!(f, "unexpected extra coinbase"),
             ValidationError::BadMerkleRoot => write!(f, "merkle root mismatch"),
-            ValidationError::BadProofOfWork => write!(f, "proof of work below target"),
             ValidationError::BadPrevHash { expected, got } => {
                 write!(f, "prev hash {got} does not match tip {expected}")
             }
@@ -151,7 +140,7 @@ pub fn check_tx_inputs(
         return Ok(Amount::ZERO);
     }
     let mut input_value = Amount::ZERO;
-    for (i, input) in tx.inputs.iter().enumerate() {
+    for input in &tx.inputs {
         let entry = utxos
             .get(&input.prevout)
             .ok_or(ValidationError::MissingInput(input.prevout))?;
@@ -160,9 +149,6 @@ pub fn check_tx_inputs(
                 created: entry.height,
                 spent: height,
             });
-        }
-        if params.verify_signatures && !tx.verify_input(i, &entry.address) {
-            return Err(ValidationError::BadSignature { input_index: i });
         }
         input_value = input_value
             .checked_add(entry.value)
@@ -182,9 +168,9 @@ pub fn check_tx_inputs(
 
 /// Full block validation against the current tip and UTXO set.
 ///
-/// Checks structure, merkle commitment, proof-of-work (if enabled),
-/// connection to `prev_hash`, per-transaction rules, in-block double spends
-/// and the coinbase value ceiling. Returns total fees.
+/// Checks structure, merkle commitment, connection to `prev_hash`,
+/// per-transaction rules, in-block double spends and the coinbase value
+/// ceiling. Returns total fees.
 pub fn check_block(
     block: &Block,
     prev_hash: &Hash256,
@@ -203,9 +189,6 @@ pub fn check_block(
     }
     if block.header.merkle_root != block.computed_merkle_root() {
         return Err(ValidationError::BadMerkleRoot);
-    }
-    if params.verify_pow && !block.header.meets_target(&params.pow_target) {
-        return Err(ValidationError::BadProofOfWork);
     }
     if block.header.prev_hash != *prev_hash {
         return Err(ValidationError::BadPrevHash {
@@ -473,43 +456,5 @@ mod tests {
             Err(ValidationError::ImmatureCoinbaseSpend { .. })
         ));
         assert!(check_tx_inputs(&spend, &utxos, 100, &p).is_ok());
-    }
-
-    #[test]
-    fn signature_validation_when_enabled() {
-        use fistful_crypto::keys::KeyPair;
-        let mut p = params();
-        p.verify_signatures = true;
-        let key = KeyPair::from_seed(11);
-        let addr = Address::from_public_key(key.public());
-        let mut utxos = UtxoSet::new();
-        let funding = Transaction {
-            version: 1,
-            inputs: vec![TxIn { prevout: OutPoint::null(), witness: vec![1] }],
-            outputs: vec![TxOut { value: Amount::from_btc(50), address: addr }],
-            lock_time: 0,
-        };
-        utxos.apply(&funding, 0);
-        let mut spend = Transaction {
-            version: 1,
-            inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
-            outputs: vec![TxOut { value: Amount::from_btc(49), address: Address::from_seed(3) }],
-            lock_time: 0,
-        };
-        // Unsigned fails.
-        assert!(matches!(
-            check_tx_inputs(&spend, &utxos, 1, &p),
-            Err(ValidationError::BadSignature { input_index: 0 })
-        ));
-        // Signed passes.
-        spend.sign_input(0, &key);
-        assert_eq!(check_tx_inputs(&spend, &utxos, 1, &p), Ok(Amount::from_btc(1)));
-        // Signed by the wrong key fails.
-        let mut wrong = spend.clone();
-        wrong.sign_input(0, &KeyPair::from_seed(12));
-        assert!(matches!(
-            check_tx_inputs(&wrong, &utxos, 1, &p),
-            Err(ValidationError::BadSignature { input_index: 0 })
-        ));
     }
 }

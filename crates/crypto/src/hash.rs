@@ -26,13 +26,6 @@ impl Hash256 {
         Hash256(b)
     }
 
-    /// Interprets the digest as a big-endian 256-bit integer and compares it
-    /// against `target`, as proof-of-work validation does.
-    pub fn meets_target(&self, target: &Hash256) -> bool {
-        // Big-endian lexicographic comparison equals numeric comparison.
-        self.0 <= target.0
-    }
-
     /// Parses from a 64-character hex string (byte order as written).
     pub fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 64 {
@@ -128,21 +121,6 @@ mod tests {
     fn from_hex_rejects_bad_input() {
         assert!(Hash256::from_hex("abcd").is_none());
         assert!(Hash256::from_hex(&"zz".repeat(32)).is_none());
-    }
-
-    #[test]
-    fn target_comparison_is_numeric() {
-        let small = Hash256::from_hex(
-            "0000000000000000000000000000000000000000000000000000000000000001",
-        )
-        .unwrap();
-        let big = Hash256::from_hex(
-            "1000000000000000000000000000000000000000000000000000000000000000",
-        )
-        .unwrap();
-        assert!(small.meets_target(&big));
-        assert!(!big.meets_target(&small));
-        assert!(small.meets_target(&small));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! HMAC-SHA-256 (RFC 2104), used for deterministic ECDSA nonce derivation.
+//! HMAC-SHA-256 (RFC 2104).
 
 use crate::sha256::{sha256, Sha256};
 

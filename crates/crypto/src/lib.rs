@@ -1,4 +1,4 @@
-//! From-scratch cryptographic primitives for the `fistful` workspace.
+//! From-scratch hash and encoding primitives for the `fistful` workspace.
 //!
 //! This crate implements every primitive the block-chain substrate needs,
 //! with no external dependencies:
@@ -6,15 +6,12 @@
 //! * [`sha256`] — SHA-256 and double-SHA-256 (`sha256d`), the hash used for
 //!   transaction ids, block hashes and merkle trees.
 //! * [`ripemd160`] — RIPEMD-160, combined with SHA-256 into `hash160` for
-//!   address derivation.
-//! * [`hmac`] — HMAC-SHA-256, used for deterministic (RFC-6979 style) ECDSA
-//!   nonces.
+//!   address payloads.
 //! * [`base58`] — Base58Check encoding for human-readable addresses.
-//! * [`u256`] — fixed-width 256-bit unsigned arithmetic.
-//! * [`field`] — arithmetic in the secp256k1 base field GF(p).
-//! * [`scalar`] — arithmetic modulo the secp256k1 group order n.
-//! * [`secp256k1`] — elliptic-curve group operations and ECDSA.
-//! * [`keys`] — key pairs and pay-to-pubkey-hash address derivation.
+//!
+//! Two general primitives, [`hmac`] (HMAC-SHA-256) and [`u256`] (256-bit
+//! unsigned arithmetic), are kept but no longer called by the rest of the
+//! workspace.
 //!
 //! All implementations are validated against published test vectors in the
 //! unit tests of each module.
@@ -22,27 +19,23 @@
 //! # Example
 //!
 //! ```
-//! use fistful_crypto::keys::KeyPair;
+//! use fistful_crypto::{base58, sha256};
 //!
-//! let kp = KeyPair::from_seed(42);
-//! let msg = fistful_crypto::sha256::sha256d(b"a fistful of bitcoins");
-//! let sig = kp.sign(&msg);
-//! assert!(kp.public().verify(&msg, &sig));
+//! let payload = sha256::hash160(b"a fistful of bitcoins");
+//! let text = base58::check_encode(0x00, payload.as_bytes());
+//! let (version, bytes) = base58::check_decode(&text).unwrap();
+//! assert_eq!(version, 0x00);
+//! assert_eq!(bytes, payload.as_bytes());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base58;
-pub mod field;
 pub mod hash;
 pub mod hmac;
-pub mod keys;
 pub mod ripemd160;
-pub mod scalar;
-pub mod secp256k1;
 pub mod sha256;
 pub mod u256;
 
 pub use hash::{Hash160, Hash256};
-pub use keys::{KeyPair, PublicKey};

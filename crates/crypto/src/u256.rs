@@ -1,9 +1,9 @@
 //! Fixed-width 256-bit unsigned integer arithmetic.
 //!
-//! [`U256`] is four little-endian `u64` limbs. It provides exactly the
-//! operations the field and scalar arithmetic need: carrying add/sub,
-//! widening multiply into a [`U512`], shifts, bit access, and a generic
-//! 512-by-256-bit remainder used for scalar reduction.
+//! [`U256`] is four little-endian `u64` limbs. It provides carrying
+//! add/sub, widening multiply into a [`U512`], shifts, bit access, and a
+//! generic 512-by-256-bit remainder. No other module of the workspace
+//! calls it any more.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -176,9 +176,8 @@ impl U512 {
 
     /// Generic remainder modulo a 256-bit divisor, by binary long division.
     ///
-    /// This is the slow-but-obviously-correct path: the field arithmetic uses
-    /// a specialised reduction instead, and the property tests compare the
-    /// two. Panics if `divisor` is zero.
+    /// This is the slow-but-obviously-correct path, checked against `u128`
+    /// arithmetic in the unit tests. Panics if `divisor` is zero.
     pub fn rem(&self, divisor: &U256) -> U256 {
         assert!(!divisor.is_zero(), "division by zero");
         // Remainder as 5 limbs so the pre-reduction shift cannot overflow.

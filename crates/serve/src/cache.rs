@@ -29,8 +29,8 @@
 //!
 //! Keys are the raw request payload bytes (canonical encodings, so equal
 //! requests have equal keys); values are the encoded response *payloads*
-//! (framing is per-connection: protocol version and current epoch are
-//! applied at send time), stored ready to frame so a hit skips decode,
+//! (framing, with the pinned generation's epoch, is applied at send
+//! time), stored ready to frame so a hit skips decode,
 //! handling, *and* re-encode.
 //!
 //! Contention is kept off the hot path by sharding: the key is hashed

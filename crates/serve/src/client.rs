@@ -5,7 +5,6 @@ use crate::metrics::MetricsDump;
 use crate::protocol::{
     frame, parse_frame_header, AddressReport, BalanceReport, ClusterReport, Request, Response,
     ServeError, ServerStats, TaintReport, FRAME_EPOCH_LEN, FRAME_HEADER_LEN, MAX_RESPONSE_PAYLOAD,
-    PROTOCOL_VERSION_V1,
 };
 use fistful_chain::encode::Encodable;
 use std::io::{Read, Write};
@@ -13,7 +12,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 /// A connected query-service client.
 ///
-/// Wraps one [`TcpStream`]; every call writes a version-2 request frame
+/// Wraps one [`TcpStream`]; every call writes a request frame
 /// and blocks for the matching response frame (the protocol is strictly
 /// request/response, so no pipelining bookkeeping is needed). Response
 /// frames carry the server's artifact epoch, kept available through
@@ -24,10 +23,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 pub struct Client {
     stream: TcpStream,
     /// Epoch field of the most recent response frame (`0` before any
-    /// response, and for version-1 responses, which carry none).
+    /// response).
     last_epoch: u64,
-    /// Protocol version of the most recent response frame.
-    last_version: u8,
 }
 
 impl Client {
@@ -35,7 +32,7 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, last_epoch: 0, last_version: 0 })
+        Ok(Client { stream, last_epoch: 0 })
     }
 
     /// The artifact epoch stamped on the most recent response frame
@@ -55,7 +52,7 @@ impl Client {
     }
 
     /// Reads exactly one response frame off the stream, updating
-    /// [`Client::last_epoch`] and the remembered protocol version.
+    /// [`Client::last_epoch`].
     fn read_response_payload(&mut self) -> Result<Vec<u8>, ServeError> {
         let mut header = [0u8; FRAME_HEADER_LEN];
         let mut filled = 0usize;
@@ -67,20 +64,15 @@ impl Client {
             }
         }
         let parsed = parse_frame_header(&header, MAX_RESPONSE_PAYLOAD)?;
-        if parsed.epoch_bytes() > 0 {
-            let mut epoch = [0u8; FRAME_EPOCH_LEN];
-            let mut filled = 0usize;
-            while filled < FRAME_EPOCH_LEN {
-                match self.stream.read(&mut epoch[filled..])? {
-                    0 => return Err(ServeError::Truncated),
-                    n => filled += n,
-                }
+        let mut epoch = [0u8; FRAME_EPOCH_LEN];
+        let mut filled = 0usize;
+        while filled < FRAME_EPOCH_LEN {
+            match self.stream.read(&mut epoch[filled..])? {
+                0 => return Err(ServeError::Truncated),
+                n => filled += n,
             }
-            self.last_epoch = u64::from_le_bytes(epoch);
-        } else {
-            self.last_epoch = 0;
         }
-        self.last_version = parsed.version;
+        self.last_epoch = u64::from_le_bytes(epoch);
         let len = parsed.payload_len as usize;
         let mut payload = vec![0u8; len];
         let mut filled = 0usize;
@@ -93,22 +85,14 @@ impl Client {
         Ok(payload)
     }
 
-    /// Sends a request and decodes the response (in whichever protocol
-    /// version the server framed it).
+    /// Sends a request and decodes the response.
     pub fn call(&mut self, request: &Request) -> Result<Response, ServeError> {
-        let payload = self.call_raw(&request.encode_to_vec())?;
-        if self.last_version == PROTOCOL_VERSION_V1 {
-            Response::decode_payload_v1(&payload)
-        } else {
-            Response::decode_payload(&payload)
-        }
+        Response::decode_payload(&self.call_raw(&request.encode_to_vec())?)
     }
 
     /// Sends every request as one coalesced write and reads the responses
     /// back in order — the pipelined path the event-driven serve loop is
-    /// built for. Each response decodes in whichever protocol version the
-    /// server framed it; [`Client::last_epoch`] ends at the final frame's
-    /// epoch. Works against the threaded server too (it answers the
+    /// built for. [`Client::last_epoch`] ends at the final frame's epoch. Works against the threaded server too (it answers the
     /// buffered frames one at a time), which is exactly what the
     /// differential tests exploit.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ServeError> {
@@ -119,12 +103,7 @@ impl Client {
         self.stream.write_all(&blob)?;
         let mut responses = Vec::with_capacity(requests.len());
         for _ in requests {
-            let payload = self.read_response_payload()?;
-            responses.push(if self.last_version == PROTOCOL_VERSION_V1 {
-                Response::decode_payload_v1(&payload)?
-            } else {
-                Response::decode_payload(&payload)?
-            });
+            responses.push(Response::decode_payload(&self.read_response_payload()?)?);
         }
         Ok(responses)
     }

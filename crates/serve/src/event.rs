@@ -23,7 +23,7 @@
 //!                           │ completions (seq-ordered)             │ jobs
 //!                           │   + waker byte                 bounded queue
 //!                         ┌─┴─────────── worker pool ──────────────▼──┐
-//!                         │ process_request(core, payload, version)   │
+//!                         │ process_request(core, payload)            │
 //!                         └───────────────────────────────────────────┘
 //! ```
 //!
@@ -61,15 +61,14 @@
 //! deadline period, not a thread.
 //!
 //! Everything else — epoch-pinned artifact generations per request, the
-//! epoch-stamped response cache, v1/v2 negotiation, hot-swap publishes
-//! via [`Publisher`], draining shutdown — is inherited from the shared
+//! epoch-stamped response cache, hot-swap publishes via [`Publisher`],
+//! draining shutdown — is inherited from the shared
 //! core, so a [`LivePipeline`](crate::live::LivePipeline) drives this
 //! server exactly as it drives the threaded one.
 
 use crate::conn::{Deadline, DeadlineVerdict, KEEP_ALIVE_TICKS, STALLED_READ_TICKS, TICK};
 use crate::protocol::{
     parse_frame_prefix, FramePrefix, ServeError, ServerStats, MAX_REQUEST_PAYLOAD,
-    PROTOCOL_VERSION,
 };
 use crate::server::{
     framing_error_frame, process_request, stalled_read_error, Core, MetricsHandle, Publisher,
@@ -164,7 +163,6 @@ struct Job {
     conn: usize,
     gen: u64,
     seq: u64,
-    version: u8,
     payload: Vec<u8>,
     /// When the frame finished parsing — dispatch-queue wait time is
     /// measured from here to the worker's pop.
@@ -220,7 +218,7 @@ fn event_worker_loop(core: &Core, dispatch: &Dispatch, waker: &TcpStream) {
         };
         let Some(job) = job else { return };
         core.metrics.dispatch_wait.observe(job.queued.elapsed());
-        let (framed, close_after) = process_request(core, job.payload, job.version, &mut scratch);
+        let (framed, close_after) = process_request(core, job.payload, &mut scratch);
         dispatch.done.lock().expect("done poisoned").push(Completion {
             conn: job.conn,
             gen: job.gen,
@@ -248,9 +246,6 @@ struct Conn {
     /// has taken.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// The protocol version of the last parsed request — errors and
-    /// responses are framed in kind (initially the current version).
-    version: u8,
     /// Next sequence number to assign to a parsed request.
     next_seq: u64,
     /// The sequence whose response is next in line for the write buffer.
@@ -293,7 +288,6 @@ impl Conn {
             read_pos: 0,
             write_buf: Vec::new(),
             write_pos: 0,
-            version: PROTOCOL_VERSION,
             next_seq: 0,
             next_write: 0,
             outstanding: 0,
@@ -559,10 +553,7 @@ impl EventLoop {
     /// Queues a typed error frame at the tail of the response order and
     /// stops parsing; the connection closes once it is delivered.
     fn queue_error(&mut self, idx: usize, e: ServeError) {
-        let framed = {
-            let Some(conn) = self.conns[idx].as_ref() else { return };
-            framing_error_frame(&self.core, &e, conn.version)
-        };
+        let framed = framing_error_frame(&self.core, &e);
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let seq = conn.next_seq;
         conn.next_seq += 1;
@@ -636,7 +627,7 @@ impl EventLoop {
                 }
                 match parse_frame_prefix(&conn.read_buf[conn.read_pos..], MAX_REQUEST_PAYLOAD) {
                     Ok(FramePrefix::Incomplete { .. }) => break,
-                    Ok(FramePrefix::Complete { version, payload, consumed }) => {
+                    Ok(FramePrefix::Complete { payload, consumed }) => {
                         if conn.outstanding + jobs.len() >= max_pipelined {
                             // The offending request is rejected with a
                             // typed error *after* every in-budget response.
@@ -647,14 +638,12 @@ impl EventLoop {
                             break;
                         }
                         conn.read_pos += consumed;
-                        conn.version = version;
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
                         jobs.push(Job {
                             conn: idx,
                             gen: conn.gen,
                             seq,
-                            version,
                             payload,
                             queued: Instant::now(),
                         });

@@ -119,6 +119,6 @@ pub use metrics::{
 pub use protocol::{
     AddressReport, BalanceReport, ClusterReport, ErrorCode, FramePrefix, Request, Response,
     ServeError, ServerStats, TaintReport, WireError, WireMovement, MAX_REQUEST_PAYLOAD,
-    MAX_RESPONSE_PAYLOAD, PROTOCOL_MAGIC, PROTOCOL_VERSION, PROTOCOL_VERSION_V1,
+    MAX_RESPONSE_PAYLOAD, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{MetricsHandle, Publisher, ServeArtifacts, ServeConfig, Server};

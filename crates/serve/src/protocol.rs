@@ -1,7 +1,7 @@
 //! The query service's wire protocol: framing, requests, responses, and
 //! typed errors.
 //!
-//! # Frame format (versions 1 and 2)
+//! # Frame format (version 2)
 //!
 //! Every message — request or response — travels in one frame built on the
 //! consensus-style primitives of [`fistful_chain::encode`] (little-endian
@@ -11,28 +11,25 @@
 //! | field    | bytes | contents                                          |
 //! |----------|-------|---------------------------------------------------|
 //! | magic    | 4     | `"FSRV"` ([`PROTOCOL_MAGIC`])                     |
-//! | version  | 1     | `1` or `2` ([`PROTOCOL_VERSION`] is `2`)          |
+//! | version  | 1     | `2` ([`PROTOCOL_VERSION`])                        |
 //! | length   | 4     | payload byte length, u32 little-endian            |
-//! | epoch    | 8     | **v2 only**: artifact epoch, u64 little-endian    |
+//! | epoch    | 8     | artifact epoch, u64 little-endian                 |
 //! | payload  | *n*   | the message body, exactly `length` bytes          |
 //!
-//! Version 2 (the live hot-swap protocol) inserts an 8-byte artifact
-//! epoch between the fixed header and the payload; `length` counts the
-//! payload only, so a v1 parser that knows both versions skips exactly
-//! [`FRAME_EPOCH_LEN`] extra bytes. On responses the epoch names the
-//! published artifact generation that answered; on requests it is
-//! reserved (clients send `0`, servers ignore it). Both sides still speak
-//! version 1 — a server answers each connection in the version its
-//! request arrived with, and v1 frames carry no epoch — so old clients
-//! keep decoding across the bump.
+//! The 8-byte artifact epoch sits between the fixed
+//! [`FRAME_HEADER_LEN`]-byte header and the payload; `length` counts the
+//! payload only. On responses the epoch names the published artifact
+//! generation that answered; on requests it is reserved (clients send `0`,
+//! servers ignore it).
 //!
 //! The first payload byte is the message type. Request payloads are capped
 //! at [`MAX_REQUEST_PAYLOAD`] and response payloads at
 //! [`MAX_RESPONSE_PAYLOAD`]; both sides check the declared length against
 //! their cap *before* allocating anything, so an adversarial length field
 //! cannot cause an allocation blowup. A frame whose magic, version, or
-//! length is unacceptable is answered with a [`Response::Error`] frame and
-//! the connection is closed.
+//! length is unacceptable — any version byte but [`PROTOCOL_VERSION`]
+//! included — is answered with a [`Response::Error`] frame and the
+//! connection is closed.
 //!
 //! # Request payloads
 //!
@@ -70,20 +67,15 @@ use fistful_flow::BalancePoint;
 /// The four magic bytes opening every frame.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"FSRV";
 
-/// The current protocol version: epoch-stamped frames.
+/// The protocol version: epoch-stamped frames. The only one spoken.
 pub const PROTOCOL_VERSION: u8 = 2;
 
-/// The legacy protocol version: identical frames without the epoch field.
-/// Servers still answer it so pre-hot-swap clients keep working.
-pub const PROTOCOL_VERSION_V1: u8 = 1;
-
 /// Byte length of the fixed frame header (magic + version + payload
-/// length) — common to both versions; v2 frames follow it with
-/// [`FRAME_EPOCH_LEN`] epoch bytes.
+/// length); [`FRAME_EPOCH_LEN`] epoch bytes follow it.
 pub const FRAME_HEADER_LEN: usize = 4 + 1 + 4;
 
-/// Byte length of the v2 epoch field that sits between the fixed header
-/// and the payload.
+/// Byte length of the epoch field that sits between the fixed header and
+/// the payload.
 pub const FRAME_EPOCH_LEN: usize = 8;
 
 /// Largest request payload a server accepts (a taint request with a few
@@ -140,11 +132,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(msg) => write!(f, "i/o error: {msg}"),
             ServeError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             ServeError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (supported: \
-                     {PROTOCOL_VERSION_V1}-{PROTOCOL_VERSION})"
-                )
+                write!(f, "unsupported protocol version {v} (supported: {PROTOCOL_VERSION})")
             }
             ServeError::FrameTooLarge { len, limit } => {
                 write!(f, "frame payload of {len} bytes exceeds the {limit}-byte limit")
@@ -255,14 +243,14 @@ impl WireError {
 
 // ----- framing -----
 
-/// Wraps a payload in a complete current-version frame stamped with epoch
-/// `0` — what clients send (the request epoch is reserved) and what a
-/// frozen-artifact server answers with.
+/// Wraps a payload in a complete frame stamped with epoch `0` — what
+/// clients send (the request epoch is reserved) and what a frozen-artifact
+/// server answers with.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     frame_at(payload, 0)
 }
 
-/// Wraps a payload in a complete v2 frame (magic, version, length, epoch,
+/// Wraps a payload in a complete frame (magic, version, length, epoch,
 /// payload) stamped with the given artifact epoch.
 pub fn frame_at(payload: &[u8], epoch: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + FRAME_EPOCH_LEN + payload.len());
@@ -274,44 +262,16 @@ pub fn frame_at(payload: &[u8], epoch: u64) -> Vec<u8> {
     out
 }
 
-/// Wraps a payload in a complete legacy v1 frame (no epoch field) — what
-/// the server answers v1 connections with.
-pub fn frame_v1(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&PROTOCOL_MAGIC);
-    out.push(PROTOCOL_VERSION_V1);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-/// A validated frame header: which protocol version the frame speaks and
-/// how many payload bytes follow. For a v2 frame, [`FRAME_EPOCH_LEN`]
-/// epoch bytes sit between the fixed header and the payload
-/// ([`FrameHeader::epoch_bytes`]).
+/// A validated frame header: how many payload bytes follow the
+/// [`FRAME_EPOCH_LEN`] epoch bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The frame's protocol version ([`PROTOCOL_VERSION_V1`] or
-    /// [`PROTOCOL_VERSION`]).
-    pub version: u8,
     /// Declared payload byte length (excluding the epoch field).
     pub payload_len: u32,
 }
 
-impl FrameHeader {
-    /// How many epoch bytes follow the fixed header before the payload:
-    /// [`FRAME_EPOCH_LEN`] for v2, zero for v1.
-    pub fn epoch_bytes(&self) -> usize {
-        if self.version >= PROTOCOL_VERSION {
-            FRAME_EPOCH_LEN
-        } else {
-            0
-        }
-    }
-}
-
-/// Validates a frame header, accepting both protocol versions, and
-/// returns the declared version and payload length.
+/// Validates a frame header's magic, version and payload length, and
+/// returns the declared length.
 ///
 /// `limit` is the receiver's payload cap; the check happens here, before
 /// any allocation, so a lying length field cannot balloon memory.
@@ -324,14 +284,14 @@ pub fn parse_frame_header(
         return Err(ServeError::BadMagic(magic));
     }
     let version = header[4];
-    if version != PROTOCOL_VERSION && version != PROTOCOL_VERSION_V1 {
+    if version != PROTOCOL_VERSION {
         return Err(ServeError::UnsupportedVersion(version));
     }
     let payload_len = u32::from_le_bytes(header[5..].try_into().expect("4 bytes"));
     if payload_len > limit {
         return Err(ServeError::FrameTooLarge { len: payload_len, limit });
     }
-    Ok(FrameHeader { version, payload_len })
+    Ok(FrameHeader { payload_len })
 }
 
 /// What scanning a byte buffer's prefix for one frame concluded
@@ -347,9 +307,7 @@ pub enum FramePrefix {
     },
     /// One complete frame sits at the front of the buffer.
     Complete {
-        /// The frame's protocol version.
-        version: u8,
-        /// The payload bytes (epoch field, if any, already skipped).
+        /// The payload bytes (epoch field already skipped).
         payload: Vec<u8>,
         /// Total frame length: drain this many bytes before rescanning.
         consumed: usize,
@@ -364,23 +322,19 @@ pub enum FramePrefix {
 /// as [`FRAME_HEADER_LEN`] bytes are present, so a garbage or oversized
 /// frame is rejected without waiting for (or buffering) its body — the
 /// same early-check order as the blocking reader. The returned payload
-/// excludes the v2 epoch field, which on requests is reserved anyway.
+/// excludes the epoch field, which on requests is reserved anyway.
 pub fn parse_frame_prefix(buf: &[u8], limit: u32) -> Result<FramePrefix, ServeError> {
     if buf.len() < FRAME_HEADER_LEN {
         return Ok(FramePrefix::Incomplete { needed: FRAME_HEADER_LEN - buf.len() });
     }
     let header: [u8; FRAME_HEADER_LEN] = buf[..FRAME_HEADER_LEN].try_into().expect("9 bytes");
     let parsed = parse_frame_header(&header, limit)?;
-    let body_start = FRAME_HEADER_LEN + parsed.epoch_bytes();
+    let body_start = FRAME_HEADER_LEN + FRAME_EPOCH_LEN;
     let total = body_start + parsed.payload_len as usize;
     if buf.len() < total {
         return Ok(FramePrefix::Incomplete { needed: total - buf.len() });
     }
-    Ok(FramePrefix::Complete {
-        version: parsed.version,
-        payload: buf[body_start..total].to_vec(),
-        consumed: total,
-    })
+    Ok(FramePrefix::Complete { payload: buf[body_start..total].to_vec(), consumed: total })
 }
 
 // ----- requests -----
@@ -539,19 +493,14 @@ pub struct ServerStats {
     /// How many artifact publishes this server has performed since start.
     pub swaps: u64,
     /// Whole seconds since the server core was created, from the
-    /// server's monotonic clock (`0` when decoded from a v1 body).
+    /// server's monotonic clock.
     pub uptime_seconds: u64,
     /// Request frames handled since start, read from the metrics
-    /// registry's per-type counters (`0` when decoded from a v1 body).
+    /// registry's per-type counters.
     pub requests_total: u64,
 }
 
 impl Encodable for ServerStats {
-    /// The full v2 body — twelve fields. v1 connections get the legacy
-    /// 8-field body via [`ServerStats::encode_v1`] instead; keeping the
-    /// `Encodable` impl single-layout preserves the canonical-decode
-    /// property (decode ok ⟹ re-encode byte-identical) the wire
-    /// proptests assert.
     fn encode(&self, w: &mut Writer) {
         w.u64(self.requests);
         w.u64(self.cache_hits);
@@ -568,24 +517,8 @@ impl Encodable for ServerStats {
     }
 }
 
-impl ServerStats {
-    /// Writes the legacy v1 8-field body (everything up to `tip_height`)
-    /// — what pre-hot-swap clients decode.
-    pub fn encode_v1(&self, w: &mut Writer) {
-        w.u64(self.requests);
-        w.u64(self.cache_hits);
-        w.u64(self.cache_misses);
-        w.u32(self.workers);
-        w.u64(self.address_count);
-        w.u64(self.tx_count);
-        w.u64(self.cluster_count);
-        w.u64(self.tip_height);
-    }
-
-    /// Reads the legacy v1 8-field body; `epoch`, `swaps`,
-    /// `uptime_seconds`, and `requests_total` come back zero (v1
-    /// predates the live pipeline and the metrics layer).
-    pub fn decode_v1(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+impl Decodable for ServerStats {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(ServerStats {
             requests: r.u64()?,
             cache_hits: r.u64()?,
@@ -595,22 +528,11 @@ impl ServerStats {
             tx_count: r.u64()?,
             cluster_count: r.u64()?,
             tip_height: r.u64()?,
-            epoch: 0,
-            swaps: 0,
-            uptime_seconds: 0,
-            requests_total: 0,
+            epoch: r.u64()?,
+            swaps: r.u64()?,
+            uptime_seconds: r.u64()?,
+            requests_total: r.u64()?,
         })
-    }
-}
-
-impl Decodable for ServerStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let mut stats = ServerStats::decode_v1(r)?;
-        stats.epoch = r.u64()?;
-        stats.swaps = r.u64()?;
-        stats.uptime_seconds = r.u64()?;
-        stats.requests_total = r.u64()?;
-        Ok(stats)
     }
 }
 
@@ -1024,45 +946,16 @@ impl Response {
         Ok(resp)
     }
 
-    /// Decodes a *v1* response payload: identical to
-    /// [`Response::decode_payload`] except that `Stats` carries the
-    /// legacy 8-field body — what a pre-hot-swap client would parse.
-    pub fn decode_payload_v1(payload: &[u8]) -> Result<Response, ServeError> {
-        if payload.first() == Some(&T_STATS) {
-            let mut r = Reader::new(payload);
-            r.u8()?;
-            let stats = ServerStats::decode_v1(&mut r)?;
-            r.finish()?;
-            return Ok(Response::Stats(stats));
-        }
-        Response::decode_payload(payload)
-    }
-
     /// The complete frame for this response, stamped with epoch `0` —
     /// the frozen-artifact framing.
     pub fn to_frame(&self) -> Vec<u8> {
         self.to_frame_at(0)
     }
 
-    /// The complete v2 frame for this response, stamped with the
-    /// publishing artifact's epoch.
+    /// The complete frame for this response, stamped with the publishing
+    /// artifact's epoch.
     pub fn to_frame_at(&self, epoch: u64) -> Vec<u8> {
         frame_at(&self.encode_to_vec(), epoch)
-    }
-
-    /// The complete legacy v1 frame for this response: no epoch field,
-    /// and `Stats` in its 8-field v1 body — what the server answers v1
-    /// connections with.
-    pub fn to_frame_v1(&self) -> Vec<u8> {
-        match self {
-            Response::Stats(s) => {
-                let mut w = Writer::new();
-                w.u8(T_STATS);
-                s.encode_v1(&mut w);
-                frame_v1(&w.into_bytes())
-            }
-            _ => frame_v1(&self.encode_to_vec()),
-        }
     }
 }
 
@@ -1190,16 +1083,15 @@ mod tests {
         for req in sample_requests() {
             let payload = req.encode_to_vec();
             assert_eq!(Request::decode_payload(&payload).unwrap(), req);
-            // And the v2 frame wraps the same payload after a zero epoch.
+            // And the frame wraps the same payload after a zero epoch.
             let f = req.to_frame();
             let header = parse_frame_header(
                 &f[..FRAME_HEADER_LEN].try_into().unwrap(),
                 MAX_REQUEST_PAYLOAD,
             )
             .unwrap();
-            assert_eq!(header.version, PROTOCOL_VERSION);
+            assert_eq!(f[4], PROTOCOL_VERSION);
             assert_eq!(header.payload_len as usize, payload.len());
-            assert_eq!(header.epoch_bytes(), FRAME_EPOCH_LEN);
             assert_eq!(
                 &f[FRAME_HEADER_LEN..FRAME_HEADER_LEN + FRAME_EPOCH_LEN],
                 &[0u8; FRAME_EPOCH_LEN]
@@ -1209,57 +1101,19 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_carry_the_epoch_and_v1_frames_do_not() {
+    fn frames_carry_the_epoch() {
         let payload = Request::Ping.encode_to_vec();
-        let f2 = frame_at(&payload, 0xDEAD_BEEF_0123_4567);
+        let f = frame_at(&payload, 0xDEAD_BEEF_0123_4567);
         let header = parse_frame_header(
-            &f2[..FRAME_HEADER_LEN].try_into().unwrap(),
+            &f[..FRAME_HEADER_LEN].try_into().unwrap(),
             MAX_REQUEST_PAYLOAD,
         )
         .unwrap();
-        assert_eq!(header, FrameHeader { version: PROTOCOL_VERSION, payload_len: 1 });
+        assert_eq!(header, FrameHeader { payload_len: 1 });
         let epoch_bytes: [u8; FRAME_EPOCH_LEN] =
-            f2[FRAME_HEADER_LEN..FRAME_HEADER_LEN + FRAME_EPOCH_LEN].try_into().unwrap();
+            f[FRAME_HEADER_LEN..FRAME_HEADER_LEN + FRAME_EPOCH_LEN].try_into().unwrap();
         assert_eq!(u64::from_le_bytes(epoch_bytes), 0xDEAD_BEEF_0123_4567);
-        assert_eq!(&f2[FRAME_HEADER_LEN + FRAME_EPOCH_LEN..], &payload[..]);
-
-        let f1 = frame_v1(&payload);
-        let header = parse_frame_header(
-            &f1[..FRAME_HEADER_LEN].try_into().unwrap(),
-            MAX_REQUEST_PAYLOAD,
-        )
-        .unwrap();
-        assert_eq!(header, FrameHeader { version: PROTOCOL_VERSION_V1, payload_len: 1 });
-        assert_eq!(header.epoch_bytes(), 0);
-        assert_eq!(&f1[FRAME_HEADER_LEN..], &payload[..]);
-        // Same payload, different framing: v2 is exactly the epoch wider.
-        assert_eq!(f2.len(), f1.len() + FRAME_EPOCH_LEN);
-    }
-
-    #[test]
-    fn v1_stats_body_is_the_legacy_prefix() {
-        let Response::Stats(stats) = sample_responses().remove(1) else {
-            panic!("sample 1 is Stats")
-        };
-        let resp = Response::Stats(stats.clone());
-        let v2 = resp.encode_to_vec();
-        let f1 = resp.to_frame_v1();
-        let v1_payload = &f1[FRAME_HEADER_LEN..];
-        // The v1 body is the v2 body minus the trailing epoch + swaps +
-        // uptime + requests_total.
-        assert_eq!(v1_payload, &v2[..v2.len() - 32]);
-        // A v1 decode recovers everything except the live fields.
-        let decoded = Response::decode_payload_v1(v1_payload).unwrap();
-        let expect = ServerStats { epoch: 0, swaps: 0, uptime_seconds: 0, requests_total: 0, ..stats };
-        assert_eq!(decoded, Response::Stats(expect));
-        // Non-stats payloads decode identically through the v1 path.
-        for resp in sample_responses() {
-            if matches!(resp, Response::Stats(_)) {
-                continue;
-            }
-            let payload = resp.encode_to_vec();
-            assert_eq!(Response::decode_payload_v1(&payload).unwrap(), resp);
-        }
+        assert_eq!(&f[FRAME_HEADER_LEN + FRAME_EPOCH_LEN..], &payload[..]);
     }
 
     #[test]
@@ -1310,8 +1164,8 @@ mod tests {
             parse_frame_header(&bad_version, MAX_REQUEST_PAYLOAD),
             Err(ServeError::UnsupportedVersion(9))
         );
-        // Version 0 and the version after the current one are both out.
-        for v in [0u8, PROTOCOL_VERSION + 1] {
+        // Every version but the current one is out, the retired v1 included.
+        for v in [0u8, 1, PROTOCOL_VERSION + 1] {
             let mut h = *b"FSRV\x00\x00\x00\x00\x00";
             h[4] = v;
             assert_eq!(
@@ -1325,65 +1179,52 @@ mod tests {
             parse_frame_header(&oversized, MAX_REQUEST_PAYLOAD),
             Err(ServeError::FrameTooLarge { len: u32::MAX, limit: MAX_REQUEST_PAYLOAD })
         );
-        // Both live versions parse.
-        let good_v2 = *b"FSRV\x02\x05\x00\x00\x00";
+        let good = *b"FSRV\x02\x05\x00\x00\x00";
         assert_eq!(
-            parse_frame_header(&good_v2, MAX_REQUEST_PAYLOAD),
-            Ok(FrameHeader { version: 2, payload_len: 5 })
-        );
-        let good_v1 = *b"FSRV\x01\x05\x00\x00\x00";
-        assert_eq!(
-            parse_frame_header(&good_v1, MAX_REQUEST_PAYLOAD),
-            Ok(FrameHeader { version: 1, payload_len: 5 })
+            parse_frame_header(&good, MAX_REQUEST_PAYLOAD),
+            Ok(FrameHeader { payload_len: 5 })
         );
     }
 
     #[test]
     fn frame_prefix_scans_at_every_split_point() {
-        // A v2 and a v1 frame back to back; the scanner must report the
-        // exact shortfall at every possible prefix length, then yield the
-        // first frame without touching the second.
+        // Two frames back to back; the scanner must report the exact
+        // shortfall at every possible prefix length, then yield the first
+        // frame without touching the second.
         let req = Request::TaintTrace { loot: vec![(3, 0), (9, 2)], max_txs: 500 };
         let payload = req.encode_to_vec();
-        let f2 = frame_at(&payload, 7);
-        let f1 = frame_v1(&payload);
-        let mut blob = f2.clone();
-        blob.extend_from_slice(&f1);
-        for cut in 0..f2.len() {
+        let first = frame_at(&payload, 7);
+        let second = Request::Ping.to_frame();
+        let mut blob = first.clone();
+        blob.extend_from_slice(&second);
+        for cut in 0..first.len() {
             let got = parse_frame_prefix(&blob[..cut], MAX_REQUEST_PAYLOAD).unwrap();
             let expect_needed = if cut < FRAME_HEADER_LEN {
                 FRAME_HEADER_LEN - cut
             } else {
-                f2.len() - cut
+                first.len() - cut
             };
             assert_eq!(got, FramePrefix::Incomplete { needed: expect_needed }, "cut {cut}");
         }
         // Any prefix holding the whole first frame yields it, whatever
         // fraction of the second frame rode along.
-        for cut in f2.len()..=blob.len() {
+        for cut in first.len()..=blob.len() {
             let got = parse_frame_prefix(&blob[..cut], MAX_REQUEST_PAYLOAD).unwrap();
             assert_eq!(
                 got,
-                FramePrefix::Complete {
-                    version: PROTOCOL_VERSION,
-                    payload: payload.clone(),
-                    consumed: f2.len(),
-                },
+                FramePrefix::Complete { payload: payload.clone(), consumed: first.len() },
                 "cut {cut}"
             );
         }
-        // After draining the first frame, the v1 frame parses too (and its
-        // total length differs by exactly the epoch field).
-        let got = parse_frame_prefix(&blob[f2.len()..], MAX_REQUEST_PAYLOAD).unwrap();
+        // After draining the first frame, the second parses too.
+        let got = parse_frame_prefix(&blob[first.len()..], MAX_REQUEST_PAYLOAD).unwrap();
         assert_eq!(
             got,
             FramePrefix::Complete {
-                version: PROTOCOL_VERSION_V1,
-                payload,
-                consumed: f1.len(),
+                payload: Request::Ping.encode_to_vec(),
+                consumed: second.len(),
             }
         );
-        assert_eq!(f2.len(), f1.len() + FRAME_EPOCH_LEN);
     }
 
     #[test]

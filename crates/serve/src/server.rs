@@ -29,8 +29,8 @@
 //! each epoch boundary: workers load the published pointer *once per
 //! request*, so an in-flight request finishes on the artifact it started
 //! with while the next request on the same connection sees the new one.
-//! Each publication carries the artifact epoch — stamped into version-2
-//! response frames — and raises the cache's staleness floors
+//! Each publication carries the artifact epoch — stamped into every
+//! response frame — and raises the cache's staleness floors
 //! ([`crate::cache::CacheFloors`]) instead of flushing it. Each worker
 //! owns one reusable [`TaintScratch`], so steady-state taint walks
 //! allocate nothing beyond their result records — the same memory model
@@ -49,9 +49,9 @@ use crate::cache::{CacheClass, CacheFloors, ShardedCache};
 use crate::conn::{Deadline, DeadlineVerdict, TICK};
 use crate::metrics::{kind_index, render_prometheus, MetricsDump, ServeMetrics, KIND_LABELS};
 use crate::protocol::{
-    frame_at, frame_v1, parse_frame_header, AddressReport, BalanceReport, ClusterReport, Request,
-    Response, ServeError, ServerStats, TaintReport, WireError, FRAME_HEADER_LEN,
-    MAX_REQUEST_PAYLOAD, PROTOCOL_VERSION,
+    frame_at, parse_frame_header, AddressReport, BalanceReport, ClusterReport, Request, Response,
+    ServeError, ServerStats, TaintReport, WireError, FRAME_EPOCH_LEN, FRAME_HEADER_LEN,
+    MAX_REQUEST_PAYLOAD,
 };
 use fistful_core::change::ChangeLabels;
 use fistful_core::snapshot::ClusterSnapshot;
@@ -502,9 +502,8 @@ fn worker_loop(shared: &Shared) {
 
 /// What one attempt to read a request frame produced.
 enum FrameRead {
-    /// A complete payload, plus the protocol version the peer framed the
-    /// request in (the response is framed in kind).
-    Payload(Vec<u8>, u8),
+    /// A complete payload.
+    Payload(Vec<u8>),
     /// The peer closed at a frame boundary.
     Eof,
     /// Shutdown was signalled while the connection sat idle.
@@ -564,13 +563,12 @@ fn read_request_frame(stream: &mut TcpStream, core: &Core) -> FrameRead {
         Ok(parsed) => parsed,
         Err(e) => return FrameRead::Bad(e),
     };
-    // Version-2 request frames carry an epoch field after the header; the
-    // field is reserved on requests (clients send zero), so the server
-    // reads and ignores it. Reading it together with the payload keeps
-    // the stall accounting in one loop.
-    let epoch_bytes = parsed.epoch_bytes();
+    // Request frames carry an epoch field after the header; the field is
+    // reserved on requests (clients send zero), so the server reads and
+    // ignores it. Reading it together with the payload keeps the stall
+    // accounting in one loop.
     let len = parsed.payload_len as usize;
-    let mut rest = vec![0u8; epoch_bytes + len];
+    let mut rest = vec![0u8; FRAME_EPOCH_LEN + len];
     let mut filled = 0usize;
     while filled < rest.len() {
         match stream.read(&mut rest[filled..]) {
@@ -595,19 +593,7 @@ fn read_request_frame(stream: &mut TcpStream, core: &Core) -> FrameRead {
             },
         }
     }
-    let payload = rest.split_off(epoch_bytes);
-    FrameRead::Payload(payload, parsed.version)
-}
-
-/// Frames an already-encoded non-`Stats` response payload for a peer
-/// speaking `version` (version-1 `Stats` bodies differ, so those take
-/// the [`Response::to_frame_v1`] path instead).
-pub(crate) fn frame_payload_for(payload: &[u8], version: u8, epoch: u64) -> Vec<u8> {
-    if version >= PROTOCOL_VERSION {
-        frame_at(payload, epoch)
-    } else {
-        frame_v1(payload)
-    }
+    FrameRead::Payload(rest.split_off(FRAME_EPOCH_LEN))
 }
 
 /// The staleness class a response is cached under, decided from its
@@ -623,18 +609,15 @@ fn cache_class_of(response: &Response) -> CacheClass {
 }
 
 /// The complete error frame answering an unacceptable request frame,
-/// framed as `version` and stamped with the current epoch — shared by
-/// both serve loops so a framing error's bytes are identical whichever
-/// loop caught it.
-pub(crate) fn framing_error_frame(core: &Core, e: &ServeError, version: u8) -> Vec<u8> {
-    let wire = Response::Error(WireError::from_serve_error(e));
-    let encoded = fistful_chain::encode::Encodable::encode_to_vec(&wire);
-    frame_payload_for(&encoded, version, core.current().epoch)
+/// stamped with the current epoch — shared by both serve loops so a
+/// framing error's bytes are identical whichever loop caught it.
+pub(crate) fn framing_error_frame(core: &Core, e: &ServeError) -> Vec<u8> {
+    Response::Error(WireError::from_serve_error(e)).to_frame_at(core.current().epoch)
 }
 
 /// Answers one request payload end to end: counter bump, artifact-
 /// generation pin, cache consult, decode, handle, oversize demotion,
-/// cache insert, and version-correct framing. Returns the complete
+/// cache insert, and epoch-stamped framing. Returns the complete
 /// response frame and whether the connection must close after sending it.
 ///
 /// This is the single request path both serve loops share — the threaded
@@ -644,7 +627,6 @@ pub(crate) fn framing_error_frame(core: &Core, e: &ServeError, version: u8) -> V
 pub(crate) fn process_request(
     core: &Core,
     payload: Vec<u8>,
-    version: u8,
     scratch: &mut TaintScratch,
 ) -> (Vec<u8>, bool) {
     // Per-type count at entry, from the raw type byte — *before* the
@@ -655,7 +637,7 @@ pub(crate) fn process_request(
     let kind = kind_index(payload.first().copied().unwrap_or(u8::MAX));
     core.metrics.requests[kind].inc();
     core.metrics.inflight.inc();
-    let result = process_request_inner(core, payload, version, scratch);
+    let result = process_request_inner(core, payload, scratch);
     core.metrics.inflight.dec();
     core.metrics.request_latency[kind].observe(started.elapsed());
     result
@@ -664,7 +646,6 @@ pub(crate) fn process_request(
 fn process_request_inner(
     core: &Core,
     payload: Vec<u8>,
-    version: u8,
     scratch: &mut TaintScratch,
 ) -> (Vec<u8>, bool) {
     core.requests.fetch_add(1, Ordering::Relaxed);
@@ -679,14 +660,14 @@ fn process_request_inner(
     // skips decoding, handling, and re-encoding alike. Only consult it
     // for request types whose answers are pure functions of the
     // artifacts (never Ping/Stats). Values are stored as payload
-    // bytes; framing is per-connection (version and current epoch).
+    // bytes; framing stamps the pinned generation's epoch.
     let cacheable = payload
         .first()
         .is_some_and(|&t| Request::type_byte_is_cacheable(t));
     if cacheable {
         if let Some(cached) = core.cache.as_ref().and_then(|c| c.get(&payload, &published.floors))
         {
-            return (frame_payload_for(&cached, version, published.epoch), false);
+            return (frame_at(&cached, published.epoch), false);
         }
     }
 
@@ -714,13 +695,7 @@ fn process_request_inner(
             cache.insert(payload, encoded.clone(), published.epoch, cache_class_of(&response));
         }
     }
-    // Stats responses have a distinct legacy body; everything else is
-    // byte-identical across versions and only the framing differs.
-    let framed = match (&response, version) {
-        (Response::Stats(_), v) if v < PROTOCOL_VERSION => response.to_frame_v1(),
-        _ => frame_payload_for(&encoded, version, published.epoch),
-    };
-    (framed, close_after)
+    (frame_at(&encoded, published.epoch), close_after)
 }
 
 /// Serves one connection until EOF, a protocol error, or shutdown.
@@ -730,10 +705,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, scratch: &mut TaintS
         return;
     }
     let core = &*shared.core;
-    // Until the first request frame parses, errors are framed as the
-    // current protocol version (a peer whose magic or version byte is
-    // garbage has no known dialect to answer in).
-    let mut version = PROTOCOL_VERSION;
     loop {
         // Between requests is the drain point: the previous request (if
         // any) was answered in full; if shutdown has been signalled, close
@@ -744,20 +715,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, scratch: &mut TaintS
             return;
         }
         let payload = match read_request_frame(&mut stream, core) {
-            FrameRead::Payload(payload, v) => {
-                version = v;
-                payload
-            }
+            FrameRead::Payload(payload) => payload,
             FrameRead::Eof | FrameRead::Shutdown => return,
             FrameRead::Bad(e) => {
                 // Tell the peer what was wrong with its frame, then close:
                 // after a framing error the stream cannot be resynced.
-                let _ = stream.write_all(&framing_error_frame(core, &e, version));
+                let _ = stream.write_all(&framing_error_frame(core, &e));
                 close_gracefully(stream);
                 return;
             }
         };
-        let (framed, close_after) = process_request(core, payload, version, scratch);
+        let (framed, close_after) = process_request(core, payload, scratch);
         if stream.write_all(&framed).is_err() {
             return;
         }

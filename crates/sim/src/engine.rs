@@ -1652,6 +1652,13 @@ mod tests {
         let a = Economy::run(SimConfig::tiny());
         let b = Economy::run(SimConfig::tiny());
         assert_eq!(a.chain.tip_hash(), b.chain.tip_hash());
+        // The tip hash commits to every header and, through the merkle
+        // roots, to every transaction byte (witnesses included): a change
+        // that moves any encoded byte of the chain moves this pin.
+        assert_eq!(
+            a.chain.tip_hash().to_hex(),
+            "c67a5c0a9e9871887d6aa4346c18ecdf76e72d8af0c0714e2fd6256de9a18b1f"
+        );
         let mut cfg = SimConfig::tiny();
         cfg.seed ^= 1;
         let c = Economy::run(cfg);

@@ -1,6 +1,7 @@
 //! A Bitcoin economy simulator with complete ground truth.
 //!
-//! This crate substitutes for the real 2013 block chain (see DESIGN.md):
+//! This crate substitutes for the real 2013 block chain (see
+//! ARCHITECTURE.md):
 //! it drives the service categories of Table 1 — mining pools, wallet
 //! services, bank and fixed-rate exchanges, vendors and payment gateways,
 //! dice games, mixes, investment schemes — plus ordinary users, through

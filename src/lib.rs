@@ -3,10 +3,9 @@
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
-//! * [`crypto`] — from-scratch SHA-256 / RIPEMD-160 / Base58Check /
-//!   secp256k1 ECDSA.
+//! * [`crypto`] — from-scratch SHA-256 / RIPEMD-160 / Base58Check.
 //! * [`chain`] — a Bitcoin-style block-chain substrate (transactions,
-//!   blocks, UTXO set, consensus validation).
+//!   blocks, UTXO set, value and structure validation).
 //! * [`net`] — a discrete-event simulator of the Bitcoin P2P gossip network.
 //! * [`sim`] — a Bitcoin economy simulator with ground-truth ownership,
 //!   modelling the service categories and idioms of use the paper studies.

@@ -154,6 +154,8 @@ fn malformed_frames_get_identical_typed_errors_from_both_loops() {
     bad_magic[0] = b'X';
     let mut bad_version = Request::Ping.to_frame();
     bad_version[4] = PROTOCOL_VERSION + 1;
+    let mut retired_v1 = Request::Ping.to_frame();
+    retired_v1[4] = 1;
     let mut oversized = Vec::new();
     oversized.extend_from_slice(&PROTOCOL_MAGIC);
     oversized.push(PROTOCOL_VERSION);
@@ -163,6 +165,7 @@ fn malformed_frames_get_identical_typed_errors_from_both_loops() {
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("bad magic", bad_magic),
         ("bad version", bad_version),
+        ("retired version 1", retired_v1),
         ("oversized declared length", oversized),
         ("unknown request type", frame(&[0x07, 0x01, 0x02])),
         ("empty payload", frame(&[])),

@@ -13,9 +13,10 @@ use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
 fn crypto_layer_is_reachable() {
     let digest = fistful::crypto::sha256::sha256d(b"a fistful of bitcoins");
     assert_ne!(digest.0, [0u8; 32]);
-    let kp = fistful::crypto::keys::KeyPair::from_seed(42);
-    let sig = kp.sign(&digest);
-    assert!(kp.public().verify(&digest, &sig));
+    let text = fistful::crypto::base58::check_encode(0x00, digest.as_bytes());
+    let (version, payload) = fistful::crypto::base58::check_decode(&text).unwrap();
+    assert_eq!(version, 0x00);
+    assert_eq!(payload, digest.as_bytes());
 }
 
 #[test]

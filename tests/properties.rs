@@ -48,24 +48,6 @@ proptest! {
         let (back, _) = sum.overflowing_sub(&y);
         prop_assert_eq!(back, x);
     }
-
-    #[test]
-    fn field_mul_matches_generic_reduction(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        use fistful::crypto::field::{Fe, P};
-        let x = Fe::from_be_bytes(&a);
-        let y = Fe::from_be_bytes(&b);
-        let fast = x.mul(&y);
-        let slow = Fe::from_u256(x.to_u256().mul_wide(&y.to_u256()).rem(&P));
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn scalar_mul_commutes(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        use fistful::crypto::scalar::Scalar;
-        let x = Scalar::from_be_bytes(&a);
-        let y = Scalar::from_be_bytes(&b);
-        prop_assert_eq!(x.mul(&y), y.mul(&x));
-    }
 }
 
 // ---------- chain encoding ----------
@@ -838,16 +820,13 @@ proptest! {
             prop_assert_eq!(response.encode_to_vec(), bytes.clone());
         }
         // The frame-header check is total too, never admits a length
-        // beyond the receiver's cap, and only ever accepts the two known
-        // protocol versions.
+        // beyond the receiver's cap, and only ever accepts the one
+        // protocol version.
         if let Ok(parsed) =
             fistful::serve::protocol::parse_frame_header(&header, fistful::serve::MAX_REQUEST_PAYLOAD)
         {
             prop_assert!(parsed.payload_len <= fistful::serve::MAX_REQUEST_PAYLOAD);
-            prop_assert!(
-                parsed.version == fistful::serve::PROTOCOL_VERSION_V1
-                    || parsed.version == fistful::serve::PROTOCOL_VERSION
-            );
+            prop_assert_eq!(header[4], fistful::serve::PROTOCOL_VERSION);
         }
     }
 
@@ -937,26 +916,18 @@ fn pipe_pair() -> &'static std::sync::Mutex<PipePair> {
     })
 }
 
-/// Reads one response frame in whichever protocol version the server
-/// chose, returning `(version, epoch, payload)`.
-fn read_frame_any(stream: &mut std::net::TcpStream) -> (u8, u64, Vec<u8>) {
-    use fistful::serve::PROTOCOL_VERSION_V1;
+/// Reads one response frame, returning `(epoch, payload)`.
+fn read_response_frame(stream: &mut std::net::TcpStream) -> (u64, Vec<u8>) {
     use std::io::Read;
-    let mut header = [0u8; 9];
+    let mut header = [0u8; 9 + 8];
     stream.read_exact(&mut header).expect("response header");
     assert_eq!(header[..4], fistful::serve::PROTOCOL_MAGIC);
-    let version = header[4];
+    assert_eq!(header[4], fistful::serve::PROTOCOL_VERSION);
     let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    let epoch = if version == PROTOCOL_VERSION_V1 {
-        0
-    } else {
-        let mut e = [0u8; 8];
-        stream.read_exact(&mut e).expect("response epoch");
-        u64::from_le_bytes(e)
-    };
+    let epoch = u64::from_le_bytes(header[9..].try_into().unwrap());
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload).expect("response payload");
-    (version, epoch, payload)
+    (epoch, payload)
 }
 
 proptest! {
@@ -964,21 +935,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Pipelining is a pure transport optimization: a random batch of
-    /// requests — mixed v1/v2 frames, coalesced into one byte blob and
-    /// written over a single connection at arbitrary chunk boundaries —
+    /// requests, coalesced into one byte blob and written over a single
+    /// connection at arbitrary chunk boundaries —
     /// yields in-order responses byte-identical to the same requests sent
     /// one at a time to the threaded server.
     #[test]
     fn pipelined_batches_match_sequential_threaded_answers(
         draws in proptest::collection::vec(
-            (any::<u8>(), any::<u32>(), any::<u64>(), any::<bool>()),
+            (any::<u8>(), any::<u32>(), any::<u64>()),
             1..12,
         ),
         chunk_seed in any::<u64>(),
     ) {
-        use fistful::serve::protocol::frame_v1;
         use fistful::serve::Request;
-        use fistful_chain::encode::Encodable;
         use std::io::Write;
 
         let mut pair = pipe_pair().lock().expect("pair poisoned");
@@ -986,21 +955,18 @@ proptest! {
         // lookups get `None` bodies, but loot stays within the graph and
         // frames stay well-formed, so the two persistent connections
         // survive every case.
-        let requests: Vec<(Request, bool)> = draws
+        let requests: Vec<Request> = draws
             .iter()
-            .map(|&(sel, a, height, v1)| {
-                let request = match sel % 6 {
-                    0 => Request::Ping,
-                    1 => Request::Stats,
-                    2 => Request::AddressInfo { address: a % (pair.address_count + 3) },
-                    3 => Request::ClusterSummary { cluster: a % (pair.cluster_count + 3) },
-                    4 => Request::TaintTrace {
-                        loot: pair.loots[a as usize % pair.loots.len()].clone(),
-                        max_txs: (height % 50 + 1) as u32,
-                    },
-                    _ => Request::BalancePoint { height: height % (pair.tip_height + 5) },
-                };
-                (request, v1)
+            .map(|&(sel, a, height)| match sel % 6 {
+                0 => Request::Ping,
+                1 => Request::Stats,
+                2 => Request::AddressInfo { address: a % (pair.address_count + 3) },
+                3 => Request::ClusterSummary { cluster: a % (pair.cluster_count + 3) },
+                4 => Request::TaintTrace {
+                    loot: pair.loots[a as usize % pair.loots.len()].clone(),
+                    max_txs: (height % 50 + 1) as u32,
+                },
+                _ => Request::BalancePoint { height: height % (pair.tip_height + 5) },
             })
             .collect();
 
@@ -1008,27 +974,18 @@ proptest! {
         // cumulative streams (and thus Stats counters and cache state)
         // match request for request.
         let mut expected = Vec::with_capacity(requests.len());
-        for (request, v1) in &requests {
-            let bytes = if *v1 {
-                frame_v1(&request.encode_to_vec())
-            } else {
-                request.to_frame()
-            };
-            pair.threaded_conn.write_all(&bytes).expect("threaded write");
+        for request in &requests {
+            pair.threaded_conn.write_all(&request.to_frame()).expect("threaded write");
             let conn = &mut pair.threaded_conn;
-            expected.push(read_frame_any(conn));
+            expected.push(read_response_frame(conn));
         }
 
         // The same batch as one coalesced blob, chopped at arbitrary
         // boundaries (with pauses, so the server genuinely sees partial
         // frames), pipelined over the event connection.
         let mut blob = Vec::new();
-        for (request, v1) in &requests {
-            if *v1 {
-                blob.extend_from_slice(&frame_v1(&request.encode_to_vec()));
-            } else {
-                blob.extend_from_slice(&request.to_frame());
-            }
+        for request in &requests {
+            blob.extend_from_slice(&request.to_frame());
         }
         let mut lcg = chunk_seed | 1;
         let mut at = 0usize;
@@ -1045,7 +1002,7 @@ proptest! {
         }
         for (i, want) in expected.iter().enumerate() {
             let conn = &mut pair.event_conn;
-            let got = read_frame_any(conn);
+            let got = read_response_frame(conn);
             assert_eq!(&got, want, "response #{} diverged (request {:?})", i, requests[i]);
         }
     }

@@ -181,10 +181,12 @@ fn malformed_oversized_and_wrong_version_frames_close_cleanly() {
     bad_magic[0] = b'X';
     expect_error_then_close(addr, &bad_magic, ErrorCode::BadMagic);
 
-    // Wrong version.
-    let mut bad_version = Request::Ping.to_frame();
-    bad_version[4] = PROTOCOL_VERSION + 1;
-    expect_error_then_close(addr, &bad_version, ErrorCode::UnsupportedVersion);
+    // Wrong version: the next one, and the retired version 1.
+    for version in [PROTOCOL_VERSION + 1, 1] {
+        let mut bad_version = Request::Ping.to_frame();
+        bad_version[4] = version;
+        expect_error_then_close(addr, &bad_version, ErrorCode::UnsupportedVersion);
+    }
 
     // Oversized: the declared length alone must be rejected, before any
     // payload is sent (or allocated server-side).
