@@ -366,36 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_queue_holds_tip_decisions_until_window_elapses() {
-        let mut t = TestChain::new();
-        let cb1 = t.coinbase(1, 50);
-        let _cb2 = t.coinbase(2, 50);
-        // Height 2: change to fresh 4 — decidable only at height 2 + 3.
-        let _tx = t.tx(&[(cb1, 0)], &[(2, 30), (4, 20)]);
-        let mut cfg = ChangeConfig::naive();
-        cfg.wait_blocks = Some(3);
-        let mut inc = IncrementalClusterer::with_h2(cfg);
-        for block in t.chain.blocks() {
-            inc.ingest_block(&block);
-        }
-        // The window (heights 2..=5) is not fully visible at tip height 2.
-        assert_eq!(inc.pending_decisions(), 1);
-        assert_eq!(inc.change_labels().unwrap().labels, 0);
-        assert!(!inc.same_cluster(t.id(1), t.id(4)));
-
-        // Grow the chain past the window; the decision finalizes on ingest.
-        let _cb3 = t.coinbase(3, 50); // height 3
-        let _cb5 = t.coinbase(5, 50); // height 4
-        let _cb6 = t.coinbase(6, 50); // height 5
-        for block in t.chain.blocks().skip(inc.block_count()) {
-            inc.ingest_block(&block);
-        }
-        assert_eq!(inc.pending_decisions(), 0);
-        assert_eq!(inc.change_labels().unwrap().labels, 1);
-        assert!(inc.same_cluster(t.id(1), t.id(4)));
-    }
-
-    #[test]
     fn mid_stream_snapshots_are_consistent() {
         let t = scenario();
         let mut inc = IncrementalClusterer::with_h2(ChangeConfig::naive());

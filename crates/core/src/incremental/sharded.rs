@@ -624,6 +624,36 @@ mod tests {
     }
 
     #[test]
+    fn pending_queue_holds_tip_decisions_until_window_elapses() {
+        let mut t = TestChain::new();
+        let cb1 = t.coinbase(1, 50);
+        let _cb2 = t.coinbase(2, 50);
+        // Height 2: change to fresh 4 — decidable only at height 2 + 3.
+        let _tx = t.tx(&[(cb1, 0)], &[(2, 30), (4, 20)]);
+        let mut cfg = ChangeConfig::naive();
+        cfg.wait_blocks = Some(3);
+        let mut ingest = ShardedIngest::new(IngestConfig::with_h2(1, 1, cfg));
+        for block in t.chain.blocks() {
+            ingest.ingest_block(&block);
+        }
+        // The window (heights 2..=5) is not fully visible at tip height 2.
+        assert_eq!(ingest.pending_decisions(), 1);
+        assert_eq!(ingest.change_labels().unwrap().labels, 0);
+        assert!(!ingest.same_cluster(t.id(1), t.id(4)));
+
+        // Grow the chain past the window; the decision finalizes on ingest.
+        let _cb3 = t.coinbase(3, 50); // height 3
+        let _cb5 = t.coinbase(5, 50); // height 4
+        let _cb6 = t.coinbase(6, 50); // height 5
+        for block in t.chain.blocks().skip(ingest.block_count()) {
+            ingest.ingest_block(&block);
+        }
+        assert_eq!(ingest.pending_decisions(), 0);
+        assert_eq!(ingest.change_labels().unwrap().labels, 1);
+        assert!(ingest.same_cluster(t.id(1), t.id(4)));
+    }
+
+    #[test]
     fn cluster_representatives_are_shard_count_independent() {
         let t = scenario();
         let reps: Vec<Vec<u32>> = [1usize, 2, 4, 8]

@@ -1,13 +1,13 @@
-//! End-to-end equivalence: the incremental clustering engine and the
-//! sharded ingest pipeline, fed a simulated economy block by block, must
-//! land on exactly the partition (and Heuristic 2 label set) the batch
-//! `Clusterer` derives in one pass — the sharded one for every shard count
-//! and epoch length.
+//! End-to-end equivalence: the sharded ingest pipeline, fed a simulated
+//! economy block by block, must land on exactly the partition (and
+//! Heuristic 2 label set) the batch `Clusterer` derives in one pass, for
+//! every shard count and epoch length. `IngestConfig { shards: 1,
+//! epoch_blocks: 1 }` runs it one block at a time on one thread, so the
+//! wait-to-label queue is resolved after every block.
 
 use fistful::core::change::{ChangeConfig, BLOCKS_PER_DAY};
 use fistful::core::cluster::{Clusterer, Clustering};
 use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
-use fistful::core::incremental::IncrementalClusterer;
 use fistful::sim::{Economy, SimConfig};
 use std::sync::OnceLock;
 
@@ -17,31 +17,15 @@ fn economy() -> &'static Economy {
     ECO.get_or_init(|| Economy::run(SimConfig::default()))
 }
 
-/// Replays the whole chain block by block and snapshots the final state.
-/// Also sanity-checks the cheap between-block queries along the way.
-fn replay(chain: &fistful::chain::resolve::ResolvedChain, mut inc: IncrementalClusterer) -> (Clustering, usize) {
-    let mut max_pending = 0;
-    for block in chain.blocks() {
-        inc.ingest_block(&block);
-        max_pending = max_pending.max(inc.pending_decisions());
-    }
-    inc.flush(chain);
-    assert_eq!(inc.pending_decisions(), 0, "flush resolves every pending decision");
-    assert_eq!(inc.tx_count(), chain.tx_count());
-    assert_eq!(inc.block_count(), chain.block_count());
-    assert_eq!(inc.address_count(), chain.address_count());
-    (inc.snapshot(), max_pending)
-}
-
 /// Full equivalence: same dense assignment (both sides label clusters by
 /// first appearance, so equal partitions give equal vectors), same sizes,
 /// same labels, same skip accounting.
-fn assert_equivalent(inc: &Clustering, batch: &Clustering) {
-    assert_eq!(inc.assignment, batch.assignment);
-    assert_eq!(inc.sizes, batch.sizes);
-    assert_eq!(inc.cluster_count(), batch.cluster_count());
-    assert_eq!(inc.size_histogram(), batch.size_histogram());
-    match (&inc.change_labels, &batch.change_labels) {
+fn assert_equivalent(got: &Clustering, batch: &Clustering) {
+    assert_eq!(got.assignment, batch.assignment);
+    assert_eq!(got.sizes, batch.sizes);
+    assert_eq!(got.cluster_count(), batch.cluster_count());
+    assert_eq!(got.size_histogram(), batch.size_histogram());
+    match (&got.change_labels, &batch.change_labels) {
         (Some(a), Some(b)) => {
             assert_eq!(a.vout_of, b.vout_of);
             assert_eq!(a.labels, b.labels);
@@ -52,32 +36,53 @@ fn assert_equivalent(inc: &Clustering, batch: &Clustering) {
     }
 }
 
+/// Replays the whole chain through the sharded pipeline and snapshots.
+/// Also returns the largest number of wait-to-label decisions parked
+/// between blocks.
+fn replay_sharded(
+    chain: &fistful::chain::resolve::ResolvedChain,
+    config: IngestConfig,
+) -> (Clustering, usize) {
+    let mut ingest = ShardedIngest::new(config);
+    let mut max_pending = 0;
+    for block in chain.blocks() {
+        ingest.ingest_block(&block);
+        max_pending = max_pending.max(ingest.pending_decisions());
+    }
+    ingest.flush(chain);
+    assert_eq!(ingest.pending_decisions(), 0, "flush resolves every pending decision");
+    assert_eq!(ingest.tx_count(), chain.tx_count());
+    assert_eq!(ingest.block_count(), chain.block_count());
+    assert_eq!(ingest.address_count(), chain.address_count());
+    (ingest.snapshot(), max_pending)
+}
+
 #[test]
-fn incremental_matches_batch_h1_only() {
+fn sharded_matches_batch_h1_only() {
     let chain = economy().chain.resolved();
     let batch = Clusterer::h1_only().run(chain);
-    let (inc, _) = replay(chain, IncrementalClusterer::h1_only());
-    assert_equivalent(&inc, &batch);
-    // In H1-only mode even the statistics coincide.
-    assert_eq!(inc.h1_stats, batch.h1_stats);
     assert!(batch.cluster_count() > 100, "economy produced a real chain");
+    for (shards, epoch) in [(1, 1), (1, 4), (2, 4), (4, 4), (8, 4)] {
+        let (sharded, _) = replay_sharded(chain, IngestConfig::h1_only(shards, epoch));
+        assert_equivalent(&sharded, &batch);
+        // In H1-only mode even the statistics coincide: reconcile counts
+        // exactly the merges that reduce the global component count.
+        assert_eq!(sharded.h1_stats, batch.h1_stats, "{shards} shards, epoch {epoch}");
+    }
 }
 
 #[test]
-fn incremental_matches_batch_with_h2() {
+fn sharded_matches_batch_with_wait_window_and_refinements() {
     let chain = economy().chain.resolved();
-    let cfg = ChangeConfig::naive();
-    let batch = Clusterer::with_h2(cfg.clone()).run(chain);
-    let (inc, max_pending) = replay(chain, IncrementalClusterer::with_h2(cfg));
-    assert_equivalent(&inc, &batch);
-    assert!(batch.change_labels.as_ref().unwrap().labels > 100);
-    // No wait window configured ⟹ nothing was ever parked.
+
+    // Naive H2, one block at a time: no wait window, so nothing is parked.
+    let naive = Clusterer::with_h2(ChangeConfig::naive()).run(chain);
+    let (sharded, max_pending) =
+        replay_sharded(chain, IngestConfig::with_h2(1, 1, ChangeConfig::naive()));
+    assert_equivalent(&sharded, &naive);
+    assert!(naive.change_labels.as_ref().unwrap().labels > 100);
     assert_eq!(max_pending, 0);
-}
 
-#[test]
-fn incremental_matches_batch_with_wait_window() {
-    let chain = economy().chain.resolved();
     // The refined-style configuration: wait window plus both exclusions,
     // so the pending-decision queue and every scanner refinement all see
     // real traffic.
@@ -86,65 +91,22 @@ fn incremental_matches_batch_with_wait_window() {
     cfg.skip_reused_change = true;
     cfg.skip_prior_self_change = true;
     let batch = Clusterer::with_h2(cfg.clone()).run(chain);
-    let (inc, max_pending) = replay(chain, IncrementalClusterer::with_h2(cfg));
-    assert_equivalent(&inc, &batch);
-    assert!(batch.change_labels.as_ref().unwrap().labels > 0);
-    assert!(
-        max_pending > 0,
-        "a {BLOCKS_PER_DAY}-block wait must park decisions at the tip"
-    );
-}
-
-/// Replays the whole chain through the sharded pipeline and snapshots.
-fn replay_sharded(
-    chain: &fistful::chain::resolve::ResolvedChain,
-    config: IngestConfig,
-) -> Clustering {
-    let mut ingest = ShardedIngest::new(config);
-    for block in chain.blocks() {
-        ingest.ingest_block(&block);
-    }
-    ingest.flush(chain);
-    assert_eq!(ingest.pending_decisions(), 0, "flush resolves every pending decision");
-    assert_eq!(ingest.tx_count(), chain.tx_count());
-    assert_eq!(ingest.block_count(), chain.block_count());
-    assert_eq!(ingest.address_count(), chain.address_count());
-    ingest.snapshot()
-}
-
-#[test]
-fn sharded_matches_batch_and_incremental_h1_only() {
-    let chain = economy().chain.resolved();
-    let batch = Clusterer::h1_only().run(chain);
-    let (inc, _) = replay(chain, IncrementalClusterer::h1_only());
-    for shards in [1, 2, 4, 8] {
-        let sharded = replay_sharded(chain, IngestConfig::h1_only(shards, 4));
+    for (shards, epoch) in [(1, 1), (4, 1), (4, 16), (8, 7)] {
+        let (sharded, max_pending) =
+            replay_sharded(chain, IngestConfig::with_h2(shards, epoch, cfg.clone()));
         assert_equivalent(&sharded, &batch);
-        assert_equivalent(&sharded, &inc);
-        // In H1-only mode even the statistics coincide: reconcile counts
-        // exactly the merges that reduce the global component count.
-        assert_eq!(sharded.h1_stats, batch.h1_stats, "{shards} shards");
-    }
-}
-
-#[test]
-fn sharded_matches_batch_with_wait_window_and_refinements() {
-    let chain = economy().chain.resolved();
-    let mut cfg = ChangeConfig::naive();
-    cfg.wait_blocks = Some(BLOCKS_PER_DAY);
-    cfg.skip_reused_change = true;
-    cfg.skip_prior_self_change = true;
-    let batch = Clusterer::with_h2(cfg.clone()).run(chain);
-    for (shards, epoch) in [(4, 1), (4, 16), (8, 7)] {
-        let sharded = replay_sharded(chain, IngestConfig::with_h2(shards, epoch, cfg.clone()));
-        assert_equivalent(&sharded, &batch);
+        assert!(
+            max_pending > 0,
+            "a {BLOCKS_PER_DAY}-block wait must park decisions at the tip \
+             ({shards} shards, epoch {epoch})"
+        );
     }
     assert!(batch.change_labels.as_ref().unwrap().labels > 0);
 }
 
 #[test]
 fn sharded_sweep_matches_batch_on_tiny_economy() {
-    // The full sweep the tentpole promises: shards × epochs × H2 modes.
+    // The full sweep: shards × epochs × H2 modes.
     let eco = Economy::run(SimConfig::tiny());
     let chain = eco.chain.resolved();
     let mut wait = ChangeConfig::naive();
@@ -159,7 +121,7 @@ fn sharded_sweep_matches_batch_on_tiny_economy() {
         for shards in [1, 2, 4, 8] {
             for epoch in [1, 4, 16] {
                 let config = IngestConfig { shards, epoch_blocks: epoch, h2: h2.clone() };
-                let sharded = replay_sharded(chain, config);
+                let (sharded, _) = replay_sharded(chain, config);
                 assert_equivalent(&sharded, &batch);
             }
         }
@@ -195,16 +157,17 @@ fn sharded_cluster_ids_are_shard_count_independent() {
 }
 
 #[test]
-fn incremental_matches_batch_with_short_wait_window() {
-    // A short window exercises mid-stream finalization (decisions both
-    // enter and leave the queue while blocks are still arriving).
+fn sharded_matches_batch_with_short_wait_windows() {
+    // A short window with one-block epochs exercises mid-stream
+    // finalization (decisions both enter and leave the queue while blocks
+    // are still arriving).
     let eco = Economy::run(SimConfig::tiny());
     let chain = eco.chain.resolved();
     for window in [0, 1, 5, 20] {
         let mut cfg = ChangeConfig::naive();
         cfg.wait_blocks = Some(window);
         let batch = Clusterer::with_h2(cfg.clone()).run(chain);
-        let (inc, _) = replay(chain, IncrementalClusterer::with_h2(cfg));
-        assert_equivalent(&inc, &batch);
+        let (sharded, _) = replay_sharded(chain, IngestConfig::with_h2(1, 1, cfg));
+        assert_equivalent(&sharded, &batch);
     }
 }

@@ -254,18 +254,17 @@ proptest! {
     }
 }
 
-// ---------- sharded ingest differential: sharded vs batch vs incremental ----------
+// ---------- sharded ingest differential: sharded vs batch ----------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On arbitrary chains, the sharded ingest pipeline must land on
-    /// exactly the batch partition and label set — and agree with the
-    /// per-block incremental engine — for every shard count in {1,2,4,8}
-    /// and epoch length in {1,4,16}, with and without Heuristic 2 and the
-    /// wait-to-label window.
+    /// exactly the batch partition and label set for every shard count in
+    /// {1,2,4,8} and epoch length in {1,4,16}, with and without Heuristic 2
+    /// and the wait-to-label window.
     #[test]
-    fn sharded_ingest_matches_batch_and_incremental(
+    fn sharded_ingest_matches_batch(
         seed in any::<u64>(),
         txs in 20usize..120,
         shards_idx in 0usize..4,
@@ -274,7 +273,6 @@ proptest! {
         window in 0u64..12,
     ) {
         use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
-        use fistful::core::incremental::IncrementalClusterer;
 
         let shards = [1usize, 2, 4, 8][shards_idx];
         let epoch = [1usize, 4, 16][epoch_idx];
@@ -296,28 +294,20 @@ proptest! {
             Some(cfg) => Clusterer::with_h2(cfg.clone()).run(chain),
             None => Clusterer::h1_only().run(chain),
         };
-        let mut inc = match &h2 {
-            Some(cfg) => IncrementalClusterer::with_h2(cfg.clone()),
-            None => IncrementalClusterer::h1_only(),
-        };
         let mut sharded = ShardedIngest::new(IngestConfig {
             shards,
             epoch_blocks: epoch,
             h2,
         });
         for block in chain.blocks() {
-            inc.ingest_block(&block);
             sharded.ingest_block(&block);
         }
-        inc.flush(chain);
         sharded.flush(chain);
         prop_assert_eq!(sharded.pending_decisions(), 0);
 
-        let inc_snap = inc.snapshot();
         let shard_snap = sharded.snapshot();
         prop_assert_eq!(&shard_snap.assignment, &batch.assignment);
         prop_assert_eq!(&shard_snap.sizes, &batch.sizes);
-        prop_assert_eq!(&shard_snap.assignment, &inc_snap.assignment);
         match (&shard_snap.change_labels, &batch.change_labels) {
             (Some(a), Some(b)) => {
                 prop_assert_eq!(&a.vout_of, &b.vout_of);
