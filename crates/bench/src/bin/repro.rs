@@ -28,7 +28,6 @@ use fistful_core::change::{self, ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
 use fistful_core::cluster::{Clusterer, Clustering};
 use fistful_core::fp;
 use fistful_core::incremental::sharded::{IngestConfig, ShardedIngest};
-use fistful_core::incremental::IncrementalClusterer;
 use fistful_core::metrics::{amplification, score_change_labels, score_clustering};
 use fistful_core::naming::name_clusters;
 use fistful_core::snapshot::ClusterSnapshot;
@@ -545,10 +544,9 @@ fn taint(scale: &str, names: &[String], threads: usize, max_txs: usize) {
 }
 
 /// `ingest`: the sharded ingest sweep. Replays the economy block by block
-/// through [`ShardedIngest`] at every requested shard count (plus the
-/// batch and per-block incremental engines as baselines), asserts each
-/// sweep point lands on exactly the batch clustering, and reports
-/// per-block ingest cost per engine.
+/// through [`ShardedIngest`] at every requested shard count, asserts each
+/// sweep point lands on exactly the batch clustering (the first row), and
+/// reports per-block ingest cost per row.
 fn ingest(scale: &str, shards: &[usize], epoch: usize) {
     let cfg = sim_config(scale);
     eprintln!(
@@ -582,23 +580,11 @@ fn ingest(scale: &str, shards: &[usize], epoch: usize) {
         );
     };
 
-    // Baseline 1: the one-pass batch clusterer (ground truth).
+    // Baseline: the one-pass batch clusterer (ground truth).
     let t = std::time::Instant::now();
     let batch = Clusterer::with_h2(h2.clone()).run(chain);
     let batch_secs = t.elapsed().as_secs_f64();
     row("batch", 0, batch_secs, batch.cluster_count());
-
-    // Baseline 2: the single-threaded per-block incremental engine.
-    let t = std::time::Instant::now();
-    let mut inc = IncrementalClusterer::with_h2(h2.clone());
-    for block in chain.blocks() {
-        inc.ingest_block(&block);
-    }
-    inc.flush(chain);
-    let inc_snapshot = inc.snapshot();
-    let inc_secs = t.elapsed().as_secs_f64();
-    assert_clusterings_match("incremental", &inc_snapshot, &batch);
-    row("incremental", 0, inc_secs, inc_snapshot.cluster_count());
 
     // The sweep: the sharded pipeline at every requested shard count. On a
     // single-core box this proves correctness scaling (identical output at

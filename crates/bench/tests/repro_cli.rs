@@ -197,8 +197,8 @@ fn ingest_sweeps_shard_counts_and_matches_batch_at_tiny_scale() {
     assert!(stdout.contains("reproduced the batch clustering exactly"), "{stdout}");
     assert!(stdout.contains("epoch = 8 block(s)"), "{stdout}");
 
-    // One table row per engine: batch + incremental baselines, then one
-    // per swept shard count, every one with the same cluster count.
+    // One table row for the batch baseline, then one per swept shard
+    // count, every one with the same cluster count.
     let rows: Vec<Vec<&str>> = stdout
         .lines()
         .map(|l| l.split_whitespace().collect::<Vec<_>>())
@@ -207,7 +207,7 @@ fn ingest_sweeps_shard_counts_and_matches_batch_at_tiny_scale() {
     let engines: Vec<(&str, &str)> = rows.iter().map(|cols| (cols[0], cols[1])).collect();
     assert_eq!(
         engines,
-        [("batch", "0"), ("incremental", "0"), ("sharded", "1"), ("sharded", "3")],
+        [("batch", "0"), ("sharded", "1"), ("sharded", "3")],
         "{stdout}"
     );
     assert!(rows.iter().all(|cols| cols[4] == rows[0][4]), "{stdout}");

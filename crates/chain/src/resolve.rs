@@ -89,7 +89,7 @@ pub type BlockId = u32;
 
 /// One block's slice of a [`ResolvedChain`]: the transactions that were
 /// confirmed together at one height. This is the unit of replay consumed by
-/// the incremental clustering engine (`fistful_core::incremental`).
+/// the sharded ingest pipeline (`fistful_core::incremental::sharded`).
 #[derive(Clone, Copy)]
 pub struct ResolvedBlockView<'a> {
     chain: &'a ResolvedChain,

@@ -246,14 +246,14 @@ pub(crate) fn fresh_candidate(
 }
 
 /// The running per-address state behind Heuristic 2's "previous
-/// transactions" conditions, factored out so the batch [`identify`] pass,
-/// the incremental engine (`crate::incremental`) and the sharded pipeline
-/// (`crate::incremental::sharded`) share one decision procedure.
+/// transactions" conditions, factored out so the batch [`identify`] pass
+/// and the sharded pipeline (`crate::incremental::sharded`) share one
+/// decision procedure.
 ///
 /// Feed transactions in chain order: call [`decide`](Self::decide) *before*
 /// [`absorb`](Self::absorb) for each transaction, so "previous" always means
 /// strictly-earlier transactions. State grows on demand as new addresses
-/// appear, which is what lets the incremental path use it without knowing
+/// appear, which is what lets the sharded pipeline use it without knowing
 /// the final address count up front.
 ///
 /// A scanner can be restricted to one shard of the address space
@@ -274,18 +274,7 @@ pub struct ChangeScanner {
     stride: u32,
 }
 
-impl Default for ChangeScanner {
-    fn default() -> ChangeScanner {
-        ChangeScanner::for_shard(0, 1)
-    }
-}
-
 impl ChangeScanner {
-    /// A scanner with no history, covering the whole address space.
-    pub fn new() -> ChangeScanner {
-        ChangeScanner::default()
-    }
-
     /// A scanner pre-sized for `n_addr` addresses (batch path).
     pub fn with_capacity(n_addr: usize) -> ChangeScanner {
         ChangeScanner {
@@ -346,8 +335,8 @@ impl ChangeScanner {
     /// The per-transaction labelling decision (conditions 1–4 plus the
     /// non-temporal refinements), against the history absorbed so far.
     /// The temporal wait-to-label refinement is the caller's concern: batch
-    /// labelling looks ahead with [`receives_again_within`]; the incremental
-    /// engine parks the decision in its pending queue.
+    /// labelling looks ahead with [`receives_again_within`]; the sharded
+    /// pipeline parks the decision in its pending queue.
     ///
     /// Only valid on an unsharded scanner (a sharded one sees a subset of
     /// the history; the sharded pipeline combines per-shard vetoes at
@@ -713,7 +702,7 @@ mod tests {
         let chain = &t.chain;
 
         for shards in [2u32, 3, 4] {
-            let mut whole = ChangeScanner::new();
+            let mut whole = ChangeScanner::for_shard(0, 1);
             let mut parts: Vec<ChangeScanner> =
                 (0..shards).map(|s| ChangeScanner::for_shard(s, shards)).collect();
             for tx in &chain.txs {

@@ -7,9 +7,8 @@ use fistful_chain::resolve::{AddressId, ResolvedChain, TxId};
 
 /// The Heuristic 2 amplification rule: a labelled change address joins the
 /// transaction's input user (whose addresses Heuristic 1 already linked).
-/// Shared by the batch [`Clusterer`] and the incremental engine so both
-/// apply exactly the same link.
-pub(crate) fn link_change(
+/// The sharded pipeline applies the same link to its global forest.
+fn link_change(
     uf: &mut UnionFind,
     chain: &ResolvedChain,
     tx: TxId,

@@ -5,7 +5,7 @@
 //! of the protocol — every input must be signed by its owner — and has been
 //! used by all prior work the paper builds on.
 
-use crate::union_find::{AtomicUnionFind, UnionFind};
+use crate::union_find::UnionFind;
 use fistful_chain::resolve::{ResolvedChain, ResolvedTx};
 
 /// Statistics from a Heuristic 1 pass.
@@ -19,10 +19,11 @@ pub struct H1Stats {
     pub merges: usize,
 }
 
-/// The Heuristic 1 step, generic over the union primitive (`union(a, b)`
-/// returning whether a merge happened) so the sequential, parallel and
-/// incremental paths all run this one copy and stay in lockstep.
-fn link_tx_with(tx: &ResolvedTx, mut union: impl FnMut(u32, u32) -> bool, stats: &mut H1Stats) {
+/// Links one transaction's input addresses in `uf`, updating `stats`: the
+/// Heuristic 1 step of the batch [`apply`] pass. The sharded ingest
+/// pipeline (`crate::incremental::sharded`) splits the same step across
+/// shards and reports identical statistics in H1-only mode.
+pub fn link_tx(tx: &ResolvedTx, uf: &mut UnionFind, stats: &mut H1Stats) {
     if tx.is_coinbase {
         return;
     }
@@ -34,21 +35,13 @@ fn link_tx_with(tx: &ResolvedTx, mut union: impl FnMut(u32, u32) -> bool, stats:
         if input.address != first.address {
             multi = true;
         }
-        if union(first.address, input.address) {
+        if uf.union(first.address, input.address) {
             stats.merges += 1;
         }
     }
     if multi {
         stats.multi_input_transactions += 1;
     }
-}
-
-/// Links one transaction's input addresses in `uf`, updating `stats`.
-/// This is the single Heuristic 1 step shared by the batch [`apply`] pass
-/// and the incremental engine (`crate::incremental`); both therefore merge
-/// in the same order and report identical statistics over the same prefix.
-pub fn link_tx(tx: &ResolvedTx, uf: &mut UnionFind, stats: &mut H1Stats) {
-    link_tx_with(tx, |a, b| uf.union(a, b), stats);
 }
 
 /// Applies Heuristic 1 over the whole chain, linking every transaction's
@@ -64,37 +57,6 @@ pub fn apply(chain: &ResolvedChain, uf: &mut UnionFind) -> H1Stats {
         link_tx(tx, uf, &mut stats);
     }
     stats
-}
-
-/// Parallel Heuristic 1 using the lock-free union-find; used by the
-/// ablation bench. Produces the same partition as [`apply`] (asserted by
-/// the differential property test in `tests/properties.rs`) and the same
-/// statistics: each successful merge is reported by exactly one thread's
-/// CAS, so the per-thread counts sum to the sequential merge count.
-pub fn apply_parallel(chain: &ResolvedChain, uf: &AtomicUnionFind, threads: usize) -> H1Stats {
-    assert!(uf.len() >= chain.address_count());
-    let txs = &chain.txs;
-    let chunk = txs.len().div_ceil(threads.max(1));
-    let partials = std::thread::scope(|s| {
-        let handles: Vec<_> = txs
-            .chunks(chunk.max(1))
-            .map(|part| {
-                s.spawn(move || {
-                    let mut stats = H1Stats::default();
-                    for tx in part {
-                        link_tx_with(tx, |a, b| uf.union(a, b), &mut stats);
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("h1 worker panicked")).collect::<Vec<_>>()
-    });
-    partials.into_iter().fold(H1Stats::default(), |acc, s| H1Stats {
-        transactions: acc.transactions + s.transactions,
-        multi_input_transactions: acc.multi_input_transactions + s.multi_input_transactions,
-        merges: acc.merges + s.merges,
-    })
 }
 
 #[cfg(test)]
@@ -170,24 +132,5 @@ mod tests {
         apply(&rc, &mut uf);
         // 4 addresses, one merge → 3 clusters.
         assert_eq!(uf.component_count(), 3);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let rc = tiny_chain();
-        let mut seq = UnionFind::new(rc.address_count());
-        let seq_stats = apply(&rc, &mut seq);
-        let par = AtomicUnionFind::new(rc.address_count());
-        let par_stats = apply_parallel(&rc, &par, 4);
-        for x in 0..rc.address_count() as u32 {
-            for y in 0..rc.address_count() as u32 {
-                assert_eq!(
-                    seq.same(x, y),
-                    par.find(x) == par.find(y),
-                    "pair ({x},{y})"
-                );
-            }
-        }
-        assert_eq!(par_stats, seq_stats);
     }
 }

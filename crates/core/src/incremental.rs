@@ -1,396 +1,12 @@
-//! The incremental clustering engine.
+//! Online clustering over a growing chain.
 //!
-//! The batch [`Clusterer`](crate::cluster::Clusterer) re-derives the whole
-//! partition from scratch on every call — fine for a one-shot study, wrong
-//! for a live system absorbing new blocks continuously. This module ingests
-//! blocks one at a time and maintains everything online:
-//!
-//! * the Heuristic 1 union-find and its [`H1Stats`], via the same
-//!   [`link_tx`] step the batch pass uses;
-//! * Heuristic 2's running per-address state, via the shared
-//!   [`ChangeScanner`];
-//! * a **pending-decision queue** for the wait-to-label refinement: a
-//!   provisional label needs `wait_blocks` of future history before it can
-//!   be accepted, so the decision is parked and resolved as later blocks
-//!   arrive — machinery the batch path never needed, because it can simply
-//!   look ahead.
-//!
-//! **Equivalence guarantee.** Feeding every block of a chain through
-//! [`IncrementalClusterer::ingest_block`] and then calling
-//! [`flush`](IncrementalClusterer::flush) yields a partition and change
-//! label set identical to `Clusterer::run` over the same chain with the
-//! same configuration (asserted by `tests/incremental.rs` over simulated
-//! economies). Between blocks, the state matches batch clustering of the
-//! ingested prefix, except that provisional labels within `wait_blocks` of
-//! the tip are still pending rather than decided.
-//!
-//! This engine is single-threaded by design — one block at a time, one
-//! union-find. The [`sharded`] submodule scales the same write path across
-//! cores by partitioning addresses into shard-local state and reconciling
-//! at epoch boundaries, with the same end-state guarantee.
+//! The batch [`Clusterer`](crate::cluster::Clusterer) derives the whole
+//! partition in one pass, which is what the paper does and what every
+//! online result is checked against. [`sharded`] holds the one online
+//! engine: [`ShardedIngest`](sharded::ShardedIngest) ingests blocks as they
+//! arrive, scans them on address shards, reconciles at epoch boundaries
+//! and parks wait-to-label decisions until their window has elapsed. With
+//! one shard and one-block epochs it runs one block at a time on one
+//! thread.
 
 pub mod sharded;
-
-use crate::change::{receives_again_within, ChangeConfig, ChangeLabels, ChangeScanner, SkipReason};
-use crate::cluster::{link_change, Clustering};
-use crate::heuristic1::{link_tx, H1Stats};
-use crate::union_find::UnionFind;
-use fistful_chain::resolve::{AddressId, ResolvedBlockView, ResolvedChain, ResolvedTx, TxId};
-use std::collections::VecDeque;
-
-/// A provisional change label waiting for its wait-window to elapse.
-/// Shared with the sharded pipeline ([`sharded`]), whose reconcile step
-/// parks and resolves decisions with the same rules.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingDecision {
-    /// The labelling transaction.
-    pub(crate) tx: TxId,
-    /// The candidate change output.
-    pub(crate) vout: u32,
-    /// The candidate change address.
-    pub(crate) addr: AddressId,
-    /// Height of the labelling transaction's block.
-    pub(crate) height: u64,
-}
-
-/// Online H1(+H2) clustering over a block-by-block feed.
-///
-/// Blocks must be ingested contiguously in chain order (the engine asserts
-/// it). All blocks must come from the same [`ResolvedChain`], which may keep
-/// growing between calls — the engine itself stores no chain reference.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalClusterer {
-    /// Heuristic 2 configuration; `None` runs Heuristic 1 only.
-    h2: Option<ChangeConfig>,
-    uf: UnionFind,
-    h1_stats: H1Stats,
-    scanner: ChangeScanner,
-    labels: ChangeLabels,
-    /// Wait-to-label decisions not yet old enough to finalize. Heights are
-    /// nondecreasing front to back (pushed in chain order).
-    pending: VecDeque<PendingDecision>,
-    /// The next expected transaction id (contiguity check).
-    next_tx: TxId,
-    /// Height of the last ingested block.
-    tip_height: Option<u64>,
-    blocks_ingested: usize,
-}
-
-impl IncrementalClusterer {
-    /// Heuristic 1 only (the prior-work baseline).
-    pub fn h1_only() -> IncrementalClusterer {
-        IncrementalClusterer::default()
-    }
-
-    /// Heuristic 1 plus Heuristic 2 with the given configuration.
-    pub fn with_h2(config: ChangeConfig) -> IncrementalClusterer {
-        IncrementalClusterer { h2: Some(config), ..Default::default() }
-    }
-
-    /// Ingests the next block, updating the partition, stats and pending
-    /// queue. Panics if the block does not start at the next expected
-    /// transaction (blocks must be replayed contiguously, in order).
-    ///
-    /// ```
-    /// use fistful_core::incremental::IncrementalClusterer;
-    /// use fistful_core::testutil::TestChain;
-    ///
-    /// let mut t = TestChain::new();
-    /// let cb1 = t.coinbase(1, 50);
-    /// let cb2 = t.coinbase(2, 50);
-    /// t.tx(&[(cb1, 0), (cb2, 0)], &[(3, 100)]);
-    ///
-    /// // Feed the chain block by block; queries are valid between blocks.
-    /// let mut inc = IncrementalClusterer::h1_only();
-    /// for block in t.chain.blocks() {
-    ///     inc.ingest_block(&block);
-    /// }
-    /// inc.flush(&t.chain);
-    /// assert!(inc.same_cluster(t.id(1), t.id(2)));
-    /// assert_eq!(inc.block_count(), t.chain.block_count());
-    ///
-    /// // The final state matches a one-shot batch run.
-    /// let batch = fistful_core::cluster::Clusterer::h1_only().run(&t.chain);
-    /// assert_eq!(inc.snapshot().assignment, batch.assignment);
-    /// ```
-    pub fn ingest_block(&mut self, block: &ResolvedBlockView<'_>) {
-        assert_eq!(
-            block.tx_start(),
-            self.next_tx,
-            "blocks must be ingested contiguously in chain order"
-        );
-        let chain = block.chain();
-        for (t, tx) in block.txs() {
-            self.grow_for(tx);
-            link_tx(tx, &mut self.uf, &mut self.h1_stats);
-            if let Some(config) = self.h2.as_ref() {
-                self.labels.vout_of.push(None);
-                match self.scanner.decide(chain, t, tx, config) {
-                    Ok((vout, addr)) => match config.wait_blocks {
-                        // Wait-to-label needs future blocks: park the
-                        // decision until the window has fully elapsed.
-                        Some(_) => self.pending.push_back(PendingDecision {
-                            tx: t,
-                            vout,
-                            addr,
-                            height: tx.height,
-                        }),
-                        None => {
-                            self.labels.vout_of[t as usize] = Some(vout);
-                            self.labels.labels += 1;
-                            link_change(&mut self.uf, chain, t, addr);
-                        }
-                    },
-                    Err(reason) => self.labels.note_skip(reason),
-                }
-                self.scanner.absorb(tx);
-            }
-        }
-        self.next_tx = block.tx_end();
-        self.tip_height = Some(block.height());
-        self.blocks_ingested += 1;
-        self.resolve_pending(chain, Some(block.height()));
-    }
-
-    /// Finalizes every still-pending wait-to-label decision against the
-    /// history currently in `chain`, exactly as the batch pass would at the
-    /// chain tip. Call when the feed has ended (or before comparing against
-    /// a batch run). Treat this as terminal: it accepts labels whose wait
-    /// window extends past the tip, so ingesting further blocks afterwards
-    /// can diverge from what a batch run over the longer chain would say.
-    pub fn flush(&mut self, chain: &ResolvedChain) {
-        self.resolve_pending(chain, None);
-    }
-
-    /// Resolves pending decisions whose wait-window is fully visible: with
-    /// the tip at height `H`, every block at height `<= H` has been
-    /// ingested, so a decision from height `h` is decidable once
-    /// `h + wait_blocks <= H`. `tip = None` finalizes everything.
-    fn resolve_pending(&mut self, chain: &ResolvedChain, tip: Option<u64>) {
-        let Some(config) = self.h2.as_ref() else { return };
-        let Some(window) = config.wait_blocks else { return };
-        while let Some(&p) = self.pending.front() {
-            if let Some(h) = tip {
-                if p.height.saturating_add(window) > h {
-                    break; // the queue is height-sorted: nothing further is ready
-                }
-            }
-            self.pending.pop_front();
-            if receives_again_within(chain, p.addr, p.tx, window, config) {
-                self.labels.note_skip(SkipReason::FailedWait);
-            } else {
-                self.labels.vout_of[p.tx as usize] = Some(p.vout);
-                self.labels.labels += 1;
-                link_change(&mut self.uf, chain, p.tx, p.addr);
-            }
-        }
-    }
-
-    /// Grows the union-find to cover every address `tx` mentions. Address
-    /// ids are interned densely in order of first appearance, so covering
-    /// the maximum id seen covers everything seen.
-    fn grow_for(&mut self, tx: &ResolvedTx) {
-        let max_addr = tx
-            .inputs
-            .iter()
-            .map(|i| i.address)
-            .chain(tx.outputs.iter().map(|o| o.address))
-            .max();
-        if let Some(m) = max_addr {
-            self.uf.grow(m as usize + 1);
-        }
-    }
-
-    // ----- snapshot queries (valid between blocks) -----
-
-    /// Number of addresses seen so far.
-    pub fn address_count(&self) -> usize {
-        self.uf.len()
-    }
-
-    /// Number of transactions ingested so far.
-    pub fn tx_count(&self) -> usize {
-        self.next_tx as usize
-    }
-
-    /// Number of blocks ingested so far.
-    pub fn block_count(&self) -> usize {
-        self.blocks_ingested
-    }
-
-    /// Number of clusters over the addresses seen so far.
-    pub fn cluster_count(&self) -> usize {
-        self.uf.component_count()
-    }
-
-    /// The representative of `addr`'s cluster. Representatives are stable
-    /// only as partition witnesses: two addresses are in the same cluster
-    /// iff their representatives are equal (see [`same_cluster`]).
-    ///
-    /// [`same_cluster`]: IncrementalClusterer::same_cluster
-    pub fn cluster_of(&self, addr: AddressId) -> u32 {
-        self.uf.find_immutable(addr)
-    }
-
-    /// True if `a` and `b` are currently in the same cluster.
-    pub fn same_cluster(&self, a: AddressId, b: AddressId) -> bool {
-        self.uf.find_immutable(a) == self.uf.find_immutable(b)
-    }
-
-    /// Histogram of cluster sizes: `(size, how many clusters)` sorted by
-    /// size ascending, matching [`Clustering::size_histogram`].
-    pub fn size_histogram(&self) -> Vec<(u32, usize)> {
-        use std::collections::{BTreeMap, HashMap};
-        let mut by_root: HashMap<u32, u32> = HashMap::new();
-        for x in 0..self.uf.len() as u32 {
-            *by_root.entry(self.uf.find_immutable(x)).or_default() += 1;
-        }
-        let mut hist: BTreeMap<u32, usize> = BTreeMap::new();
-        for &size in by_root.values() {
-            *hist.entry(size).or_default() += 1;
-        }
-        hist.into_iter().collect()
-    }
-
-    /// Heuristic 1 statistics over the ingested prefix. Identical to the
-    /// batch numbers in H1-only mode; with Heuristic 2 enabled, `merges`
-    /// can differ from a batch run (change links interleave with later
-    /// multi-input links) even though the final partition is identical.
-    pub fn h1_stats(&self) -> H1Stats {
-        self.h1_stats
-    }
-
-    /// Change labels decided so far (absent in H1-only mode). Labels still
-    /// in the pending queue are not yet visible here.
-    pub fn change_labels(&self) -> Option<&ChangeLabels> {
-        self.h2.as_ref().map(|_| &self.labels)
-    }
-
-    /// Number of wait-to-label decisions still parked at the tip.
-    pub fn pending_decisions(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// A dense snapshot of the current state, in the same form the batch
-    /// [`Clusterer`](crate::cluster::Clusterer) produces.
-    pub fn snapshot(&mut self) -> Clustering {
-        let (assignment, sizes) = self.uf.assignments();
-        Clustering {
-            assignment,
-            sizes,
-            h1_stats: self.h1_stats,
-            change_labels: self.h2.as_ref().map(|_| self.labels.clone()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::change::BLOCKS_PER_DAY;
-    use crate::cluster::Clusterer;
-    use crate::testutil::TestChain;
-
-    /// Replays `chain` block by block, snapshotting at the end.
-    fn replay(chain: &ResolvedChain, mut inc: IncrementalClusterer) -> Clustering {
-        for block in chain.blocks() {
-            inc.ingest_block(&block);
-        }
-        inc.flush(chain);
-        inc.snapshot()
-    }
-
-    /// Asserts two clusterings are the same partition with the same labels.
-    fn assert_equivalent(a: &Clustering, b: &Clustering) {
-        assert_eq!(a.assignment.len(), b.assignment.len());
-        // Same partition ⟹ identical dense assignments: both sides label
-        // clusters by order of first appearance.
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.sizes, b.sizes);
-        match (&a.change_labels, &b.change_labels) {
-            (Some(la), Some(lb)) => {
-                assert_eq!(la.vout_of, lb.vout_of);
-                assert_eq!(la.labels, lb.labels);
-                assert_eq!(la.skip_counts, lb.skip_counts);
-            }
-            (None, None) => {}
-            _ => panic!("one side ran H2, the other did not"),
-        }
-    }
-
-    /// A small economy: co-spends, canonical change, a wait-window reuse.
-    fn scenario() -> TestChain {
-        let mut t = TestChain::new();
-        let cb1 = t.coinbase(1, 50);
-        let cb2 = t.coinbase(2, 50);
-        let cb3 = t.coinbase(3, 50);
-        let _cb7 = t.coinbase(7, 50);
-        // Co-spend 1+2 (H1), paying seen 3 and fresh 4 (H2 change).
-        let tx1 = t.tx(&[(cb1, 0), (cb2, 0)], &[(3, 70), (4, 30)]);
-        // Canonical change by 3: pays seen 7, change to fresh 5.
-        let tx2 = t.tx(&[(cb3, 0)], &[(7, 30), (5, 20)]);
-        // Address 5 receives again soon after (fails a one-day wait).
-        let _re = t.tx(&[(tx1, 1)], &[(5, 10), (7, 19)]);
-        let _spend5 = t.tx(&[(tx2, 1)], &[(7, 19)]);
-        t
-    }
-
-    #[test]
-    fn matches_batch_h1_only() {
-        let t = scenario();
-        let batch = Clusterer::h1_only().run(&t.chain);
-        let inc = replay(&t.chain, IncrementalClusterer::h1_only());
-        assert_equivalent(&inc, &batch);
-        assert_eq!(inc.h1_stats, batch.h1_stats);
-    }
-
-    #[test]
-    fn matches_batch_with_h2_no_wait() {
-        let t = scenario();
-        let cfg = ChangeConfig::naive();
-        let batch = Clusterer::with_h2(cfg.clone()).run(&t.chain);
-        let inc = replay(&t.chain, IncrementalClusterer::with_h2(cfg));
-        assert_equivalent(&inc, &batch);
-    }
-
-    #[test]
-    fn matches_batch_with_wait_window() {
-        let t = scenario();
-        for window in [0, 1, 2, BLOCKS_PER_DAY] {
-            let mut cfg = ChangeConfig::naive();
-            cfg.wait_blocks = Some(window);
-            let batch = Clusterer::with_h2(cfg.clone()).run(&t.chain);
-            let inc = replay(&t.chain, IncrementalClusterer::with_h2(cfg));
-            assert_equivalent(&inc, &batch);
-        }
-    }
-
-    #[test]
-    fn mid_stream_snapshots_are_consistent() {
-        let t = scenario();
-        let mut inc = IncrementalClusterer::with_h2(ChangeConfig::naive());
-        for block in t.chain.blocks() {
-            inc.ingest_block(&block);
-            let total: usize = inc.size_histogram().iter().map(|&(s, n)| s as usize * n).sum();
-            assert_eq!(total, inc.address_count());
-            assert_eq!(
-                inc.size_histogram().iter().map(|&(_, n)| n).sum::<usize>(),
-                inc.cluster_count()
-            );
-        }
-        assert_eq!(inc.tx_count(), t.chain.tx_count());
-        assert_eq!(inc.block_count(), t.chain.block_count());
-        // The snapshot agrees with the cheap queries.
-        let snap = inc.snapshot();
-        assert_eq!(snap.cluster_count(), inc.cluster_count());
-        assert_eq!(snap.size_histogram(), inc.size_histogram());
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguously")]
-    fn rejects_out_of_order_blocks() {
-        let t = scenario();
-        let mut inc = IncrementalClusterer::h1_only();
-        inc.ingest_block(&t.chain.block(1));
-    }
-}

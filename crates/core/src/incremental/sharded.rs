@@ -1,9 +1,8 @@
-//! The sharded multicore ingest pipeline.
+//! The sharded multicore ingest pipeline: the online clustering engine.
 //!
-//! [`IncrementalClusterer`](crate::incremental::IncrementalClusterer)
-//! ingests one block at a time on one thread, which caps continuous ingest
-//! at single-core speed. This module shards the write path by address and
-//! reconciles at epoch boundaries:
+//! Blocks arrive one at a time, but a single-threaded write path caps
+//! continuous ingest at single-core speed. This module shards the write
+//! path by address and reconciles at epoch boundaries:
 //!
 //! * **Partition.** Address `a` belongs to shard `a % N`; transaction `t`'s
 //!   *home* shard is `t % N`. Each shard owns a local union-find
@@ -35,12 +34,12 @@
 //! **Equivalence guarantee.** Feeding every block of a chain through
 //! [`ShardedIngest::ingest_block`] and then calling
 //! [`flush`](ShardedIngest::flush) yields assignments, sizes and change
-//! labels identical to batch `Clusterer::run` and to
-//! `IncrementalClusterer` over the same chain with the same configuration,
-//! for every shard count and epoch length — asserted by the differential
-//! suites in `tests/incremental.rs` and `tests/properties.rs`. Between
-//! epochs, queries reflect the last reconciled epoch boundary (buffered
-//! blocks are not yet visible), unlike the per-block incremental engine.
+//! labels identical to batch `Clusterer::run` over the same chain with the
+//! same configuration, for every shard count and epoch length — asserted by
+//! the differential suites in `tests/incremental.rs` and
+//! `tests/properties.rs`. Between epochs, queries reflect the last
+//! reconciled epoch boundary (buffered blocks are not yet visible); with
+//! `epoch_blocks: 1` that is the last ingested block.
 //!
 //! ```
 //! use fistful_core::change::ChangeConfig;
@@ -73,7 +72,6 @@ use crate::change::{
 };
 use crate::cluster::Clustering;
 use crate::heuristic1::H1Stats;
-use crate::incremental::PendingDecision;
 use crate::snapshot::{ClusterSnapshot, SnapshotDelta};
 use crate::union_find::{MergeQueue, ShardedUnionFind, UnionFindShard};
 use fistful_chain::resolve::{
@@ -103,6 +101,19 @@ impl IngestConfig {
     pub fn with_h2(shards: usize, epoch_blocks: usize, config: ChangeConfig) -> IngestConfig {
         IngestConfig { shards, epoch_blocks, h2: Some(config) }
     }
+}
+
+/// A provisional change label waiting for its wait-window to elapse.
+#[derive(Debug, Clone, Copy)]
+struct PendingDecision {
+    /// The labelling transaction.
+    tx: TxId,
+    /// The candidate change output.
+    vout: u32,
+    /// The candidate change address.
+    addr: AddressId,
+    /// Height of the labelling transaction's block.
+    height: u64,
 }
 
 /// The transaction-local Heuristic 2 verdict a home shard computes during
@@ -207,8 +218,9 @@ impl ShardedIngest {
     /// Processes any partial final epoch, then finalizes every still-pending
     /// wait-to-label decision against the history currently in `chain`,
     /// exactly as the batch pass would at the chain tip. Treat this as
-    /// terminal, like
-    /// [`IncrementalClusterer::flush`](crate::incremental::IncrementalClusterer::flush).
+    /// terminal: it accepts labels whose wait window extends past the tip,
+    /// so ingesting further blocks afterwards can diverge from what a batch
+    /// run over the longer chain would say.
     pub fn flush(&mut self, chain: &ResolvedChain) {
         if (self.epoch_start_block as usize) < self.blocks_ingested {
             self.process_epoch(chain);
@@ -302,9 +314,10 @@ impl ShardedIngest {
         }
     }
 
-    /// Resolves pending decisions whose wait-window is fully visible — same
-    /// rules as the per-block incremental engine (`tip = None` finalizes
-    /// everything).
+    /// Resolves pending decisions whose wait-window is fully visible: with
+    /// the tip at height `H`, every block at height `<= H` has been
+    /// reconciled, so a decision from height `h` is decidable once
+    /// `h + wait_blocks <= H`. `tip = None` finalizes everything.
     fn resolve_pending(&mut self, chain: &ResolvedChain, tip: Option<u64>) {
         let Some(config) = self.config.h2.as_ref() else { return };
         let Some(window) = config.wait_blocks else { return };
@@ -373,7 +386,7 @@ impl ShardedIngest {
     /// batch numbers in H1-only mode; with Heuristic 2 enabled, `merges`
     /// can differ from a batch run (change links interleave with later
     /// epochs' multi-input links) even though the final partition is
-    /// identical — the same caveat the incremental engine documents.
+    /// identical.
     pub fn h1_stats(&self) -> H1Stats {
         self.h1_stats
     }

@@ -15,12 +15,12 @@
 //! [`cluster`] drives both heuristics over a
 //! [`ResolvedChain`](fistful_chain::resolve::ResolvedChain) with a
 //! [`union_find::UnionFind`]; [`incremental`] maintains the same partition
-//! online, block by block, for live chains; [`tagdb`] and [`naming`] turn
-//! ground-truth interactions into cluster names (and detect the
-//! super-cluster failure mode); [`snapshot`] freezes a finished clustering
-//! plus its names and aggregates into an immutable, serializable artifact
-//! served to concurrent readers; [`metrics`] scores everything against
-//! simulator ground truth.
+//! online, epoch by epoch on address shards, for live chains; [`tagdb`]
+//! and [`naming`] turn ground-truth interactions into cluster names (and
+//! detect the super-cluster failure mode); [`snapshot`] freezes a finished
+//! clustering plus its names and aggregates into an immutable, serializable
+//! artifact served to concurrent readers; [`metrics`] scores everything
+//! against simulator ground truth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,6 @@ pub mod union_find;
 pub use change::{ChangeConfig, ChangeLabels, ChangeScanner};
 pub use cluster::{Clusterer, Clustering};
 pub use incremental::sharded::{IngestConfig, ShardedIngest};
-pub use incremental::IncrementalClusterer;
 pub use naming::{NamingReport, SuperCluster};
 pub use snapshot::{ClusterInfo, ClusterSnapshot, SnapshotError};
 pub use tagdb::{Tag, TagDb, TagSource};

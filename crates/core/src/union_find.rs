@@ -1,14 +1,11 @@
 //! Disjoint-set (union-find) structures.
 //!
 //! [`UnionFind`] is the sequential workhorse (path halving + union by rank).
-//! [`AtomicUnionFind`] is a lock-free variant (union by minimum root, CAS
-//! path compression) used by the parallel clustering ablation bench.
 //! [`ShardedUnionFind`] partitions elements round-robin across shard-local
 //! forests for the sharded ingest pipeline
 //! (`crate::incremental::sharded`), reconciling local and cross-shard
 //! merges into a canonical global forest at epoch boundaries.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// Sequential disjoint-set forest with path halving and union by rank.
@@ -46,8 +43,8 @@ impl UnionFind {
     }
 
     /// Grows the structure to `n` elements, adding singletons. A no-op when
-    /// `n` is not larger than the current length. Used by the incremental
-    /// clusterer as new addresses appear block by block.
+    /// `n` is not larger than the current length. Used by
+    /// [`ShardedUnionFind`] as new addresses appear epoch by epoch.
     pub fn grow(&mut self, n: usize) {
         let old = self.parent.len();
         if n <= old {
@@ -146,101 +143,6 @@ impl UnionFind {
             sizes[*slot as usize] += 1;
         }
         (assignment, sizes)
-    }
-}
-
-/// Lock-free disjoint-set forest: union by minimum root with CAS.
-///
-/// Concurrent `union`/`find` calls are linearizable; ranks are not used, so
-/// tree depth is kept acceptable by aggressive path compression.
-pub struct AtomicUnionFind {
-    parent: Vec<AtomicU32>,
-}
-
-impl AtomicUnionFind {
-    /// Creates `n` singleton sets.
-    pub fn new(n: usize) -> AtomicUnionFind {
-        AtomicUnionFind {
-            parent: (0..n as u32).map(AtomicU32::new).collect(),
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Grows the structure to `n` elements, adding singletons (a no-op when
-    /// `n` is not larger). Requires `&mut self` — growth is a stop-the-world
-    /// operation between concurrent phases, not something racing `union`
-    /// calls may do — which is exactly the epoch-boundary shape the sharded
-    /// ingest pipeline has.
-    pub fn grow(&mut self, n: usize) {
-        let old = self.parent.len();
-        if n <= old {
-            return;
-        }
-        self.parent.extend((old as u32..n as u32).map(AtomicU32::new));
-    }
-
-    /// Finds the current representative of `x`, compressing as it goes.
-    pub fn find(&self, mut x: u32) -> u32 {
-        loop {
-            let p = self.parent[x as usize].load(Ordering::Acquire);
-            if p == x {
-                return x;
-            }
-            let gp = self.parent[p as usize].load(Ordering::Acquire);
-            if gp != p {
-                // Path halving; failure is benign.
-                let _ = self.parent[x as usize].compare_exchange(
-                    p,
-                    gp,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-            }
-            x = p;
-        }
-    }
-
-    /// Merges the sets containing `a` and `b` (smaller root wins). Returns
-    /// `true` if this call performed the merge — every successful merge is
-    /// reported by exactly one concurrent caller, so per-thread counts of
-    /// `true` returns sum to the sequential merge count.
-    pub fn union(&self, a: u32, b: u32) -> bool {
-        let mut ra = self.find(a);
-        let mut rb = self.find(b);
-        loop {
-            if ra == rb {
-                return false;
-            }
-            // Attach the larger root under the smaller (deterministic
-            // tie-break keeps the structure canonical).
-            let (hi, lo) = if ra > rb { (ra, rb) } else { (rb, ra) };
-            match self.parent[hi as usize].compare_exchange(
-                hi,
-                lo,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(_) => {
-                    ra = self.find(hi);
-                    rb = self.find(lo);
-                }
-            }
-        }
-    }
-
-    /// Snapshots into a sequential [`UnionFind`]-style assignment.
-    pub fn assignments(&self) -> Vec<u32> {
-        (0..self.parent.len() as u32).map(|x| self.find(x)).collect()
     }
 }
 
@@ -554,22 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_grow_adds_singletons() {
-        let mut uf = AtomicUnionFind::new(3);
-        uf.union(0, 1);
-        uf.grow(6);
-        assert_eq!(uf.len(), 6);
-        for x in 3..6 {
-            assert_eq!(uf.find(x), x);
-        }
-        assert_eq!(uf.find(1), uf.find(0));
-        uf.grow(2); // no-op
-        assert_eq!(uf.len(), 6);
-        assert!(uf.union(5, 0));
-        assert_eq!(uf.find(5), uf.find(1));
-    }
-
-    #[test]
     fn sharded_matches_sequential_for_every_shard_count() {
         let n = 500usize;
         let edges: Vec<(u32, u32)> = (0..n as u32)
@@ -637,89 +523,6 @@ mod tests {
         assert_eq!(sh.reconcile(), 0);
         for x in 0..n {
             assert_eq!(sh.find(x), 0, "minimum element is the representative");
-        }
-    }
-
-    #[test]
-    fn atomic_union_reports_merges_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let n = 4096usize;
-        let uf = Arc::new(AtomicUnionFind::new(n));
-        let merges = Arc::new(AtomicUsize::new(0));
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let uf = Arc::clone(&uf);
-                let merges = Arc::clone(&merges);
-                std::thread::spawn(move || {
-                    // All threads race to link the same chain.
-                    for i in 0..n as u32 - 1 {
-                        if uf.union(i, i + 1) {
-                            merges.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // One component ⟹ exactly n-1 successful merges, despite the race.
-        assert_eq!(merges.load(Ordering::Relaxed), n - 1);
-    }
-
-    #[test]
-    fn atomic_matches_sequential() {
-        use std::collections::HashMap;
-        let n = 1000usize;
-        let edges: Vec<(u32, u32)> = (0..n as u32)
-            .map(|i| (i, (i.wrapping_mul(7919) % n as u32)))
-            .collect();
-
-        let mut seq = UnionFind::new(n);
-        let atomic = AtomicUnionFind::new(n);
-        for &(a, b) in &edges {
-            seq.union(a, b);
-            atomic.union(a, b);
-        }
-        // Same partition: build canonical keys and compare.
-        let mut seq_key = HashMap::new();
-        let mut atom_key = HashMap::new();
-        for x in 0..n as u32 {
-            let s = seq.find(x);
-            let a = atomic.find(x);
-            let sk = *seq_key.entry(s).or_insert(x);
-            let ak = *atom_key.entry(a).or_insert(x);
-            assert_eq!(sk, ak, "element {x} disagrees");
-        }
-    }
-
-    #[test]
-    fn atomic_concurrent_unions() {
-        use std::sync::Arc;
-        let n = 10_000usize;
-        let uf = Arc::new(AtomicUnionFind::new(n));
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let uf = Arc::clone(&uf);
-                std::thread::spawn(move || {
-                    // Each thread links a strided chain; combined they form
-                    // one component.
-                    let mut i = t as u32;
-                    while (i as usize) < n - 4 {
-                        uf.union(i, i + 4);
-                        uf.union(i, i + 1);
-                        i += 4;
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let root = uf.find(0);
-        for x in 0..n as u32 {
-            assert_eq!(uf.find(x), root);
         }
     }
 }

@@ -9,10 +9,6 @@
 //!   address payloads.
 //! * [`base58`] — Base58Check encoding for human-readable addresses.
 //!
-//! Two general primitives, [`hmac`] (HMAC-SHA-256) and [`u256`] (256-bit
-//! unsigned arithmetic), are kept but no longer called by the rest of the
-//! workspace.
-//!
 //! All implementations are validated against published test vectors in the
 //! unit tests of each module.
 //!
@@ -33,9 +29,7 @@
 
 pub mod base58;
 pub mod hash;
-pub mod hmac;
 pub mod ripemd160;
 pub mod sha256;
-pub mod u256;
 
 pub use hash::{Hash160, Hash256};

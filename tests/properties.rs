@@ -12,7 +12,6 @@ use fistful::core::metrics::score_clustering;
 use fistful::core::union_find::UnionFind;
 use fistful::crypto::base58;
 use fistful::crypto::sha256::sha256d;
-use fistful::crypto::u256::U256;
 use fistful::sim::{Economy, SimConfig};
 use proptest::prelude::*;
 
@@ -32,21 +31,6 @@ proptest! {
         let (v, p) = base58::check_decode(&s).unwrap();
         prop_assert_eq!(v, version);
         prop_assert_eq!(p, payload);
-    }
-
-    #[test]
-    fn u256_be_bytes_round_trip(bytes in any::<[u8; 32]>()) {
-        let x = U256::from_be_bytes(&bytes);
-        prop_assert_eq!(x.to_be_bytes(), bytes);
-    }
-
-    #[test]
-    fn u256_add_sub_inverse(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
-        let x = U256::from_be_bytes(&a);
-        let y = U256::from_be_bytes(&b);
-        let (sum, _) = x.overflowing_add(&y);
-        let (back, _) = sum.overflowing_sub(&y);
-        prop_assert_eq!(back, x);
     }
 }
 
@@ -151,7 +135,7 @@ proptest! {
     }
 }
 
-// ---------- H1 differential: batch vs parallel vs incremental ----------
+// ---------- random chains for the differentials below ----------
 
 /// Builds a pseudo-random chain: seed coinbases, then `txs` spends of
 /// random unspent outputs paying a mix of fresh and reused addresses, with
@@ -207,51 +191,6 @@ fn random_chain(seed: u64, txs: usize) -> fistful::core::testutil::TestChain {
         }
     }
     t
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Batch, parallel and incremental Heuristic 1 must produce identical
-    /// partitions (and identical stats) on arbitrary chains.
-    #[test]
-    fn h1_batch_parallel_incremental_agree(seed in any::<u64>(), txs in 20usize..120) {
-        use fistful::core::heuristic1;
-        use fistful::core::incremental::IncrementalClusterer;
-        use fistful::core::union_find::AtomicUnionFind;
-
-        let t = random_chain(seed, txs);
-        let chain = &t.chain;
-        let n = chain.address_count();
-
-        let mut batch_uf = UnionFind::new(n);
-        let batch_stats = heuristic1::apply(chain, &mut batch_uf);
-        let (batch_assign, _) = batch_uf.assignments();
-
-        let par_uf = AtomicUnionFind::new(n);
-        let par_stats = heuristic1::apply_parallel(chain, &par_uf, 4);
-        prop_assert_eq!(par_stats, batch_stats);
-
-        let mut inc = IncrementalClusterer::h1_only();
-        for block in chain.blocks() {
-            inc.ingest_block(&block);
-        }
-        prop_assert_eq!(inc.h1_stats(), batch_stats);
-        let inc_snap = inc.snapshot();
-        prop_assert_eq!(&inc_snap.assignment, &batch_assign);
-
-        // The parallel partition, canonicalized by first member.
-        let mut canon = std::collections::HashMap::new();
-        for x in 0..n as u32 {
-            let root = par_uf.find(x);
-            let first = *canon.entry(root).or_insert(x);
-            prop_assert!(
-                batch_assign[first as usize] == batch_assign[x as usize],
-                "parallel and batch disagree on element {}", x
-            );
-        }
-        prop_assert_eq!(canon.len(), batch_uf.component_count());
-    }
 }
 
 // ---------- sharded ingest differential: sharded vs batch ----------
