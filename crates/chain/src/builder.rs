@@ -4,8 +4,10 @@ use crate::address::Address;
 use crate::amount::Amount;
 use crate::block::{Block, BlockHeader};
 use crate::chainstate::ChainState;
+use crate::merkle::merkle_root;
 use crate::params::Params;
 use crate::transaction::{OutPoint, Transaction, TxIn, TxOut};
+use fistful_crypto::hash::Hash256;
 
 /// Builds a transaction input-by-input, output-by-output.
 #[derive(Default)]
@@ -54,12 +56,19 @@ impl TransactionBuilder {
 pub struct BlockBuilder<'a> {
     params: &'a Params,
     transactions: Vec<Transaction>,
+    /// The id of each of `transactions`, which the merkle root is built from.
+    txids: Vec<Hash256>,
 }
 
 impl<'a> BlockBuilder<'a> {
     /// A fresh builder.
     pub fn new(params: &'a Params) -> BlockBuilder<'a> {
-        BlockBuilder { params, transactions: Vec::new() }
+        BlockBuilder { params, transactions: Vec::new(), txids: Vec::new() }
+    }
+
+    fn set_coinbase(&mut self, coinbase: Transaction) {
+        self.txids.insert(0, coinbase.txid());
+        self.transactions.insert(0, coinbase);
     }
 
     /// Adds the coinbase paying `value` to `address`; the witness encodes
@@ -74,7 +83,7 @@ impl<'a> BlockBuilder<'a> {
             outputs: vec![TxOut { value, address }],
             lock_time: 0,
         };
-        self.transactions.insert(0, coinbase);
+        self.set_coinbase(coinbase);
         self
     }
 
@@ -93,19 +102,26 @@ impl<'a> BlockBuilder<'a> {
                 .collect(),
             lock_time: 0,
         };
-        self.transactions.insert(0, coinbase);
+        self.set_coinbase(coinbase);
         self
     }
 
     /// Appends a non-coinbase transaction.
     pub fn tx(mut self, tx: Transaction) -> Self {
+        self.txids.push(tx.txid());
         self.transactions.push(tx);
         self
     }
 
-    /// Appends many transactions.
-    pub fn txs(mut self, txs: impl IntoIterator<Item = Transaction>) -> Self {
-        self.transactions.extend(txs);
+    /// Appends many transactions, each paired with its txid as its creator
+    /// computed it, so the merkle root costs no rehashing. A wrong txid
+    /// yields a block that [`ChainState::accept_block`] rejects with
+    /// `BadMerkleRoot`, since validation recomputes every txid.
+    pub fn txs(mut self, txs: impl IntoIterator<Item = (Transaction, Hash256)>) -> Self {
+        for (tx, txid) in txs {
+            self.transactions.push(tx);
+            self.txids.push(txid);
+        }
         self
     }
 
@@ -113,18 +129,16 @@ impl<'a> BlockBuilder<'a> {
     /// root and timestamp.
     pub fn build_on(self, chain: &ChainState) -> Block {
         let height = chain.next_height();
-        let mut block = Block {
+        Block {
             header: BlockHeader {
                 version: 1,
                 prev_hash: chain.tip_hash(),
-                merkle_root: fistful_crypto::hash::Hash256::ZERO,
+                merkle_root: merkle_root(&self.txids),
                 time: self.params.time_at(height),
                 nonce: 0,
             },
             transactions: self.transactions,
-        };
-        block.header.merkle_root = block.computed_merkle_root();
-        block
+        }
     }
 }
 

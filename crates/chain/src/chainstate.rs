@@ -5,6 +5,7 @@ use crate::amount::Amount;
 use crate::block::Block;
 use crate::params::Params;
 use crate::resolve::ResolvedChain;
+use crate::transaction::Transaction;
 use crate::utxo::UtxoSet;
 use crate::validate::{check_block, ValidationError};
 use fistful_crypto::hash::Hash256;
@@ -80,14 +81,17 @@ impl ChainState {
         self.total_fees
     }
 
-    /// Validates and applies a block on top of the current tip.
+    /// Validates and applies a block on top of the current tip. Each
+    /// transaction is hashed once, here; validation, the resolved view and
+    /// the UTXO set all take their txids from that one pass.
     pub fn accept_block(&mut self, block: Block) -> Result<(), ValidationError> {
         let height = self.next_height();
         let tip = self.tip_hash();
-        let fees = check_block(&block, &tip, &self.utxos, height, &self.params)?;
-        for tx in &block.transactions {
-            self.resolved.add_tx(tx, &self.utxos, height, block.header.time);
-            self.utxos.apply(tx, height);
+        let txids: Vec<Hash256> = block.transactions.iter().map(Transaction::txid).collect();
+        let fees = check_block(&block, &txids, &tip, &self.utxos, height, &self.params)?;
+        for (tx, &txid) in block.transactions.iter().zip(&txids) {
+            self.resolved.add_tx(tx, txid, &self.utxos, height, block.header.time);
+            self.utxos.apply(tx, txid, height);
         }
         self.total_fees = self
             .total_fees

@@ -26,8 +26,7 @@
 use crate::address::Address;
 use crate::amount::Amount;
 use crate::resolve::{AddressId, ResolvedChain, ResolvedInput, ResolvedOutput, ResolvedTx, TxId};
-use fistful_crypto::hash::{Hash160, Hash256};
-use std::collections::HashMap;
+use fistful_crypto::hash::{DigestMap, Hash160, Hash256};
 
 /// Byte width of one address in the `address` column.
 pub const ADDRESS_WIDTH: usize = 20;
@@ -119,7 +118,7 @@ impl ChainColumns {
 
         // Intern table: rebuild the index, rejecting duplicate addresses.
         let mut addresses = Vec::with_capacity(n_addr);
-        let mut address_index = HashMap::with_capacity(n_addr);
+        let mut address_index = DigestMap::with_capacity_and_hasher(n_addr, Default::default());
         for (id, chunk) in self.address.chunks_exact(ADDRESS_WIDTH).enumerate() {
             let mut payload = [0u8; ADDRESS_WIDTH];
             payload.copy_from_slice(chunk);
@@ -134,7 +133,7 @@ impl ChainColumns {
         // index, block spans and the per-address event lists in the exact
         // order `add_tx` produces them.
         let mut txs: Vec<ResolvedTx> = Vec::with_capacity(n_tx);
-        let mut txid_index = HashMap::with_capacity(n_tx);
+        let mut txid_index = DigestMap::with_capacity_and_hasher(n_tx, Default::default());
         let mut block_spans: Vec<(u64, TxId)> = Vec::new();
         let mut first_seen = vec![TxId::MAX; n_addr];
         let mut received_in: Vec<Vec<TxId>> = vec![Vec::new(); n_addr];
@@ -318,11 +317,11 @@ mod tests {
             lock_time: 0,
         };
         let cb1 = cb(1, a);
-        rc.add_tx(&cb1, &utxos, 0, 100);
-        utxos.apply(&cb1, 0);
+        rc.add_tx(&cb1, cb1.txid(), &utxos, 0, 100);
+        utxos.apply(&cb1, cb1.txid(), 0);
         let cb2 = cb(2, b);
-        rc.add_tx(&cb2, &utxos, 1, 700);
-        utxos.apply(&cb2, 1);
+        rc.add_tx(&cb2, cb2.txid(), &utxos, 1, 700);
+        utxos.apply(&cb2, cb2.txid(), 1);
         let spend = Transaction {
             version: 1,
             inputs: vec![
@@ -335,8 +334,8 @@ mod tests {
             ],
             lock_time: 0,
         };
-        rc.add_tx(&spend, &utxos, 2, 1300);
-        utxos.apply(&spend, 2);
+        rc.add_tx(&spend, spend.txid(), &utxos, 2, 1300);
+        utxos.apply(&spend, spend.txid(), 2);
         rc
     }
 

@@ -12,8 +12,7 @@ use crate::address::Address;
 use crate::amount::Amount;
 use crate::transaction::Transaction;
 use crate::utxo::UtxoSet;
-use fistful_crypto::hash::Hash256;
-use std::collections::HashMap;
+use fistful_crypto::hash::{DigestMap, Hash256};
 
 /// Dense index of an address within a [`ResolvedChain`].
 pub type AddressId = u32;
@@ -208,8 +207,8 @@ pub struct ResolvedChain {
     // The derived fields are pub(crate) so `crate::columns` can rebuild a
     // chain opened from the on-disk columnar store without re-resolving.
     pub(crate) addresses: Vec<Address>,
-    pub(crate) address_index: HashMap<Address, AddressId>,
-    pub(crate) txid_index: HashMap<Hash256, TxId>,
+    pub(crate) address_index: DigestMap<Address, AddressId>,
+    pub(crate) txid_index: DigestMap<Hash256, TxId>,
     /// Per block: `(height, first tx id)`. The block's transactions run to
     /// the next entry's start (or the end of `txs`). Heights are strictly
     /// increasing — `add_tx` enforces it.
@@ -363,8 +362,9 @@ impl ResolvedChain {
         }
     }
 
-    /// Appends a validated transaction. `utxos` must reflect the state
-    /// *before* this transaction is applied (inputs still present).
+    /// Appends a validated transaction whose id is `txid`. `utxos` must
+    /// reflect the state *before* this transaction is applied (inputs still
+    /// present).
     ///
     /// Panics if a non-coinbase input is missing from `utxos` or references
     /// an unknown txid — validation must run first — or if `height` is below
@@ -372,7 +372,14 @@ impl ResolvedChain {
     /// the per-address event lists ([`received_in`](Self::received_in),
     /// [`spent_in`](Self::spent_in)) are documented as height-sorted and the
     /// wait-window scan in `fistful_core` prunes on that invariant.
-    pub fn add_tx(&mut self, tx: &Transaction, utxos: &UtxoSet, height: u64, time: u64) -> TxId {
+    pub fn add_tx(
+        &mut self,
+        tx: &Transaction,
+        txid: Hash256,
+        utxos: &UtxoSet,
+        height: u64,
+        time: u64,
+    ) -> TxId {
         let id = self.txs.len() as TxId;
         match self.block_spans.last() {
             Some(&(h, _)) if height < h => {
@@ -381,7 +388,6 @@ impl ResolvedChain {
             Some(&(h, _)) if height == h => {}
             _ => self.block_spans.push((height, id)),
         }
-        let txid = tx.txid();
         let is_coinbase = tx.is_coinbase();
 
         let mut inputs = Vec::with_capacity(if is_coinbase { 0 } else { tx.inputs.len() });
@@ -445,8 +451,8 @@ mod tests {
         let b = Address::from_seed(2);
 
         let funding = cb(0, Amount::from_btc(50), a);
-        rc.add_tx(&funding, &utxos, 0, 100);
-        utxos.apply(&funding, 0);
+        rc.add_tx(&funding, funding.txid(), &utxos, 0, 100);
+        utxos.apply(&funding, funding.txid(), 0);
 
         let spend = Transaction {
             version: 1,
@@ -457,8 +463,8 @@ mod tests {
             ],
             lock_time: 0,
         };
-        rc.add_tx(&spend, &utxos, 1, 200);
-        utxos.apply(&spend, 1);
+        rc.add_tx(&spend, spend.txid(), &utxos, 1, 200);
+        utxos.apply(&spend, spend.txid(), 1);
 
         assert_eq!(rc.tx_count(), 2);
         assert_eq!(rc.address_count(), 2);
@@ -491,8 +497,8 @@ mod tests {
         let mut utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let funding = cb(7, Amount::from_btc(50), Address::from_seed(1));
-        let id = rc.add_tx(&funding, &utxos, 0, 0);
-        utxos.apply(&funding, 0);
+        let id = rc.add_tx(&funding, funding.txid(), &utxos, 0, 0);
+        utxos.apply(&funding, funding.txid(), 0);
         let (found, rtx) = rc.tx_by_txid(&funding.txid()).unwrap();
         assert_eq!(found, id);
         assert!(rtx.is_coinbase);
@@ -507,19 +513,19 @@ mod tests {
 
         // Block 0: one coinbase. Block 1: coinbase + spend (two txs).
         let cb0 = cb(0, Amount::from_btc(50), a);
-        rc.add_tx(&cb0, &utxos, 0, 0);
-        utxos.apply(&cb0, 0);
+        rc.add_tx(&cb0, cb0.txid(), &utxos, 0, 0);
+        utxos.apply(&cb0, cb0.txid(), 0);
         let cb1 = cb(1, Amount::from_btc(50), a);
-        rc.add_tx(&cb1, &utxos, 1, 600);
-        utxos.apply(&cb1, 1);
+        rc.add_tx(&cb1, cb1.txid(), &utxos, 1, 600);
+        utxos.apply(&cb1, cb1.txid(), 1);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: cb0.txid(), vout: 0 })],
             outputs: vec![TxOut { value: Amount::from_btc(49), address: Address::from_seed(2) }],
             lock_time: 0,
         };
-        rc.add_tx(&spend, &utxos, 1, 600);
-        utxos.apply(&spend, 1);
+        rc.add_tx(&spend, spend.txid(), &utxos, 1, 600);
+        utxos.apply(&spend, spend.txid(), 1);
 
         assert_eq!(rc.block_count(), 2);
         let b0 = rc.block(0);
@@ -541,8 +547,8 @@ mod tests {
         // Four single-coinbase blocks at heights 0..4.
         for i in 0..4u64 {
             let c = cb(i, Amount::from_btc(50), Address::from_seed(i + 1));
-            rc.add_tx(&c, &utxos, i, i * 600);
-            utxos.apply(&c, i);
+            rc.add_tx(&c, c.txid(), &utxos, i, i * 600);
+            utxos.apply(&c, c.txid(), i);
         }
 
         let all = rc.block_span(0..4);
@@ -582,9 +588,9 @@ mod tests {
         let utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let funding = cb(7, Amount::from_btc(50), Address::from_seed(1));
-        rc.add_tx(&funding, &utxos, 5, 0);
+        rc.add_tx(&funding, funding.txid(), &utxos, 5, 0);
         let funding2 = cb(8, Amount::from_btc(50), Address::from_seed(2));
-        rc.add_tx(&funding2, &utxos, 4, 0);
+        rc.add_tx(&funding2, funding2.txid(), &utxos, 4, 0);
     }
 
     #[test]
@@ -592,7 +598,7 @@ mod tests {
         let utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let funding = cb(7, Amount::from_btc(50), Address::from_seed(1));
-        rc.add_tx(&funding, &utxos, 0, 0);
+        rc.add_tx(&funding, funding.txid(), &utxos, 0, 0);
         assert!(rc.txs[0].inputs.is_empty());
         assert_eq!(rc.txs[0].fee(), Amount::ZERO);
     }

@@ -98,8 +98,9 @@ mod tests {
         let mut rc = ResolvedChain::new();
         let mut utxos = UtxoSet::new();
         let push = |rc: &mut ResolvedChain, utxos: &mut UtxoSet, tx: &Transaction, h: u64| {
-            rc.add_tx(tx, utxos, h, h * 600);
-            utxos.apply(tx, h);
+            let txid = tx.txid();
+            rc.add_tx(tx, txid, utxos, h, h * 600);
+            utxos.apply(tx, txid, h);
         };
         let cb = |tag: u64, addr: u64| Transaction {
             version: 1,

@@ -3,7 +3,7 @@
 use crate::address::Address;
 use crate::amount::Amount;
 use crate::transaction::{OutPoint, Transaction};
-use std::collections::HashMap;
+use fistful_crypto::hash::{DigestMap, Hash256};
 
 /// Metadata for one unspent output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,16 +18,30 @@ pub struct UtxoEntry {
     pub coinbase: bool,
 }
 
+/// The entries a transaction with id `txid`, confirmed at `height`, adds
+/// to the UTXO set: one per output.
+pub(crate) fn created_entries(
+    tx: &Transaction,
+    txid: Hash256,
+    height: u64,
+) -> impl Iterator<Item = (OutPoint, UtxoEntry)> + '_ {
+    let coinbase = tx.is_coinbase();
+    tx.outputs.iter().enumerate().map(move |(vout, output)| {
+        let entry = UtxoEntry { value: output.value, address: output.address, height, coinbase };
+        (OutPoint { txid, vout: vout as u32 }, entry)
+    })
+}
+
 /// The set of all unspent outputs.
 #[derive(Clone, Default)]
 pub struct UtxoSet {
-    entries: HashMap<OutPoint, UtxoEntry>,
+    entries: DigestMap<OutPoint, UtxoEntry>,
 }
 
 impl UtxoSet {
     /// An empty set.
     pub fn new() -> UtxoSet {
-        UtxoSet { entries: HashMap::new() }
+        UtxoSet { entries: DigestMap::default() }
     }
 
     /// Looks up an unspent output.
@@ -55,11 +69,12 @@ impl UtxoSet {
         self.entries.values().map(|e| e.value).sum()
     }
 
-    /// Applies a validated transaction: removes its inputs, inserts its
-    /// outputs. Returns the consumed entries (for undo / fee computation).
+    /// Applies a validated transaction whose id is `txid`: removes its
+    /// inputs, inserts its outputs. Returns the consumed entries (for undo /
+    /// fee computation).
     ///
     /// Panics if an input is not present — validation must run first.
-    pub fn apply(&mut self, tx: &Transaction, height: u64) -> Vec<UtxoEntry> {
+    pub fn apply(&mut self, tx: &Transaction, txid: Hash256, height: u64) -> Vec<UtxoEntry> {
         let mut consumed = Vec::with_capacity(tx.inputs.len());
         if !tx.is_coinbase() {
             for input in &tx.inputs {
@@ -70,26 +85,13 @@ impl UtxoSet {
                 consumed.push(entry);
             }
         }
-        let txid = tx.txid();
-        let coinbase = tx.is_coinbase();
-        for (vout, output) in tx.outputs.iter().enumerate() {
-            self.entries.insert(
-                OutPoint { txid, vout: vout as u32 },
-                UtxoEntry {
-                    value: output.value,
-                    address: output.address,
-                    height,
-                    coinbase,
-                },
-            );
-        }
+        self.entries.extend(created_entries(tx, txid, height));
         consumed
     }
 
     /// Reverses [`apply`](Self::apply): removes the transaction's outputs
     /// and restores the consumed entries.
-    pub fn undo(&mut self, tx: &Transaction, consumed: &[UtxoEntry]) {
-        let txid = tx.txid();
+    pub fn undo(&mut self, tx: &Transaction, txid: Hash256, consumed: &[UtxoEntry]) {
         for vout in 0..tx.outputs.len() {
             self.entries.remove(&OutPoint { txid, vout: vout as u32 });
         }
@@ -126,7 +128,7 @@ mod tests {
     fn apply_inserts_outputs() {
         let mut set = UtxoSet::new();
         let tx = coinbase_tx(0, Amount::from_btc(50), Address::from_seed(1));
-        set.apply(&tx, 0);
+        set.apply(&tx, tx.txid(), 0);
         assert_eq!(set.len(), 1);
         let op = OutPoint { txid: tx.txid(), vout: 0 };
         let entry = set.get(&op).unwrap();
@@ -139,14 +141,14 @@ mod tests {
     fn spend_removes_inputs() {
         let mut set = UtxoSet::new();
         let cb = coinbase_tx(0, Amount::from_btc(50), Address::from_seed(1));
-        set.apply(&cb, 0);
+        set.apply(&cb, cb.txid(), 0);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: cb.txid(), vout: 0 })],
             outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(2) }],
             lock_time: 0,
         };
-        let consumed = set.apply(&spend, 1);
+        let consumed = set.apply(&spend, spend.txid(), 1);
         assert_eq!(consumed.len(), 1);
         assert!(!set.contains(&OutPoint { txid: cb.txid(), vout: 0 }));
         assert!(set.contains(&OutPoint { txid: spend.txid(), vout: 0 }));
@@ -159,7 +161,7 @@ mod tests {
     fn undo_restores_previous_state() {
         let mut set = UtxoSet::new();
         let cb = coinbase_tx(0, Amount::from_btc(50), Address::from_seed(1));
-        set.apply(&cb, 0);
+        set.apply(&cb, cb.txid(), 0);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: cb.txid(), vout: 0 })],
@@ -167,8 +169,8 @@ mod tests {
             lock_time: 0,
         };
         let before: Amount = set.total_value();
-        let consumed = set.apply(&spend, 1);
-        set.undo(&spend, &consumed);
+        let consumed = set.apply(&spend, spend.txid(), 1);
+        set.undo(&spend, spend.txid(), &consumed);
         assert_eq!(set.len(), 1);
         assert_eq!(set.total_value(), before);
         assert!(set.contains(&OutPoint { txid: cb.txid(), vout: 0 }));
@@ -184,6 +186,6 @@ mod tests {
             outputs: vec![],
             lock_time: 0,
         };
-        set.apply(&spend, 0);
+        set.apply(&spend, spend.txid(), 0);
     }
 }

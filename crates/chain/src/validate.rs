@@ -2,11 +2,11 @@
 
 use crate::amount::{Amount, MAX_MONEY};
 use crate::block::Block;
+use crate::merkle::merkle_root;
 use crate::params::Params;
 use crate::transaction::{OutPoint, Transaction};
-use crate::utxo::UtxoSet;
-use fistful_crypto::hash::Hash256;
-use std::collections::HashSet;
+use crate::utxo::{created_entries, UtxoEntry, UtxoSet};
+use fistful_crypto::hash::{DigestMap, DigestSet, Hash256};
 
 /// Reasons a transaction or block is rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +115,7 @@ pub fn check_transaction(tx: &Transaction) -> Result<(), ValidationError> {
             .filter(|t| t.to_sat() <= MAX_MONEY)
             .ok_or(ValidationError::OutputValueOutOfRange)?;
     }
-    let mut seen = HashSet::with_capacity(tx.inputs.len());
+    let mut seen = DigestSet::with_capacity_and_hasher(tx.inputs.len(), Default::default());
     for input in &tx.inputs {
         if !tx.is_coinbase() {
             if input.prevout.is_null() {
@@ -129,10 +129,11 @@ pub fn check_transaction(tx: &Transaction) -> Result<(), ValidationError> {
     Ok(())
 }
 
-/// Contextual transaction checks against the UTXO set. Returns the fee.
+/// Contextual transaction checks against the unspent outputs `lookup`
+/// finds. Returns the fee.
 pub fn check_tx_inputs(
     tx: &Transaction,
-    utxos: &UtxoSet,
+    lookup: impl Fn(&OutPoint) -> Option<UtxoEntry>,
     height: u64,
     params: &Params,
 ) -> Result<Amount, ValidationError> {
@@ -141,9 +142,8 @@ pub fn check_tx_inputs(
     }
     let mut input_value = Amount::ZERO;
     for input in &tx.inputs {
-        let entry = utxos
-            .get(&input.prevout)
-            .ok_or(ValidationError::MissingInput(input.prevout))?;
+        let entry =
+            lookup(&input.prevout).ok_or(ValidationError::MissingInput(input.prevout))?;
         if entry.coinbase && height < entry.height + params.coinbase_maturity {
             return Err(ValidationError::ImmatureCoinbaseSpend {
                 created: entry.height,
@@ -168,16 +168,19 @@ pub fn check_tx_inputs(
 
 /// Full block validation against the current tip and UTXO set.
 ///
-/// Checks structure, merkle commitment, connection to `prev_hash`,
-/// per-transaction rules, in-block double spends and the coinbase value
-/// ceiling. Returns total fees.
+/// `txids` holds the id of each of `block.transactions`, in order; the
+/// merkle root is recomputed from them. Checks structure, merkle
+/// commitment, connection to `prev_hash`, per-transaction rules, in-block
+/// double spends and the coinbase value ceiling. Returns total fees.
 pub fn check_block(
     block: &Block,
+    txids: &[Hash256],
     prev_hash: &Hash256,
     utxos: &UtxoSet,
     height: u64,
     params: &Params,
 ) -> Result<Amount, ValidationError> {
+    assert_eq!(txids.len(), block.transactions.len(), "one txid per transaction");
     if block.transactions.is_empty() {
         return Err(ValidationError::EmptyBlock);
     }
@@ -187,7 +190,7 @@ pub fn check_block(
     if block.transactions[1..].iter().any(|t| t.is_coinbase()) {
         return Err(ValidationError::ExtraCoinbase);
     }
-    if block.header.merkle_root != block.computed_merkle_root() {
+    if block.header.merkle_root != merkle_root(txids) {
         return Err(ValidationError::BadMerkleRoot);
     }
     if block.header.prev_hash != *prev_hash {
@@ -198,11 +201,13 @@ pub fn check_block(
     }
 
     // Per-transaction checks. Later transactions may spend outputs created
-    // earlier in the same block, so apply to a scratch UTXO set as we go.
-    let mut scratch = utxos.clone();
-    let mut spent_in_block: HashSet<OutPoint> = HashSet::new();
+    // earlier in the same block, so inputs are looked up in those first and
+    // then in `utxos`. An outpoint already spent in this block never gets
+    // that far: `spent_in_block` rejects the second spend before the lookup.
+    let mut created: DigestMap<OutPoint, UtxoEntry> = DigestMap::default();
+    let mut spent_in_block: DigestSet<OutPoint> = DigestSet::default();
     let mut total_fees = Amount::ZERO;
-    for tx in &block.transactions {
+    for (tx, &txid) in block.transactions.iter().zip(txids) {
         check_transaction(tx)?;
         if !tx.is_coinbase() {
             for input in &tx.inputs {
@@ -211,11 +216,12 @@ pub fn check_block(
                 }
             }
         }
-        let fee = check_tx_inputs(tx, &scratch, height, params)?;
+        let lookup = |op: &OutPoint| created.get(op).or_else(|| utxos.get(op)).copied();
+        let fee = check_tx_inputs(tx, lookup, height, params)?;
         total_fees = total_fees
             .checked_add(fee)
             .ok_or(ValidationError::OutputValueOutOfRange)?;
-        scratch.apply(tx, height);
+        created.extend(created_entries(tx, txid, height));
     }
 
     // Coinbase value ceiling: subsidy + fees.
@@ -271,6 +277,10 @@ mod tests {
         Params::regtest()
     }
 
+    fn txids(block: &Block) -> Vec<Hash256> {
+        block.transactions.iter().map(Transaction::txid).collect()
+    }
+
     #[test]
     fn syntactic_rules() {
         let mut tx = cb(0, Amount::from_btc(50));
@@ -309,7 +319,7 @@ mod tests {
         let p = params();
         let utxos = UtxoSet::new();
         let b = block_with(vec![cb(0, Amount::from_btc(50))], Hash256::ZERO, p.time_at(0));
-        assert_eq!(check_block(&b, &Hash256::ZERO, &utxos, 0, &p), Ok(Amount::ZERO));
+        assert_eq!(check_block(&b, &txids(&b), &Hash256::ZERO, &utxos, 0, &p), Ok(Amount::ZERO));
     }
 
     #[test]
@@ -318,7 +328,7 @@ mod tests {
         let mut b = block_with(vec![cb(0, Amount::from_btc(50))], Hash256::ZERO, p.time_at(0));
         b.header.merkle_root = sha256d(b"wrong");
         assert_eq!(
-            check_block(&b, &Hash256::ZERO, &UtxoSet::new(), 0, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 0, &p),
             Err(ValidationError::BadMerkleRoot)
         );
     }
@@ -328,7 +338,7 @@ mod tests {
         let p = params();
         let b = block_with(vec![cb(0, Amount::from_btc(51))], Hash256::ZERO, p.time_at(0));
         assert!(matches!(
-            check_block(&b, &Hash256::ZERO, &UtxoSet::new(), 0, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 0, &p),
             Err(ValidationError::ExcessiveCoinbase { .. })
         ));
     }
@@ -338,7 +348,7 @@ mod tests {
         let p = params();
         let b = block_with(vec![cb(0, Amount::from_btc(50))], sha256d(b"fork"), p.time_at(0));
         assert!(matches!(
-            check_block(&b, &Hash256::ZERO, &UtxoSet::new(), 0, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 0, &p),
             Err(ValidationError::BadPrevHash { .. })
         ));
     }
@@ -348,7 +358,7 @@ mod tests {
         let p = params();
         let mut utxos = UtxoSet::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, 0);
+        utxos.apply(&funding, funding.txid(), 0);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
@@ -357,13 +367,13 @@ mod tests {
         };
         let b = block_with(vec![spend.clone()], Hash256::ZERO, p.time_at(1));
         assert_eq!(
-            check_block(&b, &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &utxos, 1, &p),
             Err(ValidationError::FirstNotCoinbase)
         );
         let b2 = block_with(vec![cb(1, Amount::from_btc(50)), cb(2, Amount::from_btc(50))],
                             Hash256::ZERO, p.time_at(1));
         assert_eq!(
-            check_block(&b2, &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&b2, &txids(&b2), &Hash256::ZERO, &utxos, 1, &p),
             Err(ValidationError::ExtraCoinbase)
         );
     }
@@ -373,7 +383,7 @@ mod tests {
         let p = params();
         let mut utxos = UtxoSet::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, 0);
+        utxos.apply(&funding, funding.txid(), 0);
         let op = OutPoint { txid: funding.txid(), vout: 0 };
         let spend1 = Transaction {
             version: 1,
@@ -393,7 +403,7 @@ mod tests {
             Hash256::ZERO,
             p.time_at(1),
         );
-        assert!(check_block(&good, &Hash256::ZERO, &utxos, 1, &p).is_ok());
+        assert!(check_block(&good, &txids(&good), &Hash256::ZERO, &utxos, 1, &p).is_ok());
 
         // Same outpoint spent by two txs: rejected.
         let conflict = Transaction {
@@ -408,7 +418,7 @@ mod tests {
             p.time_at(1),
         );
         assert_eq!(
-            check_block(&bad, &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&bad, &txids(&bad), &Hash256::ZERO, &utxos, 1, &p),
             Err(ValidationError::DoubleSpendInBlock(op))
         );
     }
@@ -418,7 +428,7 @@ mod tests {
         let p = params();
         let mut utxos = UtxoSet::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, 0);
+        utxos.apply(&funding, funding.txid(), 0);
         // Spend 50, output 49 → fee 1.
         let spend = Transaction {
             version: 1,
@@ -429,11 +439,11 @@ mod tests {
         // Coinbase claims subsidy + fee = 51: allowed.
         let b = block_with(vec![cb(1, Amount::from_btc(51)), spend.clone()], Hash256::ZERO,
                            p.time_at(1));
-        assert_eq!(check_block(&b, &Hash256::ZERO, &utxos, 1, &p), Ok(Amount::from_btc(1)));
+        assert_eq!(check_block(&b, &txids(&b), &Hash256::ZERO, &utxos, 1, &p), Ok(Amount::from_btc(1)));
         // Claiming 52 is rejected.
         let b2 = block_with(vec![cb(1, Amount::from_btc(52)), spend], Hash256::ZERO, p.time_at(1));
         assert!(matches!(
-            check_block(&b2, &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&b2, &txids(&b2), &Hash256::ZERO, &utxos, 1, &p),
             Err(ValidationError::ExcessiveCoinbase { .. })
         ));
     }
@@ -444,7 +454,7 @@ mod tests {
         p.coinbase_maturity = 100;
         let mut utxos = UtxoSet::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, 0);
+        utxos.apply(&funding, funding.txid(), 0);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
@@ -452,9 +462,98 @@ mod tests {
             lock_time: 0,
         };
         assert!(matches!(
-            check_tx_inputs(&spend, &utxos, 50, &p),
+            check_tx_inputs(&spend, |op| utxos.get(op).copied(), 50, &p),
             Err(ValidationError::ImmatureCoinbaseSpend { .. })
         ));
-        assert!(check_tx_inputs(&spend, &utxos, 100, &p).is_ok());
+        assert!(check_tx_inputs(&spend, |op| utxos.get(op).copied(), 100, &p).is_ok());
+    }
+
+    fn spend_of(prevout: OutPoint, value: Amount, to: u64) -> Transaction {
+        Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(prevout)],
+            outputs: vec![TxOut { value, address: Address::from_seed(to) }],
+            lock_time: 0,
+        }
+    }
+
+    #[test]
+    fn output_created_later_in_the_block_is_missing() {
+        let p = params();
+        let mut utxos = UtxoSet::new();
+        let funding = cb(0, Amount::from_btc(50));
+        utxos.apply(&funding, funding.txid(), 0);
+        let first = spend_of(OutPoint { txid: funding.txid(), vout: 0 }, Amount::from_btc(50), 2);
+        let later = OutPoint { txid: first.txid(), vout: 0 };
+        let second = spend_of(later, Amount::from_btc(50), 3);
+        // In order, the second spend finds the first's output...
+        let ordered = block_with(
+            vec![cb(1, Amount::from_btc(50)), first.clone(), second.clone()],
+            Hash256::ZERO,
+            p.time_at(1),
+        );
+        assert!(check_block(&ordered, &txids(&ordered), &Hash256::ZERO, &utxos, 1, &p).is_ok());
+        // ...but ahead of it, the output does not exist yet.
+        let reversed =
+            block_with(vec![cb(1, Amount::from_btc(50)), second, first], Hash256::ZERO, p.time_at(1));
+        assert_eq!(
+            check_block(&reversed, &txids(&reversed), &Hash256::ZERO, &utxos, 1, &p),
+            Err(ValidationError::MissingInput(later))
+        );
+    }
+
+    #[test]
+    fn same_block_coinbase_spend_respects_maturity() {
+        let mut p = params();
+        let coinbase = cb(1, Amount::from_btc(50));
+        let spend = spend_of(OutPoint { txid: coinbase.txid(), vout: 0 }, Amount::from_btc(50), 2);
+        let b = block_with(vec![coinbase, spend], Hash256::ZERO, p.time_at(1));
+        assert!(check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 1, &p).is_ok());
+        p.coinbase_maturity = 1;
+        assert_eq!(
+            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 1, &p),
+            Err(ValidationError::ImmatureCoinbaseSpend { created: 1, spent: 1 })
+        );
+    }
+
+    #[test]
+    fn rejected_block_leaves_chain_state_unchanged() {
+        use crate::builder::BlockBuilder;
+        use crate::chainstate::ChainState;
+
+        let p = params();
+        let mut chain = ChainState::new(p.clone());
+        let b0 = BlockBuilder::new(&p).coinbase_to(Address::from_seed(1), 0, chain.next_subsidy());
+        let b0 = b0.build_on(&chain);
+        let funding = OutPoint { txid: b0.transactions[0].txid(), vout: 0 };
+        chain.accept_block(b0).unwrap();
+        let (tip, txs, utxo_count, supply) = (
+            chain.tip_hash(),
+            chain.resolved().tx_count(),
+            chain.utxos().len(),
+            chain.utxos().total_value(),
+        );
+
+        // A valid spend (and its in-block child) ahead of an input that does
+        // not exist: validation fails only after the overlay has grown.
+        let first = spend_of(funding, Amount::from_btc(50), 2);
+        let child = spend_of(OutPoint { txid: first.txid(), vout: 0 }, Amount::from_btc(50), 3);
+        let orphan = spend_of(OutPoint { txid: Hash256::ZERO, vout: 7 }, Amount::from_btc(1), 4);
+        let bad = BlockBuilder::new(&p)
+            .coinbase_to(Address::from_seed(1), 1, chain.next_subsidy())
+            .tx(first)
+            .tx(child)
+            .tx(orphan)
+            .build_on(&chain);
+        assert_eq!(
+            chain.accept_block(bad),
+            Err(ValidationError::MissingInput(OutPoint { txid: Hash256::ZERO, vout: 7 }))
+        );
+        assert_eq!(chain.tip_hash(), tip);
+        assert_eq!(chain.height(), Some(0));
+        assert_eq!(chain.resolved().tx_count(), txs);
+        assert_eq!(chain.utxos().len(), utxo_count);
+        assert_eq!(chain.utxos().total_value(), supply);
+        assert!(chain.utxos().contains(&funding));
     }
 }

@@ -86,8 +86,8 @@ mod tests {
                 outputs: vec![TxOut { value: Amount::from_btc(50), address: addr }],
                 lock_time: 0,
             };
-            rc.add_tx(&cb, &utxos, i as u64, i as u64 * 600);
-            utxos.apply(&cb, i as u64);
+            rc.add_tx(&cb, cb.txid(), &utxos, i as u64, i as u64 * 600);
+            utxos.apply(&cb, cb.txid(), i as u64);
             fundings.push(cb);
         }
         // Co-spend a and b.
@@ -103,8 +103,8 @@ mod tests {
             }],
             lock_time: 0,
         };
-        rc.add_tx(&spend, &utxos, 3, 1800);
-        utxos.apply(&spend, 3);
+        rc.add_tx(&spend, spend.txid(), &utxos, 3, 1800);
+        utxos.apply(&spend, spend.txid(), 3);
         rc
     }
 

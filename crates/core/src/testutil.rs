@@ -97,9 +97,10 @@ impl TestChain {
     fn push(&mut self, tx: Transaction, height: Option<u64>) -> usize {
         let h = height.unwrap_or(self.next_height);
         self.next_height = h + 1;
-        self.chain.add_tx(&tx, &self.utxos, h, h * 600);
-        self.utxos.apply(&tx, h);
-        self.txids.push(tx.txid());
+        let txid = tx.txid();
+        self.chain.add_tx(&tx, txid, &self.utxos, h, h * 600);
+        self.utxos.apply(&tx, txid, h);
+        self.txids.push(txid);
         self.txids.len() - 1
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! [`Hash256`] is the 32-byte output of double-SHA-256 (transaction ids,
 //! block hashes); [`Hash160`] is the 20-byte output of
-//! RIPEMD-160∘SHA-256 (address payloads).
+//! RIPEMD-160∘SHA-256 (address payloads). [`DigestMap`] and [`DigestSet`]
+//! are the hash tables keyed by them.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// A 32-byte digest, displayed in the conventional reversed-hex form used by
 /// Bitcoin for txids and block hashes.
@@ -100,9 +103,79 @@ impl fmt::Display for Hash160 {
     }
 }
 
+/// A [`Hasher`](std::hash::Hasher) for map keys built from digests
+/// ([`Hash256`], [`Hash160`], and structs of them with small integers).
+///
+/// Digest bytes are already uniformly distributed, so a multiply-rotate
+/// mix of their 64-bit words (FxHash's) spreads them over the table as well
+/// as the standard library's SipHash does, at a fraction of its cost. It
+/// resists no adversary: use it only where keys are digests nobody can
+/// grind for collisions cheaply.
+#[derive(Clone, Copy, Default)]
+pub struct DigestHasher(u64);
+
+impl DigestHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.mix(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by digests, hashed with [`DigestHasher`].
+pub type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
+
+/// A `HashSet` of digests, hashed with [`DigestHasher`].
+pub type DigestSet<K> = HashSet<K, BuildHasherDefault<DigestHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn digest_hasher_separates_words_and_order() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |key: &dyn Fn(&mut DigestHasher)| {
+            let mut h = BuildHasherDefault::<DigestHasher>::default().build_hasher();
+            key(&mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        let a = Hash256::from_hex(&"11".repeat(32)).unwrap();
+        let b = Hash256::from_hex(&"22".repeat(32)).unwrap();
+        assert_ne!(hash(&|h| a.hash(h)), hash(&|h| b.hash(h)));
+        assert_ne!(hash(&|h| (a, 0u32).hash(h)), hash(&|h| (a, 1u32).hash(h)));
+        assert_ne!(hash(&|h| (a, b).hash(h)), hash(&|h| (b, a).hash(h)));
+        let mut map = DigestMap::default();
+        map.insert(a, 1);
+        map.insert(b, 2);
+        assert_eq!((map[&a], map[&b]), (1, 2));
+    }
 
     #[test]
     fn hex_round_trip() {

@@ -6,6 +6,20 @@
 
 use crate::hash::{Hash160, Hash256};
 use crate::ripemd160::ripemd160;
+use std::cell::Cell;
+
+thread_local! {
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of SHA-256 block compressions the calling thread has run so far.
+///
+/// Every digest costs one compression per 64-byte block of padded input,
+/// so the difference between two readings is an exact, repeatable measure
+/// of the hashing a piece of code does on this thread.
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes.
@@ -88,13 +102,15 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Manual write of the length so total_len bookkeeping doesn't matter.
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length, which
+        // spills into a block of its own when the tail leaves no room.
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
@@ -106,6 +122,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
+        COMPRESSIONS.with(|c| c.set(c.get() + 1));
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -211,6 +228,22 @@ mod tests {
     }
 
     #[test]
+    fn padding_boundary_vectors() {
+        // Tails that just fit the length field (55, 119), that push it into
+        // an extra block (63, 120), and that end on a block boundary (64).
+        let cases = [
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
+        ];
+        for (len, digest) in cases {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), digest, "{len} bytes");
+        }
+    }
+
+    #[test]
     fn million_a_vector() {
         let msg = vec![b'a'; 1_000_000];
         assert_eq!(
@@ -231,6 +264,26 @@ mod tests {
             }
             assert_eq!(h.finalize(), oneshot, "chunk size {chunk}");
         }
+    }
+
+    #[test]
+    fn compression_counter_counts_padded_blocks() {
+        let count = |f: &dyn Fn()| {
+            let before = compressions();
+            f();
+            compressions() - before
+        };
+        assert_eq!(count(&|| {
+            sha256(b"abc");
+        }), 1);
+        // 56 bytes leave no room for the length field: padding spills over.
+        assert_eq!(count(&|| {
+            sha256(&[0u8; 56]);
+        }), 2);
+        // A merkle node: two blocks for the 64-byte pair, one for the rehash.
+        assert_eq!(count(&|| {
+            sha256d(&[0u8; 64]);
+        }), 3);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 /// Tunable parameters of the simulated economy.
 ///
-/// Defaults produce a chain of a few tens of thousands of transactions in
-/// well under a second — big enough for every experiment's shape to emerge,
-/// small enough for tests. The `repro` harness scales `blocks` and `users`
-/// up.
+/// Defaults produce a chain of 65,005 transactions in about 0.5–0.6 s of a
+/// release build on a 2-core x86-64 VM — big enough for every experiment's
+/// shape to emerge, small enough for tests. The `repro` harness scales
+/// `blocks` and `users` up; [`SimConfig::paper_scale`] (1.87 M
+/// transactions) takes about 21 s on the same machine.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed; everything downstream is deterministic in this.

@@ -13,7 +13,7 @@ use fistful_chain::builder::BlockBuilder;
 use fistful_chain::chainstate::ChainState;
 use fistful_chain::params::Params;
 use fistful_chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
-use fistful_crypto::hash::Hash256;
+use fistful_crypto::hash::{DigestMap, Hash256};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -173,14 +173,18 @@ pub struct Economy {
     /// Ground truth.
     pub gt: GroundTruth,
     wallets: Vec<SimWallet>,
-    wallet_of_addr: HashMap<Address, WalletId>,
+    wallet_of_addr: DigestMap<Address, WalletId>,
     /// All services, in roster order.
     pub services: Vec<Service>,
     users: Vec<OwnerId>,
     user_wallet: Vec<WalletId>,
     user_traits: Vec<UserTraits>,
     user_banks: Vec<[usize; 2]>,
-    pending: Vec<Transaction>,
+    /// Transactions queued for the next block, each with its txid (computed
+    /// once, when the transaction is made).
+    pending: Vec<(Transaction, Hash256)>,
+    /// Position in `pending` of each queued txid.
+    pending_index: DigestMap<Hash256, usize>,
     pending_fees: Amount,
     height: u64,
     // Cached service-index lists.
@@ -212,13 +216,14 @@ impl Economy {
             chain: ChainState::new(Params::regtest()),
             gt: GroundTruth::new(),
             wallets: Vec::new(),
-            wallet_of_addr: HashMap::new(),
+            wallet_of_addr: DigestMap::default(),
             services: Vec::new(),
             users: Vec::new(),
             user_wallet: Vec::new(),
             user_traits: Vec::new(),
             user_banks: Vec::new(),
             pending: Vec::new(),
+            pending_index: DigestMap::default(),
             pending_fees: Amount::ZERO,
             height: 0,
             pool_idx: Vec::new(),
@@ -533,7 +538,7 @@ impl Economy {
             .pending_fees
             .checked_add(selected_total.checked_sub(outs.iter().map(|o| o.1).sum()).unwrap())
             .unwrap();
-        self.pending.push(tx);
+        self.queue(tx, txid);
         Some(txid)
     }
 
@@ -575,8 +580,14 @@ impl Economy {
             });
         }
         self.pending_fees = self.pending_fees.checked_add(fee).unwrap();
-        self.pending.push(tx);
+        self.queue(tx, txid);
         Some(txid)
+    }
+
+    /// Queues `tx`, whose id is `txid`, for the block under construction.
+    fn queue(&mut self, tx: Transaction, txid: Hash256) {
+        self.pending_index.insert(txid, self.pending.len());
+        self.pending.push((tx, txid));
     }
 
     // ----- block production -----
@@ -612,6 +623,7 @@ impl Economy {
         let coinbase_addr = self.fresh_address(coinbase_wallet);
 
         let txs = std::mem::take(&mut self.pending);
+        self.pending_index.clear();
         let block = BlockBuilder::new(&Params::regtest())
             .coinbase_to(coinbase_addr, height, reward)
             .txs(txs)
@@ -742,18 +754,12 @@ impl Economy {
         let d = self.dice_idx[self.rng.gen_range(0..self.dice_idx.len())];
         let balance = self.wallets[wallet].balance();
         let amount = self.rand_amount(1_000_000, 100_000_000, balance / 3);
-        let (bet_address, service_owner_wallet) = match &self.services[d].kind {
-            Kind::Dice { bet_address, wallet, .. } => (*bet_address, *wallet),
-            Kind::Bank { subwallets, .. } => {
-                // Casinos take deposits instead of instant bets.
-                let _ = subwallets;
-                let owner = self.services[d].owner;
-                let _ = owner;
-                return self.user_deposit_into(ui, d, probe);
-            }
+        let bet_address = match &self.services[d].kind {
+            Kind::Dice { bet_address, .. } => *bet_address,
+            // Casinos take deposits instead of instant bets.
+            Kind::Bank { .. } => return self.user_deposit_into(ui, d, probe),
             _ => return,
         };
-        let _ = service_owner_wallet;
         let change = if probe { ChangeTarget::Fresh } else { self.user_change(ui) };
         // Remember which address "sent" the bet: the first selected input.
         // We must know it to pay winnings back; peek by doing the payment
@@ -762,16 +768,9 @@ impl Economy {
         let Some(_txid) = self.pay(wallet, &[(bet_address, amount)], change) else {
             return;
         };
-        let bettor_addr = {
-            let tx = &self.pending[before];
-            // First input's address: recover via ground truth routing.
-            let op = tx.inputs[0].prevout;
-            // The spent output's address: search the wallet? Simpler: the
-            // engine recorded it pre-selection; recover from chain's utxo
-            // view is gone (0-conf). Track via outpoint→address map.
-            self.outpoint_addr(&op)
-        };
-        let Some(bettor_addr) = bettor_addr else { return };
+        // The bet was sent from the first input's address.
+        let op = self.pending[before].0.inputs[0].prevout;
+        let Some(bettor_addr) = self.outpoint_addr(&op) else { return };
         // Schedule the payout: SatoshiDice paid even losers a token amount.
         let win = self.rng.gen::<f64>() < 0.485;
         let payout = if win {
@@ -791,10 +790,8 @@ impl Economy {
         if let Some(entry) = self.chain.utxos().get(op) {
             return Some(entry.address);
         }
-        for tx in &self.pending {
-            if tx.txid() == op.txid {
-                return tx.outputs.get(op.vout as usize).map(|o| o.address);
-            }
+        if let Some(&i) = self.pending_index.get(&op.txid) {
+            return self.pending[i].0.outputs.get(op.vout as usize).map(|o| o.address);
         }
         // Spent outputs: look in the resolved view.
         let (_, rtx) = self.chain.resolved().tx_by_txid(&op.txid)?;
@@ -860,7 +857,6 @@ impl Economy {
     fn user_withdraw(&mut self, ui: usize, probe: bool) {
         let owner = if probe { self.probe_owner.unwrap() } else { self.users[ui] };
         let height = self.height;
-        let mut rng_amt = None;
         let mut candidates: Vec<usize> = Vec::new();
         for &b in &self.bank_idx {
             if let Kind::Bank { balances, .. } = &self.services[b].kind {
@@ -876,11 +872,9 @@ impl Economy {
         if let Kind::Bank { balances, queue, .. } = &mut self.services[b].kind {
             let bal = balances[&owner];
             let amount = Amount::from_sat(bal.to_sat() / 2).max(Amount::from_sat(DUST * 10));
-            rng_amt = Some(amount);
             *balances.get_mut(&owner).unwrap() = bal.saturating_sub(amount);
             queue.push_back(Withdrawal { user: owner, amount, due: height + 1, probe });
         }
-        let _ = rng_amt;
     }
 
     fn user_purchase(&mut self, ui: usize, probe: bool) {
@@ -893,13 +887,10 @@ impl Economy {
         let amount = self.rand_amount(5_000_000, 300_000_000, balance / 2);
         // Payment goes to the vendor or to its gateway.
         let (pay_service, pay_wallet) = match self.services[v].kind {
-            Kind::Vendor { wallet: vw, gateway: Some(g), .. } => {
-                let _ = vw;
-                match self.services[g].kind {
-                    Kind::Gateway { wallet: gw, .. } => (g, gw),
-                    _ => (v, vw),
-                }
-            }
+            Kind::Vendor { wallet: vw, gateway: Some(g), .. } => match self.services[g].kind {
+                Kind::Gateway { wallet: gw, .. } => (g, gw),
+                _ => (v, vw),
+            },
             Kind::Vendor { wallet: vw, gateway: None, .. } => (v, vw),
             _ => return,
         };
@@ -1069,7 +1060,7 @@ impl Economy {
             // "For each payout transaction, we labeled the input addresses
             // as belonging to the pool."
             let inputs: Vec<OutPoint> =
-                self.pending[before].inputs.iter().map(|i| i.prevout).collect();
+                self.pending[before].0.inputs.iter().map(|i| i.prevout).collect();
             for op in inputs {
                 if let Some(addr) = self.outpoint_addr(&op) {
                     self.probe_observations.push(ProbeObservation { address: addr, service: si });
@@ -1147,18 +1138,15 @@ impl Economy {
                 _ => None,
             };
             let Some((_owner, vendor_si, amount, _)) = job else { break };
-            let invoice = {
-                let (pay_si, pay_wallet) = match self.services[vendor_si].kind {
-                    Kind::Vendor { wallet: vw, gateway: Some(g), .. } => match self.services[g].kind {
-                        Kind::Gateway { wallet: gw, .. } => (g, gw),
-                        _ => (vendor_si, vw),
-                    },
-                    Kind::Vendor { wallet: vw, gateway: None, .. } => (vendor_si, vw),
-                    _ => break,
-                };
-                let _ = pay_si;
-                self.fresh_address(pay_wallet)
+            let pay_wallet = match self.services[vendor_si].kind {
+                Kind::Vendor { wallet: vw, gateway: Some(g), .. } => match self.services[g].kind {
+                    Kind::Gateway { wallet: gw, .. } => gw,
+                    _ => vw,
+                },
+                Kind::Vendor { wallet: vw, gateway: None, .. } => vw,
+                _ => break,
             };
+            let invoice = self.fresh_address(pay_wallet);
             let sub = subwallets[self.rng.gen_range(0..subwallets.len())];
             let sloppy = self.rng.gen::<f64>() < self.cfg.service_sloppy_change_rate;
             let change = match (sloppy, self.wallets[sub].last_change) {
@@ -1195,13 +1183,14 @@ impl Economy {
                 // Withdrawal observed: the inputs belong to the service,
                 // and so does the non-researcher output (its change).
                 let inputs: Vec<OutPoint> =
-                    self.pending[before].inputs.iter().map(|i| i.prevout).collect();
+                    self.pending[before].0.inputs.iter().map(|i| i.prevout).collect();
                 for op in inputs {
                     if let Some(addr) = self.outpoint_addr(&op) {
                         self.probe_observations.push(ProbeObservation { address: addr, service: si });
                     }
                 }
                 let change_addrs: Vec<Address> = self.pending[before]
+                    .0
                     .outputs
                     .iter()
                     .map(|o| o.address)
@@ -1233,13 +1222,14 @@ impl Economy {
             let before = self.pending.len();
             if self.pay(wallet, &[(bettor, amount)], ChangeTarget::SelfChange).is_some() && probe {
                 let inputs: Vec<OutPoint> =
-                    self.pending[before].inputs.iter().map(|i| i.prevout).collect();
+                    self.pending[before].0.inputs.iter().map(|i| i.prevout).collect();
                 for op in inputs {
                     if let Some(addr) = self.outpoint_addr(&op) {
                         self.probe_observations.push(ProbeObservation { address: addr, service: si });
                     }
                 }
                 let change_addrs: Vec<Address> = self.pending[before]
+                    .0
                     .outputs
                     .iter()
                     .map(|o| o.address)
@@ -1444,7 +1434,7 @@ impl Economy {
         let before = self.pending.len();
         if self.pay(wallet, &[(bet_address, amount)], ChangeTarget::Fresh).is_some() {
             self.probe_observations.push(ProbeObservation { address: bet_address, service: si });
-            let op = self.pending[before].inputs[0].prevout;
+            let op = self.pending[before].0.inputs[0].prevout;
             if let Some(bettor) = self.outpoint_addr(&op) {
                 let due = self.height + 1;
                 if let Kind::Dice { pending, .. } = &mut self.services[si].kind {
@@ -1629,7 +1619,7 @@ impl Economy {
             });
         }
         self.pending_fees = self.pending_fees.checked_add(fee).unwrap();
-        self.pending.push(tx);
+        self.queue(tx, txid);
         Some(txid)
     }
 }
@@ -1663,6 +1653,20 @@ mod tests {
         cfg.seed ^= 1;
         let c = Economy::run(cfg);
         assert_ne!(a.chain.tip_hash(), c.chain.tip_hash());
+    }
+
+    #[test]
+    fn sha256_compressions_per_tx_are_bounded() {
+        // Per transaction: its txid when the engine makes it and again when
+        // the chain accepts it, its share of two merkle roots (`BlockBuilder`'s
+        // and validation's), and the addresses it pays. The tiny economy
+        // costs exactly 32,057 compressions for 2,280 transactions (14.06
+        // each); hashing every txid at each use cost 64,554 (28.31).
+        let before = fistful_crypto::sha256::compressions();
+        let eco = Economy::run(SimConfig::tiny());
+        let used = fistful_crypto::sha256::compressions() - before;
+        let per_tx = used as f64 / eco.chain.resolved().tx_count() as f64;
+        assert!(per_tx <= 14.1, "{used} compressions, {per_tx:.2} per tx");
     }
 
     #[test]

@@ -8,8 +8,7 @@
 use crate::entity::{Category, OwnerId, OwnerInfo};
 use fistful_chain::address::Address;
 use fistful_chain::resolve::ResolvedChain;
-use fistful_crypto::hash::Hash256;
-use std::collections::HashMap;
+use fistful_crypto::hash::{DigestMap, Hash256};
 
 /// Ground-truth registry, keyed by concrete addresses and txids while the
 /// simulation runs; convert to dense id space with
@@ -18,8 +17,8 @@ use std::collections::HashMap;
 pub struct GroundTruth {
     /// All owners.
     pub owners: Vec<OwnerInfo>,
-    owner_of_addr: HashMap<Address, OwnerId>,
-    true_change: HashMap<Hash256, u32>,
+    owner_of_addr: DigestMap<Address, OwnerId>,
+    true_change: DigestMap<Hash256, u32>,
 }
 
 impl GroundTruth {

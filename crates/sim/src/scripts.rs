@@ -240,7 +240,6 @@ impl SilkRoadScript {
                         self.report.total_received = eco
                             .wallet(hot)
                             .utxos()
-                            .iter()
                             .filter(|u| u.address == big)
                             .map(|u| u.value)
                             .sum();

@@ -9,6 +9,14 @@ use fistful::core::tagdb::{Tag, TagDb, TagSource};
 use fistful::core::{change, fp};
 use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
 use std::collections::HashSet;
+use std::sync::OnceLock;
+
+/// The `SimConfig::default()` economy, built once and shared by the tests
+/// that read it.
+fn default_economy() -> &'static Economy {
+    static ECO: OnceLock<Economy> = OnceLock::new();
+    ECO.get_or_init(|| Economy::run(SimConfig::default()))
+}
 
 fn tagdb_from(eco: &Economy) -> TagDb {
     let chain = eco.chain.resolved();
@@ -42,7 +50,7 @@ fn dice_addresses(eco: &Economy) -> HashSet<u32> {
 
 #[test]
 fn h1_clusters_are_pure_and_tags_amplify() {
-    let eco = Economy::run(SimConfig::default());
+    let eco = default_economy();
     let chain = eco.chain.resolved();
     let gt = eco.gt.to_id_space(chain);
 
@@ -54,7 +62,7 @@ fn h1_clusters_are_pure_and_tags_amplify() {
 
     // Tag amplification: named clusters cover far more addresses than the
     // hand-tagged set (the paper: 1,070 addresses → 1.8 M, ≈1,600×).
-    let db = tagdb_from(&eco);
+    let db = tagdb_from(eco);
     let own_tagged: HashSet<u32> = db
         .tags_from(TagSource::OwnTransaction)
         .map(|t| t.address)
@@ -122,10 +130,10 @@ fn fp_ladder_descends_as_in_the_paper() {
 
 #[test]
 fn refined_h2_has_high_ground_truth_precision() {
-    let eco = Economy::run(SimConfig::default());
+    let eco = default_economy();
     let chain = eco.chain.resolved();
     let gt = eco.gt.to_id_space(chain);
-    let dice = dice_addresses(&eco);
+    let dice = dice_addresses(eco);
 
     let refined = change::identify(chain, &ChangeConfig::refined(dice));
     let score = score_change_labels(chain, &refined, &gt.change_vout);
@@ -186,9 +194,9 @@ fn naive_h2_forms_super_cluster_refined_does_not() {
 
 #[test]
 fn h1_splits_big_services_tags_remerge_them() {
-    let eco = Economy::run(SimConfig::default());
+    let eco = default_economy();
     let chain = eco.chain.resolved();
-    let db = tagdb_from(&eco);
+    let db = tagdb_from(eco);
     let clustering = Clusterer::h1_only().run(chain);
     let names = name_clusters(&clustering, &db);
     // Mt. Gox runs 20 internally disjoint subwallets; H1 must see several
@@ -200,4 +208,27 @@ fn h1_splits_big_services_tags_remerge_them() {
         gox_clusters.len()
     );
     assert!(names.collapsed_by_names >= gox_clusters.len() - 1);
+}
+
+/// Tip hash, transaction count and address count of `eco`'s chain.
+fn chain_pin(eco: &Economy) -> (String, usize, usize) {
+    let chain = eco.chain.resolved();
+    (eco.chain.tip_hash().to_hex(), chain.tx_count(), chain.address_count())
+}
+
+#[test]
+fn default_and_benchmark_scale_chains_are_pinned() {
+    // The tip hash commits to every header and, through the merkle roots,
+    // to every transaction byte, so these pins fail on any change to the
+    // simulated chain, not just to its size.
+    assert_eq!(
+        chain_pin(default_economy()),
+        ("b106c93ed63064c462f8f81ca190ef9f329d5509ccad3258505f5125a812cf40".to_string(), 65_005, 61_298)
+    );
+    // The benchmark's full scale (`benchmark/`, default seed).
+    let full = SimConfig { blocks: 480, users: 150, public_tags: 750, ..SimConfig::default() };
+    assert_eq!(
+        chain_pin(&Economy::run(full)),
+        ("bb491c708acb2a70a73cc71102b3c24fae320fe56e6fb902829dce7f102c9ad4".to_string(), 59_906, 55_776)
+    );
 }
