@@ -11,6 +11,8 @@ cargo test -q
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 cargo clippy --workspace --all-targets -- -D warnings
 cargo run --release --example serve_roundtrip
+cargo run --release --example silkroad_trace
+cargo run --release --example theft_tracking
 
 # benchmark/ is a package of its own that path-depends on the library
 # crates, so nothing above builds it: unit-test it, then run every

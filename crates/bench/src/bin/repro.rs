@@ -1,6 +1,5 @@
 //! `repro` — regenerates every table and figure of the paper, writes /
-//! serves frozen cluster snapshots, batch-tracks thefts over the
-//! transaction-graph index, and runs the TCP query service.
+//! serves frozen cluster snapshots, and runs the TCP query service.
 //!
 //! Usage: `repro [--scale tiny|default|paper] [experiment...]` where each
 //! `experiment` is one of `fig1 tab1 h1 fp super h2 fig2 tab2 tab3`
@@ -9,15 +8,13 @@
 //! snapshot save <file>` clusters the simulated economy once and writes the
 //! [`ClusterSnapshot`] artifact; `repro snapshot query <file>` reloads it
 //! and answers address → cluster lookups without replaying the chain.
-//! `repro taint` builds the columnar [`TxGraph`] once and tracks the
-//! scripted thefts concurrently over it, cross-checking the batch result
-//! against the legacy per-theft walk. `repro ingest` replays the economy
-//! block by block through the sharded ingest pipeline across a sweep of
-//! shard counts, asserting each sweep point reproduces the batch
-//! clustering exactly and timing per-block cost. `repro serve` starts the
-//! `fistful-serve` query server over the simulated economy. Parsing lives
-//! in [`fistful_bench::cli`]. Throughput and latency are measured by the
-//! separate `benchmark/` package, not here.
+//! `repro ingest` replays the economy block by block through the sharded
+//! ingest pipeline across a sweep of shard counts, asserting each sweep
+//! point reproduces the batch clustering exactly and timing per-block
+//! cost. `repro serve` starts the `fistful-serve` query server over the
+//! simulated economy. Parsing lives in [`fistful_bench::cli`]. Throughput
+//! and latency are measured by the separate `benchmark/` package, not
+//! here.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +30,7 @@ use fistful_core::naming::name_clusters;
 use fistful_core::snapshot::ClusterSnapshot;
 use fistful_flow::graph::TxGraph;
 use fistful_flow::{
-    balance_series, service_arrivals_indexed, track_theft, track_thefts_batch, FollowStrategy,
+    balance_series, follow_chains_indexed, service_arrivals, track_thefts_batch, FollowStrategy,
 };
 use fistful_core::snapshot::SnapshotDelta;
 use fistful_net::{Network, NetworkConfig};
@@ -62,9 +59,6 @@ fn main() {
         Command::Run(plan) => run_experiments(&plan),
         Command::SnapshotSave { scale, path } => snapshot_save(&scale, &path),
         Command::SnapshotQuery { path, addresses, top } => snapshot_query(&path, &addresses, top),
-        Command::Taint { scale, thefts, threads, max_txs } => {
-            taint(&scale, &thefts, threads, max_txs)
-        }
         Command::Ingest { scale, shards, epoch } => ingest(&scale, &shards, epoch),
         Command::StoreSave { scale, dir } => store_save(&scale, &dir),
         Command::StoreOpen { dir, verify_scale } => store_open(&dir, verify_scale.as_deref()),
@@ -444,103 +438,6 @@ fn snapshot_query(path: &str, addresses: &[u32], top: usize) {
             ),
         }
     }
-}
-
-/// `taint`: the batch multi-theft engine over the transaction-graph index,
-/// cross-checked against (and timed versus) the legacy per-theft walks.
-fn taint(scale: &str, names: &[String], threads: usize, max_txs: usize) {
-    let cfg = sim_config(scale);
-    eprintln!(
-        "# building economy (scale={scale}, blocks={}, users={}) ...",
-        cfg.blocks, cfg.users
-    );
-    let wb = Workbench::build(cfg);
-    let chain = wb.eco.chain.resolved();
-    let labels = change::identify(chain, &wb.refined_config());
-    let snapshot = wb.snapshot();
-
-    // Select the scripted thefts, by name when asked.
-    let mut cases = theft_loots(chain, &wb.eco.script_report.thefts);
-    if !names.is_empty() {
-        for want in names {
-            if !cases.iter().any(|(name, _)| name == want) {
-                let known: Vec<&str> = cases.iter().map(|(n, _)| n.as_str()).collect();
-                eprintln!("repro: unknown theft `{want}` (known: {})", known.join(", "));
-                std::process::exit(2);
-            }
-        }
-        cases.retain(|(name, _)| names.iter().any(|w| w == name));
-    }
-    if cases.is_empty() {
-        eprintln!("repro: no scripted thefts on this chain (scale too small?)");
-        std::process::exit(1);
-    }
-
-    let t0 = std::time::Instant::now();
-    let graph = TxGraph::build(chain);
-    let built = t0.elapsed();
-    assert!(
-        snapshot.pairs_with_chain(graph.address_count(), graph.tx_count() as u64),
-        "snapshot and graph describe different chains"
-    );
-    println!(
-        "graph: {} txs, {} outputs, {} inputs, built in {built:.1?}",
-        graph.tx_count(),
-        graph.output_count(),
-        graph.input_count()
-    );
-
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
-    let loots: Vec<Vec<(u32, u32)>> = cases.iter().map(|(_, loot)| loot.clone()).collect();
-
-    // Warm both paths once (first touches page in each structure cold),
-    // then time the steady state the serving workload actually runs in.
-    let legacy_walk = || -> Vec<_> {
-        loots
-            .iter()
-            .map(|loot| track_theft(chain, loot, &labels, &snapshot, max_txs))
-            .collect()
-    };
-    let traces = track_thefts_batch(&graph, &loots, &labels, &snapshot, max_txs, workers);
-    let warm = legacy_walk();
-    assert_eq!(traces, warm, "batch and legacy traces diverged");
-
-    let t1 = std::time::Instant::now();
-    let traces = track_thefts_batch(&graph, &loots, &labels, &snapshot, max_txs, workers);
-    let batch = t1.elapsed();
-    let t2 = std::time::Instant::now();
-    let legacy = legacy_walk();
-    let sequential = t2.elapsed();
-    assert_eq!(traces, legacy, "batch and legacy traces diverged");
-
-    println!(
-        "{:<18} {:>6} {:<12} {:>14} {:>10}",
-        "Theft", "Txs", "Pattern", "Exchanges?", "Dormant"
-    );
-    for ((name, _), trace) in cases.iter().zip(&traces) {
-        println!(
-            "{:<18} {:>6} {:<12} {:>14} {:>10}",
-            name,
-            trace.movements.len(),
-            if trace.pattern.is_empty() { "-" } else { &trace.pattern },
-            if trace.reached_exchange() {
-                format!("Yes ({:.1} BTC)", trace.to_exchanges.to_btc())
-            } else {
-                "No".to_string()
-            },
-            btc_round(trace.dormant)
-        );
-    }
-    println!(
-        "tracked {} thefts: batch over index ({workers} threads) {batch:.1?} vs legacy \
-         sequential {sequential:.1?} ({:.1}x); results identical",
-        cases.len(),
-        sequential.as_secs_f64() / batch.as_secs_f64().max(1e-9)
-    );
 }
 
 /// `ingest`: the sharded ingest sweep. Replays the economy block by block
@@ -1182,14 +1079,9 @@ fn tab2(wb: &Workbench, graph: &TxGraph) {
 
     // Follow all three dissolution chains over the shared columnar index.
     let starts = silk_road_starts(chain, sr);
-    let (chains, rows) = service_arrivals_indexed(
-        graph,
-        &labels,
-        &starts,
-        100,
-        FollowStrategy::LargestFallback,
-        &snapshot,
-    );
+    let chains =
+        follow_chains_indexed(graph, &labels, &starts, 100, FollowStrategy::LargestFallback);
+    let rows = service_arrivals(&chains, &snapshot);
     for (i, c) in chains.iter().enumerate() {
         println!(
             "chain {}: {} hops followed ({} via fallback), {} peeled",
@@ -1240,7 +1132,14 @@ fn tab3(wb: &Workbench, graph: &TxGraph) {
     let cases = theft_loots(chain, &wb.eco.script_report.thefts);
     let loots: Vec<Vec<(u32, u32)>> = cases.iter().map(|(_, loot)| loot.clone()).collect();
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let traces = track_thefts_batch(graph, &loots, &labels, &snapshot, 5_000, threads);
+    let traces = track_thefts_batch(
+        graph,
+        &loots,
+        &labels,
+        &snapshot,
+        cli::DEFAULT_TAINT_MAX_TXS,
+        threads,
+    );
 
     println!(
         "{:<18} {:>10} {:>8} {:<10} {:<10} {:>14}",

@@ -1,6 +1,6 @@
 //! Argument parsing for the `repro` binary, factored out so the dedupe,
-//! `all`-mixing, and `snapshot`/`taint`/`ingest`/`store`/`serve`
-//! subcommand rules are unit-testable without spawning the binary.
+//! `all`-mixing, and `snapshot`/`ingest`/`store`/`serve` subcommand rules
+//! are unit-testable without spawning the binary.
 
 /// Every experiment `repro` knows, in presentation order.
 pub const EXPERIMENTS: [&str; 9] =
@@ -12,8 +12,8 @@ pub const SCALES: [&str; 3] = ["tiny", "default", "paper"];
 /// Default number of top clusters printed by `snapshot query`.
 pub const DEFAULT_QUERY_TOP: usize = 10;
 
-/// Default taint-walk transaction bound for `repro taint` (the same bound
-/// `tab3` uses).
+/// The taint-walk transaction bound: per theft in `tab3`, and per
+/// `TaintTrace` request in `repro serve`.
 pub const DEFAULT_TAINT_MAX_TXS: usize = 5_000;
 
 /// Default port for `repro serve`.
@@ -43,8 +43,6 @@ pub fn usage() -> String {
         "usage: repro [--scale {scales}] [experiment...]\n\
          \x20      repro snapshot save <file> [--scale {scales}]\n\
          \x20      repro snapshot query <file> [address-id...] [--top N]\n\
-         \x20      repro taint [--scale {scales}] [--thefts all|name,name,...]\n\
-         \x20                  [--threads N] [--max-txs M]\n\
          \x20      repro ingest [--scale {scales}] [--shards N,N,...] [--epoch K]\n\
          \x20      repro store save <dir> [--scale {scales}]\n\
          \x20      repro store open <dir> [--verify-scale {scales}]\n\
@@ -58,10 +56,6 @@ pub fn usage() -> String {
          \x20         write the frozen ClusterSnapshot artifact to <file>\n\
          \x20 query — load <file> without re-clustering; print a summary, the\n\
          \x20         top clusters, and address-id lookups\n\
-         taint — build the columnar transaction-graph index once and track\n\
-         \x20        the scripted thefts concurrently over it (batch engine),\n\
-         \x20        checked against and timed versus the legacy per-theft\n\
-         \x20        walk; --thefts selects cases by name (default: all)\n\
          ingest — replay the economy block by block through the sharded\n\
          \x20        ingest pipeline, sweeping --shards shard counts (comma\n\
          \x20        list, each > 0) with an --epoch-block reconcile cadence,\n\
@@ -129,18 +123,6 @@ pub enum Command {
         addresses: Vec<u32>,
         /// How many top clusters to print.
         top: usize,
-    },
-    /// `taint`: batch multi-theft taint tracking over the transaction-graph
-    /// index, differentially checked against the legacy walk.
-    Taint {
-        /// One of [`SCALES`].
-        scale: String,
-        /// Theft case names to track; empty means every scripted theft.
-        thefts: Vec<String>,
-        /// Worker threads for the batch engine; `0` means auto-detect.
-        threads: usize,
-        /// Per-theft taint-walk transaction bound.
-        max_txs: usize,
     },
     /// `ingest`: replay the economy through the sharded ingest pipeline
     /// across a sweep of shard counts, checking each against the batch
@@ -246,14 +228,10 @@ fn parse_scale(next: Option<&String>) -> Result<String, CliOutcome> {
 /// * unknown experiments and bad `--scale` values are rejected;
 /// * `snapshot save|query` selects the snapshot mode instead; `save` takes
 ///   an output path and an optional `--scale`, `query` takes an input path,
-///   optional numeric address ids, and an optional `--top N`;
-/// * `taint` selects the batch taint mode: optional `--scale`, `--threads`
-///   and `--max-txs`, plus `--thefts` naming the cases to track (`all`, the
-///   default, must stand alone — the same rule as the experiment list).
+///   optional numeric address ids, and an optional `--top N`.
 pub fn parse(args: &[String]) -> Result<Command, CliOutcome> {
     match args.first().map(String::as_str) {
         Some("snapshot") => return parse_snapshot(&args[1..]),
-        Some("taint") => return parse_taint(&args[1..]),
         Some("ingest") => return parse_ingest(&args[1..]),
         Some("store") => return parse_store(&args[1..]),
         Some("serve") => return parse_serve(&args[1..]),
@@ -452,63 +430,6 @@ fn parse_snapshot(args: &[String]) -> Result<Command, CliOutcome> {
             "unknown snapshot subcommand `{other}` (expected save | query)"
         ))),
     }
-}
-
-/// Parses the arguments after the `taint` keyword.
-fn parse_taint(args: &[String]) -> Result<Command, CliOutcome> {
-    let mut scale = "default".to_string();
-    let mut thefts: Vec<String> = Vec::new();
-    let mut saw_all = false;
-    let mut threads = 0usize;
-    let mut max_txs = DEFAULT_TAINT_MAX_TXS;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => scale = parse_scale(it.next())?,
-            "--help" | "-h" => return Err(CliOutcome::Help),
-            "--threads" => {
-                threads = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return Err(CliOutcome::Error("invalid --threads value".to_string())),
-                };
-            }
-            "--max-txs" => {
-                max_txs = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => return Err(CliOutcome::Error("invalid --max-txs value".to_string())),
-                };
-            }
-            "--thefts" => {
-                let Some(list) = it.next() else {
-                    return Err(CliOutcome::Error("--thefts requires a value".to_string()));
-                };
-                for name in list.split(',') {
-                    let name = name.trim();
-                    if name.is_empty() {
-                        return Err(CliOutcome::Error(format!(
-                            "empty theft name in `--thefts {list}`"
-                        )));
-                    }
-                    if name == "all" {
-                        saw_all = true;
-                    } else if !thefts.iter().any(|t| t == name) {
-                        thefts.push(name.to_string());
-                    }
-                }
-            }
-            other => {
-                return Err(CliOutcome::Error(format!(
-                    "unknown taint option `{other}`"
-                )))
-            }
-        }
-    }
-    if saw_all && !thefts.is_empty() {
-        return Err(CliOutcome::Error(
-            "`all` cannot be combined with named thefts".to_string(),
-        ));
-    }
-    Ok(Command::Taint { scale, thefts, threads, max_txs })
 }
 
 /// Parses the arguments after the `ingest` keyword.
@@ -738,64 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn taint_defaults() {
-        assert_eq!(
-            parse(&args(&["taint"])).unwrap(),
-            Command::Taint {
-                scale: "default".into(),
-                thefts: vec![],
-                threads: 0,
-                max_txs: DEFAULT_TAINT_MAX_TXS
-            }
-        );
-        // `--thefts all` is the explicit spelling of the default.
-        assert_eq!(
-            parse(&args(&["taint", "--thefts", "all"])).unwrap(),
-            parse(&args(&["taint"])).unwrap()
-        );
-    }
-
-    #[test]
-    fn taint_parses_every_option() {
-        assert_eq!(
-            parse(&args(&[
-                "taint", "--scale", "tiny", "--thefts", "Betcoin,Bitfloor,Betcoin",
-                "--threads", "4", "--max-txs", "99"
-            ]))
-            .unwrap(),
-            Command::Taint {
-                scale: "tiny".into(),
-                // Duplicates collapse, first-mention order kept.
-                thefts: vec!["Betcoin".into(), "Bitfloor".into()],
-                threads: 4,
-                max_txs: 99
-            }
-        );
-    }
-
-    #[test]
-    fn taint_errors_are_usage_errors() {
-        for bad in [
-            &["taint", "--thefts"][..],
-            &["taint", "--thefts", "a,,b"],
-            &["taint", "--thefts", "all,Betcoin"],
-            &["taint", "--threads", "many"],
-            &["taint", "--threads"],
-            &["taint", "--max-txs", "0"],
-            &["taint", "--max-txs", "lots"],
-            &["taint", "--scale", "huge"],
-            &["taint", "stray"],
-            &["taint", "--bogus"],
-        ] {
-            assert!(
-                matches!(parse(&args(bad)), Err(CliOutcome::Error(_))),
-                "expected usage error for {bad:?}"
-            );
-        }
-        assert_eq!(parse(&args(&["taint", "--help"])), Err(CliOutcome::Help));
-    }
-
-    #[test]
     fn ingest_parses_defaults_and_overrides() {
         assert_eq!(
             parse(&args(&["ingest"])).unwrap(),
@@ -859,8 +722,6 @@ mod tests {
             "snapshot save",
             "snapshot query",
             "--top",
-            "taint",
-            "--thefts",
             "ingest",
             "--shards",
             "--epoch",

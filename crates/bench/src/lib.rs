@@ -139,8 +139,8 @@ pub fn btc_round(amount: fistful_chain::amount::Amount) -> u64 {
 /// Resolves each scripted theft's loot outputs to `(name, [(tx, vout)])`
 /// pairs — the input shape of the batch taint engine. Thefts whose loot
 /// cannot be located on the chain (script disabled at tiny scales) are
-/// omitted. Shared by `repro tab3`, `repro taint`, the `serve_roundtrip`
-/// example, and the integration suites.
+/// omitted. Shared by `repro tab3`, the `serve_roundtrip` and
+/// `theft_tracking` examples, and the integration suites.
 pub fn theft_loots(
     chain: &fistful_chain::resolve::ResolvedChain,
     thefts: &[fistful_sim::scripts::TheftReport],

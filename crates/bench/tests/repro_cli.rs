@@ -47,9 +47,12 @@ fn all_mixed_with_named_is_a_usage_error() {
 
 #[test]
 fn unknown_experiment_is_a_usage_error() {
-    let out = repro(&["tab9"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
+    // `taint` is no subcommand, so it reads as an unknown experiment.
+    for bad in [&["tab9"], &["taint"]] {
+        let out = repro(bad);
+        assert_eq!(out.status.code(), Some(2), "args {bad:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"), "args {bad:?}");
+    }
 }
 
 #[test]
@@ -122,47 +125,6 @@ fn snapshot_save_then_query_round_trips_through_a_file() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn taint_usage_errors_exit_two() {
-    for bad in [
-        &["taint", "--thefts"][..],
-        &["taint", "--thefts", "all,Betcoin"],
-        &["taint", "--threads", "many"],
-        &["taint", "--max-txs", "0"],
-        &["taint", "--bogus"],
-    ] {
-        let out = repro(bad);
-        assert_eq!(out.status.code(), Some(2), "args {bad:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
-            "args {bad:?}"
-        );
-    }
-}
-
-#[test]
-fn taint_tracks_thefts_over_the_graph_at_tiny_scale() {
-    let out = repro(&["taint", "--scale", "tiny", "--threads", "2", "--max-txs", "500"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // The graph was built and reported.
-    assert!(stdout.contains("graph:"), "{stdout}");
-    // The batch ran, was timed against the legacy walk, and agreed with it
-    // (the binary asserts equality before printing this line).
-    assert!(stdout.contains("results identical"), "{stdout}");
-    assert!(stdout.contains("batch over index (2 threads)"), "{stdout}");
-}
-
-#[test]
-fn taint_rejects_unknown_theft_names() {
-    let out = repro(&["taint", "--scale", "tiny", "--thefts", "NotARealCase"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown theft"), "{stderr}");
-    // The error names the known cases so the caller can fix the spelling.
-    assert!(stderr.contains("known:"), "{stderr}");
 }
 
 #[test]

@@ -18,7 +18,7 @@ use fistful_core::snapshot::ClusterSnapshot;
 /// naming or ground truth) and by [`ClusterSnapshot`] (two array reads into
 /// the frozen artifact). Every flow entry point that needs attribution —
 /// [`balance_series`](crate::balance::balance_series),
-/// [`track_theft`](crate::theft::track_theft),
+/// [`track_theft_indexed`](crate::theft::track_theft_indexed),
 /// [`service_arrivals`](crate::track::service_arrivals) — takes
 /// `&impl ServiceResolver`, so a decoded snapshot can be queried directly
 /// without rebuilding any per-address table.

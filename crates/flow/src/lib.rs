@@ -40,9 +40,7 @@ pub mod track;
 pub use balance::{balance_series, balance_series_at, point_at, BalancePoint};
 pub use categories::{AddressDirectory, ServiceResolver};
 pub use graph::{TaintScratch, TxGraph};
-pub use movement::{classify_movements, classify_movements_indexed, MovementKind};
-pub use peel::{
-    follow_chain, follow_chain_indexed, follow_chains_indexed, FollowStrategy, Hop, PeelChain,
-};
-pub use theft::{track_theft, track_theft_indexed, track_thefts_batch, TheftTrace};
-pub use track::{service_arrivals, service_arrivals_indexed, ArrivalRow};
+pub use movement::{classify_movements_indexed, MovementKind};
+pub use peel::{follow_chain_indexed, follow_chains_indexed, FollowStrategy, Hop, PeelChain};
+pub use theft::{track_theft_indexed, track_thefts_batch, TheftTrace};
+pub use track::{service_arrivals, ArrivalRow};

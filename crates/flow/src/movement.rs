@@ -15,9 +15,8 @@
 
 use crate::graph::{TaintScratch, TxGraph};
 use fistful_chain::amount::Amount;
-use fistful_chain::resolve::{AddressId, ResolvedChain, TxId};
+use fistful_chain::resolve::{AddressId, TxId};
 use fistful_core::change::ChangeLabels;
-use std::collections::{HashSet, VecDeque};
 
 /// One movement kind, as in Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,10 +62,8 @@ pub struct TaintedTx {
     pub departures: Vec<(AddressId, Amount)>,
 }
 
-/// Classifies a transaction shape from its input/output counts — the one
-/// copy of the A/P/S/F decision table, shared by the legacy
-/// [`classify_tx`] and the graph-indexed walk so the two paths cannot
-/// drift.
+/// Classifies a transaction shape from its input/output counts and how
+/// many of its inputs are tainted — the A/P/S/F decision table.
 pub fn classify_counts(ins: usize, outs: usize, tainted_inputs: usize) -> MovementKind {
     if ins >= 3 && outs <= 2 {
         if tainted_inputs < ins {
@@ -83,110 +80,17 @@ pub fn classify_counts(ins: usize, outs: usize, tainted_inputs: usize) -> Moveme
     }
 }
 
-/// Classifies a single transaction given which of its inputs are tainted.
-pub fn classify_tx(chain: &ResolvedChain, tx: TxId, tainted_inputs: usize) -> MovementKind {
-    let t = &chain.txs[tx as usize];
-    classify_counts(t.inputs.len(), t.outputs.len(), tainted_inputs)
-}
-
 /// Walks forward from specific loot outputs (`(tx, vout)` pairs) for up to
-/// `max_txs` transactions, classifying each and recording departures.
+/// `max_txs` transactions over the columnar [`TxGraph`] index, classifying
+/// each and recording departures.
 ///
 /// `labels` (Heuristic 2) picks the change side at peeling hops; when a hop
-/// is unlabelled, the largest output is followed (the remainder).
-pub fn classify_movements(
-    chain: &ResolvedChain,
-    loot: &[(TxId, u32)],
-    labels: &ChangeLabels,
-    max_txs: usize,
-) -> Vec<TaintedTx> {
-    // Tainted outpoints, as (tx, vout).
-    let mut tainted: HashSet<(TxId, u32)> = loot.iter().copied().collect();
-    let mut queue: VecDeque<(TxId, u32)> = loot.iter().copied().collect();
-    let mut visited_txs: HashSet<TxId> = HashSet::new();
-    let mut out = Vec::new();
-
-    while let Some((tx, vout)) = queue.pop_front() {
-        if out.len() >= max_txs {
-            break;
-        }
-        // Who spends this tainted output?
-        let Some(next) = chain.txs[tx as usize].outputs[vout as usize].spent_by else {
-            continue;
-        };
-        if !visited_txs.insert(next) {
-            continue;
-        }
-        let t = &chain.txs[next as usize];
-        let tainted_inputs = t
-            .inputs
-            .iter()
-            .filter(|i| tainted.contains(&(i.prev_tx, i.prev_vout)))
-            .count();
-        let kind = classify_tx(chain, next, tainted_inputs);
-
-        // Decide which outputs stay under the thief's control.
-        let followed: Vec<u32> = match kind {
-            MovementKind::Aggregation | MovementKind::Fold | MovementKind::Split
-            | MovementKind::Transfer => (0..t.outputs.len() as u32).collect(),
-            MovementKind::Peel => {
-                let change = labels.change_vout(next).unwrap_or_else(|| {
-                    // Fall back to the largest output (the remainder).
-                    t.outputs
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, o)| o.value)
-                        .map(|(v, _)| v as u32)
-                        .unwrap_or(0)
-                });
-                vec![change]
-            }
-        };
-        let departures: Vec<(AddressId, Amount)> = (0..t.outputs.len() as u32)
-            .filter(|v| !followed.contains(v))
-            .map(|v| {
-                let o = &t.outputs[v as usize];
-                (o.address, o.value)
-            })
-            .collect();
-
-        for v in followed {
-            tainted.insert((next, v));
-            queue.push_back((next, v));
-        }
-        out.push(TaintedTx {
-            tx: next,
-            kind,
-            tainted_inputs,
-            total_inputs: t.inputs.len(),
-            departures,
-        });
-    }
-    // Chain order for a readable narrative.
-    out.sort_by_key(|t| t.tx);
-    out
-}
-
-/// [`classify_movements`] over the columnar [`TxGraph`] index: identical
-/// movement records (same transactions, same classifications, same
-/// departures — proven by the differential tests), with the taint frontier
-/// kept as a bitmap over flat output ids instead of a hash set of
-/// `(tx, vout)` pairs.
+/// is unlabelled, the largest output is followed (the remainder). The
+/// taint frontier is a bitmap over flat output ids in `scratch`, which is
+/// reset on entry, so callers that run many walks over one graph (the
+/// batch taint engine hands each worker thread its own [`TaintScratch`])
+/// pay for its allocations once.
 pub fn classify_movements_indexed(
-    graph: &TxGraph,
-    loot: &[(TxId, u32)],
-    labels: &ChangeLabels,
-    max_txs: usize,
-) -> Vec<TaintedTx> {
-    let mut scratch = TaintScratch::for_graph(graph);
-    classify_movements_with_scratch(graph, loot, labels, max_txs, &mut scratch)
-}
-
-/// The scratch-reusing form of [`classify_movements_indexed`], for callers
-/// that run many walks over one graph (the batch taint engine hands each
-/// worker thread its own [`TaintScratch`] and amortizes the bitmap
-/// allocations across every theft that worker processes).
-pub fn classify_movements_with_scratch(
     graph: &TxGraph,
     loot: &[(TxId, u32)],
     labels: &ChangeLabels,
@@ -221,9 +125,8 @@ pub fn classify_movements_with_scratch(
         let outputs = graph.outputs(next);
         let kind = classify_counts(total_inputs, outputs.len(), tainted_inputs);
 
-        // Decide which outputs stay under the thief's control, mirroring
-        // the legacy walk exactly (including its peel fallback, which
-        // keeps the *last* maximum among equal-value outputs).
+        // Decide which outputs stay under the thief's control. The peel
+        // fallback keeps the *last* maximum among equal-value outputs.
         let mut departures: Vec<(AddressId, Amount)> = Vec::new();
         match kind {
             MovementKind::Aggregation | MovementKind::Fold | MovementKind::Split
@@ -286,8 +189,13 @@ mod tests {
     use fistful_core::change::{identify, ChangeConfig};
     use fistful_core::testutil::TestChain;
 
-    fn labels_for(t: &TestChain) -> ChangeLabels {
-        identify(&t.chain, &ChangeConfig::naive())
+    /// The taint walk from `loot` over `t`'s graph, with naive H2 labels
+    /// and a fresh scratch.
+    fn walk(t: &TestChain, loot: &[(TxId, u32)], max_txs: usize) -> Vec<TaintedTx> {
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let graph = TxGraph::build(&t.chain);
+        let mut scratch = TaintScratch::for_graph(&graph);
+        classify_movements_indexed(&graph, loot, &labels, max_txs, &mut scratch)
     }
 
     #[test]
@@ -298,16 +206,20 @@ mod tests {
         let c3 = t.coinbase(3, 50);
         // Aggregation: 3 inputs → 1 output.
         let agg = t.tx(&[(c1, 0), (c2, 0), (c3, 0)], &[(4, 150)]);
-        assert_eq!(classify_tx(&t.chain, agg as u32, 3), MovementKind::Aggregation);
-        assert_eq!(classify_tx(&t.chain, agg as u32, 2), MovementKind::Fold);
-
         // Split: 1 input → 3 outputs.
         let split = t.tx(&[(agg, 0)], &[(5, 50), (6, 50), (7, 50)]);
-        assert_eq!(classify_tx(&t.chain, split as u32, 1), MovementKind::Split);
-
         // Peel: 1 input → 2 outputs.
         let peel = t.tx(&[(split, 0)], &[(8, 10), (9, 40)]);
-        assert_eq!(classify_tx(&t.chain, peel as u32, 1), MovementKind::Peel);
+
+        let graph = TxGraph::build(&t.chain);
+        let shape = |tx: usize, tainted: usize| {
+            let tx = tx as TxId;
+            classify_counts(graph.num_inputs(tx), graph.outputs(tx).len(), tainted)
+        };
+        assert_eq!(shape(agg, 3), MovementKind::Aggregation);
+        assert_eq!(shape(agg, 2), MovementKind::Fold);
+        assert_eq!(shape(split, 1), MovementKind::Split);
+        assert_eq!(shape(peel, 1), MovementKind::Peel);
     }
 
     #[test]
@@ -325,11 +237,9 @@ mod tests {
         let p1 = t.tx(&[(agg, 0)], &[(100, 10), (12, 120)]);
         let p2 = t.tx(&[(p1, 1)], &[(100, 10), (13, 110)]);
         // The VICTIM's change also moves — must NOT be followed.
-        let _victim_spend = t.tx(&[(theft, 1)], &[(100, 10), (14, 10)]);
+        let victim_spend = t.tx(&[(theft, 1)], &[(100, 10), (14, 10)]) as u32;
 
-        let victim_spend = t.chain.tx_count() as u32 - 1;
-        let labels = labels_for(&t);
-        let movements = classify_movements(&t.chain, &[(theft as u32, 0)], &labels, 100);
+        let movements = walk(&t, &[(theft as u32, 0)], 100);
         let txs: Vec<u32> = movements.iter().map(|m| m.tx).collect();
         assert!(txs.contains(&(agg as u32)));
         assert!(txs.contains(&(p1 as u32)));
@@ -360,38 +270,33 @@ mod tests {
         // The thief continues from the change.
         let p2 = t.tx(&[(p1, 1)], &[(100, 10), (12, 880)]);
 
-        let labels = labels_for(&t);
-        let movements = classify_movements(&t.chain, &[(theft as u32, 0)], &labels, 100);
+        let movements = walk(&t, &[(theft as u32, 0)], 100);
         let txs: Vec<u32> = movements.iter().map(|m| m.tx).collect();
         assert!(txs.contains(&(p1 as u32)));
         assert!(txs.contains(&(p2 as u32)));
         assert_eq!(movements.len(), 2, "recipient's spend excluded: {txs:?}");
     }
 
-    /// Random-ish hand-built shapes where legacy and indexed walks must
-    /// agree record-for-record, including the max_txs bound.
+    /// An unlabelled peel hop with equal-value outputs follows the *last*
+    /// maximum: vout 1 stays tainted and vout 0 departs. (The peel walk,
+    /// `follow_chain_indexed`, breaks the same tie to the lowest vout.)
     #[test]
-    fn indexed_matches_legacy_walk() {
+    fn unlabelled_equal_value_peel_follows_the_last_vout() {
         let mut t = TestChain::new();
-        let c1 = t.coinbase(1, 50);
-        let c2 = t.coinbase(2, 50);
-        let c3 = t.coinbase(3, 50);
-        let _r = t.coinbase(100, 5);
-        let theft = t.tx(&[(c1, 0)], &[(10, 30), (1, 20)]);
-        let agg = t.tx(&[(theft, 0), (c2, 0), (c3, 0)], &[(11, 130)]);
-        let split = t.tx(&[(agg, 0)], &[(12, 40), (13, 40), (14, 50)]);
-        let p1 = t.tx(&[(split, 2)], &[(100, 10), (15, 40)]);
-        let _p2 = t.tx(&[(p1, 1)], &[(100, 10), (16, 30)]);
-        let labels = labels_for(&t);
-        let graph = TxGraph::build_with_threads(&t.chain, 2);
-        let loot = [(theft as u32, 0)];
-        for max_txs in [0, 1, 2, 3, 100] {
-            let legacy = classify_movements(&t.chain, &loot, &labels, max_txs);
-            let indexed = classify_movements_indexed(&graph, &loot, &labels, max_txs);
-            assert_eq!(legacy, indexed, "max_txs {max_txs}");
-        }
-        let movements = classify_movements_indexed(&graph, &loot, &labels, 100);
-        assert_eq!(pattern_string(&movements), "F/S/P");
+        let c1 = t.coinbase(1, 100);
+        let theft = t.tx(&[(c1, 0)], &[(10, 90), (1, 10)]);
+        // Both outputs fresh, so H2 labels neither.
+        let hop = t.tx(&[(theft, 0)], &[(11, 45), (12, 45)]);
+        let next = t.tx(&[(hop, 1)], &[(13, 45)]);
+        let _departed = t.tx(&[(hop, 0)], &[(14, 45)]);
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        assert_eq!(labels.change_vout(hop as u32), None);
+
+        let movements = walk(&t, &[(theft as u32, 0)], 100);
+        let txs: Vec<u32> = movements.iter().map(|m| m.tx).collect();
+        assert_eq!(txs, vec![hop as u32, next as u32]);
+        assert_eq!(movements[0].kind, MovementKind::Peel);
+        assert_eq!(movements[0].departures, vec![(t.id(11), Amount::from_btc(45))]);
     }
 
     /// A reused scratch must leave no state behind between walks.
@@ -403,16 +308,14 @@ mod tests {
         let theft = t.tx(&[(c1, 0)], &[(10, 90), (1, 10)]);
         let p1 = t.tx(&[(theft, 0)], &[(100, 10), (11, 80)]);
         let _p2 = t.tx(&[(p1, 1)], &[(100, 10), (12, 70)]);
-        let labels = labels_for(&t);
+        let labels = identify(&t.chain, &ChangeConfig::naive());
         let graph = TxGraph::build(&t.chain);
-        let mut scratch = crate::graph::TaintScratch::for_graph(&graph);
+        let mut scratch = TaintScratch::for_graph(&graph);
         let loot = [(theft as u32, 0)];
-        let first =
-            classify_movements_with_scratch(&graph, &loot, &labels, 100, &mut scratch);
-        let second =
-            classify_movements_with_scratch(&graph, &loot, &labels, 100, &mut scratch);
+        let first = classify_movements_indexed(&graph, &loot, &labels, 100, &mut scratch);
+        let second = classify_movements_indexed(&graph, &loot, &labels, 100, &mut scratch);
         assert_eq!(first, second);
-        assert_eq!(first, classify_movements(&t.chain, &loot, &labels, 100));
+        assert_eq!(first, walk(&t, &loot, 100));
     }
 
     #[test]
@@ -428,8 +331,7 @@ mod tests {
             let h = t.tx(&[(prev.0, prev.1)], &[(100, 10), (11, rem)]);
             prev = (h, 1);
         }
-        let labels = labels_for(&t);
-        let movements = classify_movements(&t.chain, &[(theft as u32, 0)], &labels, 100);
+        let movements = walk(&t, &[(theft as u32, 0)], 100);
         assert_eq!(pattern_string(&movements), "P");
         assert_eq!(movements.len(), 5);
     }
@@ -447,8 +349,7 @@ mod tests {
             let h = t.tx(&[(prev.0, prev.1)], &[(100, 10), (11, rem)]);
             prev = (h, 1);
         }
-        let labels = labels_for(&t);
-        let movements = classify_movements(&t.chain, &[(theft as u32, 0)], &labels, 3);
+        let movements = walk(&t, &[(theft as u32, 0)], 3);
         assert!(movements.len() <= 4);
     }
 }

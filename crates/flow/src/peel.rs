@@ -9,7 +9,7 @@
 
 use crate::graph::TxGraph;
 use fistful_chain::amount::Amount;
-use fistful_chain::resolve::{AddressId, ResolvedChain, TxId};
+use fistful_chain::resolve::{AddressId, TxId};
 use fistful_core::change::ChangeLabels;
 
 /// How to pick the change output at each hop.
@@ -78,74 +78,11 @@ impl PeelChain {
 }
 
 /// Follows a peeling chain starting at transaction `start`, for at most
-/// `max_hops` hops.
-pub fn follow_chain(
-    chain: &ResolvedChain,
-    labels: &ChangeLabels,
-    start: TxId,
-    max_hops: usize,
-    strategy: FollowStrategy,
-) -> PeelChain {
-    let mut out = PeelChain::default();
-    let mut tx_id = start;
-    for _ in 0..max_hops {
-        let tx = &chain.txs[tx_id as usize];
-        if tx.outputs.is_empty() {
-            out.stopped = StopReason::Malformed;
-            return out;
-        }
-        // Identify the change output.
-        let (change_vout, fallback) = match labels.change_vout(tx_id) {
-            Some(v) => (v, false),
-            None => match strategy {
-                FollowStrategy::Strict => {
-                    out.stopped = StopReason::NoChangeIdentified;
-                    return out;
-                }
-                FollowStrategy::LargestFallback => {
-                    // `max_by_key` would return the *last* maximum, making
-                    // the choice among equal-value outputs depend on output
-                    // order. Tie-break explicitly: the lowest vout wins.
-                    let (v, _) = tx
-                        .outputs
-                        .iter()
-                        .enumerate()
-                        .rev()
-                        .max_by_key(|(_, o)| o.value)
-                        .expect("non-empty outputs");
-                    (v as u32, true)
-                }
-            },
-        };
-        let peels = tx
-            .outputs
-            .iter()
-            .enumerate()
-            .filter(|(v, _)| *v as u32 != change_vout)
-            .map(|(_, o)| (o.address, o.value))
-            .collect();
-        out.hops.push(Hop { tx: tx_id, change_vout, peels, fallback });
-
-        // Next hop: the transaction in which the change is spent.
-        match tx.outputs[change_vout as usize].spent_by {
-            Some(next) => tx_id = next,
-            None => {
-                out.stopped = StopReason::UnspentChange;
-                return out;
-            }
-        }
-    }
-    out.stopped = StopReason::HopLimit;
-    out
-}
-
-/// [`follow_chain`] over the columnar [`TxGraph`] index: hop-for-hop
-/// identical output (same hops, same peels, same stop reason — proven by
-/// the differential tests), but every hop is a handful of flat-array reads
-/// instead of a `Vec`-of-structs walk through the resolver.
+/// `max_hops` hops, over the columnar [`TxGraph`] index: every hop is a
+/// handful of flat-array reads.
 ///
 /// Build the graph once ([`TxGraph::build`]) and reuse it across queries;
-/// this is the traversal `repro tab2` and the batch taint engine run on.
+/// this is the traversal `repro tab2` runs on.
 pub fn follow_chain_indexed(
     graph: &TxGraph,
     labels: &ChangeLabels,
@@ -170,8 +107,10 @@ pub fn follow_chain_indexed(
                     return out;
                 }
                 FollowStrategy::LargestFallback => {
-                    // Same explicit tie-break as the legacy path: among
-                    // equal-value outputs the lowest vout wins.
+                    // `max_by_key` returns the *last* maximum, which would
+                    // make the choice among equal-value outputs depend on
+                    // output order. Tie-break explicitly: the lowest vout
+                    // wins.
                     let flat = outputs
                         .clone()
                         .rev()
@@ -238,16 +177,21 @@ mod tests {
         (t, hop1)
     }
 
+    /// Follows the chain from `start` over `t`'s graph, with naive H2 labels.
+    fn follow(t: &TestChain, start: usize, max_hops: usize, strategy: FollowStrategy) -> PeelChain {
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        follow_chain_indexed(&TxGraph::build(&t.chain), &labels, start as u32, max_hops, strategy)
+    }
+
     #[test]
     fn follows_labelled_chain() {
         let (t, start) = peeling_chain();
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let chain = follow_chain(&t.chain, &labels, start as u32, 100, FollowStrategy::Strict);
+        let chain = follow(&t, start, 100, FollowStrategy::Strict);
         assert_eq!(chain.hops.len(), 3);
         assert_eq!(chain.stopped, StopReason::UnspentChange);
         assert_eq!(chain.fallback_hops(), 0);
         // Peels: 10 + 20 + 30 BTC.
-        assert_eq!(chain.total_peeled(), fistful_chain::amount::Amount::from_btc(60));
+        assert_eq!(chain.total_peeled(), Amount::from_btc(60));
         // Each hop's peel recipient is the seen address.
         assert_eq!(chain.hops[0].peels[0].0, t.id(100));
         assert_eq!(chain.hops[1].peels[0].0, t.id(101));
@@ -257,8 +201,7 @@ mod tests {
     #[test]
     fn hop_limit_respected() {
         let (t, start) = peeling_chain();
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let chain = follow_chain(&t.chain, &labels, start as u32, 2, FollowStrategy::Strict);
+        let chain = follow(&t, start, 2, FollowStrategy::Strict);
         assert_eq!(chain.hops.len(), 2);
         assert_eq!(chain.stopped, StopReason::HopLimit);
     }
@@ -270,10 +213,8 @@ mod tests {
         let _r0 = t.coinbase(100, 5);
         let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (10, 990)]);
         // Ambiguous hop: both outputs fresh.
-        let hop2 = t.tx(&[(hop1, 1)], &[(200, 20), (11, 970)]);
-        let _ = hop2;
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let chain = follow_chain(&t.chain, &labels, hop1 as u32, 100, FollowStrategy::Strict);
+        let _hop2 = t.tx(&[(hop1, 1)], &[(200, 20), (11, 970)]);
+        let chain = follow(&t, hop1, 100, FollowStrategy::Strict);
         assert_eq!(chain.hops.len(), 1);
         assert_eq!(chain.stopped, StopReason::NoChangeIdentified);
     }
@@ -288,9 +229,7 @@ mod tests {
         let hop2 = t.tx(&[(hop1, 1)], &[(200, 20), (11, 970)]);
         // Chain continues from the remainder.
         let _hop3 = t.tx(&[(hop2, 1)], &[(100, 30), (12, 940)]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let chain =
-            follow_chain(&t.chain, &labels, hop1 as u32, 100, FollowStrategy::LargestFallback);
+        let chain = follow(&t, hop1, 100, FollowStrategy::LargestFallback);
         assert_eq!(chain.hops.len(), 3);
         assert_eq!(chain.fallback_hops(), 1);
         assert!(chain.hops[1].fallback);
@@ -304,46 +243,9 @@ mod tests {
         // Both outputs fresh (no label) and equal-value: the fallback must
         // deterministically follow vout 0, not whichever sorts last.
         let hop1 = t.tx(&[(funding, 0)], &[(10, 495), (11, 495)]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let chain =
-            follow_chain(&t.chain, &labels, hop1 as u32, 100, FollowStrategy::LargestFallback);
+        let chain = follow(&t, hop1, 100, FollowStrategy::LargestFallback);
         assert_eq!(chain.hops.len(), 1);
         assert!(chain.hops[0].fallback);
-        assert_eq!(chain.hops[0].change_vout, 0);
-        assert_eq!(chain.hops[0].peels, vec![(t.id(11), Amount::from_btc(495))]);
-    }
-
-    #[test]
-    fn indexed_matches_legacy_hop_for_hop() {
-        let (t, _) = peeling_chain();
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build_with_threads(&t.chain, 2);
-        for start in 0..t.chain.tx_count() as u32 {
-            for strategy in [FollowStrategy::Strict, FollowStrategy::LargestFallback] {
-                for max_hops in [0, 1, 2, 100] {
-                    let legacy = follow_chain(&t.chain, &labels, start, max_hops, strategy);
-                    let indexed =
-                        follow_chain_indexed(&graph, &labels, start, max_hops, strategy);
-                    assert_eq!(legacy, indexed, "start {start} {strategy:?} {max_hops}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_fallback_tie_breaks_to_lowest_vout() {
-        let mut t = TestChain::new();
-        let funding = t.coinbase(1, 1000);
-        let hop1 = t.tx(&[(funding, 0)], &[(10, 495), (11, 495)]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build(&t.chain);
-        let chain = follow_chain_indexed(
-            &graph,
-            &labels,
-            hop1 as u32,
-            100,
-            FollowStrategy::LargestFallback,
-        );
         assert_eq!(chain.hops[0].change_vout, 0);
         assert_eq!(chain.hops[0].peels, vec![(t.id(11), Amount::from_btc(495))]);
     }
@@ -369,9 +271,8 @@ mod tests {
         let _r1 = t.coinbase(101, 5);
         // One tx pays two seen recipients plus fresh change.
         let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (101, 15), (10, 975)]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let chain = follow_chain(&t.chain, &labels, hop1 as u32, 100, FollowStrategy::Strict);
+        let chain = follow(&t, hop1, 100, FollowStrategy::Strict);
         assert_eq!(chain.hops[0].peels.len(), 2);
-        assert_eq!(chain.total_peeled(), fistful_chain::amount::Amount::from_btc(25));
+        assert_eq!(chain.total_peeled(), Amount::from_btc(25));
     }
 }

@@ -7,11 +7,9 @@
 
 use crate::categories::ServiceResolver;
 use crate::graph::{TaintScratch, TxGraph};
-use crate::movement::{
-    classify_movements, classify_movements_with_scratch, pattern_string, TaintedTx,
-};
+use crate::movement::{classify_movements_indexed, pattern_string, TaintedTx};
 use fistful_chain::amount::Amount;
-use fistful_chain::resolve::{ResolvedChain, TxId};
+use fistful_chain::resolve::TxId;
 use fistful_core::change::ChangeLabels;
 
 /// The derived trace of one theft.
@@ -37,33 +35,15 @@ impl TheftTrace {
     }
 }
 
-/// Tracks a theft from its loot outputs (`(tx, vout)` pairs).
+/// Tracks a theft from its loot outputs (`(tx, vout)` pairs) over the
+/// columnar [`TxGraph`] index: the movement walk
+/// ([`classify_movements_indexed`], on the caller-supplied reusable
+/// [`TaintScratch`]), the loot that never moved, and the value that
+/// reached exchanges.
 ///
 /// `directory` is any [`ServiceResolver`] — a live
 /// [`AddressDirectory`](crate::categories::AddressDirectory) or a frozen
 /// [`ClusterSnapshot`](fistful_core::snapshot::ClusterSnapshot).
-pub fn track_theft(
-    chain: &ResolvedChain,
-    loot: &[(TxId, u32)],
-    labels: &ChangeLabels,
-    directory: &impl ServiceResolver,
-    max_txs: usize,
-) -> TheftTrace {
-    let movements = classify_movements(chain, loot, labels, max_txs);
-    let mut dormant = Amount::ZERO;
-    for &(t, v) in loot {
-        let out = &chain.txs[t as usize].outputs[v as usize];
-        if out.spent_by.is_none() {
-            dormant = dormant.checked_add(out.value).expect("overflow");
-        }
-    }
-    summarize(movements, dormant, directory)
-}
-
-/// [`track_theft`] over the columnar [`TxGraph`] index: identical trace
-/// (movements, pattern, exchange arrivals, dormant loot — proven by the
-/// differential tests), with the walk running on flat arrays and the
-/// caller-supplied reusable [`TaintScratch`].
 pub fn track_theft_indexed(
     graph: &TxGraph,
     loot: &[(TxId, u32)],
@@ -72,7 +52,7 @@ pub fn track_theft_indexed(
     max_txs: usize,
     scratch: &mut TaintScratch,
 ) -> TheftTrace {
-    let movements = classify_movements_with_scratch(graph, loot, labels, max_txs, scratch);
+    let movements = classify_movements_indexed(graph, loot, labels, max_txs, scratch);
     let mut dormant = Amount::ZERO;
     for &(t, v) in loot {
         let flat = graph.flat(t, v);
@@ -91,9 +71,8 @@ pub fn track_theft_indexed(
 /// indices from a shared atomic counter, so an expensive case does not
 /// stall the rest of the batch. Results land in input order. With
 /// `threads <= 1` this degrades to a sequential loop that still reuses a
-/// single scratch — the right mode on one core, and still well ahead of
-/// per-theft legacy re-walks (`repro taint` times both; `benchmark/`
-/// reports the batch as `flow.theft.batch_track_us` on `batch_cluster`).
+/// single scratch — the right mode on one core. `benchmark/` reports the
+/// batch as `flow.theft.batch_track_us` on `batch_cluster`.
 ///
 /// The graph, labels, and directory are shared immutably across workers —
 /// wrap the graph in an [`Arc`](std::sync::Arc) if the caller also needs
@@ -145,9 +124,8 @@ pub fn track_thefts_batch(
     done.into_iter().map(|(_, trace)| trace).collect()
 }
 
-/// Folds a movement list plus the dormant total into a [`TheftTrace`] —
-/// the one copy of the exchange-arrival accounting, shared by the legacy
-/// and indexed paths.
+/// Folds a movement list plus the dormant total into a [`TheftTrace`],
+/// summing the departures that land on exchange-category addresses.
 fn summarize(
     movements: Vec<TaintedTx>,
     dormant: Amount,
@@ -210,12 +188,18 @@ mod tests {
         AddressDirectory::from_pairs(pairs)
     }
 
+    /// Tracks `loot` over `t`'s graph, with naive H2 labels.
+    fn track(t: &TestChain, loot: &[(TxId, u32)], dir: &AddressDirectory) -> TheftTrace {
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let graph = TxGraph::build(&t.chain);
+        let mut scratch = TaintScratch::for_graph(&graph);
+        track_theft_indexed(&graph, loot, &labels, dir, 100, &mut scratch)
+    }
+
     #[test]
     fn traces_theft_to_exchange() {
         let (t, a, b) = theft_chain(true);
-        let dir = exchange_dir(&t);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let trace = track_theft(&t.chain, &[a, b], &labels, &dir, 100);
+        let trace = track(&t, &[a, b], &exchange_dir(&t));
         assert!(trace.reached_exchange());
         assert_eq!(trace.to_exchanges, Amount::from_btc(30));
         assert_eq!(trace.exchanges_reached, 1);
@@ -225,37 +209,10 @@ mod tests {
     #[test]
     fn no_exchange_without_peel() {
         let (t, a, b) = theft_chain(false);
-        let dir = exchange_dir(&t);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let trace = track_theft(&t.chain, &[a, b], &labels, &dir, 100);
+        let trace = track(&t, &[a, b], &exchange_dir(&t));
         assert!(!trace.reached_exchange());
         assert_eq!(trace.to_exchanges, Amount::ZERO);
         assert_eq!(trace.pattern, "F");
-    }
-
-    #[test]
-    fn indexed_and_batch_match_legacy() {
-        let (t, a, b) = theft_chain(true);
-        let dir = exchange_dir(&t);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build_with_threads(&t.chain, 2);
-
-        let legacy = track_theft(&t.chain, &[a, b], &labels, &dir, 100);
-        let mut scratch = TaintScratch::for_graph(&graph);
-        let indexed = track_theft_indexed(&graph, &[a, b], &labels, &dir, 100, &mut scratch);
-        assert_eq!(legacy, indexed);
-
-        // The batch engine agrees case-for-case at every thread count,
-        // including more workers than thefts.
-        let thefts = vec![vec![a, b], vec![a], vec![b]];
-        let expected: Vec<TheftTrace> = thefts
-            .iter()
-            .map(|loot| track_theft(&t.chain, loot, &labels, &dir, 100))
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            let batch = track_thefts_batch(&graph, &thefts, &labels, &dir, 100, threads);
-            assert_eq!(batch, expected, "threads {threads}");
-        }
     }
 
     #[test]
@@ -274,8 +231,7 @@ mod tests {
         let theft = t.tx(&[(c1, 0)], &[(10, 80), (1, 20)]);
         // Nothing moves.
         let dir = AddressDirectory::from_pairs(vec![(None, None); t.chain.address_count()]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let trace = track_theft(&t.chain, &[(theft as u32, 0)], &labels, &dir, 100);
+        let trace = track(&t, &[(theft as u32, 0)], &dir);
         assert_eq!(trace.movements.len(), 0);
         assert_eq!(trace.pattern, "");
         // Only the loot output (80) counts as dormant; the victim's change

@@ -1,11 +1,8 @@
 //! Attributing peels to named services — the machinery behind Table 2.
 
 use crate::categories::ServiceResolver;
-use crate::graph::TxGraph;
-use crate::peel::{follow_chains_indexed, FollowStrategy, PeelChain};
+use crate::peel::PeelChain;
 use fistful_chain::amount::Amount;
-use fistful_chain::resolve::TxId;
-use fistful_core::change::ChangeLabels;
 use std::collections::BTreeMap;
 
 /// One row of a Table-2-style report: peels seen to one service along one
@@ -34,7 +31,9 @@ impl ArrivalRow {
     }
 }
 
-/// Summarizes where the peels of several chains went, per service.
+/// Summarizes where the peels of several chains (as
+/// [`follow_chains_indexed`](crate::peel::follow_chains_indexed) returns
+/// them) went, per service.
 ///
 /// `directory` is any [`ServiceResolver`] — a live
 /// [`AddressDirectory`](crate::categories::AddressDirectory) or a frozen
@@ -81,24 +80,6 @@ pub fn service_arrivals(
             .then(b.total_value().cmp(&a.total_value()))
     });
     out
-}
-
-/// The graph-first form of the Table-2 pipeline: follows every start
-/// transaction's peeling chain over the shared [`TxGraph`] index
-/// ([`follow_chains_indexed`]) and attributes the peels per service
-/// ([`service_arrivals`]). Returns the traversed chains alongside the rows
-/// so callers can also report hop counts and totals.
-pub fn service_arrivals_indexed(
-    graph: &TxGraph,
-    labels: &ChangeLabels,
-    starts: &[TxId],
-    max_hops: usize,
-    strategy: FollowStrategy,
-    directory: &impl ServiceResolver,
-) -> (Vec<PeelChain>, Vec<ArrivalRow>) {
-    let chains = follow_chains_indexed(graph, labels, starts, max_hops, strategy);
-    let rows = service_arrivals(&chains, directory);
-    (chains, rows)
 }
 
 /// Fraction of attributed peels that went to a given category.
@@ -164,38 +145,6 @@ mod tests {
 
         // Exchanges sort first.
         assert_eq!(rows[0].service, "Mt. Gox");
-    }
-
-    #[test]
-    fn indexed_pipeline_matches_manual_composition() {
-        use crate::peel::follow_chain;
-        use fistful_core::change::{identify, ChangeConfig};
-        use fistful_core::testutil::TestChain;
-
-        let mut t = TestChain::new();
-        let funding = t.coinbase(1, 1000);
-        let _gox = t.coinbase(100, 5);
-        let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (10, 990)]);
-        let _hop2 = t.tx(&[(hop1, 1)], &[(100, 20), (11, 970)]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build(&t.chain);
-        let mut pairs = vec![(None, None); t.chain.address_count()];
-        pairs[t.id(100) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        let dir = AddressDirectory::from_pairs(pairs);
-
-        let (chains, rows) = service_arrivals_indexed(
-            &graph,
-            &labels,
-            &[hop1 as u32],
-            100,
-            FollowStrategy::Strict,
-            &dir,
-        );
-        let legacy = follow_chain(&t.chain, &labels, hop1 as u32, 100, FollowStrategy::Strict);
-        assert_eq!(chains, vec![legacy.clone()]);
-        assert_eq!(rows, service_arrivals(&[legacy], &dir));
-        assert_eq!(rows[0].service, "Mt. Gox");
-        assert_eq!(rows[0].total_peels(), 2);
     }
 
     #[test]

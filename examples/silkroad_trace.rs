@@ -7,9 +7,10 @@
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
 use fistful::core::naming::name_clusters;
-use fistful::core::tagdb::{Tag, TagDb, TagSource};
-use fistful::flow::{follow_chain, service_arrivals, AddressDirectory, FollowStrategy};
-use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
+use fistful::flow::graph::TxGraph;
+use fistful::flow::{follow_chains_indexed, service_arrivals, AddressDirectory, FollowStrategy};
+use fistful::sim::{Economy, SimConfig};
+use fistful_bench::{build_tagdb, silk_road_starts};
 
 fn main() {
     println!("simulating the economy ...");
@@ -29,29 +30,17 @@ fn main() {
     );
 
     // Build the analysis exactly as the paper would: tags → clusters →
-    // names → change labels → chain traversal.
-    let mut db = TagDb::new();
-    for raw in generate_tags(&eco) {
-        if let Some(address) = chain.address_id(&raw.address) {
-            let source = match raw.source {
-                RawTagSource::OwnTransaction => TagSource::OwnTransaction,
-                RawTagSource::SelfSubmitted => TagSource::SelfSubmitted,
-                RawTagSource::Forum => TagSource::Forum,
-            };
-            db.add(Tag { address, service: raw.service, category: raw.category, source });
-        }
-    }
+    // names → change labels → chain traversal over the graph index.
+    let db = build_tagdb(&eco);
     let clustering = Clusterer::with_h2(ChangeConfig::naive()).run(chain);
     let names = name_clusters(&clustering, &db);
     let directory = AddressDirectory::from_naming(&clustering, &names);
     let labels = change::identify(chain, &ChangeConfig::naive());
+    let graph = TxGraph::build(chain);
 
-    let chains: Vec<_> = sr
-        .chain_first_hops
-        .iter()
-        .filter_map(|txid| chain.tx_by_txid(txid).map(|(id, _)| id))
-        .map(|start| follow_chain(chain, &labels, start, 100, FollowStrategy::LargestFallback))
-        .collect();
+    let starts = silk_road_starts(chain, sr);
+    let chains =
+        follow_chains_indexed(&graph, &labels, &starts, 100, FollowStrategy::LargestFallback);
 
     println!("\npeels to known services:");
     for row in service_arrivals(&chains, &directory) {

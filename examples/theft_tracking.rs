@@ -7,51 +7,29 @@
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
 use fistful::core::naming::name_clusters;
-use fistful::core::tagdb::{Tag, TagDb, TagSource};
-use fistful::flow::{track_theft, AddressDirectory};
-use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
+use fistful::flow::graph::{TaintScratch, TxGraph};
+use fistful::flow::{track_theft_indexed, AddressDirectory};
+use fistful::sim::{Economy, SimConfig};
+use fistful_bench::{build_tagdb, theft_loots};
 
 fn main() {
     println!("simulating the economy ...");
     let eco = Economy::run(SimConfig::default());
     let chain = eco.chain.resolved();
 
-    let mut db = TagDb::new();
-    for raw in generate_tags(&eco) {
-        if let Some(address) = chain.address_id(&raw.address) {
-            let source = match raw.source {
-                RawTagSource::OwnTransaction => TagSource::OwnTransaction,
-                RawTagSource::SelfSubmitted => TagSource::SelfSubmitted,
-                RawTagSource::Forum => TagSource::Forum,
-            };
-            db.add(Tag { address, service: raw.service, category: raw.category, source });
-        }
-    }
+    let db = build_tagdb(&eco);
     let clustering = Clusterer::with_h2(ChangeConfig::naive()).run(chain);
     let names = name_clusters(&clustering, &db);
     let directory = AddressDirectory::from_naming(&clustering, &names);
     let labels = change::identify(chain, &ChangeConfig::naive());
 
-    for theft in &eco.script_report.thefts {
-        let loot_ids: Vec<u32> = theft
-            .loot_addresses
-            .iter()
-            .filter_map(|a| chain.address_id(a))
-            .collect();
-        let mut loot = Vec::new();
-        for txid in &theft.theft_txids {
-            if let Some((t, rtx)) = chain.tx_by_txid(txid) {
-                for (v, o) in rtx.outputs.iter().enumerate() {
-                    if loot_ids.contains(&o.address) {
-                        loot.push((t, v as u32));
-                    }
-                }
-            }
-        }
-        if loot.is_empty() {
-            continue;
-        }
-        let trace = track_theft(chain, &loot, &labels, &directory, 5_000);
+    // One index and one reusable walk scratch serve every theft.
+    let graph = TxGraph::build(chain);
+    let mut scratch = TaintScratch::for_graph(&graph);
+    let thefts = &eco.script_report.thefts;
+    for (name, loot) in theft_loots(chain, thefts) {
+        let theft = thefts.iter().find(|t| t.name == name).expect("a scripted theft");
+        let trace = track_theft_indexed(&graph, &loot, &labels, &directory, 5_000, &mut scratch);
         println!(
             "{:<18} stole {:>14}  moved {:<8} reached exchanges: {}",
             theft.name,

@@ -1,23 +1,125 @@
 //! Differential tests for the columnar transaction-graph index: the
-//! graph-based traversals must be hop-for-hop and record-for-record
-//! identical to the legacy per-hop resolver walks, on whole simulated
-//! economies — and the batch taint engine must agree with both at every
-//! thread count. This suite is what keeps the legacy path honest while
-//! `repro` runs on the index.
+//! graph-indexed traversals must be hop-for-hop and record-for-record
+//! identical to the resolver walks of the test oracle
+//! (`common/flow_oracle.rs`), on a whole simulated economy and on small
+//! hand-built chains — and the batch taint engine must agree with both at
+//! every thread count.
 
-use fistful::core::change::{self, ChangeConfig};
+#[path = "common/flow_oracle.rs"]
+mod flow_oracle;
+
+use fistful::chain::resolve::{ResolvedChain, TxId};
+use fistful::core::change::{self, ChangeConfig, ChangeLabels};
+use fistful::core::testutil::TestChain;
+use fistful::flow::categories::{AddressDirectory, ServiceResolver};
 use fistful::flow::graph::{TaintScratch, TxGraph};
-use fistful::flow::movement::{classify_movements, classify_movements_indexed, pattern_string};
-use fistful::flow::peel::{follow_chain, follow_chain_indexed, FollowStrategy};
-use fistful::flow::theft::{track_theft, track_theft_indexed, track_thefts_batch};
-use fistful::flow::track::{service_arrivals, service_arrivals_indexed};
+use fistful::flow::movement::{classify_movements_indexed, pattern_string, TaintedTx};
+use fistful::flow::peel::{follow_chain_indexed, follow_chains_indexed, FollowStrategy, PeelChain};
+use fistful::flow::theft::{track_theft_indexed, track_thefts_batch};
+use fistful::flow::track::service_arrivals;
 use fistful::sim::SimConfig;
 use fistful_bench::{silk_road_starts, theft_loots, Workbench};
+use flow_oracle::{classify_movements, follow_chain, track_theft};
 use std::sync::Arc;
 
 fn workbench() -> &'static Workbench {
     static WB: std::sync::OnceLock<Workbench> = std::sync::OnceLock::new();
     WB.get_or_init(|| Workbench::build(SimConfig::tiny()))
+}
+
+fn naive_labels(t: &TestChain) -> ChangeLabels {
+    change::identify(&t.chain, &ChangeConfig::naive())
+}
+
+/// A directory that names `t`'s address `n` as the exchange Mt. Gox.
+fn gox_directory(t: &TestChain, n: u64) -> AddressDirectory {
+    let mut pairs = vec![(None, None); t.chain.address_count()];
+    pairs[t.id(n) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
+    AddressDirectory::from_pairs(pairs)
+}
+
+/// Asserts the graph peel walk equals the oracle's from every start, under
+/// both strategies and every hop bound.
+fn assert_peel_walks_match(
+    chain: &ResolvedChain,
+    labels: &ChangeLabels,
+    graph: &TxGraph,
+    starts: impl Iterator<Item = TxId>,
+    bounds: &[usize],
+) {
+    for start in starts {
+        for strategy in [FollowStrategy::Strict, FollowStrategy::LargestFallback] {
+            for &max_hops in bounds {
+                let oracle = follow_chain(chain, labels, start, max_hops, strategy);
+                let indexed = follow_chain_indexed(graph, labels, start, max_hops, strategy);
+                assert_eq!(indexed, oracle, "start {start} {strategy:?} {max_hops}");
+            }
+        }
+    }
+}
+
+/// Asserts `follow_chains_indexed` equals the oracle chain by chain, and
+/// returns the chains.
+fn assert_chains_match(
+    chain: &ResolvedChain,
+    labels: &ChangeLabels,
+    graph: &TxGraph,
+    starts: &[TxId],
+    strategy: FollowStrategy,
+) -> Vec<PeelChain> {
+    let chains = follow_chains_indexed(graph, labels, starts, 100, strategy);
+    let oracle: Vec<_> =
+        starts.iter().map(|&s| follow_chain(chain, labels, s, 100, strategy)).collect();
+    assert_eq!(chains, oracle);
+    chains
+}
+
+/// Asserts the graph taint walk equals the oracle's under every walk
+/// bound, reusing one scratch across bounds; returns the last walk.
+fn assert_movement_walks_match(
+    chain: &ResolvedChain,
+    labels: &ChangeLabels,
+    graph: &TxGraph,
+    loot: &[(TxId, u32)],
+    bounds: &[usize],
+) -> Vec<TaintedTx> {
+    let mut scratch = TaintScratch::for_graph(graph);
+    let mut last = Vec::new();
+    for &max_txs in bounds {
+        let oracle = classify_movements(chain, loot, labels, max_txs);
+        last = classify_movements_indexed(graph, loot, labels, max_txs, &mut scratch);
+        assert_eq!(last, oracle, "max_txs {max_txs}");
+    }
+    last
+}
+
+/// Asserts the per-theft graph walk (one shared scratch) and the batch
+/// engine at 1, 2, 4 and 8 threads all equal the oracle's traces, under
+/// every walk bound.
+fn assert_theft_traces_match(
+    chain: &ResolvedChain,
+    labels: &ChangeLabels,
+    graph: &TxGraph,
+    directory: &(impl ServiceResolver + Sync),
+    loots: &[Vec<(TxId, u32)>],
+    bounds: &[usize],
+) {
+    for &max_txs in bounds {
+        let oracle: Vec<_> = loots
+            .iter()
+            .map(|loot| track_theft(chain, loot, labels, directory, max_txs))
+            .collect();
+        let mut scratch = TaintScratch::for_graph(graph);
+        let indexed: Vec<_> = loots
+            .iter()
+            .map(|loot| track_theft_indexed(graph, loot, labels, directory, max_txs, &mut scratch))
+            .collect();
+        assert_eq!(indexed, oracle, "max_txs {max_txs}");
+        for threads in [1, 2, 4, 8] {
+            let batch = track_thefts_batch(graph, loots, labels, directory, max_txs, threads);
+            assert_eq!(batch, oracle, "threads {threads} max_txs {max_txs}");
+        }
+    }
 }
 
 #[test]
@@ -58,18 +160,24 @@ fn indexed_peel_identical_over_economy() {
     let wb = workbench();
     let chain = wb.eco.chain.resolved();
     let labels = change::identify(chain, &wb.refined_config());
-    let graph = TxGraph::build(chain);
+    // Every 13th transaction as a start.
+    let starts = (0..chain.tx_count() as u32).step_by(13);
+    assert_peel_walks_match(chain, &labels, &TxGraph::build(chain), starts, &[1, 7, 100]);
 
-    // Every 13th transaction as a start, both strategies, several bounds.
-    for start in (0..chain.tx_count() as u32).step_by(13) {
-        for strategy in [FollowStrategy::Strict, FollowStrategy::LargestFallback] {
-            for max_hops in [1, 7, 100] {
-                let legacy = follow_chain(chain, &labels, start, max_hops, strategy);
-                let indexed = follow_chain_indexed(&graph, &labels, start, max_hops, strategy);
-                assert_eq!(legacy, indexed, "start {start} {strategy:?} {max_hops}");
-            }
-        }
+    // A 3-hop peeling chain (1000 → peel 10 → peel 20 → peel 30) to seen
+    // recipients, with change cascading through fresh addresses: every
+    // start.
+    let mut t = TestChain::new();
+    let funding = t.coinbase(1, 1000);
+    for recipient in [100, 101, 102] {
+        t.coinbase(recipient, 5);
     }
+    let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (10, 990)]);
+    let hop2 = t.tx(&[(hop1, 1)], &[(101, 20), (11, 970)]);
+    let _hop3 = t.tx(&[(hop2, 1)], &[(102, 30), (12, 940)]);
+    let graph = TxGraph::build_with_threads(&t.chain, 2);
+    let starts = 0..t.chain.tx_count() as u32;
+    assert_peel_walks_match(&t.chain, &naive_labels(&t), &graph, starts, &[0, 1, 2, 100]);
 }
 
 #[test]
@@ -80,25 +188,24 @@ fn silk_road_arrivals_identical_over_economy() {
         panic!("tiny scale scripts the Silk Road dissolution");
     };
     let labels = change::identify(chain, &wb.refined_config());
-    let snapshot = wb.snapshot();
-    let graph = TxGraph::build(chain);
     let starts = silk_road_starts(chain, sr);
     assert!(!starts.is_empty(), "dissolution chains present");
+    let graph = TxGraph::build(chain);
+    assert_chains_match(chain, &labels, &graph, &starts, FollowStrategy::LargestFallback);
 
-    let (chains, rows) = service_arrivals_indexed(
-        &graph,
-        &labels,
-        &starts,
-        100,
-        FollowStrategy::LargestFallback,
-        &snapshot,
-    );
-    let legacy: Vec<_> = starts
-        .iter()
-        .map(|&s| follow_chain(chain, &labels, s, 100, FollowStrategy::LargestFallback))
-        .collect();
-    assert_eq!(chains, legacy);
-    assert_eq!(rows, service_arrivals(&legacy, &snapshot));
+    // Two peels to a seen exchange address along one strictly labelled
+    // chain: both are attributed to it.
+    let mut t = TestChain::new();
+    let funding = t.coinbase(1, 1000);
+    let _gox = t.coinbase(100, 5);
+    let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (10, 990)]);
+    let _hop2 = t.tx(&[(hop1, 1)], &[(100, 20), (11, 970)]);
+    let graph = TxGraph::build(&t.chain);
+    let starts = [hop1 as u32];
+    let chains = assert_chains_match(&t.chain, &naive_labels(&t), &graph, &starts, FollowStrategy::Strict);
+    let rows = service_arrivals(&chains, &gox_directory(&t, 100));
+    assert_eq!(rows[0].service, "Mt. Gox");
+    assert_eq!(rows[0].total_peels(), 2);
 }
 
 #[test]
@@ -111,25 +218,25 @@ fn theft_traces_identical_and_batch_agrees_at_every_thread_count() {
     let cases = theft_loots(chain, &wb.eco.script_report.thefts);
     assert!(cases.len() >= 3, "tiny scale scripts several thefts");
     let loots: Vec<Vec<(u32, u32)>> = cases.into_iter().map(|(_, loot)| loot).collect();
+    // Including under tight walk bounds.
+    assert_theft_traces_match(chain, &labels, &graph, &snapshot, &loots, &[0, 1, 5, 5_000]);
 
-    // Legacy, indexed (shared scratch), and batch all agree, including
-    // under tight walk bounds.
-    for max_txs in [0, 1, 5, 5_000] {
-        let legacy: Vec<_> = loots
-            .iter()
-            .map(|loot| track_theft(chain, loot, &labels, &snapshot, max_txs))
-            .collect();
-        let mut scratch = TaintScratch::for_graph(&graph);
-        let indexed: Vec<_> = loots
-            .iter()
-            .map(|loot| track_theft_indexed(&graph, loot, &labels, &snapshot, max_txs, &mut scratch))
-            .collect();
-        assert_eq!(legacy, indexed, "max_txs {max_txs}");
-        for threads in [1, 2, 4, 8] {
-            let batch = track_thefts_batch(&graph, &loots, &labels, &snapshot, max_txs, threads);
-            assert_eq!(batch, legacy, "threads {threads} max_txs {max_txs}");
-        }
-    }
+    // Two thefts folded together with clean side funds, then a peel to an
+    // exchange address; tracked jointly and one at a time.
+    let mut t = TestChain::new();
+    let c1 = t.coinbase(1, 100);
+    let c2 = t.coinbase(2, 100);
+    let c3 = t.coinbase(3, 100);
+    let _gox = t.coinbase(50, 5);
+    let theft = t.tx(&[(c1, 0)], &[(10, 80), (1, 20)]);
+    let theft2 = t.tx(&[(c2, 0)], &[(11, 90), (2, 10)]);
+    let agg = t.tx(&[(theft, 0), (theft2, 0), (c3, 0)], &[(12, 270)]);
+    let _peel = t.tx(&[(agg, 0)], &[(50, 30), (13, 240)]);
+    let (a, b) = ((theft as u32, 0), (theft2 as u32, 0));
+    let graph = TxGraph::build_with_threads(&t.chain, 2);
+    let loots = [vec![a, b], vec![a], vec![b]];
+    let dir = gox_directory(&t, 50);
+    assert_theft_traces_match(&t.chain, &naive_labels(&t), &graph, &dir, &loots, &[100]);
 }
 
 #[test]
@@ -148,12 +255,25 @@ fn movement_walks_identical_from_arbitrary_loot() {
         }
     }
     assert!(loot.len() >= 2);
-    for max_txs in [0, 3, 50, 10_000] {
-        let legacy = classify_movements(chain, &loot, &labels, max_txs);
-        let indexed = classify_movements_indexed(&graph, &loot, &labels, max_txs);
-        assert_eq!(legacy, indexed, "max_txs {max_txs}");
-        assert_eq!(pattern_string(&legacy), pattern_string(&indexed));
-    }
+    assert_movement_walks_match(chain, &labels, &graph, &loot, &[0, 3, 50, 10_000]);
+
+    // A theft folded with clean funds, split three ways, then peeled twice
+    // from the largest split output.
+    let mut t = TestChain::new();
+    let c1 = t.coinbase(1, 50);
+    let c2 = t.coinbase(2, 50);
+    let c3 = t.coinbase(3, 50);
+    let _r = t.coinbase(100, 5);
+    let theft = t.tx(&[(c1, 0)], &[(10, 30), (1, 20)]);
+    let agg = t.tx(&[(theft, 0), (c2, 0), (c3, 0)], &[(11, 130)]);
+    let split = t.tx(&[(agg, 0)], &[(12, 40), (13, 40), (14, 50)]);
+    let p1 = t.tx(&[(split, 2)], &[(100, 10), (15, 40)]);
+    let _p2 = t.tx(&[(p1, 1)], &[(100, 10), (16, 30)]);
+    let graph = TxGraph::build_with_threads(&t.chain, 2);
+    let loot = [(theft as u32, 0)];
+    let movements =
+        assert_movement_walks_match(&t.chain, &naive_labels(&t), &graph, &loot, &[0, 1, 2, 3, 100]);
+    assert_eq!(pattern_string(&movements), "F/S/P");
 }
 
 #[test]

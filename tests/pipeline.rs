@@ -5,9 +5,10 @@ use fistful::core::change::{ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
 use fistful::core::cluster::Clusterer;
 use fistful::core::metrics::{score_change_labels, score_clustering};
 use fistful::core::naming::name_clusters;
-use fistful::core::tagdb::{Tag, TagDb, TagSource};
+use fistful::core::tagdb::TagSource;
 use fistful::core::{change, fp};
-use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
+use fistful::sim::{Economy, SimConfig};
+use fistful_bench::{build_tagdb, dice_addresses};
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
@@ -18,34 +19,10 @@ fn default_economy() -> &'static Economy {
     ECO.get_or_init(|| Economy::run(SimConfig::default()))
 }
 
-fn tagdb_from(eco: &Economy) -> TagDb {
-    let chain = eco.chain.resolved();
-    let mut db = TagDb::new();
-    for raw in generate_tags(eco) {
-        let Some(address) = chain.address_id(&raw.address) else { continue };
-        let source = match raw.source {
-            RawTagSource::OwnTransaction => TagSource::OwnTransaction,
-            RawTagSource::SelfSubmitted => TagSource::SelfSubmitted,
-            RawTagSource::Forum => TagSource::Forum,
-        };
-        db.add(Tag { address, service: raw.service, category: raw.category, source });
-    }
-    db
-}
-
 /// Dice addresses via H1 clusters named as gambling — the paper's route.
-fn dice_addresses(eco: &Economy) -> HashSet<u32> {
-    let chain = eco.chain.resolved();
-    let clustering = Clusterer::h1_only().run(chain);
-    let db = tagdb_from(eco);
-    let names = name_clusters(&clustering, &db);
-    let mut dice = HashSet::new();
-    for (addr, &cluster) in clustering.assignment.iter().enumerate() {
-        if names.categories.get(&cluster).map(String::as_str) == Some("gambling") {
-            dice.insert(addr as u32);
-        }
-    }
-    dice
+fn h1_dice(eco: &Economy) -> HashSet<u32> {
+    let h1 = Clusterer::h1_only().run(eco.chain.resolved());
+    dice_addresses(&h1, &name_clusters(&h1, &build_tagdb(eco)))
 }
 
 #[test]
@@ -62,7 +39,7 @@ fn h1_clusters_are_pure_and_tags_amplify() {
 
     // Tag amplification: named clusters cover far more addresses than the
     // hand-tagged set (the paper: 1,070 addresses → 1.8 M, ≈1,600×).
-    let db = tagdb_from(eco);
+    let db = build_tagdb(eco);
     let own_tagged: HashSet<u32> = db
         .tags_from(TagSource::OwnTransaction)
         .map(|t| t.address)
@@ -81,7 +58,7 @@ fn h1_clusters_are_pure_and_tags_amplify() {
 fn fp_ladder_descends_as_in_the_paper() {
     let eco = Economy::run(SimConfig::tiny());
     let chain = eco.chain.resolved();
-    let dice = dice_addresses(&eco);
+    let dice = h1_dice(&eco);
 
     // Label naively, then walk the paper's estimator ladder.
     let naive_labels = change::identify(chain, &ChangeConfig::naive());
@@ -133,7 +110,7 @@ fn refined_h2_has_high_ground_truth_precision() {
     let eco = default_economy();
     let chain = eco.chain.resolved();
     let gt = eco.gt.to_id_space(chain);
-    let dice = dice_addresses(eco);
+    let dice = h1_dice(eco);
 
     let refined = change::identify(chain, &ChangeConfig::refined(dice));
     let score = score_change_labels(chain, &refined, &gt.change_vout);
@@ -163,8 +140,8 @@ fn naive_h2_forms_super_cluster_refined_does_not() {
     let cfg = SimConfig { service_sloppy_change_rate: 0.10, ..SimConfig::default() };
     let eco = Economy::run(cfg);
     let chain = eco.chain.resolved();
-    let db = tagdb_from(&eco);
-    let dice = dice_addresses(&eco);
+    let db = build_tagdb(&eco);
+    let dice = h1_dice(&eco);
 
     let naive = Clusterer::with_h2(ChangeConfig::naive()).run(chain);
     let naive_names = name_clusters(&naive, &db);
@@ -196,7 +173,7 @@ fn naive_h2_forms_super_cluster_refined_does_not() {
 fn h1_splits_big_services_tags_remerge_them() {
     let eco = default_economy();
     let chain = eco.chain.resolved();
-    let db = tagdb_from(eco);
+    let db = build_tagdb(eco);
     let clustering = Clusterer::h1_only().run(chain);
     let names = name_clusters(&clustering, &db);
     // Mt. Gox runs 20 internally disjoint subwallets; H1 must see several

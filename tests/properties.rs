@@ -1,6 +1,9 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! paper's invariants.
 
+#[path = "common/flow_oracle.rs"]
+mod flow_oracle;
+
 use fistful::chain::address::Address;
 use fistful::chain::amount::Amount;
 use fistful::chain::encode::{Decodable, Encodable};
@@ -263,15 +266,15 @@ proptest! {
     }
 }
 
-// ---------- graph differential: indexed vs legacy traversals ----------
+// ---------- graph differential: indexed traversals vs the oracle ----------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// On arbitrary chains, the columnar graph index must reproduce the
     /// resolver exactly, and the indexed peel / taint walks must agree
-    /// with the legacy per-hop paths hop-for-hop — peel chains, movement
-    /// records, pattern strings, and the `max_txs` walk bound included.
+    /// with the oracle's resolver walks hop-for-hop — peel chains, movement
+    /// records, and the `max_txs` walk bound included.
     #[test]
     fn graph_traversals_match_legacy(
         seed in any::<u64>(),
@@ -280,11 +283,10 @@ proptest! {
         max_txs in 0usize..40,
         max_hops in 1usize..60,
     ) {
-        use fistful::flow::graph::TxGraph;
-        use fistful::flow::movement::{
-            classify_movements, classify_movements_indexed, pattern_string,
-        };
-        use fistful::flow::peel::{follow_chain, follow_chain_indexed, FollowStrategy};
+        use fistful::flow::graph::{TaintScratch, TxGraph};
+        use fistful::flow::movement::classify_movements_indexed;
+        use fistful::flow::peel::{follow_chain_indexed, FollowStrategy};
+        use flow_oracle::{classify_movements, follow_chain};
 
         let t = random_chain(seed, txs);
         let chain = &t.chain;
@@ -308,9 +310,9 @@ proptest! {
         // Peeling chains from a sample of starts, both strategies.
         for start in (0..chain.tx_count() as u32).step_by(5) {
             for strategy in [FollowStrategy::Strict, FollowStrategy::LargestFallback] {
-                let legacy = follow_chain(chain, &labels, start, max_hops, strategy);
+                let oracle = follow_chain(chain, &labels, start, max_hops, strategy);
                 let indexed = follow_chain_indexed(&graph, &labels, start, max_hops, strategy);
-                prop_assert_eq!(legacy, indexed);
+                prop_assert_eq!(indexed, oracle);
             }
         }
 
@@ -325,11 +327,11 @@ proptest! {
                 loot.push((i as u32, (seed as usize % tx.outputs.len()) as u32));
             }
         }
+        let mut scratch = TaintScratch::for_graph(&graph);
         for bound in [max_txs, 10_000] {
-            let legacy = classify_movements(chain, &loot, &labels, bound);
-            let indexed = classify_movements_indexed(&graph, &loot, &labels, bound);
-            prop_assert_eq!(pattern_string(&legacy), pattern_string(&indexed));
-            prop_assert_eq!(legacy, indexed);
+            let oracle = classify_movements(chain, &loot, &labels, bound);
+            let indexed = classify_movements_indexed(&graph, &loot, &labels, bound, &mut scratch);
+            prop_assert_eq!(indexed, oracle);
         }
     }
 }
@@ -339,13 +341,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// On random simulated economies, the batch taint engine over the
-    /// graph must agree with the legacy per-theft walk on every scripted
+    /// graph must agree with the oracle's per-theft walk on every scripted
     /// theft — verdicts, patterns, exchange arrivals, dormant totals.
     #[test]
     fn graph_theft_tracking_matches_legacy_on_economies(seed in 0u64..1000) {
         use fistful::flow::graph::TxGraph;
-        use fistful::flow::theft::{track_theft, track_thefts_batch};
+        use fistful::flow::theft::track_thefts_batch;
         use fistful_bench::{theft_loots, Workbench};
+        use flow_oracle::track_theft;
 
         let mut cfg = SimConfig::tiny();
         cfg.seed = seed;
@@ -362,13 +365,13 @@ proptest! {
             .into_iter()
             .map(|(_, loot)| loot)
             .collect();
-        let legacy: Vec<_> = loots
+        let oracle: Vec<_> = loots
             .iter()
             .map(|loot| track_theft(chain, loot, &labels, &snapshot, 5_000))
             .collect();
         for threads in [1usize, 3] {
             let batch = track_thefts_batch(&graph, &loots, &labels, &snapshot, 5_000, threads);
-            prop_assert_eq!(&batch, &legacy);
+            prop_assert_eq!(&batch, &oracle);
         }
     }
 }
