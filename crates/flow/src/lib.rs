@@ -37,6 +37,15 @@ pub mod peel;
 pub mod theft;
 pub mod track;
 
+// The unit tests compare the graph walks against the resolver-walking
+// oracle that the workspace's differential suites share; the oracle names
+// this crate as `fistful_flow`.
+#[cfg(test)]
+extern crate self as fistful_flow;
+#[cfg(test)]
+#[path = "../../../tests/common/flow_oracle.rs"]
+mod flow_oracle;
+
 pub use balance::{balance_series, balance_series_at, point_at, BalancePoint};
 pub use categories::{AddressDirectory, ServiceResolver};
 pub use graph::{TaintScratch, TxGraph};

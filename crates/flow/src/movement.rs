@@ -186,6 +186,7 @@ pub fn pattern_string(movements: &[TaintedTx]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow_oracle::classify_movements;
     use fistful_core::change::{identify, ChangeConfig};
     use fistful_core::testutil::TestChain;
 
@@ -297,6 +298,34 @@ mod tests {
         assert_eq!(txs, vec![hop as u32, next as u32]);
         assert_eq!(movements[0].kind, MovementKind::Peel);
         assert_eq!(movements[0].departures, vec![(t.id(11), Amount::from_btc(45))]);
+    }
+
+    /// Hand-built shapes where the oracle and the graph walk must agree
+    /// record for record, including the max_txs bound.
+    #[test]
+    fn indexed_matches_legacy_walk() {
+        let mut t = TestChain::new();
+        let c1 = t.coinbase(1, 50);
+        let c2 = t.coinbase(2, 50);
+        let c3 = t.coinbase(3, 50);
+        let _r = t.coinbase(100, 5);
+        let theft = t.tx(&[(c1, 0)], &[(10, 30), (1, 20)]);
+        let agg = t.tx(&[(theft, 0), (c2, 0), (c3, 0)], &[(11, 130)]);
+        let split = t.tx(&[(agg, 0)], &[(12, 40), (13, 40), (14, 50)]);
+        let p1 = t.tx(&[(split, 2)], &[(100, 10), (15, 40)]);
+        let _p2 = t.tx(&[(p1, 1)], &[(100, 10), (16, 30)]);
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let graph = TxGraph::build_with_threads(&t.chain, 2);
+        let mut scratch = TaintScratch::for_graph(&graph);
+        let loot = [(theft as u32, 0)];
+        for max_txs in [0, 1, 2, 3, 100] {
+            let legacy = classify_movements(&t.chain, &loot, &labels, max_txs);
+            let indexed =
+                classify_movements_indexed(&graph, &loot, &labels, max_txs, &mut scratch);
+            assert_eq!(legacy, indexed, "max_txs {max_txs}");
+        }
+        let movements = classify_movements_indexed(&graph, &loot, &labels, 100, &mut scratch);
+        assert_eq!(pattern_string(&movements), "F/S/P");
     }
 
     /// A reused scratch must leave no state behind between walks.

@@ -160,6 +160,7 @@ pub fn follow_chains_indexed(
 mod tests {
     use super::*;
     use fistful_core::change::{identify, ChangeConfig};
+    use crate::flow_oracle::follow_chain;
     use fistful_core::testutil::TestChain;
 
     /// Builds a 3-hop peeling chain: 1000 → peel 10 → peel 20 → peel 30.
@@ -248,6 +249,38 @@ mod tests {
         assert!(chain.hops[0].fallback);
         assert_eq!(chain.hops[0].change_vout, 0);
         assert_eq!(chain.hops[0].peels, vec![(t.id(11), Amount::from_btc(495))]);
+    }
+
+    #[test]
+    fn indexed_matches_legacy_hop_for_hop() {
+        let (t, _) = peeling_chain();
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let graph = TxGraph::build_with_threads(&t.chain, 2);
+        for start in 0..t.chain.tx_count() as u32 {
+            for strategy in [FollowStrategy::Strict, FollowStrategy::LargestFallback] {
+                for max_hops in [0, 1, 2, 100] {
+                    let legacy = follow_chain(&t.chain, &labels, start, max_hops, strategy);
+                    let indexed =
+                        follow_chain_indexed(&graph, &labels, start, max_hops, strategy);
+                    assert_eq!(legacy, indexed, "start {start} {strategy:?} {max_hops}");
+                }
+            }
+        }
+    }
+
+    /// The oracle breaks the equal-value tie the same way: lowest vout.
+    #[test]
+    fn indexed_fallback_tie_breaks_to_lowest_vout() {
+        let mut t = TestChain::new();
+        let funding = t.coinbase(1, 1000);
+        let hop1 = t.tx(&[(funding, 0)], &[(10, 495), (11, 495)]) as u32;
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let strategy = FollowStrategy::LargestFallback;
+        let legacy = follow_chain(&t.chain, &labels, hop1, 100, strategy);
+        assert_eq!(legacy.hops[0].change_vout, 0);
+        assert_eq!(legacy.hops[0].peels, vec![(t.id(11), Amount::from_btc(495))]);
+        let graph = TxGraph::build(&t.chain);
+        assert_eq!(follow_chain_indexed(&graph, &labels, hop1, 100, strategy), legacy);
     }
 
     #[test]

@@ -161,6 +161,7 @@ mod tests {
     use super::*;
     use crate::categories::AddressDirectory;
     use fistful_core::change::{identify, ChangeConfig};
+    use crate::flow_oracle::track_theft;
     use fistful_core::testutil::TestChain;
 
     /// Builds: two thefts → folding aggregation (one clean input) → a peel
@@ -213,6 +214,31 @@ mod tests {
         assert!(!trace.reached_exchange());
         assert_eq!(trace.to_exchanges, Amount::ZERO);
         assert_eq!(trace.pattern, "F");
+    }
+
+    #[test]
+    fn indexed_and_batch_match_legacy() {
+        let (t, a, b) = theft_chain(true);
+        let dir = exchange_dir(&t);
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let graph = TxGraph::build_with_threads(&t.chain, 2);
+
+        let legacy = track_theft(&t.chain, &[a, b], &labels, &dir, 100);
+        let mut scratch = TaintScratch::for_graph(&graph);
+        let indexed = track_theft_indexed(&graph, &[a, b], &labels, &dir, 100, &mut scratch);
+        assert_eq!(legacy, indexed);
+
+        // The batch engine agrees case-for-case at every thread count,
+        // including more workers than thefts.
+        let thefts = vec![vec![a, b], vec![a], vec![b]];
+        let expected: Vec<TheftTrace> = thefts
+            .iter()
+            .map(|loot| track_theft(&t.chain, loot, &labels, &dir, 100))
+            .collect();
+        for threads in [1, 2, 4, 8] {
+            let batch = track_thefts_batch(&graph, &thefts, &labels, &dir, 100, threads);
+            assert_eq!(batch, expected, "threads {threads}");
+        }
     }
 
     #[test]

@@ -148,6 +148,35 @@ mod tests {
     }
 
     #[test]
+    fn indexed_pipeline_matches_manual_composition() {
+        use crate::flow_oracle::follow_chain;
+        use crate::graph::TxGraph;
+        use crate::peel::{follow_chains_indexed, FollowStrategy};
+        use fistful_core::change::{identify, ChangeConfig};
+        use fistful_core::testutil::TestChain;
+
+        let mut t = TestChain::new();
+        let funding = t.coinbase(1, 1000);
+        let _gox = t.coinbase(100, 5);
+        let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (10, 990)]);
+        let _hop2 = t.tx(&[(hop1, 1)], &[(100, 20), (11, 970)]);
+        let labels = identify(&t.chain, &ChangeConfig::naive());
+        let graph = TxGraph::build(&t.chain);
+        let mut pairs = vec![(None, None); t.chain.address_count()];
+        pairs[t.id(100) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
+        let dir = AddressDirectory::from_pairs(pairs);
+
+        let chains =
+            follow_chains_indexed(&graph, &labels, &[hop1 as u32], 100, FollowStrategy::Strict);
+        let rows = service_arrivals(&chains, &dir);
+        let legacy = follow_chain(&t.chain, &labels, hop1 as u32, 100, FollowStrategy::Strict);
+        assert_eq!(chains, vec![legacy.clone()]);
+        assert_eq!(rows, service_arrivals(&[legacy], &dir));
+        assert_eq!(rows[0].service, "Mt. Gox");
+        assert_eq!(rows[0].total_peels(), 2);
+    }
+
+    #[test]
     fn category_share_counts_peels() {
         let c1 = chain_with_peels(vec![vec![(0, 100)], vec![(1, 50)], vec![(3, 10)]]);
         let rows = service_arrivals(&[c1], &directory());

@@ -2,15 +2,16 @@
 //! traversal, the taint walk and the theft trace, each reading
 //! `ResolvedChain::txs` hop by hop. They are the test oracle for the
 //! graph-indexed walks in `fistful_flow`, which must match them record for
-//! record. Included by `tests/graph.rs` and `tests/properties.rs`.
+//! record. Included by `tests/graph.rs`, `tests/properties.rs` and the
+//! `fistful-flow` unit tests, so it names the member crates directly.
 
-use fistful::chain::amount::Amount;
-use fistful::chain::resolve::{AddressId, ResolvedChain, TxId};
-use fistful::core::change::ChangeLabels;
-use fistful::flow::categories::ServiceResolver;
-use fistful::flow::movement::{classify_counts, pattern_string, MovementKind, TaintedTx};
-use fistful::flow::peel::{FollowStrategy, Hop, PeelChain, StopReason};
-use fistful::flow::theft::TheftTrace;
+use fistful_chain::amount::Amount;
+use fistful_chain::resolve::{AddressId, ResolvedChain, TxId};
+use fistful_core::change::ChangeLabels;
+use fistful_flow::categories::ServiceResolver;
+use fistful_flow::movement::{classify_counts, pattern_string, MovementKind, TaintedTx};
+use fistful_flow::peel::{FollowStrategy, Hop, PeelChain, StopReason};
+use fistful_flow::theft::TheftTrace;
 use std::collections::{HashSet, VecDeque};
 
 /// Follows a peeling chain starting at transaction `start`, for at most
