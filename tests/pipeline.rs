@@ -19,6 +19,15 @@ fn default_economy() -> &'static Economy {
     ECO.get_or_init(|| Economy::run(SimConfig::default()))
 }
 
+/// The benchmark's full-scale economy (`benchmark/`, default seed), built
+/// once and shared by the tests that read it.
+fn benchmark_economy() -> &'static Economy {
+    static ECO: OnceLock<Economy> = OnceLock::new();
+    ECO.get_or_init(|| {
+        Economy::run(SimConfig { blocks: 480, users: 150, public_tags: 750, ..SimConfig::default() })
+    })
+}
+
 /// Dice addresses via H1 clusters named as gambling — the paper's route.
 fn h1_dice(eco: &Economy) -> HashSet<u32> {
     let h1 = Clusterer::h1_only().run(eco.chain.resolved());
@@ -203,9 +212,32 @@ fn default_and_benchmark_scale_chains_are_pinned() {
         ("b106c93ed63064c462f8f81ca190ef9f329d5509ccad3258505f5125a812cf40".to_string(), 65_005, 61_298)
     );
     // The benchmark's full scale (`benchmark/`, default seed).
-    let full = SimConfig { blocks: 480, users: 150, public_tags: 750, ..SimConfig::default() };
     assert_eq!(
-        chain_pin(&Economy::run(full)),
+        chain_pin(benchmark_economy()),
         ("bb491c708acb2a70a73cc71102b3c24fae320fe56e6fb902829dce7f102c9ad4".to_string(), 59_906, 55_776)
+    );
+}
+
+/// Label count and per-reason skip counts of refined Heuristic 2 over
+/// `eco`'s chain, with the paper's H1-named dice set.
+fn refined_h2_pin(eco: &Economy) -> (usize, [usize; 8]) {
+    let labels = change::identify(eco.chain.resolved(), &ChangeConfig::refined(h1_dice(eco)));
+    (labels.labels, labels.skip_counts)
+}
+
+#[test]
+fn refined_h2_labels_and_skip_counts_are_pinned() {
+    // Exact figures, not bounds: any change to H2's per-transaction
+    // decisions (conditions 1–4 or a §4.2 refinement) moves at least one.
+    // Skip counts are in `SkipReason` order: Coinbase, TooFewOutputs,
+    // SelfChange, NoCandidate, Ambiguous, ReusedChange, PriorSelfChange,
+    // FailedWait.
+    assert_eq!(
+        refined_h2_pin(default_economy()),
+        (17_103, [600, 0, 20_876, 629, 12_888, 358, 12_337, 214])
+    );
+    assert_eq!(
+        refined_h2_pin(benchmark_economy()),
+        (14_527, [480, 0, 20_207, 490, 12_129, 403, 11_431, 239])
     );
 }
