@@ -15,7 +15,8 @@ cargo run --release --example silkroad_trace
 cargo run --release --example theft_tracking
 
 # benchmark/ is a package of its own that path-depends on the library
-# crates, so nothing above builds it: unit-test it, then run every
-# workload once at smoke size.
+# crates, so nothing above builds or lints it: unit-test it, lint it, then
+# run every workload once at smoke size.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 benchmark/smoke.sh

@@ -85,6 +85,13 @@ pub fn balance_series(
 /// knows, exactly as if the chain ended there. With
 /// `tx_end == chain.tx_count()` the result is identical to
 /// [`balance_series`].
+///
+/// Cost: one pass over the addresses resolves each address once into a
+/// `u32` slot (sink, no category, or the dense index of its category);
+/// the pass over the transactions then does one slot read and one add per
+/// input and output, into per-category running totals. No string is
+/// looked up or cloned per input or output: category names are cloned
+/// only when a sample is emitted.
 pub fn balance_series_at(
     chain: &ResolvedChain,
     tx_end: usize,
@@ -94,73 +101,86 @@ pub fn balance_series_at(
     assert!(every > 0, "sampling interval must be positive");
     assert!(tx_end <= chain.tx_count(), "tx_end exceeds the chain");
 
-    // Sink flags: addresses that never spend within the window. The
-    // per-address spend lists are chain-ordered, so "no spend before
-    // tx_end" is one partition_point.
-    let n = chain.address_count();
-    let sink: Vec<bool> = (0..n as AddressId)
-        .map(|a| chain.spent_in(a).partition_point(|&t| (t as usize) < tx_end) == 0)
+    // One slot per address. A sink (never spends within the window; the
+    // per-address spend lists are chain-ordered, so that is "no first
+    // spend before tx_end") gets SINK: its receives count as sink-held and
+    // it never spends. Every other address gets its category's index in
+    // `slot_of`, or NO_CATEGORY. One array keeps the per-I/O work to a
+    // single read of per-address state.
+    const SINK: u32 = u32::MAX;
+    const NO_CATEGORY: u32 = u32::MAX - 1;
+    let mut slot_of: BTreeMap<&str, u32> = BTreeMap::new();
+    let slot: Vec<u32> = (0..chain.address_count() as AddressId)
+        .map(|a| {
+            if chain.spent_in(a).first().map_or(true, |&t| t as usize >= tx_end) {
+                return SINK;
+            }
+            let next = slot_of.len() as u32;
+            directory.category(a).map_or(NO_CATEGORY, |c| *slot_of.entry(c).or_insert(next))
+        })
         .collect();
 
-    let mut balances: Vec<u64> = vec![0; n]; // per-address, in satoshis
-    let mut per_category: BTreeMap<String, u64> = BTreeMap::new();
+    // Per category: the running total in satoshis, and whether it has had
+    // a receive yet — a category joins the samples at its first receive
+    // and stays, even when its total falls back to zero.
+    let mut totals: Vec<u64> = vec![0; slot_of.len()];
+    let mut received: Vec<bool> = vec![false; slot_of.len()];
     let mut supply: u64 = 0;
     let mut sink_held: u64 = 0;
 
-    let mut out = Vec::new();
-    let mut last_height: Option<u64> = None;
-
-    let mut push_sample = |height: u64,
-                           time: u64,
-                           per_category: &BTreeMap<String, u64>,
-                           supply: u64,
-                           sink_held: u64| {
-        out.push(BalancePoint {
-            height,
-            time,
-            balances: per_category
-                .iter()
-                .map(|(k, &v)| (k.clone(), Amount::from_sat(v)))
-                .collect(),
-            supply: Amount::from_sat(supply),
-            sink_held: Amount::from_sat(sink_held),
-        });
+    let sample = |height: u64,
+                  time: u64,
+                  totals: &[u64],
+                  received: &[bool],
+                  supply: u64,
+                  sink_held: u64| BalancePoint {
+        height,
+        time,
+        balances: slot_of
+            .iter()
+            .filter(|&(_, &s)| received[s as usize])
+            .map(|(&name, &s)| (name.to_string(), Amount::from_sat(totals[s as usize])))
+            .collect(),
+        supply: Amount::from_sat(supply),
+        sink_held: Amount::from_sat(sink_held),
     };
 
+    let mut out = Vec::new();
+    let mut last_height: Option<u64> = None;
     for tx in &chain.txs[..tx_end] {
         // Sample boundary crossings before applying this tx.
         if let Some(prev) = last_height {
             if tx.height / every != prev / every {
-                push_sample(prev, tx.time, &per_category, supply, sink_held);
+                out.push(sample(prev, tx.time, &totals, &received, supply, sink_held));
             }
         }
         last_height = Some(tx.height);
 
         for input in &tx.inputs {
-            let a = input.address as usize;
             let v = input.value.to_sat();
-            balances[a] -= v;
             supply -= v;
-            debug_assert!(!sink[a], "sinks never spend");
-            if let Some(cat) = directory.category(input.address) {
-                *per_category.get_mut(cat).expect("category seen before") -= v;
+            let s = slot[input.address as usize];
+            debug_assert_ne!(s, SINK, "sinks never spend");
+            if s < NO_CATEGORY {
+                totals[s as usize] -= v;
             }
         }
         for out_ in &tx.outputs {
-            let a = out_.address as usize;
             let v = out_.value.to_sat();
-            balances[a] += v;
             supply += v;
-            if sink[a] {
-                sink_held += v;
-            } else if let Some(cat) = directory.category(out_.address) {
-                *per_category.entry(cat.to_string()).or_insert(0) += v;
+            match slot[out_.address as usize] {
+                SINK => sink_held += v,
+                NO_CATEGORY => {}
+                s => {
+                    totals[s as usize] += v;
+                    received[s as usize] = true;
+                }
             }
         }
     }
     if let Some(h) = last_height {
         let t = chain.txs[..tx_end].last().map(|t| t.time).unwrap_or(0);
-        push_sample(h, t, &per_category, supply, sink_held);
+        out.push(sample(h, t, &totals, &received, supply, sink_held));
     }
     out
 }
@@ -287,6 +307,43 @@ mod tests {
 
         // The empty prefix yields no samples at all.
         assert!(balance_series_at(&t.chain, 0, &dir, 1).is_empty());
+    }
+
+    #[test]
+    fn category_joins_at_first_receive_and_stays_at_zero() {
+        let mut t = TestChain::new();
+        // addr 1 = exchange, addr 3 = gambling (a sink: never spends).
+        let cb = t.coinbase(1, 50);
+        let t1 = t.tx(&[(cb, 0)], &[(2, 30), (3, 20)]);
+        t.tx(&[(t1, 0)], &[(4, 30)]);
+
+        let n = t.chain.address_count();
+        let mut pairs = vec![(None, None); n];
+        pairs[t.id(1) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
+        pairs[t.id(3) as usize] = (Some("SatoshiDice".into()), Some("gambling".into()));
+        let dir = AddressDirectory::from_pairs(pairs);
+
+        let series = balance_series(&t.chain, &dir, 1);
+        let exchange = |p: &BalancePoint| p.balances.get("exchange").copied();
+        assert_eq!(exchange(&series[0]), Some(Amount::from_btc(50)));
+        // The exchange spent everything: its key stays, at zero.
+        for p in &series[1..] {
+            assert_eq!(exchange(p), Some(Amount::ZERO));
+        }
+        // Receives by a sink never create a key.
+        assert!(series.iter().all(|p| !p.balances.contains_key("gambling")));
+        // Within the one-tx prefix the exchange address has not spent, so
+        // it is a sink there and no category appears at all.
+        let prefix = balance_series_at(&t.chain, 1, &dir, 1);
+        assert!(prefix.iter().all(|p| p.balances.is_empty()));
+
+        for tx_end in 0..=t.chain.tx_count() {
+            assert_eq!(
+                balance_series_at(&t.chain, tx_end, &dir, 1),
+                crate::flow_oracle::balance_series_at(&t.chain, tx_end, &dir, 1),
+                "tx_end {tx_end}"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use fistful::flow::theft::{track_theft_indexed, track_thefts_batch};
 use fistful::flow::track::service_arrivals;
 use fistful::sim::SimConfig;
 use fistful_bench::{silk_road_starts, theft_loots, Workbench};
+use fistful::flow::balance_series_at;
 use flow_oracle::{classify_movements, follow_chain, track_theft};
 use std::sync::Arc;
 
@@ -315,4 +316,25 @@ fn graph_is_shareable_across_reader_threads() {
             });
         }
     });
+}
+
+#[test]
+fn balance_series_identical_to_oracle_over_economy() {
+    let wb = Workbench::build(SimConfig::default());
+    let chain = wb.eco.chain.resolved();
+    let snapshot = wb.snapshot();
+    let n = chain.tx_count();
+    let blocks = chain.block_count() as u64;
+    for every in [1, 20, (blocks / 24).max(1)] {
+        for tx_end in [0, 1, n / 2, n] {
+            let got = balance_series_at(chain, tx_end, &snapshot, every);
+            let oracle = flow_oracle::balance_series_at(chain, tx_end, &snapshot, every);
+            // Whole points, so the key sets are compared too.
+            assert_eq!(got, oracle, "every {every}, tx_end {tx_end}");
+            if tx_end == n {
+                let last = got.last().expect("samples");
+                assert!(last.balances.len() > 3, "categories: {:?}", last.balances.keys());
+            }
+        }
+    }
 }

@@ -5,10 +5,12 @@
 //! epoch_blocks: 1 }` runs it one block at a time on one thread, so the
 //! wait-to-label queue is resolved after every block.
 
-use fistful::core::change::{ChangeConfig, BLOCKS_PER_DAY};
+use fistful::core::change::{ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
 use fistful::core::cluster::{Clusterer, Clustering};
 use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
+use fistful::core::naming::name_clusters;
 use fistful::sim::{Economy, SimConfig};
+use fistful_bench::{build_tagdb, dice_addresses};
 use std::sync::OnceLock;
 
 /// One default-scale economy shared by the equivalence tests.
@@ -170,4 +172,33 @@ fn sharded_matches_batch_with_short_wait_windows() {
         let (sharded, _) = replay_sharded(chain, IngestConfig::with_h2(1, 1, cfg));
         assert_equivalent(&sharded, &batch);
     }
+}
+
+#[test]
+fn refined_live_h2_labels_nothing_until_the_wait_window_elapses() {
+    // The refined configuration holds every label for a one-week wait.
+    // The default economy is shorter than that, so no window closes before
+    // the tip: between epochs the live pipeline has no H2 labels and its
+    // partition is Heuristic 1's. Only `flush` decides them.
+    let eco = economy();
+    let chain = eco.chain.resolved();
+    assert!((chain.block_count() as u64) < BLOCKS_PER_WEEK);
+    let h1 = Clusterer::h1_only().run(chain);
+    let refined = ChangeConfig::refined(dice_addresses(&h1, &name_clusters(&h1, &build_tagdb(eco))));
+
+    let mut ingest = ShardedIngest::new(IngestConfig::with_h2(2, 16, refined));
+    let mut epochs = 0;
+    for block in chain.blocks() {
+        ingest.ingest_block(&block);
+        if ingest.epochs_completed() > epochs {
+            epochs = ingest.epochs_completed();
+            assert_eq!(ingest.change_labels().unwrap().labels, 0, "epoch {epochs}");
+        }
+    }
+    assert!(epochs > 30, "epochs: {epochs}");
+    assert!(ingest.pending_decisions() > 0);
+
+    ingest.flush(chain);
+    assert!(ingest.change_labels().unwrap().labels > 0);
+    assert_eq!(ingest.pending_decisions(), 0);
 }

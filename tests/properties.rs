@@ -342,9 +342,11 @@ proptest! {
 
     /// On random simulated economies, the batch taint engine over the
     /// graph must agree with the oracle's per-theft walk on every scripted
-    /// theft — verdicts, patterns, exchange arrivals, dormant totals.
+    /// theft — verdicts, patterns, exchange arrivals, dormant totals — and
+    /// the balance series with the oracle's.
     #[test]
     fn graph_theft_tracking_matches_legacy_on_economies(seed in 0u64..1000) {
+        use fistful::flow::balance_series_at;
         use fistful::flow::graph::TxGraph;
         use fistful::flow::theft::track_thefts_batch;
         use fistful_bench::{theft_loots, Workbench};
@@ -372,6 +374,17 @@ proptest! {
         for threads in [1usize, 3] {
             let batch = track_thefts_batch(&graph, &loots, &labels, &snapshot, 5_000, threads);
             prop_assert_eq!(&batch, &oracle);
+        }
+
+        // The balance series over the same snapshot, at a seed-derived
+        // prefix and at the tip.
+        let n = chain.tx_count();
+        let every = 1 + seed % 8;
+        for tx_end in [(seed as usize * 7919) % (n + 1), n] {
+            prop_assert_eq!(
+                balance_series_at(chain, tx_end, &snapshot, every),
+                flow_oracle::balance_series_at(chain, tx_end, &snapshot, every)
+            );
         }
     }
 }
