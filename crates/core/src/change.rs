@@ -380,9 +380,9 @@ impl ChangeScanner {
     /// updating only its own addresses), so per-shard state stays in
     /// lockstep with what one unsharded scanner would hold.
     ///
-    /// Costs at most O(inputs · outputs) comparisons (the self-change test,
-    /// [`spends_from`], runs only on owned outputs) and allocates only when
-    /// a new address grows the state.
+    /// Costs at most O(inputs · outputs) comparisons (the self-change test
+    /// scans the inputs, for owned outputs only) and allocates only when a
+    /// new address grows the state.
     pub fn absorb(&mut self, tx: &ResolvedTx) {
         for out in &tx.outputs {
             let Some(s) = self.slot(out.address) else { continue };

@@ -120,29 +120,26 @@ pub fn balance_series_at(
         })
         .collect();
 
-    // Per category: the running total in satoshis, and whether it has had
-    // a receive yet — a category joins the samples at its first receive
-    // and stays, even when its total falls back to zero.
-    let mut totals: Vec<u64> = vec![0; slot_of.len()];
-    let mut received: Vec<bool> = vec![false; slot_of.len()];
+    // Per category: the running total in satoshis, `None` until its first
+    // receive — a category joins the samples then and stays, even when
+    // its total falls back to zero.
+    let mut totals: Vec<Option<u64>> = vec![None; slot_of.len()];
     let mut supply: u64 = 0;
     let mut sink_held: u64 = 0;
 
-    let sample = |height: u64,
-                  time: u64,
-                  totals: &[u64],
-                  received: &[bool],
-                  supply: u64,
-                  sink_held: u64| BalancePoint {
-        height,
-        time,
-        balances: slot_of
-            .iter()
-            .filter(|&(_, &s)| received[s as usize])
-            .map(|(&name, &s)| (name.to_string(), Amount::from_sat(totals[s as usize])))
-            .collect(),
-        supply: Amount::from_sat(supply),
-        sink_held: Amount::from_sat(sink_held),
+    let sample = |height: u64, time: u64, totals: &[Option<u64>], supply: u64, sink_held: u64| {
+        BalancePoint {
+            height,
+            time,
+            balances: slot_of
+                .iter()
+                .filter_map(|(&name, &s)| {
+                    totals[s as usize].map(|v| (name.to_string(), Amount::from_sat(v)))
+                })
+                .collect(),
+            supply: Amount::from_sat(supply),
+            sink_held: Amount::from_sat(sink_held),
+        }
     };
 
     let mut out = Vec::new();
@@ -151,7 +148,7 @@ pub fn balance_series_at(
         // Sample boundary crossings before applying this tx.
         if let Some(prev) = last_height {
             if tx.height / every != prev / every {
-                out.push(sample(prev, tx.time, &totals, &received, supply, sink_held));
+                out.push(sample(prev, tx.time, &totals, supply, sink_held));
             }
         }
         last_height = Some(tx.height);
@@ -162,7 +159,7 @@ pub fn balance_series_at(
             let s = slot[input.address as usize];
             debug_assert_ne!(s, SINK, "sinks never spend");
             if s < NO_CATEGORY {
-                totals[s as usize] -= v;
+                *totals[s as usize].as_mut().expect("category received before") -= v;
             }
         }
         for out_ in &tx.outputs {
@@ -171,16 +168,13 @@ pub fn balance_series_at(
             match slot[out_.address as usize] {
                 SINK => sink_held += v,
                 NO_CATEGORY => {}
-                s => {
-                    totals[s as usize] += v;
-                    received[s as usize] = true;
-                }
+                s => *totals[s as usize].get_or_insert(0) += v,
             }
         }
     }
     if let Some(h) = last_height {
         let t = chain.txs[..tx_end].last().map(|t| t.time).unwrap_or(0);
-        out.push(sample(h, t, &totals, &received, supply, sink_held));
+        out.push(sample(h, t, &totals, supply, sink_held));
     }
     out
 }
@@ -312,24 +306,31 @@ mod tests {
     #[test]
     fn category_joins_at_first_receive_and_stays_at_zero() {
         let mut t = TestChain::new();
-        // addr 1 = exchange, addr 3 = gambling (a sink: never spends).
+        // addr 1 = exchange, addr 3 = gambling (a sink: never spends),
+        // addr 5 = vendor (first receives at height 2, spends at 3).
         let cb = t.coinbase(1, 50);
         let t1 = t.tx(&[(cb, 0)], &[(2, 30), (3, 20)]);
-        t.tx(&[(t1, 0)], &[(4, 30)]);
+        let t2 = t.tx(&[(t1, 0)], &[(4, 10), (5, 20)]);
+        t.tx(&[(t2, 1)], &[(4, 19)]);
 
         let n = t.chain.address_count();
         let mut pairs = vec![(None, None); n];
         pairs[t.id(1) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
         pairs[t.id(3) as usize] = (Some("SatoshiDice".into()), Some("gambling".into()));
+        pairs[t.id(5) as usize] = (Some("Silk Road".into()), Some("vendor".into()));
         let dir = AddressDirectory::from_pairs(pairs);
 
         let series = balance_series(&t.chain, &dir, 1);
-        let exchange = |p: &BalancePoint| p.balances.get("exchange").copied();
-        assert_eq!(exchange(&series[0]), Some(Amount::from_btc(50)));
+        assert_eq!(series.len(), 4);
+        let get = |p: &BalancePoint, c: &str| p.balances.get(c).copied();
+        assert_eq!(get(&series[0], "exchange"), Some(Amount::from_btc(50)));
         // The exchange spent everything: its key stays, at zero.
         for p in &series[1..] {
-            assert_eq!(exchange(p), Some(Amount::ZERO));
+            assert_eq!(get(p, "exchange"), Some(Amount::ZERO));
         }
+        // The vendor key appears at its first receive and stays at zero.
+        let vendor: Vec<_> = series.iter().map(|p| get(p, "vendor")).collect();
+        assert_eq!(vendor, [None, None, Some(Amount::from_btc(20)), Some(Amount::ZERO)]);
         // Receives by a sink never create a key.
         assert!(series.iter().all(|p| !p.balances.contains_key("gambling")));
         // Within the one-tx prefix the exchange address has not spent, so
