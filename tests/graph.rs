@@ -11,6 +11,7 @@ mod flow_oracle;
 use fistful::chain::resolve::{ResolvedChain, TxId};
 use fistful::core::change::{self, ChangeConfig, ChangeLabels};
 use fistful::core::testutil::TestChain;
+use fistful::flow::balance_series_at;
 use fistful::flow::categories::{AddressDirectory, ServiceResolver};
 use fistful::flow::graph::{TaintScratch, TxGraph};
 use fistful::flow::movement::{classify_movements_indexed, pattern_string, TaintedTx};
@@ -19,7 +20,6 @@ use fistful::flow::theft::{track_theft_indexed, track_thefts_batch};
 use fistful::flow::track::service_arrivals;
 use fistful::sim::SimConfig;
 use fistful_bench::{silk_road_starts, theft_loots, Workbench};
-use fistful::flow::balance_series_at;
 use flow_oracle::{classify_movements, follow_chain, track_theft};
 use std::sync::Arc;
 

@@ -184,7 +184,8 @@ fn refined_live_h2_labels_nothing_until_the_wait_window_elapses() {
     let chain = eco.chain.resolved();
     assert!((chain.block_count() as u64) < BLOCKS_PER_WEEK);
     let h1 = Clusterer::h1_only().run(chain);
-    let refined = ChangeConfig::refined(dice_addresses(&h1, &name_clusters(&h1, &build_tagdb(eco))));
+    let refined =
+        ChangeConfig::refined(dice_addresses(&h1, &name_clusters(&h1, &build_tagdb(eco))));
 
     let mut ingest = ShardedIngest::new(IngestConfig::with_h2(2, 16, refined));
     let mut epochs = 0;

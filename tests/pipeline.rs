@@ -24,7 +24,12 @@ fn default_economy() -> &'static Economy {
 fn benchmark_economy() -> &'static Economy {
     static ECO: OnceLock<Economy> = OnceLock::new();
     ECO.get_or_init(|| {
-        Economy::run(SimConfig { blocks: 480, users: 150, public_tags: 750, ..SimConfig::default() })
+        Economy::run(SimConfig {
+            blocks: 480,
+            users: 150,
+            public_tags: 750,
+            ..SimConfig::default()
+        })
     })
 }
 
