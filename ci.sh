@@ -10,9 +10,11 @@ cargo build --release
 cargo test -q
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 cargo clippy --workspace --all-targets -- -D warnings
-cargo run --release --example serve_roundtrip
-cargo run --release --example silkroad_trace
-cargo run --release --example theft_tracking
+# Every example, so none of them rots unbuilt and unrun.
+for example in quickstart fp_refinement network_propagation serve_roundtrip \
+    silkroad_trace theft_tracking; do
+    cargo run --release --example "$example"
+done
 
 # benchmark/ is a package of its own that path-depends on the library
 # crates, so nothing above builds or lints it: unit-test it, lint it, then

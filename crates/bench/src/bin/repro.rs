@@ -1,20 +1,16 @@
-//! `repro` — regenerates every table and figure of the paper, writes /
-//! serves frozen cluster snapshots, and runs the TCP query service.
+//! `repro` — regenerates every table and figure of the paper, and runs
+//! the TCP query service over the same simulated economy.
 //!
 //! Usage: `repro [--scale tiny|default|paper] [experiment...]` where each
 //! `experiment` is one of `fig1 tab1 h1 fp super h2 fig2 tab2 tab3`
 //! (default: `all`). Repeated experiments run once; `all` must stand
-//! alone. Tables and figures go to stdout, timings to stderr. `repro
-//! snapshot save <file>` clusters the simulated economy once and writes the
-//! [`ClusterSnapshot`] artifact; `repro snapshot query <file>` reloads it
-//! and answers address → cluster lookups without replaying the chain.
-//! `repro ingest` replays the economy block by block through the sharded
-//! ingest pipeline across a sweep of shard counts, asserting each sweep
-//! point reproduces the batch clustering exactly and timing per-block
-//! cost. `repro serve` starts the `fistful-serve` query server over the
-//! simulated economy. Parsing lives in [`fistful_bench::cli`]. Throughput
-//! and latency are measured by the separate `benchmark/` package, not
-//! here.
+//! alone. Tables and figures go to stdout, progress lines to stderr.
+//! `repro serve` starts the `fistful-serve` query server over the
+//! simulated economy, batch-built or (`--live`) streamed epoch by epoch,
+//! optionally persisted to a store directory it resumes from. Parsing
+//! lives in [`fistful_bench::cli`]. Throughput and latency are measured by
+//! the separate `benchmark/` package, and every equivalence between
+//! engines and formats is asserted by the test suites, not here.
 
 #![forbid(unsafe_code)]
 
@@ -22,25 +18,15 @@ use fistful_bench::cli::{self, CliOutcome, Command, RunPlan};
 use fistful_bench::{btc_round, serve_artifacts, silk_road_starts, theft_loots, Workbench};
 use fistful_chain::amount::Amount;
 use fistful_core::change::{self, ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
-use fistful_core::cluster::{Clusterer, Clustering};
 use fistful_core::fp;
-use fistful_core::incremental::sharded::{IngestConfig, ShardedIngest};
 use fistful_core::metrics::{amplification, score_change_labels, score_clustering};
 use fistful_core::naming::name_clusters;
-use fistful_core::snapshot::ClusterSnapshot;
 use fistful_flow::graph::TxGraph;
 use fistful_flow::{
     balance_series, follow_chains_indexed, service_arrivals, track_thefts_batch, FollowStrategy,
 };
-use fistful_core::snapshot::SnapshotDelta;
 use fistful_net::{Network, NetworkConfig};
-use fistful_serve::store::{
-    delta_file_name, delta_files, CHAIN_FILE, GRAPH_FILE, SERVE_FILE, SNAPSHOT_FILE,
-};
-use fistful_serve::ServeArtifacts;
 use fistful_sim::{Category, SimConfig};
-use fistful_store::{read_chain, write_chain, Store, StoreWriter};
-use std::path::Path;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,14 +43,6 @@ fn main() {
     };
     match command {
         Command::Run(plan) => run_experiments(&plan),
-        Command::SnapshotSave { scale, path } => snapshot_save(&scale, &path),
-        Command::SnapshotQuery { path, addresses, top } => snapshot_query(&path, &addresses, top),
-        Command::Ingest { scale, shards, epoch } => ingest(&scale, &shards, epoch),
-        Command::StoreSave { scale, dir } => store_save(&scale, &dir),
-        Command::StoreOpen { dir, verify_scale } => store_open(&dir, verify_scale.as_deref()),
-        Command::StoreAppend { scale, dir, epochs, shards } => {
-            store_append(&scale, &dir, epochs, shards)
-        }
         Command::Serve {
             scale,
             port,
@@ -341,438 +319,6 @@ fn serve(
     }
 }
 
-/// `snapshot save`: cluster once (refined H2 + naming), freeze, write.
-fn snapshot_save(scale: &str, path: &str) {
-    let cfg = sim_config(scale);
-    eprintln!(
-        "# building economy (scale={scale}, blocks={}, users={}) ...",
-        cfg.blocks, cfg.users
-    );
-    let t0 = std::time::Instant::now();
-    let wb = Workbench::build(cfg);
-    eprintln!("# economy ready in {:.1?}; clustering ...", t0.elapsed());
-    let t1 = std::time::Instant::now();
-    let snapshot = wb.snapshot();
-    eprintln!("# clustered + aggregated in {:.1?}; encoding ...", t1.elapsed());
-    let t2 = std::time::Instant::now();
-    let bytes = snapshot.to_bytes();
-    if let Err(e) = std::fs::write(path, &bytes) {
-        eprintln!("repro: cannot write `{path}`: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "wrote {path}: {} bytes, {} addresses, {} clusters ({} named), tip height {}, encoded in {:.1?}",
-        bytes.len(),
-        snapshot.address_count(),
-        snapshot.cluster_count(),
-        snapshot.named_cluster_count(),
-        snapshot.tip_height(),
-        t2.elapsed()
-    );
-}
-
-/// `snapshot query`: reload the frozen artifact and serve lookups.
-fn snapshot_query(path: &str, addresses: &[u32], top: usize) {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("repro: cannot read `{path}`: {e}");
-            std::process::exit(1);
-        }
-    };
-    let t0 = std::time::Instant::now();
-    let snapshot = match ClusterSnapshot::from_bytes(&bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("repro: `{path}` is not a valid snapshot: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "snapshot {path}: {} bytes, decoded + verified in {:.1?}",
-        bytes.len(),
-        t0.elapsed()
-    );
-    println!(
-        "addresses: {}  clusters: {}  named: {} (covering {} addresses)  tip height: {}  txs: {}",
-        snapshot.address_count(),
-        snapshot.cluster_count(),
-        snapshot.named_cluster_count(),
-        snapshot.named_address_count(),
-        snapshot.tip_height(),
-        snapshot.tx_count()
-    );
-
-    println!("\ntop clusters by size:");
-    println!(
-        "{:<8} {:>8} {:>12} {:>12}  {:<20} category",
-        "cluster", "size", "received", "spent", "service"
-    );
-    for &c in snapshot.clusters_by_size().iter().take(top) {
-        let info = snapshot.info(c).expect("id from clusters_by_size");
-        println!(
-            "{:<8} {:>8} {:>12} {:>12}  {:<20} {}",
-            c,
-            info.size,
-            btc_round(info.received),
-            btc_round(info.spent),
-            info.name.as_deref().unwrap_or("-"),
-            info.category.as_deref().unwrap_or("-")
-        );
-    }
-
-    for &addr in addresses {
-        match snapshot.info_of_address(addr) {
-            Some(info) => println!(
-                "address {addr}: cluster {} (size {}, received {} BTC, spent {} BTC, service {}, category {})",
-                snapshot.cluster_of(addr).expect("info implies cluster"),
-                info.size,
-                btc_round(info.received),
-                btc_round(info.spent),
-                info.name.as_deref().unwrap_or("-"),
-                info.category.as_deref().unwrap_or("-")
-            ),
-            None => println!(
-                "address {addr}: not covered (snapshot spans {} addresses)",
-                snapshot.address_count()
-            ),
-        }
-    }
-}
-
-/// `ingest`: the sharded ingest sweep. Replays the economy block by block
-/// through [`ShardedIngest`] at every requested shard count, asserts each
-/// sweep point lands on exactly the batch clustering (the first row), and
-/// reports per-block ingest cost per row.
-fn ingest(scale: &str, shards: &[usize], epoch: usize) {
-    let cfg = sim_config(scale);
-    eprintln!(
-        "# building economy (scale={scale}, blocks={}, users={}) ...",
-        cfg.blocks, cfg.users
-    );
-    let wb = Workbench::build(cfg);
-    let chain = wb.eco.chain.resolved();
-    let h2 = wb.refined_config();
-    let blocks = chain.block_count();
-    let txs = chain.tx_count();
-    println!(
-        "chain: {} blocks, {} txs, {} addresses; epoch = {epoch} block(s)",
-        blocks,
-        txs,
-        chain.address_count()
-    );
-
-    println!(
-        "{:<14} {:>7} {:>10} {:>12} {:>10}",
-        "engine", "shards", "seconds", "us/block", "clusters"
-    );
-    let row = |engine: &str, n_shards: u64, seconds: f64, clusters: usize| {
-        println!(
-            "{:<14} {:>7} {:>10.3} {:>12.1} {:>10}",
-            engine,
-            n_shards,
-            seconds,
-            seconds * 1e6 / blocks.max(1) as f64,
-            clusters
-        );
-    };
-
-    // Baseline: the one-pass batch clusterer (ground truth).
-    let t = std::time::Instant::now();
-    let batch = Clusterer::with_h2(h2.clone()).run(chain);
-    let batch_secs = t.elapsed().as_secs_f64();
-    row("batch", 0, batch_secs, batch.cluster_count());
-
-    // The sweep: the sharded pipeline at every requested shard count. On a
-    // single-core box this proves correctness scaling (identical output at
-    // every width), not wall-clock speedup.
-    for &n in shards {
-        let t = std::time::Instant::now();
-        let mut pipe = ShardedIngest::new(IngestConfig::with_h2(n, epoch, h2.clone()));
-        for block in chain.blocks() {
-            pipe.ingest_block(&block);
-        }
-        pipe.flush(chain);
-        let clustering = pipe.snapshot();
-        let secs = t.elapsed().as_secs_f64();
-        assert_clusterings_match(&format!("sharded x{n}"), &clustering, &batch);
-        row("sharded", n as u64, secs, clustering.cluster_count());
-    }
-    println!(
-        "every engine reproduced the batch clustering exactly ({} clusters)",
-        batch.cluster_count()
-    );
-}
-
-/// Hard equality between an ingest engine's output and the batch ground
-/// truth: same partition, same H2 labels, same skip accounting.
-fn assert_clusterings_match(engine: &str, got: &Clustering, batch: &Clustering) {
-    assert_eq!(got.assignment, batch.assignment, "{engine}: assignment diverged");
-    assert_eq!(got.sizes, batch.sizes, "{engine}: cluster sizes diverged");
-    match (&got.change_labels, &batch.change_labels) {
-        (Some(a), Some(b)) => {
-            assert_eq!(a.vout_of, b.vout_of, "{engine}: change vouts diverged");
-            assert_eq!(a.labels, b.labels, "{engine}: change label count diverged");
-            assert_eq!(a.skip_counts, b.skip_counts, "{engine}: skip accounting diverged");
-        }
-        (None, None) => {}
-        _ => panic!("{engine}: H2 ran on one side only"),
-    }
-}
-
-/// Exits with the CLI's runtime-failure convention (exit 1, `repro:`
-/// prefix) on a store error.
-fn store_or_die<T>(what: &str, result: Result<T, fistful_store::StoreError>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(e) => {
-            eprintln!("repro: {what}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `store save`: build every serving artifact once and write the columnar
-/// store directory (`chain.fst` + the serving bundle).
-fn store_save(scale: &str, dir: &str) {
-    let cfg = sim_config(scale);
-    eprintln!(
-        "# building economy (scale={scale}, blocks={}, users={}) ...",
-        cfg.blocks, cfg.users
-    );
-    let t0 = std::time::Instant::now();
-    let wb = Workbench::build(cfg);
-    eprintln!("# economy ready in {:.1?}; clustering + indexing ...", t0.elapsed());
-    let artifacts = serve_artifacts(&wb);
-
-    let dir_path = Path::new(dir);
-    if let Err(e) = std::fs::create_dir_all(dir_path) {
-        eprintln!("repro: cannot create `{dir}`: {e}");
-        std::process::exit(1);
-    }
-    let t2 = std::time::Instant::now();
-    let mut w = StoreWriter::new();
-    write_chain(wb.eco.chain.resolved(), &mut w);
-    let chain_bytes = store_or_die("cannot write chain.fst", w.write_to(&dir_path.join(CHAIN_FILE)));
-    let bundle_bytes = store_or_die("cannot write serving bundle", artifacts.save_dir(dir_path));
-    let encoded = t2.elapsed();
-
-    println!(
-        "wrote {dir}: {} bytes ({chain_bytes} chain + {bundle_bytes} serving bundle) in {encoded:.1?}",
-        chain_bytes + bundle_bytes
-    );
-    for file in [CHAIN_FILE, GRAPH_FILE, SNAPSHOT_FILE, SERVE_FILE] {
-        let len = std::fs::metadata(dir_path.join(file)).map(|m| m.len()).unwrap_or(0);
-        println!("  {file:<14} {len:>12} bytes");
-    }
-    println!(
-        "reopen it with `repro store open {dir}` — no chain replay, no re-clustering"
-    );
-}
-
-/// `store open`: reopen a store directory without replaying the chain,
-/// optionally differentially verified against an in-RAM rebuild.
-fn store_open(dir: &str, verify_scale: Option<&str>) {
-    let dir_path = Path::new(dir);
-    let deltas = store_or_die("cannot list store directory", delta_files(dir_path)).len();
-    let t0 = std::time::Instant::now();
-    let mut store = store_or_die("cannot open chain.fst", Store::open(&dir_path.join(CHAIN_FILE)));
-    let chain = store_or_die("chain.fst is not a valid chain container", read_chain(&mut store));
-    let artifacts =
-        store_or_die("cannot reopen serving bundle", ServeArtifacts::open_dir(dir_path));
-    let opened = t0.elapsed();
-    println!(
-        "opened {dir} in {opened:.1?}: {} addresses, {} clusters, {} txs ({deltas} delta(s) folded)",
-        artifacts.snapshot.address_count(),
-        artifacts.snapshot.cluster_count(),
-        artifacts.graph.tx_count(),
-    );
-
-    if let Some(scale) = verify_scale {
-        let cfg = sim_config(scale);
-        eprintln!(
-            "# rebuilding in RAM for verification (scale={scale}, blocks={}, users={}) ...",
-            cfg.blocks, cfg.users
-        );
-        let t1 = std::time::Instant::now();
-        let wb = Workbench::build(cfg);
-        let rebuilt = serve_artifacts(&wb);
-        let rebuilt_secs = t1.elapsed();
-
-        // Byte-identity, not just logical equality: both chains re-encoded
-        // into containers, both snapshots into their wire frames.
-        let mut a = StoreWriter::new();
-        write_chain(&chain, &mut a);
-        let mut b = StoreWriter::new();
-        write_chain(wb.eco.chain.resolved(), &mut b);
-        assert_eq!(a.to_bytes(), b.to_bytes(), "reopened chain diverged from rebuild");
-        assert_eq!(
-            artifacts.snapshot.to_bytes(),
-            rebuilt.snapshot.to_bytes(),
-            "reopened snapshot diverged from rebuild"
-        );
-        assert_eq!(artifacts.graph, rebuilt.graph, "reopened graph diverged from rebuild");
-        assert_eq!(artifacts.labels.vout_of, rebuilt.labels.vout_of, "change labels diverged");
-        assert_eq!(artifacts.labels.skip_counts, rebuilt.labels.skip_counts);
-        assert_eq!(artifacts.labels.labels, rebuilt.labels.labels);
-        assert_eq!(artifacts.balances, rebuilt.balances, "balance series diverged");
-        let speedup = rebuilt_secs.as_secs_f64() / opened.as_secs_f64().max(1e-9);
-        println!(
-            "verified byte-identical to an in-RAM rebuild: open {opened:.1?} vs rebuild \
-             {rebuilt_secs:.1?} ({speedup:.1}x)"
-        );
-    }
-}
-
-/// `store append`: replay the economy through the sharded ingest pipeline,
-/// writing the base snapshot at the first epoch boundary and one delta
-/// container per later boundary — then prove the on-disk base + deltas
-/// materialize to exactly the full batch export, byte for byte.
-fn store_append(scale: &str, dir: &str, epochs: usize, shards: usize) {
-    let cfg = sim_config(scale);
-    eprintln!(
-        "# building economy (scale={scale}, blocks={}, users={}) ...",
-        cfg.blocks, cfg.users
-    );
-    let wb = Workbench::build(cfg);
-    let chain = wb.eco.chain.resolved();
-    let blocks = chain.block_count();
-    let epoch_blocks = (blocks.div_ceil(epochs)).max(1);
-    println!(
-        "chain: {blocks} blocks, {} txs; {epochs} epoch(s) of {epoch_blocks} block(s), \
-         {shards} shard(s)",
-        chain.tx_count()
-    );
-    let dir_path = Path::new(dir);
-    if let Err(e) = std::fs::create_dir_all(dir_path) {
-        eprintln!("repro: cannot create `{dir}`: {e}");
-        std::process::exit(1);
-    }
-    // A fresh append resets the delta base, like ServeArtifacts::save_dir.
-    for stale in store_or_die("cannot list store directory", delta_files(dir_path)) {
-        if let Err(e) = std::fs::remove_file(&stale) {
-            eprintln!("repro: cannot remove stale `{}`: {e}", stale.display());
-            std::process::exit(1);
-        }
-    }
-
-    let t0 = std::time::Instant::now();
-    let mut pipe = ShardedIngest::new(IngestConfig::with_h2(shards, epoch_blocks, wb.refined_config()));
-    let mut prev: Option<ClusterSnapshot> = None;
-    let mut delta_bytes = 0u64;
-    let mut delta_no = 0usize;
-    let mut last_reconciled = 0;
-    // At each epoch boundary (reconciled prefix advanced): the first export
-    // is the on-disk base; every later one becomes a delta container whose
-    // size is proportional to what the epoch changed, not to the chain.
-    let mut on_boundary = |pipe: &mut ShardedIngest,
-                           prev: &mut Option<ClusterSnapshot>,
-                           delta_no: &mut usize| {
-        match prev.take() {
-            None => {
-                let snap = pipe.export_snapshot(chain, &wb.tagdb);
-                let mut w = StoreWriter::new();
-                snap.write_store(&mut w);
-                let base_bytes = store_or_die(
-                    "cannot write base snapshot",
-                    w.write_to(&dir_path.join(SNAPSHOT_FILE)),
-                );
-                println!(
-                    "boundary 1: base {SNAPSHOT_FILE} at tx {} — {base_bytes} bytes",
-                    pipe.reconciled_txs()
-                );
-                *prev = Some(snap);
-            }
-            Some(p) => {
-                let (snap, delta) = pipe.export_delta(chain, &wb.tagdb, &p);
-                // The final flush may resolve pending cross-shard merges
-                // without advancing the reconciled prefix; only a boundary
-                // that actually changed the snapshot earns a delta file.
-                if snap.to_bytes() == p.to_bytes() {
-                    *prev = Some(p);
-                    return;
-                }
-                *delta_no += 1;
-                let file = delta_file_name(*delta_no);
-                let mut w = StoreWriter::new();
-                delta.write_store(&mut w);
-                let bytes =
-                    store_or_die("cannot write delta", w.write_to(&dir_path.join(&file)));
-                delta_bytes += bytes;
-                println!(
-                    "boundary {}: delta {file} at tx {} — {bytes} bytes ({} assignments, {} clusters)",
-                    *delta_no + 1,
-                    pipe.reconciled_txs(),
-                    delta.assign.len(),
-                    delta.clusters.len()
-                );
-                *prev = Some(snap);
-            }
-        }
-    };
-    for block in chain.blocks() {
-        pipe.ingest_block(&block);
-        if pipe.reconciled_txs() != last_reconciled {
-            last_reconciled = pipe.reconciled_txs();
-            on_boundary(&mut pipe, &mut prev, &mut delta_no);
-        }
-    }
-    // The flush can both process a final partial epoch and resolve pending
-    // cross-shard merges; either way the state may have moved past the last
-    // export, so always offer one more boundary (it no-ops when nothing
-    // changed).
-    pipe.flush(chain);
-    on_boundary(&mut pipe, &mut prev, &mut delta_no);
-    let elapsed = t0.elapsed();
-    let full = prev.expect("at least one epoch boundary on a non-empty chain");
-
-    // Prove the persisted files are the snapshot: fold base + deltas back
-    // from disk and compare byte-for-byte against both the pipeline's own
-    // full export and the batch clusterer's (they must all agree).
-    let mut store =
-        store_or_die("cannot reopen base snapshot", Store::open(&dir_path.join(SNAPSHOT_FILE)));
-    let mut materialized = store_or_die(
-        "base snapshot is not a valid container",
-        ClusterSnapshot::read_store(&mut store),
-    );
-    for path in store_or_die("cannot list deltas", delta_files(dir_path)) {
-        let mut store = store_or_die("cannot open delta", Store::open(&path));
-        let delta =
-            store_or_die("delta is not a valid container", SnapshotDelta::read_store(&mut store));
-        materialized = match materialized.apply_delta(&delta) {
-            Ok(snap) => snap,
-            Err(e) => {
-                eprintln!("repro: delta `{}` failed to apply: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-    }
-    assert_eq!(
-        materialized.to_bytes(),
-        full.to_bytes(),
-        "base + deltas diverged from the full export"
-    );
-    assert_eq!(
-        full.to_bytes(),
-        wb.snapshot().to_bytes(),
-        "incremental export diverged from the batch snapshot"
-    );
-    let mut w = StoreWriter::new();
-    full.write_store(&mut w);
-    let full_export_bytes = w.to_bytes().len() as u64;
-    println!(
-        "base + {delta_no} delta(s) materialize byte-for-byte to the batch snapshot \
-         ({} addresses, {} clusters) in {elapsed:.1?}",
-        full.address_count(),
-        full.cluster_count()
-    );
-    println!(
-        "append cost: {delta_bytes} delta bytes total vs {full_export_bytes} per full re-export \
-         (deltas shrink toward O(new blocks) when epochs are merge-free; cross-epoch merges \
-         cascade cluster renumbering and grow them)"
-    );
-}
-
 /// Figure 1: how a transaction propagates, gets mined, and settles.
 fn fig1() {
     println!("\n== Figure 1: transaction broadcast, mining, confirmation ==");
@@ -1029,8 +575,8 @@ fn h2_stats(wb: &Workbench) {
 
 /// Figure 2: category balances over time (% of active bitcoins).
 ///
-/// Runs against the frozen [`ClusterSnapshot`] — the paper's
-/// cluster-once-then-interrogate workflow.
+/// Runs against the frozen [`fistful_core::snapshot::ClusterSnapshot`] —
+/// the paper's cluster-once-then-interrogate workflow.
 fn fig2(wb: &Workbench) {
     println!("\n== Figure 2: balance per category, % of active bitcoins ==");
     let chain = wb.eco.chain.resolved();

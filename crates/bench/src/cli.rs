@@ -1,6 +1,6 @@
 //! Argument parsing for the `repro` binary, factored out so the dedupe,
-//! `all`-mixing, and `snapshot`/`ingest`/`store`/`serve` subcommand rules
-//! are unit-testable without spawning the binary.
+//! `all`-mixing, and `serve` option rules are unit-testable without
+//! spawning the binary.
 
 /// Every experiment `repro` knows, in presentation order.
 pub const EXPERIMENTS: [&str; 9] =
@@ -8,9 +8,6 @@ pub const EXPERIMENTS: [&str; 9] =
 
 /// The simulation scales `--scale` accepts.
 pub const SCALES: [&str; 3] = ["tiny", "default", "paper"];
-
-/// Default number of top clusters printed by `snapshot query`.
-pub const DEFAULT_QUERY_TOP: usize = 10;
 
 /// The taint-walk transaction bound: per theft in `tab3`, and per
 /// `TaintTrace` request in `repro serve`.
@@ -22,17 +19,12 @@ pub const DEFAULT_SERVE_PORT: u16 = 7833;
 /// Default response-cache capacity for `repro serve`.
 pub const DEFAULT_SERVE_CACHE: usize = 4096;
 
-/// Default shard-count sweep for `repro ingest`.
-pub const DEFAULT_INGEST_SHARDS: [usize; 4] = [1, 2, 4, 8];
+/// Default epoch length (blocks between reconciles) for `repro serve
+/// --live`.
+pub const DEFAULT_SERVE_EPOCH: usize = 16;
 
-/// Default epoch length (blocks between reconciles) for `repro ingest`.
-pub const DEFAULT_INGEST_EPOCH: usize = 16;
-
-/// Default epoch count for `repro store append`.
-pub const DEFAULT_STORE_EPOCHS: usize = 4;
-
-/// Default shard count for `repro store append`'s ingest replay.
-pub const DEFAULT_STORE_SHARDS: usize = 4;
+/// Default shard count of `repro serve --live`'s ingest pipeline.
+pub const DEFAULT_SERVE_SHARDS: usize = 4;
 
 /// The usage string printed by `--help` and on argument errors. Derives
 /// the experiment and scale lists from [`EXPERIMENTS`] / [`SCALES`] so the
@@ -41,37 +33,10 @@ pub fn usage() -> String {
     let scales = SCALES.join("|");
     format!(
         "usage: repro [--scale {scales}] [experiment...]\n\
-         \x20      repro snapshot save <file> [--scale {scales}]\n\
-         \x20      repro snapshot query <file> [address-id...] [--top N]\n\
-         \x20      repro ingest [--scale {scales}] [--shards N,N,...] [--epoch K]\n\
-         \x20      repro store save <dir> [--scale {scales}]\n\
-         \x20      repro store open <dir> [--verify-scale {scales}]\n\
-         \x20      repro store append <dir> [--scale {scales}] [--epochs K] [--shards N]\n\
          \x20      repro serve [--scale {scales}] [--port P] [--metrics-port P]\n\
          \x20                  [--workers N] [--cache N] [--event-loop] [--live]\n\
          \x20                  [--store DIR] [--epoch K] [--shards N]\n\
          experiments: all {} (default: all)\n\
-         snapshot subcommands:\n\
-         \x20 save  — cluster the simulated economy (refined H2 + naming) and\n\
-         \x20         write the frozen ClusterSnapshot artifact to <file>\n\
-         \x20 query — load <file> without re-clustering; print a summary, the\n\
-         \x20         top clusters, and address-id lookups\n\
-         ingest — replay the economy block by block through the sharded\n\
-         \x20        ingest pipeline, sweeping --shards shard counts (comma\n\
-         \x20        list, each > 0) with an --epoch-block reconcile cadence,\n\
-         \x20        asserting every sweep point matches the batch clusterer\n\
-         \x20        and reporting per-block ingest cost\n\
-         store subcommands (the on-disk columnar artifact store):\n\
-         \x20 save   — build every serving artifact once and write the store\n\
-         \x20          directory (chain.fst, graph.fst, snapshot.fst, serve.fst)\n\
-         \x20 open   — reopen a store directory without replaying the chain;\n\
-         \x20          --verify-scale rebuilds in RAM and asserts the reopened\n\
-         \x20          artifacts are byte-identical, reporting the speedup\n\
-         \x20 append — replay the economy through the sharded ingest pipeline,\n\
-         \x20          cutting it into --epochs reconcile epochs: the first\n\
-         \x20          boundary writes the base snapshot, each later one a\n\
-         \x20          per-epoch delta file, verified byte-for-byte against a\n\
-         \x20          full re-export\n\
          serve — bind --port first (0 = ephemeral; the bound address is\n\
          \x20        printed before artifacts build), cluster once, build the\n\
          \x20        graph, and answer the binary query protocol until killed\n\
@@ -106,65 +71,6 @@ pub struct RunPlan {
 pub enum Command {
     /// Run paper experiments (the default mode).
     Run(RunPlan),
-    /// `snapshot save <file>`: build the economy, cluster, and write the
-    /// frozen snapshot artifact.
-    SnapshotSave {
-        /// One of [`SCALES`].
-        scale: String,
-        /// Output file path.
-        path: String,
-    },
-    /// `snapshot query <file>`: reload the artifact and serve lookups
-    /// without replaying the chain.
-    SnapshotQuery {
-        /// Input file path.
-        path: String,
-        /// Address ids to look up.
-        addresses: Vec<u32>,
-        /// How many top clusters to print.
-        top: usize,
-    },
-    /// `ingest`: replay the economy through the sharded ingest pipeline
-    /// across a sweep of shard counts, checking each against the batch
-    /// clusterer and timing per-block cost.
-    Ingest {
-        /// One of [`SCALES`].
-        scale: String,
-        /// Shard counts to sweep, in order, each positive.
-        shards: Vec<usize>,
-        /// Blocks per reconcile epoch; positive.
-        epoch: usize,
-    },
-    /// `store save <dir>`: build every serving artifact once and write the
-    /// columnar store directory.
-    StoreSave {
-        /// One of [`SCALES`].
-        scale: String,
-        /// Store directory path.
-        dir: String,
-    },
-    /// `store open <dir>`: reopen a store directory without replaying the
-    /// chain, optionally verifying against an in-RAM rebuild.
-    StoreOpen {
-        /// Store directory path.
-        dir: String,
-        /// When set, rebuild the artifacts at this scale and assert the
-        /// reopened ones are byte-identical.
-        verify_scale: Option<String>,
-    },
-    /// `store append <dir>`: replay the economy through the sharded ingest
-    /// pipeline, writing a base snapshot at the first epoch boundary and a
-    /// delta container per later boundary.
-    StoreAppend {
-        /// One of [`SCALES`].
-        scale: String,
-        /// Store directory path.
-        dir: String,
-        /// Number of reconcile epochs to cut the chain into; positive.
-        epochs: usize,
-        /// Shard count for the ingest replay; positive.
-        shards: usize,
-    },
     /// `serve`: build the serving artifacts once and run the TCP query
     /// server until killed.
     Serve {
@@ -226,16 +132,10 @@ fn parse_scale(next: Option<&String>) -> Result<String, CliOutcome> {
 ///   with named experiments (`repro all h1`) is ambiguous (did the caller
 ///   want one experiment or a re-run of everything?) and is rejected;
 /// * unknown experiments and bad `--scale` values are rejected;
-/// * `snapshot save|query` selects the snapshot mode instead; `save` takes
-///   an output path and an optional `--scale`, `query` takes an input path,
-///   optional numeric address ids, and an optional `--top N`.
+/// * a leading `serve` selects the query server instead (see [`usage`]).
 pub fn parse(args: &[String]) -> Result<Command, CliOutcome> {
-    match args.first().map(String::as_str) {
-        Some("snapshot") => return parse_snapshot(&args[1..]),
-        Some("ingest") => return parse_ingest(&args[1..]),
-        Some("store") => return parse_store(&args[1..]),
-        Some("serve") => return parse_serve(&args[1..]),
-        _ => {}
+    if args.first().is_some_and(|a| a == "serve") {
+        return parse_serve(&args[1..]);
     }
     let mut scale = "default".to_string();
     let mut named: Vec<String> = Vec::new();
@@ -287,8 +187,8 @@ fn parse_serve(args: &[String]) -> Result<Command, CliOutcome> {
     let mut live = false;
     let mut event_loop = false;
     let mut store: Option<String> = None;
-    let mut epoch = DEFAULT_INGEST_EPOCH;
-    let mut shards = DEFAULT_STORE_SHARDS;
+    let mut epoch = DEFAULT_SERVE_EPOCH;
+    let mut shards = DEFAULT_SERVE_SHARDS;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -355,188 +255,6 @@ fn parse_serve(args: &[String]) -> Result<Command, CliOutcome> {
     })
 }
 
-/// Parses the arguments after the `snapshot` keyword.
-fn parse_snapshot(args: &[String]) -> Result<Command, CliOutcome> {
-    let sub = match args.first() {
-        Some(s) if s == "--help" || s == "-h" => return Err(CliOutcome::Help),
-        Some(s) => s.as_str(),
-        None => {
-            return Err(CliOutcome::Error(
-                "snapshot requires a subcommand: save | query".to_string(),
-            ))
-        }
-    };
-    match sub {
-        "save" => {
-            let mut path: Option<String> = None;
-            let mut scale = "default".to_string();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--scale" => scale = parse_scale(it.next())?,
-                    "--help" | "-h" => return Err(CliOutcome::Help),
-                    other if other.starts_with('-') => {
-                        return Err(CliOutcome::Error(format!("unknown option `{other}`")))
-                    }
-                    other if path.is_none() => path = Some(other.to_string()),
-                    other => {
-                        return Err(CliOutcome::Error(format!(
-                            "unexpected argument `{other}` after snapshot save path"
-                        )))
-                    }
-                }
-            }
-            let path = path.ok_or_else(|| {
-                CliOutcome::Error("snapshot save requires an output file".to_string())
-            })?;
-            Ok(Command::SnapshotSave { scale, path })
-        }
-        "query" => {
-            let mut path: Option<String> = None;
-            let mut addresses = Vec::new();
-            let mut top = DEFAULT_QUERY_TOP;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--top" => {
-                        top = match it.next().and_then(|s| s.parse().ok()) {
-                            Some(n) => n,
-                            None => {
-                                return Err(CliOutcome::Error("invalid --top value".to_string()))
-                            }
-                        };
-                    }
-                    "--help" | "-h" => return Err(CliOutcome::Help),
-                    other if other.starts_with('-') => {
-                        return Err(CliOutcome::Error(format!("unknown option `{other}`")))
-                    }
-                    other if path.is_none() => path = Some(other.to_string()),
-                    other => match other.parse::<u32>() {
-                        Ok(addr) => addresses.push(addr),
-                        Err(_) => {
-                            return Err(CliOutcome::Error(format!(
-                                "invalid address id `{other}` (expected a number)"
-                            )))
-                        }
-                    },
-                }
-            }
-            let path = path.ok_or_else(|| {
-                CliOutcome::Error("snapshot query requires an input file".to_string())
-            })?;
-            Ok(Command::SnapshotQuery { path, addresses, top })
-        }
-        other => Err(CliOutcome::Error(format!(
-            "unknown snapshot subcommand `{other}` (expected save | query)"
-        ))),
-    }
-}
-
-/// Parses the arguments after the `ingest` keyword.
-///
-/// `--shards` takes a comma list of positive shard counts (duplicates
-/// collapse, first-mention order kept); `--epoch` takes the positive number
-/// of blocks between cross-shard reconciles. Zero is rejected for both —
-/// a zero-shard pipeline has nowhere to put an address and a zero-block
-/// epoch never reconciles.
-fn parse_ingest(args: &[String]) -> Result<Command, CliOutcome> {
-    let mut scale = "default".to_string();
-    let mut shards: Vec<usize> = DEFAULT_INGEST_SHARDS.to_vec();
-    let mut epoch = DEFAULT_INGEST_EPOCH;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => scale = parse_scale(it.next())?,
-            "--help" | "-h" => return Err(CliOutcome::Help),
-            "--shards" => {
-                let Some(list) = it.next() else {
-                    return Err(CliOutcome::Error("invalid --shards value".to_string()));
-                };
-                shards = Vec::new();
-                for part in list.split(',') {
-                    match part.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => {
-                            if !shards.contains(&n) {
-                                shards.push(n);
-                            }
-                        }
-                        _ => {
-                            return Err(CliOutcome::Error(format!(
-                                "invalid shard count `{part}` in --shards (must be > 0)"
-                            )))
-                        }
-                    }
-                }
-                if shards.is_empty() {
-                    return Err(CliOutcome::Error("--shards names no shard counts".to_string()));
-                }
-            }
-            "--epoch" => epoch = parse_count("--epoch", it.next())?,
-            other => {
-                return Err(CliOutcome::Error(format!("unknown ingest option `{other}`")))
-            }
-        }
-    }
-    Ok(Command::Ingest { scale, shards, epoch })
-}
-
-/// Parses the arguments after the `store` keyword.
-///
-/// All three subcommands take the store directory as a positional argument
-/// (the `snapshot save <file>` convention). `save` and `append` take
-/// `--scale`; `open` instead takes `--verify-scale`, because opening never
-/// builds an economy unless asked to differentially verify one. `append`'s
-/// `--epochs` and `--shards` must be positive — zero epochs cuts the chain
-/// into nothing and a zero-shard pipeline has nowhere to put an address.
-fn parse_store(args: &[String]) -> Result<Command, CliOutcome> {
-    let sub = match args.first() {
-        Some(s) if s == "--help" || s == "-h" => return Err(CliOutcome::Help),
-        Some(s) => s.as_str(),
-        None => {
-            return Err(CliOutcome::Error(
-                "store requires a subcommand: save | open | append".to_string(),
-            ))
-        }
-    };
-    if !matches!(sub, "save" | "open" | "append") {
-        return Err(CliOutcome::Error(format!(
-            "unknown store subcommand `{sub}` (expected save | open | append)"
-        )));
-    }
-    let mut dir: Option<String> = None;
-    let mut scale = "default".to_string();
-    let mut verify_scale: Option<String> = None;
-    let mut epochs = DEFAULT_STORE_EPOCHS;
-    let mut shards = DEFAULT_STORE_SHARDS;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => return Err(CliOutcome::Help),
-            "--scale" if sub != "open" => scale = parse_scale(it.next())?,
-            "--verify-scale" if sub == "open" => verify_scale = Some(parse_scale(it.next())?),
-            "--epochs" if sub == "append" => epochs = parse_count("--epochs", it.next())?,
-            "--shards" if sub == "append" => shards = parse_count("--shards", it.next())?,
-            other if other.starts_with('-') => {
-                return Err(CliOutcome::Error(format!("unknown store {sub} option `{other}`")))
-            }
-            other if dir.is_none() => dir = Some(other.to_string()),
-            other => {
-                return Err(CliOutcome::Error(format!(
-                    "unexpected argument `{other}` after store {sub} directory"
-                )))
-            }
-        }
-    }
-    let dir = dir.ok_or_else(|| {
-        CliOutcome::Error(format!("store {sub} requires a store directory"))
-    })?;
-    Ok(match sub {
-        "save" => Command::StoreSave { scale, dir },
-        "open" => Command::StoreOpen { dir, verify_scale },
-        _ => Command::StoreAppend { scale, dir, epochs, shards },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,7 +307,10 @@ mod tests {
 
     #[test]
     fn unknown_experiment_and_bad_scale_are_rejected() {
-        assert!(matches!(parse(&args(&["bogus"])), Err(CliOutcome::Error(_))));
+        // `serve` is the only subcommand; any other word is an experiment.
+        for word in ["bogus", "snapshot", "ingest", "store"] {
+            assert!(matches!(parse(&args(&[word])), Err(CliOutcome::Error(_))), "{word}");
+        }
         assert!(matches!(parse(&args(&["--scale", "huge"])), Err(CliOutcome::Error(_))));
         assert!(matches!(parse(&args(&["--scale"])), Err(CliOutcome::Error(_))));
     }
@@ -598,119 +319,10 @@ mod tests {
     fn help_short_circuits() {
         assert_eq!(parse(&args(&["-h"])), Err(CliOutcome::Help));
         assert_eq!(parse(&args(&["--help", "bogus"])), Err(CliOutcome::Help));
-        assert_eq!(parse(&args(&["snapshot", "--help"])), Err(CliOutcome::Help));
-        assert_eq!(parse(&args(&["snapshot", "save", "-h"])), Err(CliOutcome::Help));
-        assert_eq!(parse(&args(&["snapshot", "query", "--help"])), Err(CliOutcome::Help));
     }
 
     #[test]
-    fn snapshot_save_parses_path_and_scale() {
-        assert_eq!(
-            parse(&args(&["snapshot", "save", "out.snap"])).unwrap(),
-            Command::SnapshotSave { scale: "default".into(), path: "out.snap".into() }
-        );
-        assert_eq!(
-            parse(&args(&["snapshot", "save", "--scale", "tiny", "out.snap"])).unwrap(),
-            Command::SnapshotSave { scale: "tiny".into(), path: "out.snap".into() }
-        );
-    }
-
-    #[test]
-    fn snapshot_query_parses_addresses_and_top() {
-        assert_eq!(
-            parse(&args(&["snapshot", "query", "out.snap"])).unwrap(),
-            Command::SnapshotQuery {
-                path: "out.snap".into(),
-                addresses: vec![],
-                top: DEFAULT_QUERY_TOP
-            }
-        );
-        assert_eq!(
-            parse(&args(&["snapshot", "query", "out.snap", "3", "17", "--top", "5"])).unwrap(),
-            Command::SnapshotQuery {
-                path: "out.snap".into(),
-                addresses: vec![3, 17],
-                top: 5
-            }
-        );
-    }
-
-    #[test]
-    fn snapshot_errors_are_usage_errors() {
-        for bad in [
-            &["snapshot"][..],
-            &["snapshot", "frobnicate"],
-            &["snapshot", "save"],
-            &["snapshot", "save", "a", "b"],
-            &["snapshot", "save", "--scale", "huge", "a"],
-            &["snapshot", "save", "--scael", "tiny", "a"],
-            &["snapshot", "save", "--bogus"],
-            &["snapshot", "query"],
-            &["snapshot", "query", "a", "notanumber"],
-            &["snapshot", "query", "a", "--top", "many"],
-            &["snapshot", "query", "a", "--top"],
-            &["snapshot", "query", "--tpo", "5", "a"],
-        ] {
-            assert!(
-                matches!(parse(&args(bad)), Err(CliOutcome::Error(_))),
-                "expected usage error for {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ingest_parses_defaults_and_overrides() {
-        assert_eq!(
-            parse(&args(&["ingest"])).unwrap(),
-            Command::Ingest {
-                scale: "default".into(),
-                shards: DEFAULT_INGEST_SHARDS.to_vec(),
-                epoch: DEFAULT_INGEST_EPOCH
-            }
-        );
-        assert_eq!(
-            parse(&args(&[
-                "ingest", "--scale", "tiny", "--shards", "2,8,2", "--epoch", "7"
-            ]))
-            .unwrap(),
-            Command::Ingest {
-                scale: "tiny".into(),
-                // Duplicate shard counts collapse, order kept.
-                shards: vec![2, 8],
-                epoch: 7
-            }
-        );
-    }
-
-    #[test]
-    fn ingest_rejects_zero_shards_and_zero_epoch() {
-        // The tentpole's typed usage errors: a zero anywhere in --shards,
-        // or a zero --epoch, is a hard parse error (exit 2), not a panic
-        // deep in the pipeline.
-        for bad in [
-            &["ingest", "--shards", "0"][..],
-            &["ingest", "--shards", "4,0"],
-            &["ingest", "--shards", "x"],
-            &["ingest", "--shards", ""],
-            &["ingest", "--shards"],
-            &["ingest", "--epoch", "0"],
-            &["ingest", "--epoch", "soon"],
-            &["ingest", "--epoch"],
-            &["ingest", "--scale", "huge"],
-            &["ingest", "--out"],
-            &["ingest", "stray"],
-            &["ingest", "--bogus"],
-        ] {
-            assert!(
-                matches!(parse(&args(bad)), Err(CliOutcome::Error(_))),
-                "expected usage error for {bad:?}"
-            );
-        }
-        assert_eq!(parse(&args(&["ingest", "--help"])), Err(CliOutcome::Help));
-    }
-
-    #[test]
-    fn usage_lists_every_experiment_and_the_snapshot_subcommands() {
+    fn usage_lists_every_experiment_and_the_serve_options() {
         let usage = usage();
         for exp in EXPERIMENTS {
             assert!(usage.contains(exp), "usage is missing experiment `{exp}`");
@@ -719,92 +331,20 @@ mod tests {
             assert!(usage.contains(scale), "usage is missing scale `{scale}`");
         }
         for needle in [
-            "snapshot save",
-            "snapshot query",
-            "--top",
-            "ingest",
+            "repro serve",
+            "--live",
+            "--store",
             "--shards",
             "--epoch",
-            "store save",
-            "store open",
-            "store append",
-            "--verify-scale",
-            "--epochs",
-            "serve",
             "--event-loop",
             "--metrics-port",
             "GET /metrics",
         ] {
             assert!(usage.contains(needle), "usage is missing `{needle}`");
         }
-    }
-
-    #[test]
-    fn store_parses_every_subcommand() {
-        assert_eq!(
-            parse(&args(&["store", "save", "art"])).unwrap(),
-            Command::StoreSave { scale: "default".into(), dir: "art".into() }
-        );
-        assert_eq!(
-            parse(&args(&["store", "save", "--scale", "tiny", "art"])).unwrap(),
-            Command::StoreSave { scale: "tiny".into(), dir: "art".into() }
-        );
-        assert_eq!(
-            parse(&args(&["store", "open", "art"])).unwrap(),
-            Command::StoreOpen { dir: "art".into(), verify_scale: None }
-        );
-        assert_eq!(
-            parse(&args(&["store", "open", "art", "--verify-scale", "tiny"])).unwrap(),
-            Command::StoreOpen {
-                dir: "art".into(),
-                verify_scale: Some("tiny".into())
-            }
-        );
-        assert_eq!(
-            parse(&args(&["store", "append", "art"])).unwrap(),
-            Command::StoreAppend {
-                scale: "default".into(),
-                dir: "art".into(),
-                epochs: DEFAULT_STORE_EPOCHS,
-                shards: DEFAULT_STORE_SHARDS
-            }
-        );
-        let Command::StoreAppend { epochs, shards, .. } = parse(&args(&[
-            "store", "append", "art", "--epochs", "7", "--shards", "2",
-        ]))
-        .unwrap() else {
-            panic!("expected store append");
-        };
-        assert_eq!((epochs, shards), (7, 2));
-    }
-
-    #[test]
-    fn store_errors_are_usage_errors() {
-        for bad in [
-            &["store"][..],
-            &["store", "frobnicate"],
-            &["store", "save"],
-            &["store", "save", "a", "b"],
-            &["store", "save", "--scale", "huge", "a"],
-            // open builds no economy: --scale belongs to save/append only.
-            &["store", "open", "a", "--scale", "tiny"],
-            &["store", "open", "a", "--verify-scale", "huge"],
-            &["store", "open", "a", "--verify-scale"],
-            &["store", "append", "a", "--epochs", "0"],
-            &["store", "append", "a", "--epochs", "soon"],
-            &["store", "append", "a", "--shards", "0"],
-            &["store", "append", "--epochs", "2"],
-            &["store", "save", "a", "--verify-scale", "tiny"],
-            &["store", "save", "--bogus"],
-            &["store", "open", "--out"],
-        ] {
-            assert!(
-                matches!(parse(&args(bad)), Err(CliOutcome::Error(_))),
-                "expected usage error for {bad:?}"
-            );
+        for gone in ["repro snapshot", "repro ingest", "repro store"] {
+            assert!(!usage.contains(gone), "usage still lists `{gone}`");
         }
-        assert_eq!(parse(&args(&["store", "--help"])), Err(CliOutcome::Help));
-        assert_eq!(parse(&args(&["store", "open", "-h"])), Err(CliOutcome::Help));
     }
 
     #[test]
@@ -819,8 +359,8 @@ mod tests {
                 cache: DEFAULT_SERVE_CACHE,
                 live: false,
                 store: None,
-                epoch: DEFAULT_INGEST_EPOCH,
-                shards: DEFAULT_STORE_SHARDS,
+                epoch: DEFAULT_SERVE_EPOCH,
+                shards: DEFAULT_SERVE_SHARDS,
                 event_loop: false
             }
         );
@@ -838,8 +378,8 @@ mod tests {
                 cache: 0,
                 live: false,
                 store: None,
-                epoch: DEFAULT_INGEST_EPOCH,
-                shards: DEFAULT_STORE_SHARDS,
+                epoch: DEFAULT_SERVE_EPOCH,
+                shards: DEFAULT_SERVE_SHARDS,
                 event_loop: true
             }
         );

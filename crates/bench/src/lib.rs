@@ -77,8 +77,8 @@ impl Workbench {
 /// Derives the query service's full serving bundle from a finished
 /// workbench: the frozen snapshot, the transaction-graph index, the
 /// refined Heuristic-2 change labels, and the precomputed balance series
-/// (sampled like `repro fig2`). Shared by `repro serve`, `repro store`,
-/// and the socket integration suites. `benchmark/` builds the same bundle
+/// (sampled like `repro fig2`). Shared by `repro serve` and the socket
+/// integration suites. `benchmark/` builds the same bundle
 /// from the library crates and times its stages as
 /// `core.snapshot.build_ms`, `flow.balance.series_ms` and
 /// `flow.graph.build_ms`.

@@ -19,19 +19,20 @@ fn help_exits_zero_with_usage() {
 }
 
 #[test]
-fn help_lists_every_experiment_and_snapshot_subcommands() {
+fn help_lists_every_experiment_and_scale() {
     let out = repro(&["--help"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     // The usage text must not drift from what the parser accepts: every
-    // experiment name, every scale, and the snapshot subcommands.
+    // experiment name and every scale, and no subcommand besides `serve`.
     for exp in fistful_bench::cli::EXPERIMENTS {
         assert!(stdout.contains(exp), "--help is missing experiment `{exp}`:\n{stdout}");
     }
     for scale in fistful_bench::cli::SCALES {
         assert!(stdout.contains(scale), "--help is missing scale `{scale}`:\n{stdout}");
     }
-    assert!(stdout.contains("snapshot save"), "{stdout}");
-    assert!(stdout.contains("snapshot query"), "{stdout}");
+    for gone in ["repro snapshot", "repro ingest", "repro store"] {
+        assert!(!stdout.contains(gone), "--help still lists `{gone}`:\n{stdout}");
+    }
 }
 
 #[test]
@@ -47,8 +48,9 @@ fn all_mixed_with_named_is_a_usage_error() {
 
 #[test]
 fn unknown_experiment_is_a_usage_error() {
-    // `taint` is no subcommand, so it reads as an unknown experiment.
-    for bad in [&["tab9"], &["taint"]] {
+    // `serve` is the only subcommand, so any other word reads as an
+    // unknown experiment.
+    for bad in [&["tab9"], &["taint"], &["snapshot"], &["ingest"], &["store"]] {
         let out = repro(bad);
         assert_eq!(out.status.code(), Some(2), "args {bad:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"), "args {bad:?}");
@@ -60,204 +62,6 @@ fn bad_scale_is_a_usage_error() {
     let out = repro(&["--scale", "enormous"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --scale"));
-}
-
-#[test]
-fn snapshot_usage_errors_exit_two() {
-    for bad in [
-        &["snapshot"][..],
-        &["snapshot", "frobnicate"],
-        &["snapshot", "save"],
-        &["snapshot", "query"],
-        &["snapshot", "query", "file.snap", "notanumber"],
-    ] {
-        let out = repro(bad);
-        assert_eq!(out.status.code(), Some(2), "args {bad:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
-            "args {bad:?}"
-        );
-    }
-}
-
-#[test]
-fn snapshot_query_on_missing_file_fails_cleanly() {
-    let out = repro(&["snapshot", "query", "/nonexistent/no.snap"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
-}
-
-#[test]
-fn snapshot_save_then_query_round_trips_through_a_file() {
-    let dir = std::env::temp_dir().join(format!("repro-snap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tiny.snap");
-    let path_s = path.to_str().unwrap();
-
-    let out = repro(&["snapshot", "save", "--scale", "tiny", path_s]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("wrote"), "{stdout}");
-    assert!(path.exists());
-
-    // Query the artifact back: summary plus an address lookup.
-    let out = repro(&["snapshot", "query", path_s, "0", "--top", "3"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("top clusters by size"), "{stdout}");
-    assert!(stdout.contains("address 0: cluster"), "{stdout}");
-    // The query path must not rebuild the economy.
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("building economy"), "{stderr}");
-
-    // A corrupted artifact is rejected with the typed error's message.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    let bad = dir.join("bad.snap");
-    std::fs::write(&bad, &bytes).unwrap();
-    let out = repro(&["snapshot", "query", bad.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("not a valid snapshot"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn ingest_usage_errors_exit_two() {
-    // The tentpole's typed usage errors: zero shards and a zero-block
-    // epoch are rejected at parse time with exit code 2 and the usage
-    // text, never a panic inside the pipeline.
-    for bad in [
-        &["ingest", "--shards", "0"][..],
-        &["ingest", "--shards", "4,0"],
-        &["ingest", "--shards", "x"],
-        &["ingest", "--epoch", "0"],
-        &["ingest", "--epoch", "soon"],
-        &["ingest", "--bogus"],
-    ] {
-        let out = repro(bad);
-        assert_eq!(out.status.code(), Some(2), "args {bad:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
-            "args {bad:?}"
-        );
-    }
-}
-
-#[test]
-fn ingest_sweeps_shard_counts_and_matches_batch_at_tiny_scale() {
-    let out = repro(&["ingest", "--scale", "tiny", "--shards", "1,3", "--epoch", "8"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // The binary asserts every engine's output equals the batch clustering
-    // before printing this line.
-    assert!(stdout.contains("reproduced the batch clustering exactly"), "{stdout}");
-    assert!(stdout.contains("epoch = 8 block(s)"), "{stdout}");
-
-    // One table row for the batch baseline, then one per swept shard
-    // count, every one with the same cluster count.
-    let rows: Vec<Vec<&str>> = stdout
-        .lines()
-        .map(|l| l.split_whitespace().collect::<Vec<_>>())
-        .filter(|cols| cols.len() == 5 && cols[0] != "engine")
-        .collect();
-    let engines: Vec<(&str, &str)> = rows.iter().map(|cols| (cols[0], cols[1])).collect();
-    assert_eq!(
-        engines,
-        [("batch", "0"), ("sharded", "1"), ("sharded", "3")],
-        "{stdout}"
-    );
-    assert!(rows.iter().all(|cols| cols[4] == rows[0][4]), "{stdout}");
-}
-
-#[test]
-fn store_usage_errors_exit_two() {
-    for bad in [
-        &["store"][..],
-        &["store", "frobnicate"],
-        &["store", "save"],
-        &["store", "save", "--scale", "huge", "dir"],
-        &["store", "open", "dir", "--scale", "tiny"],
-        &["store", "append", "dir", "--epochs", "0"],
-        &["store", "append", "dir", "--shards", "0"],
-        &["store", "save", "dir", "--bogus"],
-    ] {
-        let out = repro(bad);
-        assert_eq!(out.status.code(), Some(2), "args {bad:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
-            "args {bad:?}"
-        );
-    }
-}
-
-#[test]
-fn store_open_on_missing_directory_fails_cleanly() {
-    let out = repro(&["store", "open", "/nonexistent/store-dir"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("repro:"));
-}
-
-#[test]
-fn store_save_open_append_round_trip_at_tiny_scale() {
-    let dir = std::env::temp_dir().join(format!("repro-store-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let dir_s = dir.to_str().unwrap();
-
-    // save: all four container files land on disk.
-    let out = repro(&["store", "save", "--scale", "tiny", dir_s]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("wrote"), "{stdout}");
-    for file in ["chain.fst", "graph.fst", "snapshot.fst", "serve.fst"] {
-        assert!(dir.join(file).exists(), "missing {file}:\n{stdout}");
-    }
-
-    // open with differential verification: the reopened bundle must be
-    // byte-identical to an in-RAM rebuild (the binary asserts before
-    // printing), and opening must not replay the chain.
-    let out = repro(&["store", "open", dir_s, "--verify-scale", "tiny"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("verified byte-identical"), "{stdout}");
-
-    // append: base + per-epoch deltas, materialized byte-for-byte.
-    let out = repro(&["store", "append", "--scale", "tiny", dir_s, "--epochs", "3"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("materialize byte-for-byte"), "{stdout}");
-    assert!(stdout.contains("3 epoch(s)"), "{stdout}");
-    // One on-disk delta container per reported delta boundary, in
-    // application order, with their sizes summing to the reported total.
-    let mut delta_total = 0u64;
-    let mut deltas = 0;
-    for line in stdout.lines().filter(|l| l.contains(": delta ")) {
-        deltas += 1;
-        let name = format!("snapshot.delta.{deltas:06}.fst");
-        assert!(line.contains(&name), "delta {deltas} out of order: {line}");
-        delta_total += std::fs::metadata(dir.join(&name))
-            .unwrap_or_else(|e| panic!("missing {name}: {e}\n{stdout}"))
-            .len();
-    }
-    assert!(
-        stdout.contains(&format!("append cost: {delta_total} delta bytes total")),
-        "{stdout}"
-    );
-
-    // The refreshed snapshot + deltas still open as a serving bundle.
-    let out = repro(&["store", "open", dir_s]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("delta(s) folded"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("building economy"), "{stderr}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

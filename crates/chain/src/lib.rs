@@ -37,7 +37,6 @@ pub mod amount;
 pub mod block;
 pub mod builder;
 pub mod chainstate;
-pub mod columns;
 pub mod encode;
 pub mod merkle;
 pub mod params;

@@ -204,23 +204,21 @@ impl<'a> ResolvedSpanView<'a> {
 pub struct ResolvedChain {
     /// All transactions in chain order.
     pub txs: Vec<ResolvedTx>,
-    // The derived fields are pub(crate) so `crate::columns` can rebuild a
-    // chain opened from the on-disk columnar store without re-resolving.
-    pub(crate) addresses: Vec<Address>,
-    pub(crate) address_index: DigestMap<Address, AddressId>,
-    pub(crate) txid_index: DigestMap<Hash256, TxId>,
+    addresses: Vec<Address>,
+    address_index: DigestMap<Address, AddressId>,
+    txid_index: DigestMap<Hash256, TxId>,
     /// Per block: `(height, first tx id)`. The block's transactions run to
     /// the next entry's start (or the end of `txs`). Heights are strictly
     /// increasing — `add_tx` enforces it.
-    pub(crate) block_spans: Vec<(u64, TxId)>,
+    block_spans: Vec<(u64, TxId)>,
     /// Per address: the first transaction (chain order) in which the address
     /// appeared at all (as input or output).
-    pub(crate) first_seen: Vec<TxId>,
+    first_seen: Vec<TxId>,
     /// Per address: transactions in which the address received an output.
     /// Sorted by tx id, hence (by the monotone-height invariant) by height.
-    pub(crate) received_in: Vec<Vec<TxId>>,
+    received_in: Vec<Vec<TxId>>,
     /// Per address: transactions in which the address spent an input.
-    pub(crate) spent_in: Vec<Vec<TxId>>,
+    spent_in: Vec<Vec<TxId>>,
 }
 
 impl ResolvedChain {

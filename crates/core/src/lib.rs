@@ -41,6 +41,6 @@ pub use change::{ChangeConfig, ChangeLabels, ChangeScanner};
 pub use cluster::{Clusterer, Clustering};
 pub use incremental::sharded::{IngestConfig, ShardedIngest};
 pub use naming::{NamingReport, SuperCluster};
-pub use snapshot::{ClusterInfo, ClusterSnapshot, SnapshotError};
+pub use snapshot::{ClusterInfo, ClusterSnapshot};
 pub use tagdb::{Tag, TagDb, TagSource};
 pub use union_find::UnionFind;

@@ -12,116 +12,47 @@
 //! with zero synchronization (`benchmark/` reports the per-lookup cost as
 //! `core.snapshot.lookup_ns` on its `serve_point_cold` workload).
 //!
-//! # Wire format (version 1)
+//! # Byte form: three `snap/*` segments
 //!
-//! [`ClusterSnapshot::to_bytes`] / [`ClusterSnapshot::from_bytes`] give the
-//! snapshot a versioned binary serialization built on the consensus-style
-//! primitives of [`fistful_chain::encode`] (little-endian fixed-width
-//! integers, canonical Bitcoin `CompactSize` counts, `CompactSize`-length-
-//! prefixed UTF-8 strings). The frame is:
+//! A snapshot has one persisted form: three named segments of a
+//! `fistful_store` container ([`ClusterSnapshot::write_store`] /
+//! [`ClusterSnapshot::read_store`]), which is what `snapshot.fst` in a
+//! serve store directory holds. [`ClusterSnapshot::to_bytes`] returns the
+//! container holding exactly those segments, so byte equality of two
+//! `to_bytes()` results is byte equality of what the store would write.
+//! The container supplies magic, version, declared length, and the TOC
+//! and per-segment double-SHA-256 checksums; the segments are built on the
+//! consensus-style primitives of [`fistful_chain::encode`] (little-endian
+//! fixed-width integers, canonical Bitcoin `CompactSize` counts,
+//! `CompactSize`-length-prefixed UTF-8 strings):
 //!
-//! | field      | bytes | contents                                        |
-//! |------------|-------|-------------------------------------------------|
-//! | magic      | 4     | `"FSNP"` ([`SNAPSHOT_MAGIC`])                   |
-//! | version    | 1     | [`SNAPSHOT_VERSION`] (currently `1`)            |
-//! | length     | 8     | payload byte length, u64 little-endian          |
-//! | payload    | *n*   | the body, exactly `length` bytes (below)        |
-//! | checksum   | 32    | double-SHA-256 of the payload bytes             |
+//! | segment           | contents                                          |
+//! |-------------------|---------------------------------------------------|
+//! | `snap/meta`       | `tip_height`, `tx_count`, cluster count, address count — four u64s |
+//! | `snap/assignment` | one u32 cluster id per address, indexed by [`AddressId`] |
+//! | `snap/clusters`   | `CompactSize` count, then one [`ClusterInfo`] record per cluster in canonical id order |
 //!
-//! and the payload body, in field order:
+//! A [`ClusterInfo`] record is `size` (u32), `received` (u64 satoshis),
+//! `spent` (u64 satoshis), `name` (optional string), `category` (optional
+//! string); an optional string is a `0`/`1` presence byte followed, when
+//! present, by the string — so a record is at least 22 bytes.
 //!
-//! 1. `tip_height` — u64, height of the last block the clustering saw;
-//! 2. `tx_count` — u64, number of transactions aggregated;
-//! 3. `clusters` — `CompactSize` count, then one [`ClusterInfo`] record per
-//!    cluster, in canonical cluster-id order (`0..count`). Each record is:
-//!    `size` (u32), `received` (u64 satoshis), `spent` (u64 satoshis),
-//!    `name` (optional string), `category` (optional string). Optional
-//!    strings are a `0`/`1` presence byte followed, when present, by a
-//!    `CompactSize`-length-prefixed UTF-8 string;
-//! 4. `assignment` — `CompactSize` address count, then one u32 cluster id
-//!    per address, indexed by [`AddressId`].
-//!
-//! Decoders must enforce: canonical `CompactSize` forms, UTF-8 validity,
-//! every assignment entry `< cluster count`, and that each cluster's
-//! `size` equals the number of addresses assigned to it. A frame whose
-//! magic, version, length, or checksum does not match is rejected with the
-//! corresponding typed [`SnapshotError`] before any payload is parsed.
-//!
-//! The double-SHA-256 checksum is computed with the workspace's own
-//! [`sha256d`] — no external crates are
-//! involved anywhere in the format, so the offline vendored-dependency
-//! caveats in `vendor/README.md` (stand-in `rand`/`proptest`)
-//! do not affect snapshot bytes: files written here decode identically
-//! under the real registry crates.
+//! [`ClusterSnapshot::read_store`] enforces: the meta counts equal the
+//! column lengths, the cluster count is bounded by what the `snap/clusters`
+//! bytes could hold (not by `MAX_VEC_LEN`: cluster count can legitimately
+//! exceed it), every assignment entry is `< cluster count`, and each
+//! cluster's `size` equals the number of addresses assigned to it.
+//! Violations are [`StoreError::Inconsistent`] or [`StoreError::Decode`].
 
 use crate::cluster::Clustering;
 use crate::naming::NamingReport;
 use fistful_chain::amount::Amount;
 use fistful_chain::encode::{Decodable, DecodeError, Encodable, Reader, Writer};
 use fistful_chain::resolve::{AddressId, ResolvedChain};
-use fistful_crypto::sha256::sha256d;
+use fistful_store::{Store, StoreError, StoreWriter};
 
-/// The four magic bytes opening every snapshot frame.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FSNP";
-
-/// The current wire-format version.
-pub const SNAPSHOT_VERSION: u8 = 1;
-
-/// Byte length of the frame header (magic + version + payload length).
-const HEADER_LEN: usize = 4 + 1 + 8;
-
-/// Byte length of the trailing double-SHA-256 checksum.
-const CHECKSUM_LEN: usize = 32;
-
-/// Errors from parsing a snapshot frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The first four bytes were not [`SNAPSHOT_MAGIC`].
-    BadMagic([u8; 4]),
-    /// The version byte named a format this build cannot read.
-    UnsupportedVersion(u8),
-    /// The input ended before the declared frame was complete.
-    Truncated,
-    /// Bytes remained after the declared frame.
-    TrailingBytes,
-    /// The double-SHA-256 of the payload did not match the stored checksum.
-    ChecksumMismatch,
-    /// The payload failed structural decoding.
-    Decode(DecodeError),
-    /// The payload decoded but violated a semantic invariant.
-    Inconsistent(&'static str),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::BadMagic(m) => write!(f, "bad snapshot magic {m:02x?}"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (supported: {SNAPSHOT_VERSION})")
-            }
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot frame"),
-            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            SnapshotError::Decode(e) => write!(f, "snapshot payload decode: {e}"),
-            SnapshotError::Inconsistent(what) => write!(f, "inconsistent snapshot: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<DecodeError> for SnapshotError {
-    fn from(e: DecodeError) -> SnapshotError {
-        SnapshotError::Decode(e)
-    }
-}
+/// The smallest encoded [`ClusterInfo`]: u32 + 2×u64 + two presence bytes.
+const MIN_CLUSTER_INFO_LEN: usize = 4 + 8 + 8 + 1 + 1;
 
 /// Per-cluster aggregates: everything an address lookup should answer
 /// without touching the chain.
@@ -190,9 +121,9 @@ impl Decodable for ClusterInfo {
 /// let names = name_clusters(&clustering, &TagDb::new());
 /// let snapshot = ClusterSnapshot::build(&t.chain, &clustering, &names);
 ///
-/// // Encode to the versioned wire format and decode it back.
-/// let bytes = snapshot.to_bytes();
-/// let restored = ClusterSnapshot::from_bytes(&bytes).unwrap();
+/// // Encode to the store container and read it back.
+/// let mut store = fistful_store::Store::open_bytes(snapshot.to_bytes()).unwrap();
+/// let restored = ClusterSnapshot::read_store(&mut store).unwrap();
 /// assert_eq!(restored, snapshot);
 ///
 /// // O(1) queries against the frozen artifact.
@@ -416,73 +347,23 @@ impl ClusterSnapshot {
             .map(|(i, c)| (i as u32, c))
     }
 
-    /// Cluster ids sorted by size descending (ties by id ascending) —
-    /// the "top clusters" view served by `repro snapshot query`.
-    pub fn clusters_by_size(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..self.clusters.len() as u32).collect();
-        ids.sort_by_key(|&i| (std::cmp::Reverse(self.clusters[i as usize].size), i));
-        ids
-    }
+    // ----- store format -----
 
-    // ----- wire format -----
-
-    /// Serializes the snapshot as a complete frame: magic, version,
-    /// payload length, payload, double-SHA-256 checksum.
+    /// The snapshot's one canonical byte form: a store container holding
+    /// exactly the segments [`write_store`](Self::write_store) adds.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = self.encode_to_vec();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.push(SNAPSHOT_VERSION);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let checksum = sha256d(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.0);
-        out
+        let mut w = StoreWriter::new();
+        self.write_store(&mut w);
+        w.to_bytes()
     }
 
-    /// Parses a complete frame, verifying magic, version, length, checksum,
-    /// structure, and semantic invariants — in that order, so the typed
-    /// [`SnapshotError`] pinpoints what is wrong with a bad file.
-    pub fn from_bytes(data: &[u8]) -> Result<ClusterSnapshot, SnapshotError> {
-        if data.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated);
-        }
-        let magic: [u8; 4] = data[..4].try_into().expect("4 bytes");
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic(magic));
-        }
-        let version = data[4];
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let len = u64::from_le_bytes(data[5..HEADER_LEN].try_into().expect("8 bytes")) as usize;
-        let framed = HEADER_LEN
-            .checked_add(len)
-            .and_then(|n| n.checked_add(CHECKSUM_LEN))
-            .ok_or(SnapshotError::Truncated)?;
-        if data.len() < framed {
-            return Err(SnapshotError::Truncated);
-        }
-        if data.len() > framed {
-            return Err(SnapshotError::TrailingBytes);
-        }
-        let payload = &data[HEADER_LEN..HEADER_LEN + len];
-        let checksum = &data[HEADER_LEN + len..];
-        if sha256d(payload).0 != checksum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let snapshot = ClusterSnapshot::decode_all(payload)?;
-        snapshot.validate()?;
-        Ok(snapshot)
-    }
-
-    /// Semantic invariants a structurally valid payload must still satisfy.
-    fn validate(&self) -> Result<(), SnapshotError> {
+    /// Semantic invariants structurally valid segments must still satisfy.
+    fn validate(&self) -> Result<(), StoreError> {
         let k = self.clusters.len() as u32;
         let mut counts = vec![0u32; self.clusters.len()];
         for &c in &self.assignment {
             if c >= k {
-                return Err(SnapshotError::Inconsistent(
+                return Err(StoreError::Inconsistent(
                     "assignment references a cluster id out of range",
                 ));
             }
@@ -490,7 +371,7 @@ impl ClusterSnapshot {
         }
         for (count, info) in counts.iter().zip(&self.clusters) {
             if *count != info.size {
-                return Err(SnapshotError::Inconsistent(
+                return Err(StoreError::Inconsistent(
                     "cluster size disagrees with assignment",
                 ));
             }
@@ -498,13 +379,11 @@ impl ClusterSnapshot {
         Ok(())
     }
 
-    // ----- columnar store format -----
-
     /// Adds the snapshot to a columnar container: the assignment column as
     /// one bulk-readable u32 segment (`snap/assignment`), the cluster
     /// table as one encoded segment (`snap/clusters`), and a `snap/meta`
     /// segment carrying the scalars and cross-check counts.
-    pub fn write_store(&self, out: &mut fistful_store::StoreWriter) {
+    pub fn write_store(&self, out: &mut StoreWriter) {
         let mut meta = Writer::new();
         meta.u64(self.tip_height);
         meta.u64(self.tx_count);
@@ -520,11 +399,8 @@ impl ClusterSnapshot {
     }
 
     /// Reads a snapshot back from a columnar container, enforcing the
-    /// same semantic invariants as [`ClusterSnapshot::from_bytes`].
-    pub fn read_store(
-        store: &mut fistful_store::Store,
-    ) -> Result<ClusterSnapshot, fistful_store::StoreError> {
-        use fistful_store::StoreError;
+    /// invariants listed in the [module docs](self).
+    pub fn read_store(store: &mut Store) -> Result<ClusterSnapshot, StoreError> {
         let meta = store.bytes("snap/meta")?;
         let mut r = Reader::new(&meta);
         let tip_height = r.u64()?;
@@ -535,16 +411,23 @@ impl ClusterSnapshot {
         let assignment = store.u32s("snap/assignment")?;
         let cluster_bytes = store.bytes("snap/clusters")?;
         let mut r = Reader::new(&cluster_bytes);
-        let clusters: Vec<ClusterInfo> = fistful_chain::encode::decode_vec(&mut r)?;
+        // Bounded by the bytes left, not by `decode_vec`'s `MAX_VEC_LEN`:
+        // when few addresses co-spend there are nearly as many clusters as
+        // addresses, and the paper's own partition has millions.
+        let k = r.compact_size()?;
+        if k > (r.remaining() / MIN_CLUSTER_INFO_LEN) as u64 {
+            return Err(DecodeError::OversizedCount(k).into());
+        }
+        let mut clusters = Vec::with_capacity(k as usize);
+        for _ in 0..k {
+            clusters.push(ClusterInfo::decode(&mut r)?);
+        }
         r.finish()?;
         if assignment.len() != address_count || clusters.len() != cluster_count {
             return Err(StoreError::Inconsistent("snapshot meta counts disagree with columns"));
         }
         let snapshot = ClusterSnapshot { assignment, clusters, tip_height, tx_count };
-        snapshot.validate().map_err(|e| match e {
-            SnapshotError::Inconsistent(what) => StoreError::Inconsistent(what),
-            _ => StoreError::Inconsistent("snapshot validation failed"),
-        })?;
+        snapshot.validate()?;
         Ok(snapshot)
     }
 
@@ -552,12 +435,12 @@ impl ClusterSnapshot {
 
     /// Applies one epoch's [`SnapshotDelta`] to this base, producing the
     /// snapshot the delta was diffed against. Fails with
-    /// [`SnapshotError::Inconsistent`] if the delta does not cover every
+    /// [`StoreError::Inconsistent`] if the delta does not cover every
     /// new address or the result violates snapshot invariants.
-    pub fn apply_delta(&self, delta: &SnapshotDelta) -> Result<ClusterSnapshot, SnapshotError> {
+    pub fn apply_delta(&self, delta: &SnapshotDelta) -> Result<ClusterSnapshot, StoreError> {
         let new_addrs = delta.address_count as usize;
         if new_addrs < self.assignment.len() {
-            return Err(SnapshotError::Inconsistent("delta shrinks the address space"));
+            return Err(StoreError::Inconsistent("delta shrinks the address space"));
         }
         let mut assignment = self.assignment.clone();
         let base_len = assignment.len();
@@ -567,20 +450,20 @@ impl ClusterSnapshot {
         let mut last = None;
         for &(addr, cluster) in &delta.assign {
             if last.is_some_and(|p| p >= addr) {
-                return Err(SnapshotError::Inconsistent(
+                return Err(StoreError::Inconsistent(
                     "delta assignment entries are not strictly ascending",
                 ));
             }
             last = Some(addr);
             if (addr as usize) >= new_addrs {
-                return Err(SnapshotError::Inconsistent(
+                return Err(StoreError::Inconsistent(
                     "delta assigns an address past its declared count",
                 ));
             }
             assignment[addr as usize] = cluster;
         }
         if assignment[base_len..].contains(&u32::MAX) {
-            return Err(SnapshotError::Inconsistent(
+            return Err(StoreError::Inconsistent(
                 "delta does not cover every new address",
             ));
         }
@@ -589,12 +472,12 @@ impl ClusterSnapshot {
         let mut last = None;
         for (id, info) in &delta.clusters {
             if last.is_some_and(|p| p >= *id) {
-                return Err(SnapshotError::Inconsistent(
+                return Err(StoreError::Inconsistent(
                     "delta cluster entries are not strictly ascending",
                 ));
             }
             last = Some(*id);
-            let slot = clusters.get_mut(*id as usize).ok_or(SnapshotError::Inconsistent(
+            let slot = clusters.get_mut(*id as usize).ok_or(StoreError::Inconsistent(
                 "delta updates a cluster past its declared count",
             ))?;
             *slot = info.clone();
@@ -617,7 +500,7 @@ impl ClusterSnapshot {
     pub fn from_base_and_deltas(
         base: &ClusterSnapshot,
         deltas: &[SnapshotDelta],
-    ) -> Result<ClusterSnapshot, SnapshotError> {
+    ) -> Result<ClusterSnapshot, StoreError> {
         let mut snap = base.clone();
         for delta in deltas {
             snap = snap.apply_delta(delta)?;
@@ -702,7 +585,7 @@ impl SnapshotDelta {
 
     /// Adds the delta to a columnar container: changed assignments as two
     /// parallel u32 columns plus the changed cluster rows.
-    pub fn write_store(&self, out: &mut fistful_store::StoreWriter) {
+    pub fn write_store(&self, out: &mut StoreWriter) {
         let mut meta = Writer::new();
         meta.u64(self.tip_height);
         meta.u64(self.tx_count);
@@ -731,10 +614,7 @@ impl SnapshotDelta {
     /// Reads a delta back from a columnar container. Ordering and range
     /// invariants are enforced later by [`ClusterSnapshot::apply_delta`],
     /// which sees base and delta together.
-    pub fn read_store(
-        store: &mut fistful_store::Store,
-    ) -> Result<SnapshotDelta, fistful_store::StoreError> {
-        use fistful_store::StoreError;
+    pub fn read_store(store: &mut Store) -> Result<SnapshotDelta, StoreError> {
         let meta = store.bytes("delta/meta")?;
         let mut r = Reader::new(&meta);
         let tip_height = r.u64()?;
@@ -757,51 +637,6 @@ impl SnapshotDelta {
         }
         r.finish()?;
         Ok(SnapshotDelta { tip_height, tx_count, address_count, cluster_count, assign, clusters })
-    }
-}
-
-impl Encodable for ClusterSnapshot {
-    /// Writes the *payload* body only — [`ClusterSnapshot::to_bytes`] adds
-    /// the magic/version/length/checksum frame around it.
-    fn encode(&self, w: &mut Writer) {
-        w.u64(self.tip_height);
-        w.u64(self.tx_count);
-        fistful_chain::encode::encode_vec(w, &self.clusters);
-        w.compact_size(self.assignment.len() as u64);
-        // Flat copy: the assignment column is plain little-endian u32s, so
-        // the staged bulk writer replaces the old per-element loop.
-        w.u32_slice(&self.assignment);
-    }
-}
-
-impl Decodable for ClusterSnapshot {
-    /// Reads the payload body; semantic validation happens separately in
-    /// [`ClusterSnapshot::from_bytes`].
-    ///
-    /// Both counts can legitimately exceed the generic `MAX_VEC_LEN` cap
-    /// (12M+ addresses at paper scale, and cluster count can equal address
-    /// count when nothing co-spends), so instead each count is bounded by
-    /// what the remaining input could possibly hold — tight, and it keeps
-    /// pre-allocation proportional to the actual input size.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tip_height = r.u64()?;
-        let tx_count = r.u64()?;
-        // A ClusterInfo is at least 22 bytes (u32 + 2×u64 + 2 flag bytes).
-        let k = r.compact_size()?;
-        if k > r.remaining() as u64 / 22 {
-            return Err(DecodeError::OversizedCount(k));
-        }
-        let mut clusters = Vec::with_capacity(k as usize);
-        for _ in 0..k {
-            clusters.push(ClusterInfo::decode(r)?);
-        }
-        // Each assignment entry is exactly 4 bytes.
-        let n = r.compact_size()?;
-        if n > r.remaining() as u64 / 4 {
-            return Err(DecodeError::OversizedCount(n));
-        }
-        let assignment = r.u32_vec(n as usize)?;
-        Ok(ClusterSnapshot { assignment, clusters, tip_height, tx_count })
     }
 }
 
@@ -873,7 +708,7 @@ mod tests {
 
         let (largest, info) = snap.largest_cluster().unwrap();
         assert_eq!(info.size, 3);
-        assert_eq!(snap.clusters_by_size()[0], largest);
+        assert_eq!(snap.cluster_of(t.id(1)), Some(largest));
         assert_eq!(snap.tip_height(), 3);
         assert_eq!(snap.tx_count(), 4);
     }
@@ -887,148 +722,71 @@ mod tests {
         assert!(snap.info(10_000).is_none());
     }
 
-    #[test]
-    fn frame_round_trips_losslessly() {
-        let (_, snap) = snapshot_fixture();
-        let bytes = snap.to_bytes();
-        assert_eq!(&bytes[..4], &SNAPSHOT_MAGIC);
-        assert_eq!(bytes[4], SNAPSHOT_VERSION);
-        let restored = ClusterSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(restored, snap);
-    }
-
-    #[test]
-    fn empty_snapshot_round_trips() {
-        let snap = ClusterSnapshot::default();
-        let restored = ClusterSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(restored, snap);
-        assert_eq!(restored.cluster_count(), 0);
-        assert!(restored.largest_cluster().is_none());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let (_, snap) = snapshot_fixture();
-        let mut bytes = snap.to_bytes();
-        bytes[0] = b'X';
-        assert!(matches!(
-            ClusterSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::BadMagic(_))
-        ));
-    }
-
-    #[test]
-    fn wrong_version_rejected() {
-        let (_, snap) = snapshot_fixture();
-        let mut bytes = snap.to_bytes();
-        bytes[4] = SNAPSHOT_VERSION + 1;
-        assert_eq!(
-            ClusterSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(SNAPSHOT_VERSION + 1))
-        );
-    }
-
-    #[test]
-    fn truncation_rejected_at_every_length() {
-        let (_, snap) = snapshot_fixture();
-        let bytes = snap.to_bytes();
-        for cut in 0..bytes.len() {
-            let err = ClusterSnapshot::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Truncated | SnapshotError::BadMagic(_)),
-                "cut at {cut}: {err}"
-            );
+    /// Wraps hand-written segment bytes in a container, so tests can
+    /// forge segments the writer would never produce.
+    fn forged_store(meta: [u64; 4], assignment: &[u32], clusters: Vec<u8>) -> Store {
+        let mut w = StoreWriter::new();
+        let mut m = Writer::new();
+        for v in meta {
+            m.u64(v);
         }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let (_, snap) = snapshot_fixture();
-        let mut bytes = snap.to_bytes();
-        bytes.push(0);
-        assert_eq!(
-            ClusterSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::TrailingBytes)
-        );
-    }
-
-    #[test]
-    fn payload_corruption_fails_checksum() {
-        let (_, snap) = snapshot_fixture();
-        let bytes = snap.to_bytes();
-        // Flip one bit in every payload byte position; all must be caught
-        // by the checksum (header and checksum corruption are caught by the
-        // earlier checks, tested above).
-        for i in HEADER_LEN..bytes.len() - CHECKSUM_LEN {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert_eq!(
-                ClusterSnapshot::from_bytes(&bad),
-                Err(SnapshotError::ChecksumMismatch),
-                "byte {i}"
-            );
-        }
-        // Corrupting the checksum itself is also a mismatch.
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        assert_eq!(
-            ClusterSnapshot::from_bytes(&bad),
-            Err(SnapshotError::ChecksumMismatch)
-        );
+        w.segment("snap/meta", m.into_bytes());
+        let mut a = Writer::new();
+        a.u32_slice(assignment);
+        w.segment("snap/assignment", a.into_bytes());
+        w.segment("snap/clusters", clusters);
+        Store::open_bytes(w.to_bytes()).unwrap()
     }
 
     #[test]
     fn declared_counts_are_bounded_by_actual_input() {
-        // A tiny, correctly-checksummed frame declaring a huge cluster
-        // count (and, in a second frame, a huge assignment count) must be
-        // rejected before any large allocation happens.
-        for huge_second_count in [false, true] {
-            let mut w = Writer::new();
-            w.u64(0); // tip_height
-            w.u64(0); // tx_count
-            if huge_second_count {
-                w.compact_size(0); // clusters: none
-                w.compact_size(1 << 40); // assignment: absurd
-            } else {
-                w.compact_size(1 << 40); // clusters: absurd
-            }
-            let payload = w.into_bytes();
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&SNAPSHOT_MAGIC);
-            frame.push(SNAPSHOT_VERSION);
-            frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&sha256d(&payload).0);
-            assert!(
-                matches!(
-                    ClusterSnapshot::from_bytes(&frame),
-                    Err(SnapshotError::Decode(DecodeError::OversizedCount(_)))
-                ),
-                "huge_second_count={huge_second_count}"
-            );
-        }
+        // A `snap/clusters` segment declaring more records than its bytes
+        // could hold is rejected before any large allocation: an absurd
+        // count, and a count one past what the bytes hold.
+        let mut w = Writer::new();
+        w.compact_size(1 << 40);
+        let mut store = forged_store([0, 0, 1 << 40, 0], &[], w.into_bytes());
+        assert_eq!(
+            ClusterSnapshot::read_store(&mut store),
+            Err(StoreError::Decode(DecodeError::OversizedCount(1 << 40)))
+        );
+        let mut w = Writer::new();
+        w.compact_size(2);
+        ClusterInfo::default().encode(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + MIN_CLUSTER_INFO_LEN);
+        let mut store = forged_store([0, 0, 2, 0], &[], bytes);
+        assert_eq!(
+            ClusterSnapshot::read_store(&mut store),
+            Err(StoreError::Decode(DecodeError::OversizedCount(2)))
+        );
+        // Meta counts that disagree with the columns.
+        let mut w = Writer::new();
+        w.compact_size(0);
+        let mut store = forged_store([0, 0, 0, 1], &[], w.into_bytes());
+        assert!(matches!(
+            ClusterSnapshot::read_store(&mut store),
+            Err(StoreError::Inconsistent(_))
+        ));
     }
 
     #[test]
-    fn semantic_validation_catches_reencoded_lies() {
-        let (_, snap) = snapshot_fixture();
-        // A well-formed frame whose assignment points past the cluster
-        // table: rebuild the frame honestly around a dishonest payload.
-        let mut lying = snap.clone();
-        lying.assignment[0] = 99;
-        let bytes = lying.to_bytes();
-        assert!(matches!(
-            ClusterSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::Inconsistent(_))
-        ));
-        // Sizes that disagree with the assignment.
-        let mut lying = snap.clone();
-        lying.clusters[0].size += 1;
-        assert!(matches!(
-            ClusterSnapshot::from_bytes(&lying.to_bytes()),
-            Err(SnapshotError::Inconsistent(_))
-        ));
+    fn cluster_count_past_max_vec_len_round_trips() {
+        // Cluster count is bounded by the segment's bytes, not by the
+        // generic `MAX_VEC_LEN` cap. Zero-size clusters need no addresses,
+        // so the snapshot stays valid with an empty assignment.
+        let k = fistful_chain::encode::MAX_VEC_LEN as usize + 1;
+        let snap = ClusterSnapshot {
+            clusters: vec![ClusterInfo::default(); k],
+            ..ClusterSnapshot::default()
+        };
+        let bytes = snap.to_bytes();
+        drop(snap);
+        let mut store = Store::open_bytes(bytes).unwrap();
+        let restored = ClusterSnapshot::read_store(&mut store).unwrap();
+        assert_eq!(restored.cluster_count(), k);
+        assert_eq!(restored.address_count(), 0);
+        assert!(restored.clusters.iter().all(|c| *c == ClusterInfo::default()));
     }
 
     #[test]
@@ -1059,33 +817,32 @@ mod tests {
     #[test]
     fn store_round_trips_losslessly() {
         let (_, snap) = snapshot_fixture();
-        let mut w = fistful_store::StoreWriter::new();
-        snap.write_store(&mut w);
-        let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
-        let restored = ClusterSnapshot::read_store(&mut store).unwrap();
-        assert_eq!(restored, snap);
-        // And the empty snapshot.
-        let mut w = fistful_store::StoreWriter::new();
-        ClusterSnapshot::default().write_store(&mut w);
-        let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
-        assert_eq!(
-            ClusterSnapshot::read_store(&mut store).unwrap(),
-            ClusterSnapshot::default()
-        );
+        for snap in [snap, ClusterSnapshot::default()] {
+            let bytes = snap.to_bytes();
+            let mut store = Store::open_bytes(bytes.clone()).unwrap();
+            let restored = ClusterSnapshot::read_store(&mut store).unwrap();
+            assert_eq!(restored, snap);
+            assert_eq!(restored.to_bytes(), bytes, "the byte form is canonical");
+            assert_eq!(restored.largest_cluster().is_none(), snap.cluster_count() == 0);
+        }
     }
 
     #[test]
     fn store_read_rejects_semantic_lies() {
+        // Honest containers around dishonest snapshots: an assignment that
+        // points past the cluster table, and sizes that disagree with it.
         let (_, snap) = snapshot_fixture();
-        let mut lying = snap.clone();
-        lying.assignment[0] = 99;
-        let mut w = fistful_store::StoreWriter::new();
-        lying.write_store(&mut w);
-        let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
-        assert!(matches!(
-            ClusterSnapshot::read_store(&mut store),
-            Err(fistful_store::StoreError::Inconsistent(_))
-        ));
+        let mut out_of_range = snap.clone();
+        out_of_range.assignment[0] = 99;
+        let mut wrong_size = snap.clone();
+        wrong_size.clusters[0].size += 1;
+        for lying in [out_of_range, wrong_size] {
+            let mut store = Store::open_bytes(lying.to_bytes()).unwrap();
+            assert!(matches!(
+                ClusterSnapshot::read_store(&mut store),
+                Err(StoreError::Inconsistent(_))
+            ));
+        }
     }
 
     /// Grows the fixture chain by one more user and re-snapshots, giving a
@@ -1133,9 +890,9 @@ mod tests {
     fn delta_store_round_trips() {
         let (base, new) = delta_fixture();
         let delta = SnapshotDelta::between(&base, &new);
-        let mut w = fistful_store::StoreWriter::new();
+        let mut w = StoreWriter::new();
         delta.write_store(&mut w);
-        let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
+        let mut store = Store::open_bytes(w.to_bytes()).unwrap();
         let restored = SnapshotDelta::read_store(&mut store).unwrap();
         assert_eq!(restored, delta);
         assert_eq!(base.apply_delta(&restored).unwrap().to_bytes(), new.to_bytes());
@@ -1151,20 +908,20 @@ mod tests {
         bad.assign.retain(|&(a, _)| (a as usize) < base.address_count());
         assert!(matches!(
             base.apply_delta(&bad),
-            Err(SnapshotError::Inconsistent("delta does not cover every new address"))
+            Err(StoreError::Inconsistent("delta does not cover every new address"))
         ));
 
         // Shrinking the address space.
         let mut bad = good.clone();
         bad.address_count = base.address_count() as u64 - 1;
-        assert!(matches!(base.apply_delta(&bad), Err(SnapshotError::Inconsistent(_))));
+        assert!(matches!(base.apply_delta(&bad), Err(StoreError::Inconsistent(_))));
 
         // Out-of-order (here: duplicate) assignment entries.
         let mut bad = good.clone();
         bad.assign.push(*bad.assign.last().unwrap());
         assert!(matches!(
             base.apply_delta(&bad),
-            Err(SnapshotError::Inconsistent(
+            Err(StoreError::Inconsistent(
                 "delta assignment entries are not strictly ascending"
             ))
         ));
@@ -1172,19 +929,19 @@ mod tests {
         // An assignment past the declared address count.
         let mut bad = good.clone();
         bad.assign.push((bad.address_count as u32 + 7, 0));
-        assert!(matches!(base.apply_delta(&bad), Err(SnapshotError::Inconsistent(_))));
+        assert!(matches!(base.apply_delta(&bad), Err(StoreError::Inconsistent(_))));
 
         // A cluster row past the declared cluster count.
         let mut bad = good.clone();
         bad.clusters.push((bad.cluster_count + 7, ClusterInfo::default()));
-        assert!(matches!(base.apply_delta(&bad), Err(SnapshotError::Inconsistent(_))));
+        assert!(matches!(base.apply_delta(&bad), Err(StoreError::Inconsistent(_))));
 
         // Sizes that stop matching the assignment after application.
         let mut bad = good.clone();
         for (_, info) in &mut bad.clusters {
             info.size += 1;
         }
-        assert!(matches!(base.apply_delta(&bad), Err(SnapshotError::Inconsistent(_))));
+        assert!(matches!(base.apply_delta(&bad), Err(StoreError::Inconsistent(_))));
     }
 
     #[test]
@@ -1201,22 +958,5 @@ mod tests {
         let names = name_clusters(&clustering, &db);
         let at = ClusterSnapshot::build_at(&t.chain, t.chain.tx_count(), &clustering, &names);
         assert_eq!(at.to_bytes(), snap.to_bytes());
-    }
-
-    #[test]
-    fn display_messages_are_distinct() {
-        let errors = [
-            SnapshotError::BadMagic(*b"XXXX"),
-            SnapshotError::UnsupportedVersion(9),
-            SnapshotError::Truncated,
-            SnapshotError::TrailingBytes,
-            SnapshotError::ChecksumMismatch,
-            SnapshotError::Decode(DecodeError::UnexpectedEnd),
-            SnapshotError::Inconsistent("x"),
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for e in errors {
-            assert!(seen.insert(e.to_string()), "duplicate message for {e:?}");
-        }
     }
 }

@@ -5,8 +5,6 @@
 //!
 //! ```text
 //! <dir>/
-//!   chain.fst                 resolved chain columns (written by the CLI;
-//!                             not needed to serve — queries never touch it)
 //!   graph.fst                 TxGraph CSR arrays, segment per array
 //!   snapshot.fst              base ClusterSnapshot
 //!   snapshot.delta.000001.fst per-epoch delta containers, folded onto the
@@ -21,7 +19,7 @@
 //! a server restarted from disk serves answers **byte-identical** to one
 //! built from the chain in RAM (asserted over a live socket in
 //! `tests/store.rs`). Opening costs bulk segment reads, not a chain
-//! replay: the chain file is deliberately not required.
+//! replay: no chain is stored, and serving never needs one.
 
 use crate::protocol::ServeError;
 use crate::server::ServeArtifacts;
@@ -33,9 +31,6 @@ use fistful_flow::BalancePoint;
 use fistful_store::{Store, StoreError, StoreWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// File name of the resolved-chain container in a store directory.
-pub const CHAIN_FILE: &str = "chain.fst";
 
 /// File name of the transaction-graph container.
 pub const GRAPH_FILE: &str = "graph.fst";
@@ -281,12 +276,7 @@ impl ServeArtifacts {
         for path in delta_files(dir)? {
             let mut store = Store::open(&path)?;
             let delta = SnapshotDelta::read_store(&mut store)?;
-            snapshot = snapshot.apply_delta(&delta).map_err(|e| match e {
-                fistful_core::snapshot::SnapshotError::Inconsistent(what) => {
-                    StoreError::Inconsistent(what)
-                }
-                _ => StoreError::Inconsistent("snapshot delta failed to apply"),
-            })?;
+            snapshot = snapshot.apply_delta(&delta)?;
         }
         let mut store = Store::open(&dir.join(SERVE_FILE))?;
         let labels = read_labels(&mut store)?;

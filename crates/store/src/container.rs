@@ -34,8 +34,7 @@
 //!
 //! The declared `file_len` makes truncation ([`StoreError::Truncated`])
 //! and appended garbage ([`StoreError::TrailingBytes`]) two *different*
-//! diagnoses, exactly as the snapshot frame format does with its payload
-//! length. The TOC checksum protects the metadata that all other reads
+//! diagnoses. The TOC checksum protects the metadata that all other reads
 //! depend on; per-segment checksums are verified lazily on each segment
 //! read, so opening a store costs O(TOC) — not O(file) — and a reader
 //! that never touches a corrupt column never pays for it, while any read
@@ -68,9 +67,9 @@ pub const MAX_SEGMENTS: u64 = 1 << 16;
 /// Maximum byte length of a segment name.
 pub const MAX_NAME_LEN: usize = 256;
 
-/// Errors from writing, opening, or reading a container file. Each
-/// corruption class gets its own variant so a bad file is diagnosed, not
-/// just refused (mirroring `fistful_core::snapshot::SnapshotError`).
+/// Errors from writing, opening, or reading a container file and the
+/// artifacts stored in it. Each corruption class gets its own variant so a
+/// bad file is diagnosed, not just refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// The first four bytes were not [`STORE_MAGIC`].
@@ -96,7 +95,8 @@ pub enum StoreError {
     DuplicateSegment(String),
     /// A reader asked for a segment the TOC does not list.
     MissingSegment(String),
-    /// The TOC block failed structural decoding.
+    /// The TOC block, or a segment's payload as read by an artifact's
+    /// `read_store`, failed structural decoding.
     Decode(DecodeError),
     /// The segments decoded but violated a semantic invariant of the
     /// artifact being loaded (wrong column width, disagreeing lengths,
@@ -127,7 +127,7 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::DuplicateSegment(name) => write!(f, "duplicate segment {name:?}"),
             StoreError::MissingSegment(name) => write!(f, "missing segment {name:?}"),
-            StoreError::Decode(e) => write!(f, "store TOC decode: {e}"),
+            StoreError::Decode(e) => write!(f, "store decode (TOC or segment payload): {e}"),
             StoreError::Inconsistent(what) => write!(f, "inconsistent store artifact: {what}"),
             StoreError::Io(e) => write!(f, "store i/o: {e}"),
         }
@@ -538,8 +538,7 @@ mod tests {
     #[test]
     fn truncation_rejected_at_every_length() {
         // Any cut — mid-header, mid-TOC, mid-segment — is Truncated (or
-        // BadMagic for cuts inside the first four bytes, matching the
-        // snapshot suite's convention).
+        // BadMagic for cuts inside the first four bytes).
         let bytes = sample().to_bytes();
         for cut in 0..bytes.len() {
             let err = Store::open_bytes(bytes[..cut].to_vec()).err().unwrap();

@@ -176,30 +176,40 @@ fn sharded_matches_batch_with_short_wait_windows() {
 
 #[test]
 fn refined_live_h2_labels_nothing_until_the_wait_window_elapses() {
-    // The refined configuration holds every label for a one-week wait.
-    // The default economy is shorter than that, so no window closes before
-    // the tip: between epochs the live pipeline has no H2 labels and its
-    // partition is Heuristic 1's. Only `flush` decides them.
+    // The refined configuration (the H1-named dice set plus the one-week
+    // wait) holds every label for a week. The default economy is shorter
+    // than that, so no window closes before the tip: between epochs the
+    // live pipeline has no H2 labels and its partition is Heuristic 1's.
+    // Only `flush` decides them — and then, at every shard count, lands on
+    // exactly the batch refined clustering.
     let eco = economy();
     let chain = eco.chain.resolved();
     assert!((chain.block_count() as u64) < BLOCKS_PER_WEEK);
     let h1 = Clusterer::h1_only().run(chain);
     let refined =
         ChangeConfig::refined(dice_addresses(&h1, &name_clusters(&h1, &build_tagdb(eco))));
+    let batch = Clusterer::with_h2(refined.clone()).run(chain);
+    assert!(batch.change_labels.as_ref().unwrap().labels > 0);
 
-    let mut ingest = ShardedIngest::new(IngestConfig::with_h2(2, 16, refined));
-    let mut epochs = 0;
-    for block in chain.blocks() {
-        ingest.ingest_block(&block);
-        if ingest.epochs_completed() > epochs {
-            epochs = ingest.epochs_completed();
-            assert_eq!(ingest.change_labels().unwrap().labels, 0, "epoch {epochs}");
+    for shards in [1, 2, 4, 8] {
+        let mut ingest = ShardedIngest::new(IngestConfig::with_h2(shards, 16, refined.clone()));
+        let mut epochs = 0;
+        for block in chain.blocks() {
+            ingest.ingest_block(&block);
+            if ingest.epochs_completed() > epochs {
+                epochs = ingest.epochs_completed();
+                assert_eq!(
+                    ingest.change_labels().unwrap().labels,
+                    0,
+                    "{shards} shards, epoch {epochs}"
+                );
+            }
         }
-    }
-    assert!(epochs > 30, "epochs: {epochs}");
-    assert!(ingest.pending_decisions() > 0);
+        assert!(epochs > 30, "{shards} shards, epochs: {epochs}");
+        assert!(ingest.pending_decisions() > 0);
 
-    ingest.flush(chain);
-    assert!(ingest.change_labels().unwrap().labels > 0);
-    assert_eq!(ingest.pending_decisions(), 0);
+        ingest.flush(chain);
+        assert_eq!(ingest.pending_decisions(), 0);
+        assert_equivalent(&ingest.snapshot(), &batch);
+    }
 }

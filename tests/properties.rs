@@ -409,6 +409,9 @@ proptest! {
         use fistful::core::naming::name_clusters;
         use fistful::core::snapshot::ClusterSnapshot;
         use fistful::core::tagdb::{Tag, TagDb, TagSource};
+        use fistful::store::Store;
+        const HEADER_LEN: usize = fistful::store::container::HEADER_LEN as usize;
+        const PAGE: usize = fistful::store::PAGE as usize;
 
         let t = random_chain(seed, txs);
         let chain = &t.chain;
@@ -441,18 +444,37 @@ proptest! {
         let names = name_clusters(&clustering, &db);
         let snapshot = ClusterSnapshot::build(chain, &clustering, &names);
 
-        // Canonical-decode round trip: lossless and byte-stable.
+        // Store round trip: lossless and byte-stable.
         let bytes = snapshot.to_bytes();
-        let decoded = ClusterSnapshot::from_bytes(&bytes).unwrap();
+        let mut store = Store::open_bytes(bytes.clone()).unwrap();
+        let decoded = ClusterSnapshot::read_store(&mut store).unwrap();
         prop_assert_eq!(&decoded, &snapshot);
         prop_assert_eq!(decoded.to_bytes(), bytes.clone());
 
-        // Any single-byte change anywhere in the frame must be rejected
-        // (magic, version, length, payload, or checksum — all covered).
-        let (pos, xor) = flip;
+        // Any single-byte change in a checked region must be rejected,
+        // by `open_bytes` or by `read_store`: the header's magic, version,
+        // declared lengths and TOC checksum, the TOC, and the three
+        // segments. The zero padding and the reserved header bytes 5..8
+        // are not verified — checking them would make opening cost
+        // O(file), not O(TOC) — so no flip is drawn there.
+        let toc_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let mut regions = vec![0..5, 8..HEADER_LEN + toc_len];
+        let mut offset = (HEADER_LEN + toc_len).div_ceil(PAGE) * PAGE;
+        for name in store.segment_names() {
+            let len = store.segment_len(name).unwrap() as usize;
+            regions.push(offset..offset + len);
+            offset += len.div_ceil(PAGE) * PAGE;
+        }
+        prop_assert_eq!(offset, bytes.len());
+        let checked: Vec<usize> = regions.into_iter().flatten().collect();
+        let (pick, xor) = flip;
+        let pos = checked[pick % checked.len()];
         let mut bad = bytes.clone();
-        bad[pos % bytes.len()] ^= xor;
-        prop_assert!(ClusterSnapshot::from_bytes(&bad).is_err());
+        bad[pos] ^= xor;
+        let rejected = Store::open_bytes(bad)
+            .and_then(|mut store| ClusterSnapshot::read_store(&mut store))
+            .is_err();
+        prop_assert!(rejected, "flip at byte {} of {} accepted", pos, bytes.len());
     }
 }
 

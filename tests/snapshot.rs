@@ -1,17 +1,21 @@
 //! End-to-end snapshot integration: a default-scale simulated economy is
-//! clustered, named, frozen into a `ClusterSnapshot`, pushed through the
-//! wire format, and then interrogated — the paper's "cluster once, then
-//! query" workflow — asserting the round trip is lossless, corrupt inputs
-//! are rejected with typed errors, and flow analysis over the reloaded
-//! artifact matches flow analysis over the live pipeline.
+//! clustered, named, frozen into a `ClusterSnapshot`, pushed through its
+//! store container (`to_bytes` → `Store::open_bytes` → `read_store`), and
+//! then interrogated — the paper's "cluster once, then query" workflow —
+//! asserting the round trip is lossless and flow analysis over the
+//! reloaded artifact matches flow analysis over the live pipeline. The
+//! container's corruption matrix lives with the container
+//! (`fistful_store::container`'s unit tests) and the snapshot segments'
+//! with `ClusterSnapshot`'s.
 
 use fistful::core::change::ChangeConfig;
 use fistful::core::cluster::{Clusterer, Clustering};
 use fistful::core::naming::{name_clusters, NamingReport};
-use fistful::core::snapshot::{ClusterSnapshot, SnapshotError, SNAPSHOT_VERSION};
+use fistful::core::snapshot::ClusterSnapshot;
 use fistful::core::tagdb::{Tag, TagDb, TagSource};
 use fistful::flow::{balance_series, AddressDirectory, ServiceResolver};
 use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
+use fistful::store::Store;
 use std::sync::OnceLock;
 
 struct Frozen {
@@ -19,6 +23,12 @@ struct Frozen {
     clustering: Clustering,
     names: NamingReport,
     snapshot: ClusterSnapshot,
+}
+
+/// Reloads a snapshot from its one byte form, the store container.
+fn reload(snapshot: &ClusterSnapshot) -> ClusterSnapshot {
+    let mut store = Store::open_bytes(snapshot.to_bytes()).expect("open snapshot container");
+    ClusterSnapshot::read_store(&mut store).expect("read snapshot segments")
 }
 
 /// Economy + refined clustering + naming + snapshot, built once.
@@ -48,11 +58,12 @@ fn frozen() -> &'static Frozen {
 fn round_trip_reproduces_assignments_names_and_aggregates() {
     let f = frozen();
     let chain = f.eco.chain.resolved();
-    let bytes = f.snapshot.to_bytes();
-    let restored = ClusterSnapshot::from_bytes(&bytes).unwrap();
+    let restored = reload(&f.snapshot);
 
-    // Lossless: the decoded artifact is structurally identical.
+    // Lossless: the decoded artifact is structurally identical, and its
+    // byte form is canonical.
     assert_eq!(restored, f.snapshot);
+    assert_eq!(restored.to_bytes(), f.snapshot.to_bytes());
     assert_eq!(restored.address_count(), chain.address_count());
     assert_eq!(restored.cluster_count(), f.clustering.cluster_count());
 
@@ -102,7 +113,7 @@ fn round_trip_reproduces_assignments_names_and_aggregates() {
 fn flow_over_the_reloaded_artifact_matches_the_live_pipeline() {
     let f = frozen();
     let chain = f.eco.chain.resolved();
-    let restored = ClusterSnapshot::from_bytes(&f.snapshot.to_bytes()).unwrap();
+    let restored = reload(&f.snapshot);
     let live_dir = AddressDirectory::from_naming(&f.clustering, &f.names);
 
     // The reloaded snapshot resolves every address exactly as the live
@@ -137,7 +148,7 @@ fn flow_over_the_reloaded_artifact_matches_the_live_pipeline() {
 fn concurrent_readers_share_one_decoded_snapshot() {
     use std::sync::Arc;
     let f = frozen();
-    let snapshot = Arc::new(ClusterSnapshot::from_bytes(&f.snapshot.to_bytes()).unwrap());
+    let snapshot = Arc::new(reload(&f.snapshot));
     let n = snapshot.address_count() as u32;
     // 8 readers hammer the same Arc, each starting at a different offset;
     // every lookup must agree with the live clustering, and each full pass
@@ -161,55 +172,4 @@ fn concurrent_readers_share_one_decoded_snapshot() {
         .collect();
     let named_hits: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(named_hits as u64, 8 * f.snapshot.named_address_count());
-}
-
-#[test]
-fn corrupted_truncated_and_wrong_version_inputs_are_rejected() {
-    let f = frozen();
-    let bytes = f.snapshot.to_bytes();
-
-    // Wrong magic.
-    let mut bad = bytes.clone();
-    bad[0] = b'Z';
-    assert!(matches!(
-        ClusterSnapshot::from_bytes(&bad),
-        Err(SnapshotError::BadMagic(_))
-    ));
-
-    // Wrong (future) version.
-    let mut bad = bytes.clone();
-    bad[4] = SNAPSHOT_VERSION + 7;
-    assert_eq!(
-        ClusterSnapshot::from_bytes(&bad),
-        Err(SnapshotError::UnsupportedVersion(SNAPSHOT_VERSION + 7))
-    );
-
-    // Truncation at a sample of prefix lengths (the economy-scale frame is
-    // too large to cut everywhere).
-    for cut in [0, 3, 4, 5, 12, 13, bytes.len() / 2, bytes.len() - 33, bytes.len() - 1] {
-        assert_eq!(
-            ClusterSnapshot::from_bytes(&bytes[..cut]),
-            Err(SnapshotError::Truncated),
-            "cut {cut}"
-        );
-    }
-
-    // Trailing garbage.
-    let mut bad = bytes.clone();
-    bad.extend_from_slice(b"junk");
-    assert_eq!(
-        ClusterSnapshot::from_bytes(&bad),
-        Err(SnapshotError::TrailingBytes)
-    );
-
-    // Payload bit flips at a sample of positions: caught by the checksum.
-    for pos in [13, 20, bytes.len() / 3, bytes.len() / 2, bytes.len() - 40] {
-        let mut bad = bytes.clone();
-        bad[pos] ^= 0x80;
-        assert_eq!(
-            ClusterSnapshot::from_bytes(&bad),
-            Err(SnapshotError::ChecksumMismatch),
-            "pos {pos}"
-        );
-    }
 }
