@@ -11,7 +11,7 @@ cargo test -q
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 cargo clippy --workspace --all-targets -- -D warnings
 # Every example, so none of them rots unbuilt and unrun.
-for example in quickstart fp_refinement network_propagation serve_roundtrip \
+for example in quickstart fp_refinement serve_roundtrip \
     silkroad_trace theft_tracking; do
     cargo run --release --example "$example"
 done

@@ -1,10 +1,12 @@
-//! `repro` — regenerates every table and figure of the paper, and runs
-//! the TCP query service over the same simulated economy.
+//! `repro` — regenerates the paper's tables, its §4 statistics and its
+//! Figure 2, and runs the TCP query service over the same simulated
+//! economy. Figure 1 is background on how a payment is broadcast and
+//! confirmed, not a result, and is not reproduced.
 //!
 //! Usage: `repro [--scale tiny|default|paper] [experiment...]` where each
-//! `experiment` is one of `fig1 tab1 h1 fp super h2 fig2 tab2 tab3`
+//! `experiment` is one of `tab1 h1 fp super h2 fig2 tab2 tab3`
 //! (default: `all`). Repeated experiments run once; `all` must stand
-//! alone. Tables and figures go to stdout, progress lines to stderr.
+//! alone. Tables and Figure 2 go to stdout, progress lines to stderr.
 //! `repro serve` starts the `fistful-serve` query server over the
 //! simulated economy, batch-built or (`--live`) streamed epoch by epoch,
 //! optionally persisted to a store directory it resumes from. Parsing
@@ -16,16 +18,14 @@
 
 use fistful_bench::cli::{self, CliOutcome, Command, RunPlan};
 use fistful_bench::{btc_round, serve_artifacts, silk_road_starts, theft_loots, Workbench};
-use fistful_chain::amount::Amount;
 use fistful_core::change::{self, ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
 use fistful_core::fp;
-use fistful_core::metrics::{amplification, score_change_labels, score_clustering};
+use fistful_core::score::{amplification, score_change_labels, score_clustering};
 use fistful_core::naming::name_clusters;
 use fistful_flow::graph::TxGraph;
 use fistful_flow::{
     balance_series, follow_chains_indexed, service_arrivals, track_thefts_batch, FollowStrategy,
 };
-use fistful_net::{Network, NetworkConfig};
 use fistful_sim::{Category, SimConfig};
 
 fn main() {
@@ -80,46 +80,35 @@ fn sim_config(scale: &str) -> SimConfig {
 
 fn run_experiments(plan: &RunPlan) {
     let cfg = sim_config(&plan.scale);
-    let want = |name: &str| plan.experiments.iter().any(|e| e == name);
-
-    // Figure 1 needs no economy.
-    if want("fig1") {
-        fig1();
-    }
-
-    // Everything except fig1 runs over the simulated economy.
-    if plan.experiments.iter().any(|e| e != "fig1") {
-        eprintln!(
-            "# building economy (scale={}, blocks={}, users={}) ...",
-            plan.scale, cfg.blocks, cfg.users
-        );
-        let t0 = std::time::Instant::now();
-        let wb = Workbench::build(cfg);
-        eprintln!(
-            "# economy ready in {:.1?}: {} txs, {} addresses",
-            t0.elapsed(),
-            wb.eco.chain.resolved().tx_count(),
-            wb.eco.chain.resolved().address_count()
-        );
-        // The graph-backed experiments share one index, built once.
-        let graph = plan
-            .experiments
-            .iter()
-            .any(|e| e == "tab2" || e == "tab3")
-            .then(|| TxGraph::build(wb.eco.chain.resolved()));
-        for exp in &plan.experiments {
-            match exp.as_str() {
-                "fig1" => continue, // already ran, economy-free
-                "tab1" => tab1(&wb),
-                "h1" => h1_stats(&wb),
-                "fp" => fp_ladder(&wb),
-                "super" => super_cluster(&wb),
-                "h2" => h2_stats(&wb),
-                "fig2" => fig2(&wb),
-                "tab2" => tab2(&wb, graph.as_ref().expect("graph built for tab2")),
-                "tab3" => tab3(&wb, graph.as_ref().expect("graph built for tab3")),
-                other => unreachable!("cli::parse admitted unknown experiment `{other}`"),
-            }
+    eprintln!(
+        "# building economy (scale={}, blocks={}, users={}) ...",
+        plan.scale, cfg.blocks, cfg.users
+    );
+    let t0 = std::time::Instant::now();
+    let wb = Workbench::build(cfg);
+    eprintln!(
+        "# economy ready in {:.1?}: {} txs, {} addresses",
+        t0.elapsed(),
+        wb.eco.chain.resolved().tx_count(),
+        wb.eco.chain.resolved().address_count()
+    );
+    // The graph-backed experiments share one index, built once.
+    let graph = plan
+        .experiments
+        .iter()
+        .any(|e| e == "tab2" || e == "tab3")
+        .then(|| TxGraph::build(wb.eco.chain.resolved()));
+    for exp in &plan.experiments {
+        match exp.as_str() {
+            "tab1" => tab1(&wb),
+            "h1" => h1_stats(&wb),
+            "fp" => fp_ladder(&wb),
+            "super" => super_cluster(&wb),
+            "h2" => h2_stats(&wb),
+            "fig2" => fig2(&wb),
+            "tab2" => tab2(&wb, graph.as_ref().expect("graph built for tab2")),
+            "tab3" => tab3(&wb, graph.as_ref().expect("graph built for tab3")),
+            other => unreachable!("cli::parse admitted unknown experiment `{other}`"),
         }
     }
 }
@@ -317,74 +306,6 @@ fn serve(
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
-}
-
-/// Figure 1: how a transaction propagates, gets mined, and settles.
-fn fig1() {
-    println!("\n== Figure 1: transaction broadcast, mining, confirmation ==");
-    let mut net = Network::new(NetworkConfig::default());
-    let miners = net.miners();
-    let user = 0u32;
-    let merchant = 1u32;
-
-    // (3)-(4): the user forms and broadcasts the payment (0.7 BTC, as in
-    // the figure).
-    let tx = fistful_chain::builder::TransactionBuilder::new()
-        .input(fistful_chain::transaction::OutPoint::null())
-        .output(
-            fistful_chain::address::Address::from_seed(42),
-            Amount::from_sat(70_000_000),
-        )
-        .build_unsigned();
-    let txid = net.submit_tx(user, tx.clone());
-    net.run_to_quiescence();
-    let tx_prop = net.propagation(&txid).unwrap();
-
-    // (5): the first miner to see it mines a block containing it.
-    let miner = *miners.first().expect("some miners");
-    let t_miner = tx_prop.node_times[miner as usize].unwrap();
-    let mut block = fistful_chain::block::Block {
-        header: fistful_chain::block::BlockHeader {
-            version: 1,
-            prev_hash: fistful_crypto::hash::Hash256::ZERO,
-            merkle_root: fistful_crypto::hash::Hash256::ZERO,
-            time: 1,
-            nonce: 0,
-        },
-        transactions: vec![tx],
-    };
-    block.header.merkle_root = block.computed_merkle_root();
-    // (6): the block floods; the merchant accepts the payment.
-    let hash = net.submit_block(miner, block);
-    net.run_to_quiescence();
-    let block_prop = net.propagation(&hash).unwrap();
-    let t_merchant = block_prop.node_times[merchant as usize].unwrap();
-
-    println!(
-        "nodes={} out_degree={} latency={}..{}ms",
-        net.config.nodes,
-        net.config.out_degree,
-        net.config.latency_lo / 1000,
-        net.config.latency_hi / 1000
-    );
-    println!("t=0.000s        user broadcasts tx {txid}");
-    println!(
-        "t={:.3}s        first miner (node {miner}) has the tx",
-        t_miner as f64 / 1e6
-    );
-    for pct in [50, 90, 100] {
-        let t = tx_prop.coverage_time(pct as f64 / 100.0).unwrap();
-        println!("tx reaches {pct:>3}% of nodes after {:.3}s", t as f64 / 1e6);
-    }
-    for pct in [50, 90, 100] {
-        let t = block_prop.coverage_time(pct as f64 / 100.0).unwrap();
-        println!("block reaches {pct:>3}% of nodes after {:.3}s", t as f64 / 1e6);
-    }
-    println!(
-        "t={:.3}s        merchant (node {merchant}) sees the confirming block",
-        t_merchant as f64 / 1e6
-    );
-    println!("messages delivered: {}", net.messages_delivered);
 }
 
 /// Table 1: the service roster, by category, with probe interaction counts.

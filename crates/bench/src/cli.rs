@@ -3,8 +3,7 @@
 //! spawning the binary.
 
 /// Every experiment `repro` knows, in presentation order.
-pub const EXPERIMENTS: [&str; 9] =
-    ["fig1", "tab1", "h1", "fp", "super", "h2", "fig2", "tab2", "tab3"];
+pub const EXPERIMENTS: [&str; 8] = ["tab1", "h1", "fp", "super", "h2", "fig2", "tab2", "tab3"];
 
 /// The simulation scales `--scale` accepts.
 pub const SCALES: [&str; 3] = ["tiny", "default", "paper"];

@@ -1,5 +1,7 @@
 //! Shared experiment harness: builds the simulated economy once and
-//! derives everything the paper's tables and figures need.
+//! derives everything the paper's tables and Figure 2 need. Figure 1, a
+//! payment's broadcast and confirmation, is background and has no
+//! experiment.
 
 #![forbid(unsafe_code)]
 
@@ -11,7 +13,6 @@ use fistful_core::cluster::{Clusterer, Clustering};
 use fistful_core::naming::{name_clusters, NamingReport};
 use fistful_core::snapshot::ClusterSnapshot;
 use fistful_core::tagdb::{Tag, TagDb, TagSource};
-use fistful_flow::AddressDirectory;
 use fistful_sim::{generate_tags, Economy, RawTagSource, SimConfig};
 use std::collections::HashSet;
 
@@ -48,12 +49,6 @@ impl Workbench {
     /// Runs H1+H2 clustering with a given H2 configuration.
     pub fn cluster_with(&self, cfg: ChangeConfig) -> Clustering {
         Clusterer::with_h2(cfg).run(self.eco.chain.resolved())
-    }
-
-    /// Address directory via cluster naming (the paper's route).
-    pub fn directory_for(&self, clustering: &Clustering) -> AddressDirectory {
-        let names = name_clusters(clustering, &self.tagdb);
-        AddressDirectory::from_naming(clustering, &names)
     }
 
     /// The frozen serving artifact: refined H1+H2 clustering, tag naming,

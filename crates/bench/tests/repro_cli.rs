@@ -50,7 +50,7 @@ fn all_mixed_with_named_is_a_usage_error() {
 fn unknown_experiment_is_a_usage_error() {
     // `serve` is the only subcommand, so any other word reads as an
     // unknown experiment.
-    for bad in [&["tab9"], &["taint"], &["snapshot"], &["ingest"], &["store"]] {
+    for bad in [&["tab9"], &["fig1"], &["taint"], &["snapshot"], &["ingest"], &["store"]] {
         let out = repro(bad);
         assert_eq!(out.status.code(), Some(2), "args {bad:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"), "args {bad:?}");
@@ -98,15 +98,15 @@ fn help_lists_the_serve_commands() {
 
 #[test]
 fn duplicated_experiment_runs_once() {
-    // fig1 needs no simulated economy, so this stays fast.
-    let out = repro(&["fig1", "fig1", "fig1"]);
+    // The tiny economy builds in well under a second.
+    let out = repro(&["--scale", "tiny", "tab1", "h1", "tab1"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let runs = stdout.matches("== Figure 1").count();
-    assert_eq!(runs, 1, "fig1 should run exactly once:\n{stdout}");
-    // No economy should have been built for a fig1-only invocation.
+    let runs = stdout.matches("== Table 1").count();
+    assert_eq!(runs, 1, "tab1 should run exactly once:\n{stdout}");
+    // Every experiment shares one economy.
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("building economy"), "{stderr}");
+    assert_eq!(stderr.matches("# building economy").count(), 1, "{stderr}");
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //! and [`naming`] turn ground-truth interactions into cluster names (and
 //! detect the super-cluster failure mode); [`snapshot`] freezes a finished
 //! clustering plus its names and aggregates into an immutable, serializable
-//! artifact served to concurrent readers; [`metrics`] scores everything
+//! artifact served to concurrent readers; [`score`] scores everything
 //! against simulator ground truth.
 
 #![forbid(unsafe_code)]
@@ -30,8 +30,8 @@ pub mod cluster;
 pub mod fp;
 pub mod heuristic1;
 pub mod incremental;
-pub mod metrics;
 pub mod naming;
+pub mod score;
 pub mod snapshot;
 pub mod tagdb;
 pub mod testutil;

@@ -401,28 +401,26 @@ impl ClusterSnapshot {
     /// Reads a snapshot back from a columnar container, enforcing the
     /// invariants listed in the [module docs](self).
     pub fn read_store(store: &mut Store) -> Result<ClusterSnapshot, StoreError> {
-        let meta = store.bytes("snap/meta")?;
-        let mut r = Reader::new(&meta);
-        let tip_height = r.u64()?;
-        let tx_count = r.u64()?;
-        let cluster_count = r.u64()? as usize;
-        let address_count = r.u64()? as usize;
-        r.finish()?;
+        let (tip_height, tx_count, cluster_count, address_count) =
+            store.decode("snap/meta", |r| {
+                Ok((r.u64()?, r.u64()?, r.u64()? as usize, r.u64()? as usize))
+            })?;
         let assignment = store.u32s("snap/assignment")?;
-        let cluster_bytes = store.bytes("snap/clusters")?;
-        let mut r = Reader::new(&cluster_bytes);
-        // Bounded by the bytes left, not by `decode_vec`'s `MAX_VEC_LEN`:
-        // when few addresses co-spend there are nearly as many clusters as
-        // addresses, and the paper's own partition has millions.
-        let k = r.compact_size()?;
-        if k > (r.remaining() / MIN_CLUSTER_INFO_LEN) as u64 {
-            return Err(DecodeError::OversizedCount(k).into());
-        }
-        let mut clusters = Vec::with_capacity(k as usize);
-        for _ in 0..k {
-            clusters.push(ClusterInfo::decode(&mut r)?);
-        }
-        r.finish()?;
+        let clusters = store.decode("snap/clusters", |r| {
+            // Bounded by the bytes left, not by `decode_vec`'s
+            // `MAX_VEC_LEN`: when few addresses co-spend there are nearly
+            // as many clusters as addresses, and the paper's own partition
+            // has millions.
+            let k = r.compact_size()?;
+            if k > (r.remaining() / MIN_CLUSTER_INFO_LEN) as u64 {
+                return Err(DecodeError::OversizedCount(k));
+            }
+            let mut clusters = Vec::with_capacity(k as usize);
+            for _ in 0..k {
+                clusters.push(ClusterInfo::decode(r)?);
+            }
+            Ok(clusters)
+        })?;
         if assignment.len() != address_count || clusters.len() != cluster_count {
             return Err(StoreError::Inconsistent("snapshot meta counts disagree with columns"));
         }
@@ -615,13 +613,8 @@ impl SnapshotDelta {
     /// invariants are enforced later by [`ClusterSnapshot::apply_delta`],
     /// which sees base and delta together.
     pub fn read_store(store: &mut Store) -> Result<SnapshotDelta, StoreError> {
-        let meta = store.bytes("delta/meta")?;
-        let mut r = Reader::new(&meta);
-        let tip_height = r.u64()?;
-        let tx_count = r.u64()?;
-        let address_count = r.u64()?;
-        let cluster_count = r.u32()?;
-        r.finish()?;
+        let (tip_height, tx_count, address_count, cluster_count) =
+            store.decode("delta/meta", |r| Ok((r.u64()?, r.u64()?, r.u64()?, r.u32()?)))?;
         let addrs = store.u32s("delta/assign_addr")?;
         let ids = store.u32s("delta/assign_cluster")?;
         if addrs.len() != ids.len() {
@@ -629,13 +622,13 @@ impl SnapshotDelta {
         }
         let assign = addrs.into_iter().zip(ids).collect();
         let cids = store.u32s("delta/cluster_ids")?;
-        let info_bytes = store.bytes("delta/cluster_infos")?;
-        let mut r = Reader::new(&info_bytes);
-        let mut clusters = Vec::with_capacity(cids.len());
-        for id in cids {
-            clusters.push((id, ClusterInfo::decode(&mut r)?));
-        }
-        r.finish()?;
+        let clusters = store.decode("delta/cluster_infos", |r| {
+            let mut clusters = Vec::with_capacity(cids.len());
+            for id in cids {
+                clusters.push((id, ClusterInfo::decode(r)?));
+            }
+            Ok(clusters)
+        })?;
         Ok(SnapshotDelta { tip_height, tx_count, address_count, cluster_count, assign, clusters })
     }
 }
@@ -748,7 +741,7 @@ mod tests {
         let mut store = forged_store([0, 0, 1 << 40, 0], &[], w.into_bytes());
         assert_eq!(
             ClusterSnapshot::read_store(&mut store),
-            Err(StoreError::Decode(DecodeError::OversizedCount(1 << 40)))
+            Err(StoreError::Decode("snap/clusters".into(), DecodeError::OversizedCount(1 << 40)))
         );
         let mut w = Writer::new();
         w.compact_size(2);
@@ -756,10 +749,10 @@ mod tests {
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 1 + MIN_CLUSTER_INFO_LEN);
         let mut store = forged_store([0, 0, 2, 0], &[], bytes);
-        assert_eq!(
-            ClusterSnapshot::read_store(&mut store),
-            Err(StoreError::Decode(DecodeError::OversizedCount(2)))
-        );
+        let err = ClusterSnapshot::read_store(&mut store).unwrap_err();
+        assert_eq!(err, StoreError::Decode("snap/clusters".into(), DecodeError::OversizedCount(2)));
+        // The operator-facing message names the corrupt segment.
+        assert!(err.to_string().contains("snap/clusters"), "{err}");
         // Meta counts that disagree with the columns.
         let mut w = Writer::new();
         w.compact_size(0);

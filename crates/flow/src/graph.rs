@@ -423,13 +423,9 @@ impl TxGraph {
         store: &mut fistful_store::Store,
     ) -> Result<TxGraph, fistful_store::StoreError> {
         use fistful_store::StoreError;
-        let meta = store.bytes("graph/meta")?;
-        let mut r = fistful_chain::encode::Reader::new(&meta);
-        let tx_count = r.u64()? as usize;
-        let addr_count = r.u64()? as usize;
-        let output_count = r.u64()? as usize;
-        let input_count = r.u64()? as usize;
-        r.finish()?;
+        let (tx_count, addr_count, output_count, input_count) = store.decode("graph/meta", |r| {
+            Ok((r.u64()? as usize, r.u64()? as usize, r.u64()? as usize, r.u64()? as usize))
+        })?;
 
         let out_start = store.u32s("graph/out_start")?;
         let out_address = store.u32s("graph/out_address")?;

@@ -23,7 +23,7 @@
 
 use crate::protocol::ServeError;
 use crate::server::ServeArtifacts;
-use fistful_chain::encode::{Reader, Writer};
+use fistful_chain::encode::Writer;
 use fistful_core::change::ChangeLabels;
 use fistful_core::snapshot::{ClusterSnapshot, SnapshotDelta};
 use fistful_flow::graph::TxGraph;
@@ -94,20 +94,14 @@ impl LiveMeta {
     }
 
     fn read(store: &mut Store) -> Result<LiveMeta, StoreError> {
-        let bytes = store.bytes("serve/live_meta")?;
-        let mut r = Reader::new(&bytes);
-        let meta = LiveMeta {
-            epoch: r.u64()?,
-            tx_count: r.u64()?,
-            block_count: r.u64()?,
-            flushed: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(StoreError::Inconsistent("live_meta flushed flag is not 0/1")),
-            },
+        let (epoch, tx_count, block_count, flushed) =
+            store.decode("serve/live_meta", |r| Ok((r.u64()?, r.u64()?, r.u64()?, r.u8()?)))?;
+        let flushed = match flushed {
+            0 => false,
+            1 => true,
+            _ => return Err(StoreError::Inconsistent("live_meta flushed flag is not 0/1")),
         };
-        r.finish()?;
-        Ok(meta)
+        Ok(LiveMeta { epoch, tx_count, block_count, flushed })
     }
 }
 
@@ -143,14 +137,14 @@ fn read_labels(store: &mut Store) -> Result<ChangeLabels, StoreError> {
         .into_iter()
         .map(|v| if v == u32::MAX { None } else { Some(v) })
         .collect();
-    let meta = store.bytes("serve/labels_meta")?;
-    let mut r = Reader::new(&meta);
-    let labels = r.u64()? as usize;
-    let mut skip_counts = [0usize; 8];
-    for slot in &mut skip_counts {
-        *slot = r.u64()? as usize;
-    }
-    r.finish()?;
+    let (labels, skip_counts) = store.decode("serve/labels_meta", |r| {
+        let labels = r.u64()? as usize;
+        let mut skip_counts = [0usize; 8];
+        for slot in &mut skip_counts {
+            *slot = r.u64()? as usize;
+        }
+        Ok((labels, skip_counts))
+    })?;
     Ok(ChangeLabels { vout_of, skip_counts, labels })
 }
 
@@ -174,35 +168,33 @@ fn write_balances(balances: &[BalancePoint], out: &mut StoreWriter) {
 
 fn read_balances(store: &mut Store) -> Result<Vec<BalancePoint>, StoreError> {
     use fistful_chain::amount::Amount;
-    let bytes = store.bytes("serve/balances")?;
-    let mut r = Reader::new(&bytes);
-    let count = r.compact_size()?;
-    // Each point is at least 33 bytes (4 u64s + 1 CompactSize byte).
-    if count > r.remaining() as u64 / 33 {
-        return Err(StoreError::Decode(
-            fistful_chain::encode::DecodeError::OversizedCount(count),
-        ));
-    }
-    let mut balances = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let height = r.u64()?;
-        let time = r.u64()?;
-        let supply = Amount::from_sat(r.u64()?);
-        let sink_held = Amount::from_sat(r.u64()?);
-        let entries = r.compact_size()?;
-        let mut map = BTreeMap::new();
-        for _ in 0..entries {
-            let category = r.string()?;
-            let amount = Amount::from_sat(r.u64()?);
-            if map.insert(category, amount).is_some() {
-                return Err(StoreError::Inconsistent(
-                    "balance point repeats a category",
-                ));
-            }
+    let mut repeated = false;
+    let balances = store.decode("serve/balances", |r| {
+        let count = r.compact_size()?;
+        // Each point is at least 33 bytes (4 u64s + 1 CompactSize byte).
+        if count > r.remaining() as u64 / 33 {
+            return Err(fistful_chain::encode::DecodeError::OversizedCount(count));
         }
-        balances.push(BalancePoint { height, time, balances: map, supply, sink_held });
+        let mut balances = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let height = r.u64()?;
+            let time = r.u64()?;
+            let supply = Amount::from_sat(r.u64()?);
+            let sink_held = Amount::from_sat(r.u64()?);
+            let entries = r.compact_size()?;
+            let mut map = BTreeMap::new();
+            for _ in 0..entries {
+                let category = r.string()?;
+                let amount = Amount::from_sat(r.u64()?);
+                repeated |= map.insert(category, amount).is_some();
+            }
+            balances.push(BalancePoint { height, time, balances: map, supply, sink_held });
+        }
+        Ok(balances)
+    })?;
+    if repeated {
+        return Err(StoreError::Inconsistent("balance point repeats a category"));
     }
-    r.finish()?;
     Ok(balances)
 }
 
@@ -430,6 +422,18 @@ mod tests {
         a.write_serve_file(&dir, None).unwrap();
         assert_eq!(read_live_meta(&dir).unwrap(), None);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forged_balance_count_names_its_segment() {
+        // Two points declared over the bytes of none.
+        let mut w = Writer::new();
+        w.compact_size(2);
+        let mut out = StoreWriter::new();
+        out.segment("serve/balances", w.into_bytes());
+        let mut store = Store::open_bytes(out.to_bytes()).unwrap();
+        let err = read_balances(&mut store).unwrap_err();
+        assert!(err.to_string().contains("serve/balances"), "{err}");
     }
 
     #[test]

@@ -101,13 +101,6 @@ pub struct GroundTruthIds {
     pub owners: Vec<OwnerInfo>,
 }
 
-impl GroundTruthIds {
-    /// The category of the owner of an address, if known.
-    pub fn category_of_address(&self, addr: u32) -> Option<Category> {
-        self.owner_of[addr as usize].map(|o| self.owners[o as usize].category)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

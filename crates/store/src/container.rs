@@ -95,9 +95,10 @@ pub enum StoreError {
     DuplicateSegment(String),
     /// A reader asked for a segment the TOC does not list.
     MissingSegment(String),
-    /// The TOC block, or a segment's payload as read by an artifact's
-    /// `read_store`, failed structural decoding.
-    Decode(DecodeError),
+    /// The named segment's payload, as read by an artifact's
+    /// `read_store`, failed structural decoding; the name is `TOC` when
+    /// the TOC block itself did.
+    Decode(String, DecodeError),
     /// The segments decoded but violated a semantic invariant of the
     /// artifact being loaded (wrong column width, disagreeing lengths,
     /// out-of-range references).
@@ -127,7 +128,7 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::DuplicateSegment(name) => write!(f, "duplicate segment {name:?}"),
             StoreError::MissingSegment(name) => write!(f, "missing segment {name:?}"),
-            StoreError::Decode(e) => write!(f, "store decode (TOC or segment payload): {e}"),
+            StoreError::Decode(name, e) => write!(f, "store decode of {name}: {e}"),
             StoreError::Inconsistent(what) => write!(f, "inconsistent store artifact: {what}"),
             StoreError::Io(e) => write!(f, "store i/o: {e}"),
         }
@@ -137,15 +138,9 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Decode(e) => Some(e),
+            StoreError::Decode(_, e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<DecodeError> for StoreError {
-    fn from(e: DecodeError) -> StoreError {
-        StoreError::Decode(e)
     }
 }
 
@@ -330,21 +325,22 @@ impl Store {
         }
 
         // Decode and validate the entries.
-        let mut r = Reader::new(&toc);
-        let count = r.compact_size()?;
-        if count > MAX_SEGMENTS {
-            return Err(StoreError::Decode(DecodeError::OversizedCount(count)));
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let name = r.string()?;
-            let offset = r.u64()?;
-            let len = r.u64()?;
-            let mut checksum = [0u8; 32];
-            checksum.copy_from_slice(r.take(32)?);
-            entries.push(SegmentEntry { name, offset, len, checksum });
-        }
-        r.finish()?;
+        let entries = decode_whole("TOC", &toc, |r| {
+            let count = r.compact_size()?;
+            if count > MAX_SEGMENTS {
+                return Err(DecodeError::OversizedCount(count));
+            }
+            let mut entries = Vec::with_capacity(count as usize);
+            for _ in 0..count {
+                let name = r.string()?;
+                let offset = r.u64()?;
+                let len = r.u64()?;
+                let mut checksum = [0u8; 32];
+                checksum.copy_from_slice(r.take(32)?);
+                entries.push(SegmentEntry { name, offset, len, checksum });
+            }
+            Ok(entries)
+        })?;
         let data_start = (HEADER_LEN + toc_len).div_ceil(PAGE) * PAGE;
         for e in &entries {
             if e.offset % PAGE != 0 || e.offset < data_start {
@@ -416,8 +412,7 @@ impl Store {
         if bytes.len() % 4 != 0 {
             return Err(StoreError::Inconsistent("u32 column length is not a multiple of 4"));
         }
-        let mut r = Reader::new(&bytes);
-        Ok(r.u32_vec(bytes.len() / 4)?)
+        decode_whole(name, &bytes, |r| r.u32_vec(bytes.len() / 4))
     }
 
     /// Reads segment `name` as a column of little-endian u64s.
@@ -426,9 +421,32 @@ impl Store {
         if bytes.len() % 8 != 0 {
             return Err(StoreError::Inconsistent("u64 column length is not a multiple of 8"));
         }
-        let mut r = Reader::new(&bytes);
-        Ok(r.u64_vec(bytes.len() / 8)?)
+        decode_whole(name, &bytes, |r| r.u64_vec(bytes.len() / 8))
     }
+
+    /// Reads segment `name` and decodes all of it with `f`. A decode
+    /// error, or bytes `f` leaves unread, is a [`StoreError::Decode`]
+    /// naming the segment.
+    pub fn decode<T>(
+        &mut self,
+        name: &str,
+        f: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+    ) -> Result<T, StoreError> {
+        let bytes = self.bytes(name)?;
+        decode_whole(name, &bytes, f)
+    }
+}
+
+/// Decodes all of `bytes` with `f`, naming `what` in any decode error.
+fn decode_whole<T>(
+    what: &str,
+    bytes: &[u8],
+    f: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, StoreError> {
+    let mut r = Reader::new(bytes);
+    f(&mut r)
+        .and_then(|value| r.finish().map(|()| value))
+        .map_err(|e| StoreError::Decode(what.to_string(), e))
 }
 
 #[cfg(test)]
@@ -686,7 +704,7 @@ mod tests {
             StoreError::MisalignedSegment("s".into()),
             StoreError::DuplicateSegment("s".into()),
             StoreError::MissingSegment("s".into()),
-            StoreError::Decode(DecodeError::UnexpectedEnd),
+            StoreError::Decode("TOC".into(), DecodeError::UnexpectedEnd),
             StoreError::Inconsistent("x"),
             StoreError::Io("nope".into()),
         ];

@@ -6,7 +6,7 @@
 
 use fistful::core::change::{self, ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
 use fistful::core::cluster::Clusterer;
-use fistful::core::metrics::score_change_labels;
+use fistful::core::score::score_change_labels;
 use fistful::core::naming::name_clusters;
 use fistful::core::tagdb::{Tag, TagDb, TagSource};
 use fistful::core::fp;

@@ -28,12 +28,6 @@ fn chain_layer_is_reachable() {
 }
 
 #[test]
-fn net_layer_is_reachable() {
-    let topo = fistful::net::Topology::random(10, 3, 1_000, 5_000, 1);
-    assert_eq!(topo.peers.len(), 10);
-}
-
-#[test]
 fn core_layer_is_reachable() {
     let mut uf = UnionFind::new(4);
     uf.union(0, 1);

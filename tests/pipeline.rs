@@ -3,7 +3,7 @@
 
 use fistful::core::change::{ChangeConfig, BLOCKS_PER_DAY, BLOCKS_PER_WEEK};
 use fistful::core::cluster::Clusterer;
-use fistful::core::metrics::{score_change_labels, score_clustering};
+use fistful::core::score::{score_change_labels, score_clustering};
 use fistful::core::naming::name_clusters;
 use fistful::core::tagdb::TagSource;
 use fistful::core::{change, fp};

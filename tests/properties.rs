@@ -11,7 +11,7 @@ use fistful::chain::merkle::{merkle_proof, merkle_root, verify_proof};
 use fistful::chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
-use fistful::core::metrics::score_clustering;
+use fistful::core::score::score_clustering;
 use fistful::core::union_find::UnionFind;
 use fistful::crypto::base58;
 use fistful::crypto::sha256::sha256d;
