@@ -36,56 +36,6 @@ pub fn hash_pair(left: &Hash256, right: &Hash256) -> Hash256 {
     sha256d(&buf)
 }
 
-/// A merkle inclusion proof: the sibling path from a leaf to the root.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MerkleProof {
-    /// The leaf index the proof is for.
-    pub index: usize,
-    /// Sibling hashes from leaf level upward.
-    pub siblings: Vec<Hash256>,
-}
-
-/// Builds an inclusion proof for `txids[index]`.
-///
-/// Returns `None` if `index` is out of range or the list is empty.
-pub fn merkle_proof(txids: &[Hash256], index: usize) -> Option<MerkleProof> {
-    if index >= txids.len() {
-        return None;
-    }
-    let mut siblings = Vec::new();
-    let mut level: Vec<Hash256> = txids.to_vec();
-    let mut idx = index;
-    while level.len() > 1 {
-        if level.len() % 2 == 1 {
-            level.push(*level.last().unwrap());
-        }
-        let sibling = if idx % 2 == 0 { level[idx + 1] } else { level[idx - 1] };
-        siblings.push(sibling);
-        let mut next = Vec::with_capacity(level.len() / 2);
-        for pair in level.chunks(2) {
-            next.push(hash_pair(&pair[0], &pair[1]));
-        }
-        level = next;
-        idx /= 2;
-    }
-    Some(MerkleProof { index, siblings })
-}
-
-/// Verifies an inclusion proof against a root.
-pub fn verify_proof(leaf: &Hash256, proof: &MerkleProof, root: &Hash256) -> bool {
-    let mut node = *leaf;
-    let mut idx = proof.index;
-    for sibling in &proof.siblings {
-        node = if idx % 2 == 0 {
-            hash_pair(&node, sibling)
-        } else {
-            hash_pair(sibling, &node)
-        };
-        idx /= 2;
-    }
-    node == *root
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,36 +75,5 @@ mod tests {
         let mut swapped = l.clone();
         swapped.swap(0, 1);
         assert_ne!(merkle_root(&l), merkle_root(&swapped));
-    }
-
-    #[test]
-    fn proofs_verify_for_all_sizes_and_indices() {
-        for n in 1..=17usize {
-            let l = leaves(n);
-            let root = merkle_root(&l);
-            for i in 0..n {
-                let proof = merkle_proof(&l, i).unwrap();
-                assert!(verify_proof(&l[i], &proof, &root), "n={n} i={i}");
-                // A different leaf must not verify at this position.
-                let wrong = sha256d(b"wrong");
-                assert!(!verify_proof(&wrong, &proof, &root), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_out_of_range() {
-        let l = leaves(4);
-        assert!(merkle_proof(&l, 4).is_none());
-        assert!(merkle_proof(&[], 0).is_none());
-    }
-
-    #[test]
-    fn tampered_proof_fails() {
-        let l = leaves(8);
-        let root = merkle_root(&l);
-        let mut proof = merkle_proof(&l, 3).unwrap();
-        proof.siblings[1] = sha256d(b"tamper");
-        assert!(!verify_proof(&l[3], &proof, &root));
     }
 }

@@ -112,15 +112,6 @@ impl Clustering {
             .map(|(i, &s)| (i as u32, s))
     }
 
-    /// Cluster membership lists (cluster id → addresses).
-    pub fn members_by_cluster(&self) -> Vec<Vec<AddressId>> {
-        let mut members = vec![Vec::new(); self.sizes.len()];
-        for (addr, &c) in self.assignment.iter().enumerate() {
-            members[c as usize].push(addr as AddressId);
-        }
-        members
-    }
-
     /// Counts "sink" addresses — addresses that never spent — which the
     /// paper folds into its distinct-user upper bound.
     pub fn sink_count(&self, chain: &ResolvedChain) -> usize {
@@ -194,8 +185,6 @@ mod tests {
         let clustering = Clusterer::with_h2(ChangeConfig::naive()).run(&t.chain);
         let total: u32 = clustering.sizes.iter().sum();
         assert_eq!(total as usize, t.chain.address_count());
-        let members = clustering.members_by_cluster();
-        assert_eq!(members.iter().map(Vec::len).sum::<usize>(), t.chain.address_count());
     }
 
     #[test]

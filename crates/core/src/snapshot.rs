@@ -146,7 +146,7 @@ pub struct ClusterSnapshot {
 
 impl ClusterSnapshot {
     /// Fuses a clustering, its naming, and chain aggregates into a frozen
-    /// snapshot.
+    /// snapshot: [`ClusterSnapshot::build_at`] over the whole chain.
     ///
     /// Panics if `clustering` does not cover exactly the addresses of
     /// `chain` (they must come from the same run).
@@ -160,40 +160,7 @@ impl ClusterSnapshot {
             chain.address_count(),
             "clustering and chain disagree on address count"
         );
-        let mut clusters: Vec<ClusterInfo> = clustering
-            .sizes
-            .iter()
-            .map(|&size| ClusterInfo { size, ..Default::default() })
-            .collect();
-        for (cluster, name) in &names.names {
-            let slot = &mut clusters[*cluster as usize];
-            slot.name = Some(name.clone());
-            slot.category = names.categories.get(cluster).cloned();
-        }
-        // Received/spent totals in one chain pass.
-        let mut received = vec![0u64; clusters.len()];
-        let mut spent = vec![0u64; clusters.len()];
-        for tx in &chain.txs {
-            for input in &tx.inputs {
-                let c = clustering.assignment[input.address as usize] as usize;
-                spent[c] += input.value.to_sat();
-            }
-            for out in &tx.outputs {
-                let c = clustering.assignment[out.address as usize] as usize;
-                received[c] += out.value.to_sat();
-            }
-        }
-        for (i, slot) in clusters.iter_mut().enumerate() {
-            slot.received = Amount::from_sat(received[i]);
-            slot.spent = Amount::from_sat(spent[i]);
-        }
-        let tip_height = chain.txs.last().map(|t| t.height).unwrap_or(0);
-        ClusterSnapshot {
-            assignment: clustering.assignment.clone(),
-            clusters,
-            tip_height,
-            tx_count: chain.tx_count() as u64,
-        }
+        ClusterSnapshot::build_at(chain, chain.tx_count(), clustering, names)
     }
 
     /// [`ClusterSnapshot::build`] for a clustering that has only seen the
@@ -203,8 +170,7 @@ impl ClusterSnapshot {
     /// Addresses are interned in order of first appearance, so the
     /// transactions of the prefix reference exactly the address ids
     /// `0..clustering.assignment.len()`; aggregation stops at `tx_end`
-    /// instead of walking the whole chain. With
-    /// `tx_end == chain.tx_count()` this is identical to `build`.
+    /// instead of walking the whole chain.
     ///
     /// Panics if `tx_end` exceeds the chain or the prefix references an
     /// address the clustering does not cover (the clustering came from a

@@ -6,7 +6,7 @@
 //! `blockchain.info/tags`, and by scraping forums (§3.2).
 
 use fistful_chain::resolve::AddressId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Where a tag came from; determines its reliability weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,11 +43,10 @@ pub struct Tag {
     pub source: TagSource,
 }
 
-/// An indexed collection of tags.
+/// A collection of tags.
 #[derive(Debug, Clone, Default)]
 pub struct TagDb {
     tags: Vec<Tag>,
-    by_address: HashMap<AddressId, Vec<usize>>,
 }
 
 impl TagDb {
@@ -58,7 +57,6 @@ impl TagDb {
 
     /// Adds a tag.
     pub fn add(&mut self, tag: Tag) {
-        self.by_address.entry(tag.address).or_default().push(self.tags.len());
         self.tags.push(tag);
     }
 
@@ -77,42 +75,9 @@ impl TagDb {
         &self.tags
     }
 
-    /// Tags attached to an address.
-    pub fn tags_for(&self, addr: AddressId) -> impl Iterator<Item = &Tag> {
-        self.by_address
-            .get(&addr)
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.tags[i])
-    }
-
-    /// Number of distinct tagged addresses.
-    pub fn tagged_address_count(&self) -> usize {
-        self.by_address.len()
-    }
-
     /// Distinct service names present.
     pub fn services(&self) -> HashSet<&str> {
         self.tags.iter().map(|t| t.service.as_str()).collect()
-    }
-
-    /// All addresses tagged with a given category (e.g. "gambling" for the
-    /// Satoshi-Dice exception).
-    pub fn addresses_in_category(&self, category: &str) -> HashSet<AddressId> {
-        self.tags
-            .iter()
-            .filter(|t| t.category == category)
-            .map(|t| t.address)
-            .collect()
-    }
-
-    /// All addresses tagged with a given service name.
-    pub fn addresses_of_service(&self, service: &str) -> HashSet<AddressId> {
-        self.tags
-            .iter()
-            .filter(|t| t.service == service)
-            .map(|t| t.address)
-            .collect()
     }
 
     /// Tags restricted to a source.
@@ -136,21 +101,9 @@ mod tests {
         db.add(tag(1, "Mt. Gox", "exchange", TagSource::Forum));
         db.add(tag(2, "Satoshi Dice", "gambling", TagSource::OwnTransaction));
         assert_eq!(db.len(), 3);
-        assert_eq!(db.tagged_address_count(), 2);
-        assert_eq!(db.tags_for(1).count(), 2);
-        assert_eq!(db.tags_for(99).count(), 0);
         assert_eq!(db.services().len(), 2);
-    }
-
-    #[test]
-    fn category_and_service_lookups() {
-        let mut db = TagDb::new();
-        db.add(tag(1, "Satoshi Dice", "gambling", TagSource::OwnTransaction));
-        db.add(tag(2, "Satoshi Dice", "gambling", TagSource::OwnTransaction));
-        db.add(tag(3, "Mt. Gox", "exchange", TagSource::OwnTransaction));
-        let dice = db.addresses_in_category("gambling");
-        assert_eq!(dice, HashSet::from([1, 2]));
-        assert_eq!(db.addresses_of_service("Mt. Gox"), HashSet::from([3]));
+        assert_eq!(db.tags_from(TagSource::OwnTransaction).count(), 2);
+        assert_eq!(db.tags()[2].service, "Satoshi Dice");
     }
 
     #[test]

@@ -1,8 +1,12 @@
-//! Test-only helper for building small hand-crafted chains.
+//! Test-only helpers for building small hand-crafted chains and the
+//! snapshots that name their addresses.
 
+use crate::cluster::Clustering;
+use crate::naming::NamingReport;
+use crate::snapshot::ClusterSnapshot;
 use fistful_chain::address::Address;
 use fistful_chain::amount::Amount;
-use fistful_chain::resolve::ResolvedChain;
+use fistful_chain::resolve::{AddressId, ResolvedChain};
 use fistful_chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use fistful_chain::utxo::UtxoSet;
 use fistful_crypto::hash::Hash256;
@@ -103,6 +107,29 @@ impl TestChain {
         self.txids.push(txid);
         self.txids.len() - 1
     }
+}
+
+/// A snapshot of `chain` in which every address is its own cluster and
+/// each `(address, service, category)` entry names its address's cluster —
+/// ground-truth-style attribution for the flow entry points, which resolve
+/// services through a [`ClusterSnapshot`].
+pub fn named_snapshot(
+    chain: &ResolvedChain,
+    named: &[(AddressId, &str, &str)],
+) -> ClusterSnapshot {
+    let n = chain.address_count();
+    let clustering = Clustering {
+        assignment: (0..n as u32).collect(),
+        sizes: vec![1; n],
+        h1_stats: Default::default(),
+        change_labels: None,
+    };
+    let mut names = NamingReport::default();
+    for &(addr, service, category) in named {
+        names.names.insert(addr, service.to_string());
+        names.categories.insert(addr, category.to_string());
+    }
+    ClusterSnapshot::build(chain, &clustering, &names)
 }
 
 #[cfg(test)]

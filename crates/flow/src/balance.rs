@@ -5,9 +5,9 @@
 //! addresses." A *sink* address is one that has never spent (over the
 //! whole observation window).
 
-use crate::categories::ServiceResolver;
 use fistful_chain::amount::Amount;
 use fistful_chain::resolve::{AddressId, ResolvedChain};
+use fistful_core::snapshot::ClusterSnapshot;
 use std::collections::BTreeMap;
 
 /// One sampled point of the balance series.
@@ -61,19 +61,17 @@ pub fn point_at(series: &[BalancePoint], height: u64) -> Option<&BalancePoint> {
 
 /// Computes the balance series, sampling every `every` blocks.
 ///
-/// `directory` assigns addresses to categories — any
-/// [`ServiceResolver`]: a live [`AddressDirectory`](crate::categories::AddressDirectory)
-/// (cluster naming, as the paper did, or ground truth) or a frozen
-/// [`ClusterSnapshot`](fistful_core::snapshot::ClusterSnapshot). Category
-/// balances count only *active* coins — coins on addresses that spend at
-/// some point in the window — making them directly comparable to the
-/// active-supply denominator (sink-held coins are excluded from both).
+/// `snapshot` assigns addresses to categories through their named
+/// clusters, as the paper did. Category balances count only *active*
+/// coins — coins on addresses that spend at some point in the window —
+/// making them directly comparable to the active-supply denominator
+/// (sink-held coins are excluded from both).
 pub fn balance_series(
     chain: &ResolvedChain,
-    directory: &impl ServiceResolver,
+    snapshot: &ClusterSnapshot,
     every: u64,
 ) -> Vec<BalancePoint> {
-    balance_series_at(chain, chain.tx_count(), directory, every)
+    balance_series_at(chain, chain.tx_count(), snapshot, every)
 }
 
 /// [`balance_series`] over only the first `tx_end` transactions of the
@@ -95,7 +93,7 @@ pub fn balance_series(
 pub fn balance_series_at(
     chain: &ResolvedChain,
     tx_end: usize,
-    directory: &impl ServiceResolver,
+    snapshot: &ClusterSnapshot,
     every: u64,
 ) -> Vec<BalancePoint> {
     assert!(every > 0, "sampling interval must be positive");
@@ -116,7 +114,7 @@ pub fn balance_series_at(
                 return SINK;
             }
             let next = slot_of.len() as u32;
-            directory.category(a).map_or(NO_CATEGORY, |c| *slot_of.entry(c).or_insert(next))
+            snapshot.category_of(a).map_or(NO_CATEGORY, |c| *slot_of.entry(c).or_insert(next))
         })
         .collect();
 
@@ -182,8 +180,7 @@ pub fn balance_series_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::categories::AddressDirectory;
-    use fistful_core::testutil::TestChain;
+    use fistful_core::testutil::{named_snapshot, TestChain};
 
     #[test]
     fn tracks_category_balances_over_time() {
@@ -195,11 +192,10 @@ mod tests {
         // address 3 (also Mt. Gox's).
         t.tx(&[(cb, 0)], &[(2, 20), (3, 29)]);
 
-        let n = t.chain.address_count();
-        let mut pairs = vec![(None, None); n];
-        pairs[t.id(1) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        pairs[t.id(3) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        let dir = AddressDirectory::from_pairs(pairs);
+        let dir = named_snapshot(
+            &t.chain,
+            &[(t.id(1), "Mt. Gox", "exchange"), (t.id(3), "Mt. Gox", "exchange")],
+        );
 
         let series = balance_series(&t.chain, &dir, 1);
         assert!(!series.is_empty());
@@ -223,7 +219,7 @@ mod tests {
         let _cb2 = t.coinbase(2, 50); // addr 2 never spends → sink
         t.tx(&[(cb1, 0)], &[(3, 50)]); // addr 3 never spends → sink too
 
-        let dir = AddressDirectory::from_pairs(vec![(None, None); t.chain.address_count()]);
+        let dir = named_snapshot(&t.chain, &[]);
         let series = balance_series(&t.chain, &dir, 1);
         let last = series.last().unwrap();
         // addr 1 spent (not a sink); addrs 2, 3 are sinks holding 100.
@@ -244,10 +240,7 @@ mod tests {
         let _t3 = t.tx(&[(t1, 0)], &[(4, 25), (5, 25)]);
         let _t4 = t.tx(&[(t2, 0)], &[(5, 50)]);
 
-        let n = t.chain.address_count();
-        let mut pairs = vec![(None, None); n];
-        pairs[t.id(4) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        let dir = AddressDirectory::from_pairs(pairs);
+        let dir = named_snapshot(&t.chain, &[(t.id(4), "Mt. Gox", "exchange")]);
         let series = balance_series(&t.chain, &dir, 1);
         let last = series.last().unwrap();
         // Every address spent at least once, so nothing is a sink: active
@@ -261,7 +254,7 @@ mod tests {
         let mut t = TestChain::new();
         let cb = t.coinbase(1, 50);
         t.tx(&[(cb, 0)], &[(2, 20), (3, 29)]);
-        let dir = AddressDirectory::from_pairs(vec![(None, None); t.chain.address_count()]);
+        let dir = named_snapshot(&t.chain, &[]);
         let series = balance_series(&t.chain, &dir, 1);
         assert!(series.len() >= 2);
 
@@ -284,7 +277,7 @@ mod tests {
         let cb1 = t.coinbase(1, 50);
         let _cb2 = t.coinbase(2, 50);
         t.tx(&[(cb1, 0)], &[(3, 50)]); // addr 1 spends only in tx 2
-        let dir = AddressDirectory::from_pairs(vec![(None, None); t.chain.address_count()]);
+        let dir = named_snapshot(&t.chain, &[]);
 
         // Full prefix is byte-for-byte the whole-chain series.
         let full = balance_series(&t.chain, &dir, 1);
@@ -313,12 +306,14 @@ mod tests {
         let t2 = t.tx(&[(t1, 0)], &[(4, 10), (5, 20)]);
         t.tx(&[(t2, 1)], &[(4, 19)]);
 
-        let n = t.chain.address_count();
-        let mut pairs = vec![(None, None); n];
-        pairs[t.id(1) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        pairs[t.id(3) as usize] = (Some("SatoshiDice".into()), Some("gambling".into()));
-        pairs[t.id(5) as usize] = (Some("Silk Road".into()), Some("vendor".into()));
-        let dir = AddressDirectory::from_pairs(pairs);
+        let dir = named_snapshot(
+            &t.chain,
+            &[
+                (t.id(1), "Mt. Gox", "exchange"),
+                (t.id(3), "SatoshiDice", "gambling"),
+                (t.id(5), "Silk Road", "vendor"),
+            ],
+        );
 
         let series = balance_series(&t.chain, &dir, 1);
         assert_eq!(series.len(), 4);
@@ -351,7 +346,7 @@ mod tests {
     #[should_panic(expected = "sampling interval")]
     fn zero_interval_rejected() {
         let t = TestChain::new();
-        let dir = AddressDirectory::default();
+        let dir = ClusterSnapshot::default();
         balance_series(&t.chain, &dir, 0);
     }
 }

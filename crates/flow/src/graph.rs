@@ -21,12 +21,15 @@
 //!   inputs spend, which makes "how many inputs are tainted?" a handful of
 //!   array reads;
 //! * per-address `first_seen` / `last_spent` — the liveness interval of
-//!   every address, lifted from the resolver's event lists.
+//!   every address: its first appearance, and the last input that spent
+//!   from it.
 //!
-//! Construction shards the fill across block-aligned ranges with
-//! [`std::thread::scope`], the same way `fistful_core::heuristic1`'s
-//! parallel pass shards Heuristic 1. The result is immutable, `Send +
-//! Sync`, and shareable via [`Arc`](std::sync::Arc): the batch taint engine
+//! Construction is one sequential pass that appends each transaction's
+//! outputs and inputs to the flat arrays ([`TxGraph::extend_to`]); a full
+//! build is that pass from the empty graph to the chain's end, and the
+//! live pipeline runs the same pass block range by block range. The result
+//! is immutable, `Send + Sync`, and shareable via
+//! [`Arc`](std::sync::Arc): the batch taint engine
 //! ([`track_thefts_batch`](crate::theft::track_thefts_batch)) runs N theft
 //! walks concurrently over one graph with per-thread frontiers.
 //!
@@ -34,10 +37,9 @@
 //!
 //! ```
 //! use fistful_core::change::{identify, ChangeConfig};
-//! use fistful_core::testutil::TestChain;
+//! use fistful_core::testutil::{named_snapshot, TestChain};
 //! use fistful_flow::graph::TxGraph;
 //! use fistful_flow::theft::track_thefts_batch;
-//! use fistful_flow::AddressDirectory;
 //!
 //! // Two thefts; the first aggregates its loot and peels 30 BTC to an
 //! // exchange address, the second's loot never moves.
@@ -54,13 +56,11 @@
 //! assert_eq!(graph.tx_count(), t.chain.tx_count());
 //!
 //! let labels = identify(&t.chain, &ChangeConfig::naive());
-//! let mut pairs = vec![(None, None); t.chain.address_count()];
-//! pairs[t.id(50) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-//! let directory = AddressDirectory::from_pairs(pairs);
+//! let snapshot = named_snapshot(&t.chain, &[(t.id(50), "Mt. Gox", "exchange")]);
 //!
 //! // N thefts, one shared graph, per-thread frontiers.
 //! let thefts = vec![vec![(theft1 as u32, 0)], vec![(theft2 as u32, 0)]];
-//! let traces = track_thefts_batch(&graph, &thefts, &labels, &directory, 100, 2);
+//! let traces = track_thefts_batch(&graph, &thefts, &labels, &snapshot, 100, 2);
 //! assert!(traces[0].reached_exchange());
 //! assert_eq!(traces[0].pattern, "P");
 //! assert!(!traces[1].reached_exchange());
@@ -97,104 +97,10 @@ pub struct TxGraph {
 }
 
 impl TxGraph {
-    /// Builds the index from a resolved chain, sharding the fill across
-    /// all available cores.
+    /// Builds the index over the whole chain: [`TxGraph::build_at`] at
+    /// `chain.tx_count()`.
     pub fn build(chain: &ResolvedChain) -> TxGraph {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        TxGraph::build_with_threads(chain, threads)
-    }
-
-    /// Builds the index with an explicit worker-thread count.
-    ///
-    /// One sequential O(txs) pass computes the CSR prefix arrays; the flat
-    /// per-output and per-input fills are then sharded over block-aligned
-    /// transaction ranges via [`std::thread::scope`] (each worker writes a
-    /// disjoint slice, so no synchronization is needed); the per-address
-    /// liveness arrays come straight from the resolver's height-sorted
-    /// event lists.
-    pub fn build_with_threads(chain: &ResolvedChain, threads: usize) -> TxGraph {
-        let n_tx = chain.tx_count();
-        let n_addr = chain.address_count();
-
-        // Pass 1 (sequential): prefix sums of output/input counts.
-        let mut out_start = Vec::with_capacity(n_tx + 1);
-        let mut in_start = Vec::with_capacity(n_tx + 1);
-        let (mut outs, mut ins) = (0u64, 0u64);
-        out_start.push(0u32);
-        in_start.push(0u32);
-        for tx in &chain.txs {
-            outs += tx.outputs.len() as u64;
-            ins += tx.inputs.len() as u64;
-            assert!(
-                outs < u64::from(u32::MAX) && ins < u64::from(u32::MAX),
-                "chain exceeds the u32 flat-index space of TxGraph"
-            );
-            out_start.push(outs as u32);
-            in_start.push(ins as u32);
-        }
-
-        // Pass 2 (parallel): fill the flat arrays over disjoint tx ranges.
-        let mut out_address = vec![0 as AddressId; outs as usize];
-        let mut out_value = vec![Amount::ZERO; outs as usize];
-        let mut out_spender = vec![NO_TX; outs as usize];
-        let mut in_source = vec![0u32; ins as usize];
-        {
-            let chunks = block_aligned_chunks(chain, threads);
-            let mut addr_rest: &mut [AddressId] = &mut out_address;
-            let mut val_rest: &mut [Amount] = &mut out_value;
-            let mut spend_rest: &mut [TxId] = &mut out_spender;
-            let mut src_rest: &mut [u32] = &mut in_source;
-            let out_start = &out_start;
-            let in_start = &in_start;
-            std::thread::scope(|s| {
-                for range in chunks {
-                    let out_len =
-                        (out_start[range.end] - out_start[range.start]) as usize;
-                    let in_len = (in_start[range.end] - in_start[range.start]) as usize;
-                    let (addr_part, rest) = addr_rest.split_at_mut(out_len);
-                    addr_rest = rest;
-                    let (val_part, rest) = val_rest.split_at_mut(out_len);
-                    val_rest = rest;
-                    let (spend_part, rest) = spend_rest.split_at_mut(out_len);
-                    spend_rest = rest;
-                    let (src_part, rest) = src_rest.split_at_mut(in_len);
-                    src_rest = rest;
-                    s.spawn(move || {
-                        let (mut o, mut i) = (0usize, 0usize);
-                        for tx in &chain.txs[range] {
-                            for out in &tx.outputs {
-                                addr_part[o] = out.address;
-                                val_part[o] = out.value;
-                                spend_part[o] = out.spent_by.unwrap_or(NO_TX);
-                                o += 1;
-                            }
-                            for input in &tx.inputs {
-                                src_part[i] =
-                                    out_start[input.prev_tx as usize] + input.prev_vout;
-                                i += 1;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-
-        // Per-address liveness, straight from the resolver's accessors.
-        let first_seen = (0..n_addr as AddressId).map(|a| chain.first_seen(a)).collect();
-        let last_spent = (0..n_addr as AddressId)
-            .map(|a| chain.last_spent_in(a).unwrap_or(NO_TX))
-            .collect();
-
-        TxGraph {
-            out_start,
-            out_address,
-            out_value,
-            out_spender,
-            in_start,
-            in_source,
-            first_seen,
-            last_spent,
-        }
+        TxGraph::build_at(chain, chain.tx_count())
     }
 
     /// Builds the index over only the first `tx_end` transactions of
@@ -204,8 +110,6 @@ impl TxGraph {
     /// `tx_end` count as unspent, and the liveness arrays cover only the
     /// addresses the prefix has interned (addresses are interned in
     /// first-appearance order, so the prefix covers a dense id range).
-    /// With `tx_end == chain.tx_count()` the result is identical to
-    /// [`TxGraph::build`].
     pub fn build_at(chain: &ResolvedChain, tx_end: usize) -> TxGraph {
         assert!(tx_end <= chain.tx_count(), "tx_end exceeds the chain");
         let mut graph = TxGraph {
@@ -273,8 +177,12 @@ impl TxGraph {
             for input in &tx.inputs {
                 let src = self.out_start[input.prev_tx as usize] + input.prev_vout;
                 self.in_source.push(src);
-                self.out_spender[src as usize] = t;
-                self.last_spent[self.out_address[src as usize] as usize] = t;
+                // An output appended by this call already carries its
+                // spender; only an older one needs the patch.
+                if (input.prev_tx as usize) < old_end {
+                    self.out_spender[src as usize] = t;
+                }
+                self.last_spent[input.address as usize] = t;
             }
             assert!(
                 self.out_address.len() < u32::MAX as usize
@@ -495,29 +403,6 @@ impl TxGraph {
     }
 }
 
-/// Partitions `0..tx_count` into at most `threads` contiguous ranges cut
-/// on block boundaries, each covering roughly equal transaction counts.
-fn block_aligned_chunks(chain: &ResolvedChain, threads: usize) -> Vec<Range<usize>> {
-    let n_tx = chain.tx_count();
-    if n_tx == 0 {
-        return Vec::new();
-    }
-    let target = n_tx.div_ceil(threads.max(1)).max(1);
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    for block in chain.blocks() {
-        let end = block.tx_end() as usize;
-        if end - start >= target {
-            chunks.push(start..end);
-            start = end;
-        }
-    }
-    if start < n_tx {
-        chunks.push(start..n_tx);
-    }
-    chunks
-}
-
 /// An open-addressed set of `u32` keys with multiplicative (Fibonacci)
 /// hashing — the taint frontier's working set.
 ///
@@ -684,30 +569,28 @@ mod tests {
     #[test]
     fn csr_shape_matches_chain() {
         let t = sample();
-        for threads in [1, 2, 4] {
-            let g = TxGraph::build_with_threads(&t.chain, threads);
-            assert_eq!(g.tx_count(), t.chain.tx_count());
-            assert_eq!(g.address_count(), t.chain.address_count());
-            assert_eq!(g.output_count(), t.chain.total_output_count());
-            assert_eq!(g.input_count(), t.chain.total_input_count());
-            for (tx_id, tx) in t.chain.txs.iter().enumerate() {
-                let tx_id = tx_id as TxId;
-                assert_eq!(g.num_outputs(tx_id), tx.outputs.len());
-                assert_eq!(g.num_inputs(tx_id), tx.inputs.len());
-                for (v, o) in tx.outputs.iter().enumerate() {
-                    let flat = g.flat(tx_id, v as u32);
-                    assert_eq!(g.address_of(flat), o.address);
-                    assert_eq!(g.value_of(flat), o.value);
-                    assert_eq!(g.spender_of(flat), o.spent_by);
-                    assert_eq!(g.spender(tx_id, v as u32), o.spent_by);
-                    assert_eq!(g.outpoint(flat), (tx_id, v as u32));
-                }
-                for (slot, input) in tx.inputs.iter().enumerate() {
-                    assert_eq!(
-                        g.inputs(tx_id)[slot],
-                        g.flat(input.prev_tx, input.prev_vout)
-                    );
-                }
+        let g = TxGraph::build(&t.chain);
+        assert_eq!(g.tx_count(), t.chain.tx_count());
+        assert_eq!(g.address_count(), t.chain.address_count());
+        assert_eq!(g.output_count(), t.chain.total_output_count());
+        assert_eq!(g.input_count(), t.chain.total_input_count());
+        for (tx_id, tx) in t.chain.txs.iter().enumerate() {
+            let tx_id = tx_id as TxId;
+            assert_eq!(g.num_outputs(tx_id), tx.outputs.len());
+            assert_eq!(g.num_inputs(tx_id), tx.inputs.len());
+            for (v, o) in tx.outputs.iter().enumerate() {
+                let flat = g.flat(tx_id, v as u32);
+                assert_eq!(g.address_of(flat), o.address);
+                assert_eq!(g.value_of(flat), o.value);
+                assert_eq!(g.spender_of(flat), o.spent_by);
+                assert_eq!(g.spender(tx_id, v as u32), o.spent_by);
+                assert_eq!(g.outpoint(flat), (tx_id, v as u32));
+            }
+            for (slot, input) in tx.inputs.iter().enumerate() {
+                assert_eq!(
+                    g.inputs(tx_id)[slot],
+                    g.flat(input.prev_tx, input.prev_vout)
+                );
             }
         }
     }
@@ -715,7 +598,7 @@ mod tests {
     #[test]
     fn liveness_matches_resolver() {
         let t = sample();
-        let g = TxGraph::build_with_threads(&t.chain, 2);
+        let g = TxGraph::build(&t.chain);
         for a in 0..t.chain.address_count() as AddressId {
             assert_eq!(g.first_seen(a), Some(t.chain.first_seen(a)));
             assert_eq!(g.last_spent(a), t.chain.last_spent_in(a));
@@ -731,7 +614,7 @@ mod tests {
     #[test]
     fn store_round_trips_losslessly() {
         let t = sample();
-        let g = TxGraph::build_with_threads(&t.chain, 2);
+        let g = TxGraph::build(&t.chain);
         let mut w = fistful_store::StoreWriter::new();
         g.write_store(&mut w);
         let mut store = fistful_store::Store::open_bytes(w.to_bytes()).unwrap();
@@ -748,7 +631,7 @@ mod tests {
     #[test]
     fn store_read_rejects_semantic_corruption() {
         let t = sample();
-        let g = TxGraph::build_with_threads(&t.chain, 2);
+        let g = TxGraph::build(&t.chain);
         // Re-encode the container with one column replaced, for each
         // corruption that must be caught by the semantic validator (the
         // container layer cannot see it: checksums are recomputed).
@@ -831,29 +714,6 @@ mod tests {
         assert_eq!(g.output_count(), 0);
         assert_eq!(g.input_count(), 0);
         assert_eq!(g.address_count(), 0);
-    }
-
-    #[test]
-    fn chunks_cover_and_align() {
-        let t = sample();
-        for threads in [1, 2, 3, 8] {
-            let chunks = block_aligned_chunks(&t.chain, threads);
-            // Chunks partition 0..tx_count without gaps or overlaps.
-            let mut next = 0usize;
-            for c in &chunks {
-                assert_eq!(c.start, next);
-                assert!(c.end > c.start);
-                next = c.end;
-            }
-            assert_eq!(next, t.chain.tx_count());
-            // Every boundary except the last is a block boundary.
-            let starts: Vec<usize> =
-                t.chain.blocks().map(|b| b.tx_start() as usize).collect();
-            for c in chunks.iter().take(chunks.len().saturating_sub(1)) {
-                assert!(starts.contains(&c.end) || c.end == t.chain.tx_count());
-            }
-        }
-        assert!(block_aligned_chunks(&TestChain::new().chain, 4).is_empty());
     }
 
     #[test]

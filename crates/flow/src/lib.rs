@@ -3,7 +3,7 @@
 //! Implements §5 of the paper:
 //!
 //! * [`graph`] — the columnar (CSR) transaction-graph index
-//!   ([`graph::TxGraph`]): one parallel pass over the chain produces flat
+//!   ([`graph::TxGraph`]): one sequential pass over the chain produces flat
 //!   adjacency arrays that every multi-hop traversal below runs on,
 //!   instead of re-resolving spenders hop by hop per query;
 //! * [`peel`] — systematic traversal of *peeling chains* by following
@@ -17,20 +17,18 @@
 //!   ([`theft::track_thefts_batch`]) that tracks N thefts concurrently
 //!   over one shared graph with per-thread frontiers;
 //! * [`balance`] — per-category balance time series as a percentage of
-//!   active (non-sink) bitcoins (Figure 2);
-//! * [`categories`] — address → category/service resolution, either from
-//!   cluster naming (as the paper had to), from simulator ground truth, or
-//!   from a frozen
-//!   [`ClusterSnapshot`](fistful_core::snapshot::ClusterSnapshot)
-//!   (the [`categories::ServiceResolver`] trait abstracts all three, so
-//!   every entry point here runs against the reloaded artifact without
-//!   replaying the chain).
+//!   active (non-sink) bitcoins (Figure 2).
+//!
+//! Every entry point that attributes addresses to services or categories
+//! reads them from a frozen
+//! [`ClusterSnapshot`](fistful_core::snapshot::ClusterSnapshot): the named
+//! clustering, as the paper had to, whether built in process or reloaded
+//! from its store container.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod balance;
-pub mod categories;
 pub mod graph;
 pub mod movement;
 pub mod peel;
@@ -47,7 +45,6 @@ extern crate self as fistful_flow;
 mod flow_oracle;
 
 pub use balance::{balance_series, balance_series_at, point_at, BalancePoint};
-pub use categories::{AddressDirectory, ServiceResolver};
 pub use graph::{TaintScratch, TxGraph};
 pub use movement::{classify_movements_indexed, MovementKind};
 pub use peel::{follow_chain_indexed, follow_chains_indexed, FollowStrategy, Hop, PeelChain};

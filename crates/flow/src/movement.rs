@@ -315,7 +315,7 @@ mod tests {
         let p1 = t.tx(&[(split, 2)], &[(100, 10), (15, 40)]);
         let _p2 = t.tx(&[(p1, 1)], &[(100, 10), (16, 30)]);
         let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build_with_threads(&t.chain, 2);
+        let graph = TxGraph::build(&t.chain);
         let mut scratch = TaintScratch::for_graph(&graph);
         let loot = [(theft as u32, 0)];
         for max_txs in [0, 1, 2, 3, 100] {

@@ -255,7 +255,7 @@ mod tests {
     fn indexed_matches_legacy_hop_for_hop() {
         let (t, _) = peeling_chain();
         let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build_with_threads(&t.chain, 2);
+        let graph = TxGraph::build(&t.chain);
         for start in 0..t.chain.tx_count() as u32 {
             for strategy in [FollowStrategy::Strict, FollowStrategy::LargestFallback] {
                 for max_hops in [0, 1, 2, 100] {

@@ -2,15 +2,15 @@
 //!
 //! For each theft, the paper reports how much was stolen, how the money
 //! moved (A/P/S/F), and whether any of it reached a known exchange. This
-//! module derives all three from the chain, the loot outputs, and an
-//! address directory.
+//! module derives all three from the chain, the loot outputs, and the
+//! named clustering's snapshot.
 
-use crate::categories::ServiceResolver;
 use crate::graph::{TaintScratch, TxGraph};
 use crate::movement::{classify_movements_indexed, pattern_string, TaintedTx};
 use fistful_chain::amount::Amount;
 use fistful_chain::resolve::TxId;
 use fistful_core::change::ChangeLabels;
+use fistful_core::snapshot::ClusterSnapshot;
 
 /// The derived trace of one theft.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,16 +39,12 @@ impl TheftTrace {
 /// columnar [`TxGraph`] index: the movement walk
 /// ([`classify_movements_indexed`], on the caller-supplied reusable
 /// [`TaintScratch`]), the loot that never moved, and the value that
-/// reached exchanges.
-///
-/// `directory` is any [`ServiceResolver`] — a live
-/// [`AddressDirectory`](crate::categories::AddressDirectory) or a frozen
-/// [`ClusterSnapshot`](fistful_core::snapshot::ClusterSnapshot).
+/// reached exchanges; `snapshot` names the exchanges.
 pub fn track_theft_indexed(
     graph: &TxGraph,
     loot: &[(TxId, u32)],
     labels: &ChangeLabels,
-    directory: &impl ServiceResolver,
+    snapshot: &ClusterSnapshot,
     max_txs: usize,
     scratch: &mut TaintScratch,
 ) -> TheftTrace {
@@ -60,7 +56,7 @@ pub fn track_theft_indexed(
             dormant = dormant.checked_add(graph.value_of(flat)).expect("overflow");
         }
     }
-    summarize(movements, dormant, directory)
+    summarize(movements, dormant, snapshot)
 }
 
 /// The batch multi-source taint engine: tracks `thefts.len()` independent
@@ -74,14 +70,14 @@ pub fn track_theft_indexed(
 /// single scratch — the right mode on one core. `benchmark/` reports the
 /// batch as `flow.theft.batch_track_us` on `batch_cluster`.
 ///
-/// The graph, labels, and directory are shared immutably across workers —
+/// The graph, labels, and snapshot are shared immutably across workers —
 /// wrap the graph in an [`Arc`](std::sync::Arc) if the caller also needs
 /// it on `'static` threads elsewhere.
 pub fn track_thefts_batch(
     graph: &TxGraph,
     thefts: &[Vec<(TxId, u32)>],
     labels: &ChangeLabels,
-    directory: &(impl ServiceResolver + Sync),
+    snapshot: &ClusterSnapshot,
     max_txs: usize,
     threads: usize,
 ) -> Vec<TheftTrace> {
@@ -90,7 +86,7 @@ pub fn track_thefts_batch(
         let mut scratch = TaintScratch::for_graph(graph);
         return thefts
             .iter()
-            .map(|loot| track_theft_indexed(graph, loot, labels, directory, max_txs, &mut scratch))
+            .map(|loot| track_theft_indexed(graph, loot, labels, snapshot, max_txs, &mut scratch))
             .collect();
     }
 
@@ -106,7 +102,7 @@ pub fn track_thefts_batch(
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         let Some(loot) = thefts.get(i) else { break };
                         let trace = track_theft_indexed(
-                            graph, loot, labels, directory, max_txs, &mut scratch,
+                            graph, loot, labels, snapshot, max_txs, &mut scratch,
                         );
                         produced.push((i, trace));
                     }
@@ -129,7 +125,7 @@ pub fn track_thefts_batch(
 fn summarize(
     movements: Vec<TaintedTx>,
     dormant: Amount,
-    directory: &impl ServiceResolver,
+    snapshot: &ClusterSnapshot,
 ) -> TheftTrace {
     let pattern = pattern_string(&movements);
 
@@ -138,9 +134,9 @@ fn summarize(
     let mut exchange_services = std::collections::HashSet::new();
     for m in &movements {
         for &(addr, value) in &m.departures {
-            if directory.category(addr) == Some("exchange") {
+            if snapshot.category_of(addr) == Some("exchange") {
                 to_exchanges = to_exchanges.checked_add(value).expect("overflow");
-                if let Some(s) = directory.service(addr) {
+                if let Some(s) = snapshot.service_of(addr) {
                     exchange_services.insert(s.to_string());
                 }
             }
@@ -159,10 +155,9 @@ fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::categories::AddressDirectory;
-    use fistful_core::change::{identify, ChangeConfig};
     use crate::flow_oracle::track_theft;
-    use fistful_core::testutil::TestChain;
+    use fistful_core::change::{identify, ChangeConfig};
+    use fistful_core::testutil::{named_snapshot, TestChain};
 
     /// Builds: two thefts → folding aggregation (one clean input) → a peel
     /// to an exchange address (when `with_peel`).
@@ -182,15 +177,12 @@ mod tests {
         (t, (theft as u32, 0), (theft2 as u32, 0))
     }
 
-    fn exchange_dir(t: &TestChain) -> AddressDirectory {
-        let n = t.chain.address_count();
-        let mut pairs = vec![(None, None); n];
-        pairs[t.id(50) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        AddressDirectory::from_pairs(pairs)
+    fn exchange_dir(t: &TestChain) -> ClusterSnapshot {
+        named_snapshot(&t.chain, &[(t.id(50), "Mt. Gox", "exchange")])
     }
 
     /// Tracks `loot` over `t`'s graph, with naive H2 labels.
-    fn track(t: &TestChain, loot: &[(TxId, u32)], dir: &AddressDirectory) -> TheftTrace {
+    fn track(t: &TestChain, loot: &[(TxId, u32)], dir: &ClusterSnapshot) -> TheftTrace {
         let labels = identify(&t.chain, &ChangeConfig::naive());
         let graph = TxGraph::build(&t.chain);
         let mut scratch = TaintScratch::for_graph(&graph);
@@ -221,7 +213,7 @@ mod tests {
         let (t, a, b) = theft_chain(true);
         let dir = exchange_dir(&t);
         let labels = identify(&t.chain, &ChangeConfig::naive());
-        let graph = TxGraph::build_with_threads(&t.chain, 2);
+        let graph = TxGraph::build(&t.chain);
 
         let legacy = track_theft(&t.chain, &[a, b], &labels, &dir, 100);
         let mut scratch = TaintScratch::for_graph(&graph);
@@ -256,7 +248,7 @@ mod tests {
         let c1 = t.coinbase(1, 100);
         let theft = t.tx(&[(c1, 0)], &[(10, 80), (1, 20)]);
         // Nothing moves.
-        let dir = AddressDirectory::from_pairs(vec![(None, None); t.chain.address_count()]);
+        let dir = named_snapshot(&t.chain, &[]);
         let trace = track(&t, &[(theft as u32, 0)], &dir);
         assert_eq!(trace.movements.len(), 0);
         assert_eq!(trace.pattern, "");

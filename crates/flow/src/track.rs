@@ -1,8 +1,8 @@
 //! Attributing peels to named services — the machinery behind Table 2.
 
-use crate::categories::ServiceResolver;
 use crate::peel::PeelChain;
 use fistful_chain::amount::Amount;
+use fistful_core::snapshot::ClusterSnapshot;
 use std::collections::BTreeMap;
 
 /// One row of a Table-2-style report: peels seen to one service along one
@@ -33,26 +33,18 @@ impl ArrivalRow {
 
 /// Summarizes where the peels of several chains (as
 /// [`follow_chains_indexed`](crate::peel::follow_chains_indexed) returns
-/// them) went, per service.
-///
-/// `directory` is any [`ServiceResolver`] — a live
-/// [`AddressDirectory`](crate::categories::AddressDirectory) or a frozen
-/// [`ClusterSnapshot`](fistful_core::snapshot::ClusterSnapshot).
-/// Unattributed peels (addresses with no resolved service) are not listed —
-/// exactly like the paper, which could only report flows to *known*
-/// services.
-pub fn service_arrivals(
-    chains: &[PeelChain],
-    directory: &impl ServiceResolver,
-) -> Vec<ArrivalRow> {
+/// them) went, per service named in `snapshot`. Unattributed peels
+/// (addresses with no resolved service) are not listed — exactly like the
+/// paper, which could only report flows to *known* services.
+pub fn service_arrivals(chains: &[PeelChain], snapshot: &ClusterSnapshot) -> Vec<ArrivalRow> {
     let mut rows: BTreeMap<String, ArrivalRow> = BTreeMap::new();
     for (ci, chain) in chains.iter().enumerate() {
         for hop in &chain.hops {
             for &(addr, value) in &hop.peels {
-                let Some(service) = directory.service(addr) else {
+                let Some(service) = snapshot.service_of(addr) else {
                     continue;
                 };
-                let category = directory.category(addr).unwrap_or("unknown").to_string();
+                let category = snapshot.category_of(addr).unwrap_or("unknown").to_string();
                 let row = rows.entry(service.to_string()).or_insert_with(|| ArrivalRow {
                     service: service.to_string(),
                     category,
@@ -82,25 +74,11 @@ pub fn service_arrivals(
     out
 }
 
-/// Fraction of attributed peels that went to a given category.
-pub fn category_share(rows: &[ArrivalRow], category: &str) -> f64 {
-    let total: usize = rows.iter().map(|r| r.total_peels()).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let hits: usize = rows
-        .iter()
-        .filter(|r| r.category == category)
-        .map(|r| r.total_peels())
-        .sum();
-    hits as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::categories::AddressDirectory;
     use crate::peel::{Hop, StopReason};
+    use fistful_core::testutil::{named_snapshot, TestChain};
 
     fn chain_with_peels(peels: Vec<Vec<(u32, u64)>>) -> PeelChain {
         PeelChain {
@@ -121,20 +99,24 @@ mod tests {
         }
     }
 
-    fn directory() -> AddressDirectory {
-        AddressDirectory::from_pairs(vec![
-            (Some("Mt. Gox".into()), Some("exchange".into())), // addr 0
-            (Some("Instawallet".into()), Some("wallet".into())), // addr 1
-            (None, None),                                      // addr 2 (a user)
-            (Some("Bitzino".into()), Some("gambling".into())), // addr 3
-        ])
+    /// Names addresses 0, 1 and 3 of a four-address chain; address 2 is a
+    /// user.
+    fn snapshot() -> ClusterSnapshot {
+        let mut t = TestChain::new();
+        for a in 0..4 {
+            t.coinbase(a, 1);
+        }
+        named_snapshot(
+            &t.chain,
+            &[(0, "Mt. Gox", "exchange"), (1, "Instawallet", "wallet"), (3, "Bitzino", "gambling")],
+        )
     }
 
     #[test]
     fn arrivals_grouped_per_service_and_chain() {
         let c1 = chain_with_peels(vec![vec![(0, 100)], vec![(1, 50)], vec![(2, 10)]]);
         let c2 = chain_with_peels(vec![vec![(0, 200), (0, 25)], vec![(3, 5)]]);
-        let rows = service_arrivals(&[c1, c2], &directory());
+        let rows = service_arrivals(&[c1, c2], &snapshot());
         assert_eq!(rows.len(), 3); // user peel unattributed
 
         let gox = rows.iter().find(|r| r.service == "Mt. Gox").unwrap();
@@ -153,7 +135,6 @@ mod tests {
         use crate::graph::TxGraph;
         use crate::peel::{follow_chains_indexed, FollowStrategy};
         use fistful_core::change::{identify, ChangeConfig};
-        use fistful_core::testutil::TestChain;
 
         let mut t = TestChain::new();
         let funding = t.coinbase(1, 1000);
@@ -162,9 +143,7 @@ mod tests {
         let _hop2 = t.tx(&[(hop1, 1)], &[(100, 20), (11, 970)]);
         let labels = identify(&t.chain, &ChangeConfig::naive());
         let graph = TxGraph::build(&t.chain);
-        let mut pairs = vec![(None, None); t.chain.address_count()];
-        pairs[t.id(100) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-        let dir = AddressDirectory::from_pairs(pairs);
+        let dir = named_snapshot(&t.chain, &[(t.id(100), "Mt. Gox", "exchange")]);
 
         let chains =
             follow_chains_indexed(&graph, &labels, &[hop1 as u32], 100, FollowStrategy::Strict);
@@ -174,14 +153,5 @@ mod tests {
         assert_eq!(rows, service_arrivals(&[legacy], &dir));
         assert_eq!(rows[0].service, "Mt. Gox");
         assert_eq!(rows[0].total_peels(), 2);
-    }
-
-    #[test]
-    fn category_share_counts_peels() {
-        let c1 = chain_with_peels(vec![vec![(0, 100)], vec![(1, 50)], vec![(3, 10)]]);
-        let rows = service_arrivals(&[c1], &directory());
-        let share = category_share(&rows, "exchange");
-        assert!((share - 1.0 / 3.0).abs() < 1e-9);
-        assert_eq!(category_share(&[], "exchange"), 0.0);
     }
 }

@@ -71,8 +71,8 @@ use crate::protocol::{
     parse_frame_prefix, FramePrefix, ServeError, ServerStats, MAX_REQUEST_PAYLOAD,
 };
 use crate::server::{
-    framing_error_frame, process_request, stalled_read_error, Core, MetricsHandle, Publisher,
-    ServeArtifacts, ServeConfig,
+    framing_error_frame, process_request, stalled_read_error, Core, MetricsHandle, Published,
+    Publisher, ServeArtifacts, ServeConfig,
 };
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use fistful_flow::graph::TaintScratch;
@@ -164,6 +164,10 @@ struct Job {
     gen: u64,
     seq: u64,
     payload: Vec<u8>,
+    /// The artifact generation pinned when the frame was parsed. The loop
+    /// thread pins in request order, so however the workers race, one
+    /// connection's pipelined responses never step back an epoch.
+    published: Arc<Published>,
     /// When the frame finished parsing — dispatch-queue wait time is
     /// measured from here to the worker's pop.
     queued: Instant,
@@ -218,7 +222,8 @@ fn event_worker_loop(core: &Core, dispatch: &Dispatch, waker: &TcpStream) {
         };
         let Some(job) = job else { return };
         core.metrics.dispatch_wait.observe(job.queued.elapsed());
-        let (framed, close_after) = process_request(core, job.payload, &mut scratch);
+        let (framed, close_after) =
+            process_request(core, &job.published, job.payload, &mut scratch);
         dispatch.done.lock().expect("done poisoned").push(Completion {
             conn: job.conn,
             gen: job.gen,
@@ -619,6 +624,7 @@ impl EventLoop {
         let max_pipelined = self.cfg.max_pipelined;
         let mut jobs: Vec<Job> = Vec::new();
         let mut error: Option<ServeError> = None;
+        let mut pinned: Option<Arc<Published>> = None;
         {
             let Some(conn) = self.conns[idx].as_mut() else { return };
             loop {
@@ -640,11 +646,13 @@ impl EventLoop {
                         conn.read_pos += consumed;
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
+                        let published = pinned.get_or_insert_with(|| self.core.current());
                         jobs.push(Job {
                             conn: idx,
                             gen: conn.gen,
                             seq,
                             payload,
+                            published: Arc::clone(published),
                             queued: Instant::now(),
                         });
                     }

@@ -159,9 +159,10 @@ pub(crate) struct Published {
 /// `Core` via [`process_request`], which is what makes their byte
 /// streams identical by construction.
 pub(crate) struct Core {
-    /// The current artifact generation. Workers clone the inner `Arc`
-    /// once per request; the mutex is held only for that pointer copy, so
-    /// a publish never blocks behind a long-running handler.
+    /// The current artifact generation. Each request clones the inner
+    /// `Arc` once (see [`process_request`]); the mutex is held only for
+    /// that pointer copy, so a publish never blocks behind a long-running
+    /// handler.
     pub(crate) published: Mutex<Arc<Published>>,
     pub(crate) cache: Option<ShardedCache>,
     pub(crate) max_taint_txs: usize,
@@ -615,10 +616,17 @@ pub(crate) fn framing_error_frame(core: &Core, e: &ServeError) -> Vec<u8> {
     Response::Error(WireError::from_serve_error(e)).to_frame_at(core.current().epoch)
 }
 
-/// Answers one request payload end to end: counter bump, artifact-
-/// generation pin, cache consult, decode, handle, oversize demotion,
-/// cache insert, and epoch-stamped framing. Returns the complete
-/// response frame and whether the connection must close after sending it.
+/// Answers one request payload end to end against the artifact
+/// generation `published` the caller pinned for it: counter bump, cache
+/// consult, decode, handle, oversize demotion, cache insert, and
+/// epoch-stamped framing. Returns the complete response frame and whether
+/// the connection must close after sending it.
+///
+/// Everything the request reads — cache floors, handlers, the epoch
+/// stamped into the frame — comes from that one generation, so a
+/// concurrent publish cannot tear a request across generations. Callers
+/// pin in request order on each connection, so one connection's
+/// responses never step back an epoch.
 ///
 /// This is the single request path both serve loops share — the threaded
 /// workers call it with the socket in hand, the event loop from its
@@ -626,6 +634,7 @@ pub(crate) fn framing_error_frame(core: &Core, e: &ServeError) -> Vec<u8> {
 /// two servers' byte streams identical by construction.
 pub(crate) fn process_request(
     core: &Core,
+    published: &Published,
     payload: Vec<u8>,
     scratch: &mut TaintScratch,
 ) -> (Vec<u8>, bool) {
@@ -637,7 +646,7 @@ pub(crate) fn process_request(
     let kind = kind_index(payload.first().copied().unwrap_or(u8::MAX));
     core.metrics.requests[kind].inc();
     core.metrics.inflight.inc();
-    let result = process_request_inner(core, payload, scratch);
+    let result = process_request_inner(core, published, payload, scratch);
     core.metrics.inflight.dec();
     core.metrics.request_latency[kind].observe(started.elapsed());
     result
@@ -645,16 +654,11 @@ pub(crate) fn process_request(
 
 fn process_request_inner(
     core: &Core,
+    published: &Published,
     payload: Vec<u8>,
     scratch: &mut TaintScratch,
 ) -> (Vec<u8>, bool) {
     core.requests.fetch_add(1, Ordering::Relaxed);
-
-    // Pin the artifact generation for this request: everything below
-    // — cache floors, handlers, the epoch stamped into the response
-    // frame — reads this one `Published`, so a concurrent publish
-    // cannot tear a request across generations.
-    let published = core.current();
 
     // Cache fast path: the key is the raw request payload, so a hit
     // skips decoding, handling, and re-encoding alike. Only consult it
@@ -672,7 +676,7 @@ fn process_request_inner(
     }
 
     let (mut response, mut close_after) = match Request::decode_payload(&payload) {
-        Ok(request) => handle(&request, core, &published, scratch),
+        Ok(request) => handle(&request, core, published, scratch),
         Err(e) => (Response::Error(WireError::from_serve_error(&e)), true),
     };
     let mut encoded = fistful_chain::encode::Encodable::encode_to_vec(&response);
@@ -725,7 +729,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, scratch: &mut TaintS
                 return;
             }
         };
-        let (framed, close_after) = process_request(core, payload, scratch);
+        let (framed, close_after) = process_request(core, &core.current(), payload, scratch);
         if stream.write_all(&framed).is_err() {
             return;
         }

@@ -57,21 +57,9 @@ impl GroundTruth {
         self.true_change.insert(txid, vout);
     }
 
-    /// The true change output of a transaction, if it has one.
-    pub fn change_of(&self, txid: &Hash256) -> Option<u32> {
-        self.true_change.get(txid).copied()
-    }
-
     /// Number of registered addresses.
     pub fn address_count(&self) -> usize {
         self.owner_of_addr.len()
-    }
-
-    /// Owners of a given category.
-    pub fn owners_in(&self, category: Category) -> Vec<OwnerId> {
-        (0..self.owners.len() as OwnerId)
-            .filter(|&o| self.owners[o as usize].category == category)
-            .collect()
     }
 
     /// Converts to dense id space aligned with a resolved chain.
@@ -116,8 +104,7 @@ mod tests {
         gt.register(a, gox); // idempotent
         assert_eq!(gt.owner_of(&a), Some(gox));
         assert_eq!(gt.owner_of(&Address::from_seed(2)), None);
-        assert_eq!(gt.owners_in(Category::Exchange), vec![gox]);
-        assert_eq!(gt.owners_in(Category::User), vec![user]);
+        assert_eq!(gt.owner(user).category, Category::User);
     }
 
     #[test]
@@ -135,8 +122,8 @@ mod tests {
     fn change_notes() {
         let mut gt = GroundTruth::new();
         let txid = Hash256::from_hex(&"ab".repeat(32)).unwrap();
-        assert_eq!(gt.change_of(&txid), None);
+        assert_eq!(gt.true_change.get(&txid), None);
         gt.note_change(txid, 1);
-        assert_eq!(gt.change_of(&txid), Some(1));
+        assert_eq!(gt.true_change.get(&txid), Some(&1));
     }
 }

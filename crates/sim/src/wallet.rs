@@ -1,4 +1,4 @@
-//! Simulated wallets: UTXO tracking, coin selection and change policy.
+//! Simulated wallets: UTXO tracking and coin selection.
 
 use crate::entity::OwnerId;
 use fistful_chain::address::Address;
@@ -6,17 +6,6 @@ use fistful_chain::amount::Amount;
 use fistful_chain::transaction::OutPoint;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-
-/// How a wallet handles change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChangePolicy {
-    /// A fresh, internal, never-re-used change address — the client idiom
-    /// Heuristic 2 targets.
-    Fresh,
-    /// Change back to the first input address (the paper's "self-change",
-    /// 23% of 2013 transactions).
-    SelfChange,
-}
 
 /// An unspent output a wallet controls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,8 +7,9 @@
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
 use fistful::core::naming::name_clusters;
+use fistful::core::snapshot::ClusterSnapshot;
 use fistful::flow::graph::TxGraph;
-use fistful::flow::{follow_chains_indexed, service_arrivals, AddressDirectory, FollowStrategy};
+use fistful::flow::{follow_chains_indexed, service_arrivals, FollowStrategy};
 use fistful::sim::{Economy, SimConfig};
 use fistful_bench::{build_tagdb, silk_road_starts};
 
@@ -30,11 +31,12 @@ fn main() {
     );
 
     // Build the analysis exactly as the paper would: tags → clusters →
-    // names → change labels → chain traversal over the graph index.
+    // names (frozen into a snapshot) → change labels → chain traversal
+    // over the graph index.
     let db = build_tagdb(&eco);
     let clustering = Clusterer::with_h2(ChangeConfig::naive()).run(chain);
     let names = name_clusters(&clustering, &db);
-    let directory = AddressDirectory::from_naming(&clustering, &names);
+    let snapshot = ClusterSnapshot::build(chain, &clustering, &names);
     let labels = change::identify(chain, &ChangeConfig::naive());
     let graph = TxGraph::build(chain);
 
@@ -43,7 +45,7 @@ fn main() {
         follow_chains_indexed(&graph, &labels, &starts, 100, FollowStrategy::LargestFallback);
 
     println!("\npeels to known services:");
-    for row in service_arrivals(&chains, &directory) {
+    for row in service_arrivals(&chains, &snapshot) {
         println!(
             "  {:<20} [{:<9}] {:>3} peels, {}",
             row.service,

@@ -7,8 +7,9 @@
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
 use fistful::core::naming::name_clusters;
+use fistful::core::snapshot::ClusterSnapshot;
 use fistful::flow::graph::{TaintScratch, TxGraph};
-use fistful::flow::{track_theft_indexed, AddressDirectory};
+use fistful::flow::track_theft_indexed;
 use fistful::sim::{Economy, SimConfig};
 use fistful_bench::{build_tagdb, theft_loots};
 
@@ -20,7 +21,7 @@ fn main() {
     let db = build_tagdb(&eco);
     let clustering = Clusterer::with_h2(ChangeConfig::naive()).run(chain);
     let names = name_clusters(&clustering, &db);
-    let directory = AddressDirectory::from_naming(&clustering, &names);
+    let snapshot = ClusterSnapshot::build(chain, &clustering, &names);
     let labels = change::identify(chain, &ChangeConfig::naive());
 
     // One index and one reusable walk scratch serve every theft.
@@ -29,7 +30,7 @@ fn main() {
     let thefts = &eco.script_report.thefts;
     for (name, loot) in theft_loots(chain, thefts) {
         let theft = thefts.iter().find(|t| t.name == name).expect("a scripted theft");
-        let trace = track_theft_indexed(&graph, &loot, &labels, &directory, 5_000, &mut scratch);
+        let trace = track_theft_indexed(&graph, &loot, &labels, &snapshot, 5_000, &mut scratch);
         println!(
             "{:<18} stole {:>14}  moved {:<8} reached exchanges: {}",
             theft.name,

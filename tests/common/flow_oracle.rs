@@ -11,8 +11,8 @@
 use fistful_chain::amount::Amount;
 use fistful_chain::resolve::{AddressId, ResolvedChain, TxId};
 use fistful_core::change::ChangeLabels;
+use fistful_core::snapshot::ClusterSnapshot;
 use fistful_flow::balance::BalancePoint;
-use fistful_flow::categories::ServiceResolver;
 use fistful_flow::movement::{classify_counts, pattern_string, MovementKind, TaintedTx};
 use fistful_flow::peel::{FollowStrategy, Hop, PeelChain, StopReason};
 use fistful_flow::theft::TheftTrace;
@@ -164,7 +164,7 @@ pub(super) fn track_theft(
     chain: &ResolvedChain,
     loot: &[(TxId, u32)],
     labels: &ChangeLabels,
-    directory: &impl ServiceResolver,
+    snapshot: &ClusterSnapshot,
     max_txs: usize,
 ) -> TheftTrace {
     let movements = classify_movements(chain, loot, labels, max_txs);
@@ -182,9 +182,9 @@ pub(super) fn track_theft(
     let mut exchange_services = HashSet::new();
     for m in &movements {
         for &(addr, value) in &m.departures {
-            if directory.category(addr) == Some("exchange") {
+            if snapshot.category_of(addr) == Some("exchange") {
                 to_exchanges = to_exchanges.checked_add(value).expect("overflow");
-                if let Some(s) = directory.service(addr) {
+                if let Some(s) = snapshot.service_of(addr) {
                     exchange_services.insert(s.to_string());
                 }
             }
@@ -206,7 +206,7 @@ pub(super) fn track_theft(
 pub(super) fn balance_series_at(
     chain: &ResolvedChain,
     tx_end: usize,
-    directory: &impl ServiceResolver,
+    snapshot: &ClusterSnapshot,
     every: u64,
 ) -> Vec<BalancePoint> {
     let sink: Vec<bool> = (0..chain.address_count() as AddressId)
@@ -246,7 +246,7 @@ pub(super) fn balance_series_at(
         for input in &tx.inputs {
             let v = input.value.to_sat();
             supply -= v;
-            if let Some(cat) = directory.category(input.address) {
+            if let Some(cat) = snapshot.category_of(input.address) {
                 *per_category.get_mut(cat).expect("category seen before") -= v;
             }
         }
@@ -255,7 +255,7 @@ pub(super) fn balance_series_at(
             supply += v;
             if sink[o.address as usize] {
                 sink_held += v;
-            } else if let Some(cat) = directory.category(o.address) {
+            } else if let Some(cat) = snapshot.category_of(o.address) {
                 *per_category.entry(cat.to_string()).or_insert(0) += v;
             }
         }

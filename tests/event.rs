@@ -5,6 +5,9 @@
 //! what the threaded server produces (or the typed error the budget
 //! promises), because both loops answer through the same request core.
 
+#[path = "common/frame.rs"]
+mod frame_reader;
+
 use fistful::serve::protocol::{frame, FRAME_HEADER_LEN, MAX_REQUEST_PAYLOAD};
 use fistful::serve::{
     Client, ErrorCode, EventServeConfig, EventServer, Request, Response, ServeArtifacts,
@@ -17,6 +20,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+use frame_reader::read_frame;
 
 fn fixtures() -> &'static (Workbench, Arc<ServeArtifacts>) {
     static FIX: OnceLock<(Workbench, Arc<ServeArtifacts>)> = OnceLock::new();
@@ -112,34 +116,13 @@ fn event_server_answers_the_whole_sweep_byte_identically_to_threaded() {
     threaded.shutdown();
 }
 
-/// Reads one response frame, returning its payload; `None` on clean EOF.
-fn read_raw_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    let mut filled = 0;
-    while filled < FRAME_HEADER_LEN {
-        match stream.read(&mut header[filled..]).expect("read header") {
-            0 if filled == 0 => return None,
-            0 => panic!("connection closed mid-frame"),
-            n => filled += n,
-        }
-    }
-    assert_eq!(header[..4], PROTOCOL_MAGIC);
-    assert_eq!(header[4], PROTOCOL_VERSION);
-    let len = u32::from_le_bytes(header[5..].try_into().unwrap()) as usize;
-    let mut epoch = [0u8; 8];
-    stream.read_exact(&mut epoch).expect("read epoch");
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).expect("read payload");
-    Some(payload)
-}
-
 /// Collects every frame a server sends for `bytes` until it closes.
 fn stream_response(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<Vec<u8>> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(bytes).expect("write");
     stream.shutdown(std::net::Shutdown::Write).expect("half-close");
     let mut frames = Vec::new();
-    while let Some(payload) = read_raw_frame(&mut stream) {
+    while let Some((_, payload)) = read_frame(&mut stream) {
         frames.push(payload);
     }
     frames
@@ -208,7 +191,7 @@ fn slow_loris_single_byte_writes_still_get_served() {
             stream.write_all(std::slice::from_ref(byte)).expect("dribble");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let payload = read_raw_frame(&mut stream).expect("a response");
+        let (_, payload) = read_frame(&mut stream).expect("a response");
         match Response::decode_payload(&payload) {
             Ok(Response::AddressInfo(_)) => {}
             other => panic!("expected an address report, got {other:?}"),
@@ -230,7 +213,7 @@ fn mid_frame_stall_hits_the_deadline_with_a_typed_error() {
     let mut stream = TcpStream::connect(event.local_addr()).expect("connect");
     stream.write_all(&PROTOCOL_MAGIC[..3]).expect("partial header");
     let t0 = Instant::now();
-    let payload = read_raw_frame(&mut stream).expect("a deadline error frame");
+    let (_, payload) = read_frame(&mut stream).expect("a deadline error frame");
     match Response::decode_payload(&payload) {
         Ok(Response::Error(e)) => {
             assert_eq!(e.code, ErrorCode::Malformed, "message: {}", e.message);
@@ -238,7 +221,7 @@ fn mid_frame_stall_hits_the_deadline_with_a_typed_error() {
         }
         other => panic!("expected the stall error, got {other:?}"),
     }
-    assert!(read_raw_frame(&mut stream).is_none(), "connection should close");
+    assert!(read_frame(&mut stream).is_none(), "connection should close");
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "4-tick deadline took {:?}",
@@ -256,7 +239,7 @@ fn idle_keep_alive_connections_expire_silently() {
     let mut stream = TcpStream::connect(event.local_addr()).expect("connect");
     // No bytes at all: the keep-alive clock runs out and the server
     // closes without an error frame (there is no frame to answer).
-    assert!(read_raw_frame(&mut stream).is_none(), "silent close on expiry");
+    assert!(read_frame(&mut stream).is_none(), "silent close on expiry");
     event.shutdown();
 }
 
@@ -302,13 +285,13 @@ fn oversized_pipelines_are_rejected_with_a_typed_busy_error() {
     let mut stream = TcpStream::connect(event.local_addr()).expect("connect");
     stream.write_all(&blob).expect("write burst");
     for i in 0..4 {
-        let payload = read_raw_frame(&mut stream).expect("in-budget response");
+        let (_, payload) = read_frame(&mut stream).expect("in-budget response");
         assert!(
             matches!(Response::decode_payload(&payload), Ok(Response::Pong)),
             "response #{i} should be a pong"
         );
     }
-    let payload = read_raw_frame(&mut stream).expect("the rejection frame");
+    let (_, payload) = read_frame(&mut stream).expect("the rejection frame");
     match Response::decode_payload(&payload) {
         Ok(Response::Error(e)) => {
             assert_eq!(e.code, ErrorCode::Busy, "message: {}", e.message);
@@ -316,7 +299,7 @@ fn oversized_pipelines_are_rejected_with_a_typed_busy_error() {
         }
         other => panic!("expected the Busy rejection, got {other:?}"),
     }
-    assert!(read_raw_frame(&mut stream).is_none(), "closed after the rejection");
+    assert!(read_frame(&mut stream).is_none(), "closed after the rejection");
     event.shutdown();
 }
 
@@ -335,7 +318,7 @@ fn connection_cap_sheds_excess_accepts_with_a_typed_busy_error() {
     // The third connection is accepted just long enough to be told why
     // it cannot stay.
     let mut shed = TcpStream::connect(addr).expect("connect #3");
-    let payload = read_raw_frame(&mut shed).expect("the shed frame");
+    let (_, payload) = read_frame(&mut shed).expect("the shed frame");
     match Response::decode_payload(&payload) {
         Ok(Response::Error(e)) => {
             assert_eq!(e.code, ErrorCode::Busy, "message: {}", e.message);
@@ -343,7 +326,7 @@ fn connection_cap_sheds_excess_accepts_with_a_typed_busy_error() {
         }
         other => panic!("expected the Busy shed frame, got {other:?}"),
     }
-    assert!(read_raw_frame(&mut shed).is_none(), "shed connection closes");
+    assert!(read_frame(&mut shed).is_none(), "shed connection closes");
     // Close our half too: a shed socket counts against the cap until its
     // drain completes, and the FIN completes it immediately.
     drop(shed);
@@ -383,7 +366,8 @@ fn a_thousand_idle_connections_do_not_starve_four_workers() {
     for i in (0..herd.len()).step_by(97) {
         let stream = &mut herd[i];
         stream.write_all(&Request::Ping.to_frame()).expect("idler write");
-        let payload = read_raw_frame(stream).unwrap_or_else(|| panic!("idler #{i} was dropped"));
+        let (_, payload) =
+            read_frame(stream).unwrap_or_else(|| panic!("idler #{i} was dropped"));
         assert!(matches!(Response::decode_payload(&payload), Ok(Response::Pong)));
     }
     let stats = event.stats();

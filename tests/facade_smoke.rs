@@ -4,9 +4,10 @@
 
 use fistful::core::cluster::Clusterer;
 use fistful::core::naming::name_clusters;
+use fistful::core::snapshot::ClusterSnapshot;
 use fistful::core::tagdb::{Tag, TagDb, TagSource};
 use fistful::core::union_find::UnionFind;
-use fistful::flow::{AddressDirectory, FollowStrategy};
+use fistful::flow::FollowStrategy;
 use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
 
 #[test]
@@ -75,7 +76,7 @@ fn minimal_pipeline_sim_h1_naming() {
     let names = name_clusters(&clustering, &db);
     assert!(!names.names.is_empty(), "naming labelled at least one cluster");
 
-    // The directory derived from naming resolves at least one address.
-    let directory = AddressDirectory::from_naming(&clustering, &names);
-    assert!(directory.resolved_count() > 0, "directory resolves addresses to services");
+    // The snapshot frozen from the naming resolves at least one address.
+    let snapshot = ClusterSnapshot::build(chain, &clustering, &names);
+    assert!(snapshot.named_address_count() > 0, "snapshot resolves addresses to services");
 }

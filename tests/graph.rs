@@ -1,6 +1,7 @@
-//! Differential tests for the columnar transaction-graph index: the
-//! graph-indexed traversals must be hop-for-hop and record-for-record
-//! identical to the resolver walks of the test oracle
+//! Differential tests for the columnar transaction-graph index: the graph
+//! over every prefix of a simulated economy must be the resolver's view of
+//! that prefix, the graph-indexed traversals must be hop-for-hop and
+//! record-for-record identical to the resolver walks of the test oracle
 //! (`common/flow_oracle.rs`), on a whole simulated economy and on small
 //! hand-built chains — and the batch taint engine must agree with both at
 //! every thread count.
@@ -10,9 +11,9 @@ mod flow_oracle;
 
 use fistful::chain::resolve::{ResolvedChain, TxId};
 use fistful::core::change::{self, ChangeConfig, ChangeLabels};
-use fistful::core::testutil::TestChain;
+use fistful::core::snapshot::ClusterSnapshot;
+use fistful::core::testutil::{named_snapshot, TestChain};
 use fistful::flow::balance_series_at;
-use fistful::flow::categories::{AddressDirectory, ServiceResolver};
 use fistful::flow::graph::{TaintScratch, TxGraph};
 use fistful::flow::movement::{classify_movements_indexed, pattern_string, TaintedTx};
 use fistful::flow::peel::{follow_chain_indexed, follow_chains_indexed, FollowStrategy, PeelChain};
@@ -32,11 +33,9 @@ fn naive_labels(t: &TestChain) -> ChangeLabels {
     change::identify(&t.chain, &ChangeConfig::naive())
 }
 
-/// A directory that names `t`'s address `n` as the exchange Mt. Gox.
-fn gox_directory(t: &TestChain, n: u64) -> AddressDirectory {
-    let mut pairs = vec![(None, None); t.chain.address_count()];
-    pairs[t.id(n) as usize] = (Some("Mt. Gox".into()), Some("exchange".into()));
-    AddressDirectory::from_pairs(pairs)
+/// A snapshot that names `t`'s address `n` as the exchange Mt. Gox.
+fn gox_snapshot(t: &TestChain, n: u64) -> ClusterSnapshot {
+    named_snapshot(&t.chain, &[(t.id(n), "Mt. Gox", "exchange")])
 }
 
 /// Asserts the graph peel walk equals the oracle's from every start, under
@@ -101,59 +100,89 @@ fn assert_theft_traces_match(
     chain: &ResolvedChain,
     labels: &ChangeLabels,
     graph: &TxGraph,
-    directory: &(impl ServiceResolver + Sync),
+    snapshot: &ClusterSnapshot,
     loots: &[Vec<(TxId, u32)>],
     bounds: &[usize],
 ) {
     for &max_txs in bounds {
         let oracle: Vec<_> = loots
             .iter()
-            .map(|loot| track_theft(chain, loot, labels, directory, max_txs))
+            .map(|loot| track_theft(chain, loot, labels, snapshot, max_txs))
             .collect();
         let mut scratch = TaintScratch::for_graph(graph);
         let indexed: Vec<_> = loots
             .iter()
-            .map(|loot| track_theft_indexed(graph, loot, labels, directory, max_txs, &mut scratch))
+            .map(|loot| track_theft_indexed(graph, loot, labels, snapshot, max_txs, &mut scratch))
             .collect();
         assert_eq!(indexed, oracle, "max_txs {max_txs}");
         for threads in [1, 2, 4, 8] {
-            let batch = track_thefts_batch(graph, loots, labels, directory, max_txs, threads);
+            let batch = track_thefts_batch(graph, loots, labels, snapshot, max_txs, threads);
             assert_eq!(batch, oracle, "threads {threads} max_txs {max_txs}");
         }
     }
 }
 
+/// The graph and the snapshot over prefixes of the economy (every eighth
+/// of the chain, and a cut inside a block) against the resolver: an output
+/// reads spent only by a spender before the cut, `last_spent` counts only
+/// spends before it, the graph covers exactly the addresses first seen
+/// before it, and each cluster's totals are a naive sum over the prefix.
 #[test]
 fn graph_structure_matches_resolver() {
     let wb = workbench();
     let chain = wb.eco.chain.resolved();
-    let graph = TxGraph::build_with_threads(chain, 3);
-
-    assert_eq!(graph.tx_count(), chain.tx_count());
-    assert_eq!(graph.address_count(), chain.address_count());
-    assert_eq!(graph.output_count(), chain.total_output_count());
-    assert_eq!(graph.input_count(), chain.total_input_count());
-
-    // Every output's address/value/spender and every input's source agree
-    // with the resolver, and the thread count cannot change the result.
-    for (t, tx) in chain.txs.iter().enumerate() {
-        let t = t as u32;
-        for (v, o) in tx.outputs.iter().enumerate() {
-            let flat = graph.flat(t, v as u32);
-            assert_eq!(graph.address_of(flat), o.address);
-            assert_eq!(graph.value_of(flat), o.value);
-            assert_eq!(graph.spender(t, v as u32), o.spent_by);
-            assert_eq!(graph.outpoint(flat), (t, v as u32));
+    let n = chain.tx_count();
+    let mid_block = chain
+        .blocks()
+        .find(|b| b.tx_end() - b.tx_start() > 1)
+        .map(|b| b.tx_start() as usize + 1)
+        .expect("a block with several transactions");
+    for cut in (0..=8).map(|k| n * k / 8).chain([mid_block]) {
+        let graph = TxGraph::build_at(chain, cut);
+        let before = |t: &TxId| (*t as usize) < cut;
+        let txs = &chain.txs[..cut];
+        let born =
+            (0..chain.address_count() as u32).filter(|&a| before(&chain.first_seen(a))).count();
+        assert_eq!(graph.tx_count(), cut);
+        assert_eq!(graph.address_count(), born, "cut {cut}");
+        assert_eq!(graph.output_count(), txs.iter().map(|tx| tx.outputs.len()).sum::<usize>());
+        assert_eq!(graph.input_count(), txs.iter().map(|tx| tx.inputs.len()).sum::<usize>());
+        for (t, tx) in txs.iter().enumerate() {
+            let t = t as u32;
+            for (v, o) in tx.outputs.iter().enumerate() {
+                let flat = graph.flat(t, v as u32);
+                assert_eq!(graph.address_of(flat), o.address);
+                assert_eq!(graph.value_of(flat), o.value);
+                assert_eq!(graph.spender(t, v as u32), o.spent_by.filter(before), "cut {cut}");
+                assert_eq!(graph.outpoint(flat), (t, v as u32));
+            }
+            for (slot, input) in tx.inputs.iter().enumerate() {
+                assert_eq!(graph.inputs(t)[slot], graph.flat(input.prev_tx, input.prev_vout));
+            }
         }
-        for (slot, input) in tx.inputs.iter().enumerate() {
-            assert_eq!(graph.inputs(t)[slot], graph.flat(input.prev_tx, input.prev_vout));
+        for a in 0..graph.address_count() as u32 {
+            assert_eq!(graph.first_seen(a), Some(chain.first_seen(a)));
+            let last = chain.spent_in(a).iter().copied().rfind(before);
+            assert_eq!(graph.last_spent(a), last, "cut {cut} address {a}");
+        }
+
+        let snapshot = ClusterSnapshot::build_at(chain, cut, &wb.h1, &wb.h1_names);
+        let mut received = vec![0u64; wb.h1.cluster_count()];
+        let mut spent = vec![0u64; wb.h1.cluster_count()];
+        for tx in txs {
+            for input in &tx.inputs {
+                spent[wb.h1.cluster_of(input.address) as usize] += input.value.to_sat();
+            }
+            for o in &tx.outputs {
+                received[wb.h1.cluster_of(o.address) as usize] += o.value.to_sat();
+            }
+        }
+        for c in 0..wb.h1.cluster_count() {
+            let info = snapshot.info(c as u32).expect("cluster in range");
+            assert_eq!(info.received.to_sat(), received[c], "cut {cut} cluster {c}");
+            assert_eq!(info.spent.to_sat(), spent[c], "cut {cut} cluster {c}");
         }
     }
-    for a in 0..chain.address_count() as u32 {
-        assert_eq!(graph.first_seen(a), Some(chain.first_seen(a)));
-        assert_eq!(graph.last_spent(a), chain.last_spent_in(a));
-    }
-    assert_eq!(graph, TxGraph::build_with_threads(chain, 1));
 }
 
 #[test]
@@ -176,7 +205,7 @@ fn indexed_peel_identical_over_economy() {
     let hop1 = t.tx(&[(funding, 0)], &[(100, 10), (10, 990)]);
     let hop2 = t.tx(&[(hop1, 1)], &[(101, 20), (11, 970)]);
     let _hop3 = t.tx(&[(hop2, 1)], &[(102, 30), (12, 940)]);
-    let graph = TxGraph::build_with_threads(&t.chain, 2);
+    let graph = TxGraph::build(&t.chain);
     let starts = 0..t.chain.tx_count() as u32;
     assert_peel_walks_match(&t.chain, &naive_labels(&t), &graph, starts, &[0, 1, 2, 100]);
 }
@@ -204,7 +233,7 @@ fn silk_road_arrivals_identical_over_economy() {
     let graph = TxGraph::build(&t.chain);
     let starts = [hop1 as u32];
     let chains = assert_chains_match(&t.chain, &naive_labels(&t), &graph, &starts, FollowStrategy::Strict);
-    let rows = service_arrivals(&chains, &gox_directory(&t, 100));
+    let rows = service_arrivals(&chains, &gox_snapshot(&t, 100));
     assert_eq!(rows[0].service, "Mt. Gox");
     assert_eq!(rows[0].total_peels(), 2);
 }
@@ -234,10 +263,10 @@ fn theft_traces_identical_and_batch_agrees_at_every_thread_count() {
     let agg = t.tx(&[(theft, 0), (theft2, 0), (c3, 0)], &[(12, 270)]);
     let _peel = t.tx(&[(agg, 0)], &[(50, 30), (13, 240)]);
     let (a, b) = ((theft as u32, 0), (theft2 as u32, 0));
-    let graph = TxGraph::build_with_threads(&t.chain, 2);
+    let graph = TxGraph::build(&t.chain);
     let loots = [vec![a, b], vec![a], vec![b]];
-    let dir = gox_directory(&t, 50);
-    assert_theft_traces_match(&t.chain, &naive_labels(&t), &graph, &dir, &loots, &[100]);
+    let gox = gox_snapshot(&t, 50);
+    assert_theft_traces_match(&t.chain, &naive_labels(&t), &graph, &gox, &loots, &[100]);
 }
 
 #[test]
@@ -270,7 +299,7 @@ fn movement_walks_identical_from_arbitrary_loot() {
     let split = t.tx(&[(agg, 0)], &[(12, 40), (13, 40), (14, 50)]);
     let p1 = t.tx(&[(split, 2)], &[(100, 10), (15, 40)]);
     let _p2 = t.tx(&[(p1, 1)], &[(100, 10), (16, 30)]);
-    let graph = TxGraph::build_with_threads(&t.chain, 2);
+    let graph = TxGraph::build(&t.chain);
     let loot = [(theft as u32, 0)];
     let movements =
         assert_movement_walks_match(&t.chain, &naive_labels(&t), &graph, &loot, &[0, 1, 2, 3, 100]);

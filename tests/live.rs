@@ -8,6 +8,9 @@
 //! base+delta trail reopens to the final published state and that a
 //! restarted pipeline resumes (and re-publishes identically) from it.
 
+#[path = "common/frame.rs"]
+mod frame_reader;
+
 use fistful::core::tagdb::TagDb;
 use fistful::core::{IngestConfig, ShardedIngest};
 use fistful::flow::graph::TxGraph;
@@ -18,7 +21,7 @@ use fistful::serve::store::read_live_meta;
 use fistful::serve::{
     AddressReport, BalanceReport, Client, ClusterReport, EventServeConfig, EventServer,
     LiveConfig, LivePipeline, Publisher, Request, Response, ServeArtifacts, ServeConfig, Server,
-    ServerStats, TaintReport, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    ServerStats, TaintReport,
 };
 use fistful::sim::SimConfig;
 use fistful_bench::Workbench;
@@ -28,6 +31,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use frame_reader::read_frame;
 
 /// One tiny economy plus the batch-built baseline bundle for every epoch
 /// the live pipeline will publish, shared by every soak variant.
@@ -226,23 +230,6 @@ fn round(
     );
 }
 
-/// Reads one v2 response frame from a raw soak connection, checking the
-/// framing is intact (magic, version, exact lengths — a torn frame fails
-/// here), and returns `(epoch, payload)`.
-fn read_soak_frame(stream: &mut std::net::TcpStream, t: u32) -> (u64, Vec<u8>) {
-    use std::io::Read;
-    let mut header = [0u8; 9];
-    stream.read_exact(&mut header).unwrap_or_else(|e| panic!("client {t}: torn header: {e}"));
-    assert_eq!(header[..4], PROTOCOL_MAGIC, "client {t}: bad magic mid-soak");
-    assert_eq!(header[4], PROTOCOL_VERSION, "client {t}: bad version mid-soak");
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    let mut epoch = [0u8; 8];
-    stream.read_exact(&mut epoch).unwrap_or_else(|e| panic!("client {t}: torn epoch: {e}"));
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).unwrap_or_else(|e| panic!("client {t}: torn payload: {e}"));
-    (u64::from_le_bytes(epoch), payload)
-}
-
 /// The event-loop variant of [`round`]: the whole request list goes out
 /// as one coalesced pipelined blob, and the in-order responses are each
 /// checked byte-for-byte against the baseline of the epoch they are
@@ -263,7 +250,8 @@ fn pipelined_round(
     }
     stream.write_all(&blob).unwrap_or_else(|e| panic!("client {t}: pipelined write: {e}"));
     for request in &requests {
-        let (epoch, payload) = read_soak_frame(stream, t);
+        let (epoch, payload) = read_frame(stream)
+            .unwrap_or_else(|| panic!("client {t}: connection closed mid-soak"));
         assert!(
             epoch >= *prev_epoch,
             "client {t}: response epoch regressed {} -> {epoch}",
@@ -284,7 +272,8 @@ fn pipelined_round(
     // A stats probe rides the same connection; its epoch must be a
     // published generation.
     stream.write_all(&Request::Stats.to_frame()).unwrap_or_else(|e| panic!("client {t}: {e}"));
-    let (epoch, payload) = read_soak_frame(stream, t);
+    let (epoch, payload) =
+        read_frame(stream).unwrap_or_else(|| panic!("client {t}: connection closed mid-soak"));
     match Response::decode_payload(&payload) {
         Ok(Response::Stats(s)) => {
             assert!(

@@ -3,19 +3,20 @@
 
 #[path = "common/flow_oracle.rs"]
 mod flow_oracle;
+#[path = "common/frame.rs"]
+mod frame_reader;
 
 use fistful::chain::address::Address;
 use fistful::chain::amount::Amount;
 use fistful::chain::encode::{Decodable, Encodable};
-use fistful::chain::merkle::{merkle_proof, merkle_root, verify_proof};
 use fistful::chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
 use fistful::core::score::score_clustering;
 use fistful::core::union_find::UnionFind;
 use fistful::crypto::base58;
-use fistful::crypto::sha256::sha256d;
 use fistful::sim::{Economy, SimConfig};
+use frame_reader::read_frame;
 use proptest::prelude::*;
 
 // ---------- crypto ----------
@@ -84,20 +85,6 @@ proptest! {
     fn txid_is_injective_on_distinct_txs(a in arb_tx(), b in arb_tx()) {
         if a != b {
             prop_assert_ne!(a.txid(), b.txid());
-        }
-    }
-
-    #[test]
-    fn merkle_proofs_verify(n in 1usize..24, tamper in any::<bool>()) {
-        let txids: Vec<_> = (0..n as u64).map(|i| sha256d(&i.to_le_bytes())).collect();
-        let root = merkle_root(&txids);
-        for i in 0..n {
-            let proof = merkle_proof(&txids, i).unwrap();
-            prop_assert!(verify_proof(&txids[i], &proof, &root));
-            if tamper {
-                let wrong = sha256d(b"tampered");
-                prop_assert!(!verify_proof(&wrong, &proof, &root));
-            }
         }
     }
 }
@@ -279,7 +266,6 @@ proptest! {
     fn graph_traversals_match_legacy(
         seed in any::<u64>(),
         txs in 20usize..120,
-        threads in 1usize..5,
         max_txs in 0usize..40,
         max_hops in 1usize..60,
     ) {
@@ -291,10 +277,9 @@ proptest! {
         let t = random_chain(seed, txs);
         let chain = &t.chain;
         let labels = change::identify(chain, &ChangeConfig::naive());
-        let graph = TxGraph::build_with_threads(chain, threads);
+        let graph = TxGraph::build(chain);
 
-        // Structure: the CSR arrays are a lossless view of the resolver,
-        // regardless of how many threads built them.
+        // Structure: the CSR arrays are a lossless view of the resolver.
         prop_assert_eq!(graph.tx_count(), chain.tx_count());
         prop_assert_eq!(graph.output_count(), chain.total_output_count());
         prop_assert_eq!(graph.input_count(), chain.total_input_count());
@@ -883,20 +868,6 @@ fn pipe_pair() -> &'static std::sync::Mutex<PipePair> {
     })
 }
 
-/// Reads one response frame, returning `(epoch, payload)`.
-fn read_response_frame(stream: &mut std::net::TcpStream) -> (u64, Vec<u8>) {
-    use std::io::Read;
-    let mut header = [0u8; 9 + 8];
-    stream.read_exact(&mut header).expect("response header");
-    assert_eq!(header[..4], fistful::serve::PROTOCOL_MAGIC);
-    assert_eq!(header[4], fistful::serve::PROTOCOL_VERSION);
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    let epoch = u64::from_le_bytes(header[9..].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).expect("response payload");
-    (epoch, payload)
-}
-
 proptest! {
     // Each case round-trips a whole batch against two live servers.
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -944,7 +915,7 @@ proptest! {
         for request in &requests {
             pair.threaded_conn.write_all(&request.to_frame()).expect("threaded write");
             let conn = &mut pair.threaded_conn;
-            expected.push(read_response_frame(conn));
+            expected.push(read_frame(conn).expect("threaded response"));
         }
 
         // The same batch as one coalesced blob, chopped at arbitrary
@@ -969,7 +940,7 @@ proptest! {
         }
         for (i, want) in expected.iter().enumerate() {
             let conn = &mut pair.event_conn;
-            let got = read_response_frame(conn);
+            let got = read_frame(conn).expect("event response");
             assert_eq!(&got, want, "response #{} diverged (request {:?})", i, requests[i]);
         }
     }

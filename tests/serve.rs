@@ -4,11 +4,14 @@
 //! wrong-version frames must each be answered with the right typed error
 //! and a clean close; graceful shutdown must drain in-flight requests.
 
+#[path = "common/frame.rs"]
+mod frame_reader;
+
 use fistful::core::change;
 use fistful::flow::graph::TaintScratch;
 use fistful::flow::theft::track_theft_indexed;
 use fistful::flow::point_at;
-use fistful::serve::protocol::{frame, FRAME_HEADER_LEN, MAX_REQUEST_PAYLOAD};
+use fistful::serve::protocol::{frame, MAX_REQUEST_PAYLOAD};
 use fistful::serve::{
     AddressReport, BalanceReport, Client, ErrorCode, Request, Response, ServeArtifacts,
     ServeConfig, ServeError, Server, TaintReport, PROTOCOL_MAGIC, PROTOCOL_VERSION,
@@ -16,9 +19,10 @@ use fistful::serve::{
 use fistful::sim::SimConfig;
 use fistful_bench::{serve_artifacts, theft_loots, Workbench};
 use fistful_chain::encode::Encodable;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use frame_reader::read_frame;
 
 /// One tiny economy + serving artifacts, shared by every test (each test
 /// starts its own server over them — servers are cheap, artifacts are
@@ -134,41 +138,17 @@ fn socket_answers_match_direct_calls_under_concurrent_clients() {
     server.shutdown();
 }
 
-/// Reads one response frame from a raw socket; returns the payload, or
-/// `None` on clean EOF.
-fn read_raw_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    let mut filled = 0;
-    while filled < FRAME_HEADER_LEN {
-        match stream.read(&mut header[filled..]).expect("read header") {
-            0 if filled == 0 => return None,
-            0 => panic!("connection closed mid-frame"),
-            n => filled += n,
-        }
-    }
-    assert_eq!(header[..4], PROTOCOL_MAGIC);
-    assert_eq!(header[4], PROTOCOL_VERSION);
-    let len = u32::from_le_bytes(header[5..].try_into().unwrap()) as usize;
-    // Version-2 frames carry the artifact epoch between header and
-    // payload.
-    let mut epoch = [0u8; 8];
-    stream.read_exact(&mut epoch).expect("read epoch");
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).expect("read payload");
-    Some(payload)
-}
-
 /// Sends raw bytes and expects an error response with `code`, then EOF.
 fn expect_error_then_close(addr: std::net::SocketAddr, bytes: &[u8], code: ErrorCode) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(bytes).expect("write");
-    let payload = read_raw_frame(&mut stream).expect("an error response before close");
+    let payload = read_frame(&mut stream).expect("an error response before close").1;
     match Response::decode_payload(&payload) {
         Ok(Response::Error(e)) => assert_eq!(e.code, code, "message: {}", e.message),
         other => panic!("expected an error response, got {other:?}"),
     }
     // The server closes after a protocol error: next read is clean EOF.
-    assert!(read_raw_frame(&mut stream).is_none(), "connection should be closed");
+    assert!(read_frame(&mut stream).is_none(), "connection should be closed");
 }
 
 #[test]

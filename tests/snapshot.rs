@@ -13,7 +13,7 @@ use fistful::core::cluster::{Clusterer, Clustering};
 use fistful::core::naming::{name_clusters, NamingReport};
 use fistful::core::snapshot::ClusterSnapshot;
 use fistful::core::tagdb::{Tag, TagDb, TagSource};
-use fistful::flow::{balance_series, AddressDirectory, ServiceResolver};
+use fistful::flow::balance_series;
 use fistful::sim::{generate_tags, Economy, RawTagSource, SimConfig};
 use fistful::store::Store;
 use std::sync::OnceLock;
@@ -114,34 +114,25 @@ fn flow_over_the_reloaded_artifact_matches_the_live_pipeline() {
     let f = frozen();
     let chain = f.eco.chain.resolved();
     let restored = reload(&f.snapshot);
-    let live_dir = AddressDirectory::from_naming(&f.clustering, &f.names);
 
-    // The reloaded snapshot resolves every address exactly as the live
-    // naming-built directory does ...
+    // The reloaded snapshot resolves every address to the name and
+    // category the live naming gave its cluster ...
     for addr in 0..chain.address_count() as u32 {
+        let cluster = f.clustering.cluster_of(addr);
+        assert_eq!(restored.service_of(addr), f.names.name_of_cluster(cluster), "address {addr}");
         assert_eq!(
-            ServiceResolver::service(&restored, addr),
-            live_dir.service(addr),
-            "address {addr}"
-        );
-        assert_eq!(
-            ServiceResolver::category(&restored, addr),
-            live_dir.category(addr),
+            restored.category_of(addr),
+            f.names.categories.get(&cluster).map(String::as_str),
             "address {addr}"
         );
     }
 
-    // ... so a flow entry point produces identical output from either.
+    // ... so a flow entry point produces identical output from the
+    // snapshot the pipeline built and from the reloaded one.
     let every = (f.eco.cfg.blocks / 8).max(1);
-    let from_live = balance_series(chain, &live_dir, every);
-    let from_artifact = balance_series(chain, &restored, every);
-    assert_eq!(from_live.len(), from_artifact.len());
-    for (a, b) in from_live.iter().zip(&from_artifact) {
-        assert_eq!(a.height, b.height);
-        assert_eq!(a.balances, b.balances);
-        assert_eq!(a.supply, b.supply);
-        assert_eq!(a.sink_held, b.sink_held);
-    }
+    let from_live = balance_series(chain, &f.snapshot, every);
+    assert!(from_live.last().is_some_and(|p| !p.balances.is_empty()));
+    assert_eq!(balance_series(chain, &restored, every), from_live);
 }
 
 #[test]
