@@ -25,6 +25,15 @@ pub const DEFAULT_SERVE_EPOCH: usize = 16;
 /// Default shard count of `repro serve --live`'s ingest pipeline.
 pub const DEFAULT_SERVE_SHARDS: usize = 4;
 
+/// Largest `--workers` value `repro serve` accepts: each is a thread.
+pub const MAX_SERVE_WORKERS: usize = 256;
+
+/// Largest `--shards` value: each is a scan thread started every epoch.
+pub const MAX_SERVE_SHARDS: usize = 64;
+
+/// Largest `--cache` value: the cache allocates its capacity up front.
+pub const MAX_SERVE_CACHE: usize = 1 << 20;
+
 /// The usage string printed by `--help` and on argument errors. Derives
 /// the experiment and scale lists from [`EXPERIMENTS`] / [`SCALES`] so the
 /// help text cannot drift from what the parser accepts.
@@ -39,17 +48,19 @@ pub fn usage() -> String {
          serve — bind --port first (0 = ephemeral; the bound address is\n\
          \x20        printed before artifacts build), cluster once, build the\n\
          \x20        graph, and answer the binary query protocol until killed\n\
-         \x20        (--workers 0 = one per core; --cache 0 disables the\n\
-         \x20        response cache); --event-loop multiplexes every\n\
+         \x20        (--workers 0 = one per core, at most {MAX_SERVE_WORKERS};\n\
+         \x20        --cache 0 disables the response cache, at most\n\
+         \x20        {MAX_SERVE_CACHE} entries); --event-loop multiplexes every\n\
          \x20        connection on one poll(2) readiness loop (pipelining,\n\
          \x20        per-connection budgets, backpressure) instead of pinning\n\
          \x20        one worker per connection; --live streams the economy's blocks\n\
          \x20        through the sharded ingest pipeline in the background,\n\
          \x20        hot-swapping fresh artifacts every --epoch blocks across\n\
-         \x20        --shards shards, persisting per-epoch deltas to --store\n\
-         \x20        so a restart resumes from disk; --metrics-port binds a\n\
-         \x20        second listener (must differ from --port; 0 = ephemeral)\n\
-         \x20        answering GET /metrics with the Prometheus text exposition",
+         \x20        --shards shards (at most {MAX_SERVE_SHARDS}), persisting\n\
+         \x20        per-epoch deltas to --store so a restart resumes from\n\
+         \x20        disk; --metrics-port binds a second listener (must differ\n\
+         \x20        from --port; 0 = ephemeral) answering GET /metrics with\n\
+         \x20        the Prometheus text exposition",
         EXPERIMENTS.join(" ")
     )
 }
@@ -168,10 +179,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliOutcome> {
     Ok(Command::Run(RunPlan { scale, experiments }))
 }
 
-/// Parses a positive integer option value.
-fn parse_count(flag: &str, next: Option<&String>) -> Result<usize, CliOutcome> {
+/// Parses an integer option value in `min..=max`.
+fn parse_count(
+    flag: &str,
+    next: Option<&String>,
+    min: usize,
+    max: usize,
+) -> Result<usize, CliOutcome> {
     match next.and_then(|s| s.parse().ok()) {
-        Some(n) if n > 0 => Ok(n),
+        Some(n) if (min..=max).contains(&n) => Ok(n),
         _ => Err(CliOutcome::Error(format!("invalid {flag} value"))),
     }
 }
@@ -207,18 +223,8 @@ fn parse_serve(args: &[String]) -> Result<Command, CliOutcome> {
                     }
                 };
             }
-            "--workers" => {
-                workers = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return Err(CliOutcome::Error("invalid --workers value".to_string())),
-                };
-            }
-            "--cache" => {
-                cache = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return Err(CliOutcome::Error("invalid --cache value".to_string())),
-                };
-            }
+            "--workers" => workers = parse_count("--workers", it.next(), 0, MAX_SERVE_WORKERS)?,
+            "--cache" => cache = parse_count("--cache", it.next(), 0, MAX_SERVE_CACHE)?,
             "--live" => live = true,
             "--event-loop" => event_loop = true,
             "--store" => {
@@ -227,8 +233,8 @@ fn parse_serve(args: &[String]) -> Result<Command, CliOutcome> {
                 };
                 store = Some(dir.clone());
             }
-            "--epoch" => epoch = parse_count("--epoch", it.next())?,
-            "--shards" => shards = parse_count("--shards", it.next())?,
+            "--epoch" => epoch = parse_count("--epoch", it.next(), 1, usize::MAX)?,
+            "--shards" => shards = parse_count("--shards", it.next(), 1, MAX_SERVE_SHARDS)?,
             other => return Err(CliOutcome::Error(format!("unknown serve option `{other}`"))),
         }
     }
@@ -428,6 +434,11 @@ mod tests {
             &["serve", "stray"],
             &["serve", "--live", "--epoch", "0"],
             &["serve", "--live", "--shards", "0"],
+            // Counts that size threads or allocations are bounded.
+            &["serve", "--workers", "257"],
+            &["serve", "--live", "--shards", "65"],
+            &["serve", "--cache", "1048577"],
+            &["serve", "--cache", "18446744073709551615"],
             &["serve", "--live", "--store"],
             &["serve", "--store", "/tmp/s"], // --store without --live
             &["serve", "--metrics-port", "notaport"],
@@ -441,5 +452,9 @@ mod tests {
             );
         }
         assert_eq!(parse(&args(&["serve", "--help"])), Err(CliOutcome::Help));
+        // The bounds themselves are accepted.
+        let max = ["serve", "--live", "--workers", "256", "--shards", "64", "--cache", "1048576"];
+        let parsed = parse(&args(&max));
+        assert!(matches!(parsed, Ok(Command::Serve { workers: 256, shards: 64, cache: 1048576, .. })));
     }
 }

@@ -7,8 +7,10 @@ use fistful_chain::resolve::{AddressId, ResolvedChain, TxId};
 
 /// The Heuristic 2 amplification rule: a labelled change address joins the
 /// transaction's input user (whose addresses Heuristic 1 already linked).
-/// The sharded pipeline applies the same link to its global forest.
-fn link_change(
+/// The batch [`Clusterer`] and the online
+/// [`ShardedIngest`](crate::incremental::sharded::ShardedIngest) both link
+/// every change label through this one step.
+pub(crate) fn link_change(
     uf: &mut UnionFind,
     chain: &ResolvedChain,
     tx: TxId,

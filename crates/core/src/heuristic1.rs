@@ -20,9 +20,9 @@ pub struct H1Stats {
 }
 
 /// Links one transaction's input addresses in `uf`, updating `stats`: the
-/// Heuristic 1 step of the batch [`apply`] pass. The sharded ingest
-/// pipeline (`crate::incremental::sharded`) splits the same step across
-/// shards and reports identical statistics in H1-only mode.
+/// Heuristic 1 step, shared by the batch [`apply`] pass and the online
+/// ingest pipeline (`crate::incremental::sharded`), which calls it for each
+/// transaction in chain order at every epoch's reconcile.
 pub fn link_tx(tx: &ResolvedTx, uf: &mut UnionFind, stats: &mut H1Stats) {
     if tx.is_coinbase {
         return;

@@ -1,35 +1,25 @@
 //! The sharded multicore ingest pipeline: the online clustering engine.
 //!
-//! Blocks arrive one at a time, but a single-threaded write path caps
-//! continuous ingest at single-core speed. This module shards the write
-//! path by address and reconciles at epoch boundaries:
+//! Blocks arrive one at a time and are buffered; every `epoch_blocks`
+//! blocks the span is linked into one [`UnionFind`], whose representatives
+//! are cluster minima, and becomes visible to queries:
 //!
-//! * **Partition.** Address `a` belongs to shard `a % N`; transaction `t`'s
-//!   *home* shard is `t % N`. Each shard owns a local union-find
-//!   ([`UnionFindShard`]) and a local [`ChangeScanner`] restricted to its
-//!   addresses.
-//! * **Scan.** Ingested blocks are buffered; every `epoch_blocks` blocks the
-//!   buffered span is scanned by all shards concurrently
-//!   (`std::thread::scope`). The shard owning a transaction's first input
-//!   address applies its Heuristic 1 star edges — local unions when both
-//!   endpoints are owned, otherwise the edge goes to the shard's outbox.
-//!   The home shard computes the transaction-local half of the Heuristic 2
-//!   decision (coinbase / output-count / self-change preconditions and the
-//!   fresh-candidate search), and *every* shard evaluates the stateful
-//!   refinement vetoes over the output addresses it owns and absorbs the
-//!   transaction into its scanner.
-//! * **Reconcile.** At the epoch boundary each outbox is flushed into the
-//!   cross-shard [`MergeQueue`] (one mutex
-//!   acquisition per shard per epoch), then a single thread replays local
-//!   merge logs plus queued cross-shard edges into the canonical global
-//!   union-find with a lowest-root-wins tie-break — so every cluster's
-//!   representative is its minimum address id, independent of shard count
-//!   and thread scheduling. Heuristic 2 verdicts are combined per
-//!   transaction in the sequential precedence order (preconditions, then
-//!   the ORed reused-change vetoes, then the ORed prior-self-change vetoes,
-//!   then the candidate), labels are applied or parked in the wait-to-label
-//!   pending queue, and pending decisions whose window has fully elapsed
-//!   are finalized.
+//! * **Heuristic 1.** The calling thread links each transaction's inputs,
+//!   in chain order, through the batch pass's own [`heuristic1::link_tx`].
+//!   It is cheap next to Heuristic 2: an H1-only ingest starts no thread.
+//! * **Heuristic 2 scan.** Address `a` belongs to shard `a % N`;
+//!   transaction `t`'s *home* shard is `t % N`. All `N` shards scan the
+//!   span concurrently (`std::thread::scope`). The home shard computes the
+//!   transaction-local verdict (coinbase / output-count / self-change
+//!   preconditions and the fresh-candidate search); *every* shard
+//!   evaluates the refinement vetoes over the output addresses it owns and
+//!   absorbs the transaction into its [`ChangeScanner`].
+//! * **Heuristic 2 reconcile.** Verdicts are combined per transaction in
+//!   the sequential precedence order (preconditions, then the ORed
+//!   reused-change vetoes, then the ORed prior-self-change vetoes, then the
+//!   candidate). Labels link at once through the batch pass's
+//!   `cluster::link_change`, or park in the wait-to-label pending queue
+//!   and link through it once their window has fully elapsed.
 //!
 //! **Equivalence guarantee.** Feeding every block of a chain through
 //! [`ShardedIngest::ingest_block`] and then calling
@@ -70,10 +60,10 @@ use crate::change::{
     fresh_candidate, precondition_skip, receives_again_within, ChangeConfig, ChangeLabels,
     ChangeScanner, SkipReason,
 };
-use crate::cluster::Clustering;
-use crate::heuristic1::H1Stats;
+use crate::cluster::{link_change, Clustering};
+use crate::heuristic1::{self, H1Stats};
 use crate::snapshot::{ClusterSnapshot, SnapshotDelta};
-use crate::union_find::{MergeQueue, ShardedUnionFind, UnionFindShard};
+use crate::union_find::UnionFind;
 use fistful_chain::resolve::{
     AddressId, BlockId, ResolvedBlockView, ResolvedChain, ResolvedSpanView, TxId,
 };
@@ -82,19 +72,20 @@ use std::collections::VecDeque;
 /// Configuration of the sharded ingest pipeline.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Number of address shards (and scan worker threads). Must be `>= 1`.
+    /// Number of address shards (and Heuristic 2 scan threads). Must be
+    /// `>= 1`; unused without Heuristic 2.
     pub shards: usize,
     /// Blocks per epoch: how many ingested blocks are buffered before a
-    /// concurrent scan + reconcile runs. Must be `>= 1`.
+    /// scan + reconcile runs. Must be `>= 1`.
     pub epoch_blocks: usize,
     /// Heuristic 2 configuration; `None` runs Heuristic 1 only.
     pub h2: Option<ChangeConfig>,
 }
 
 impl IngestConfig {
-    /// Heuristic 1 only.
-    pub fn h1_only(shards: usize, epoch_blocks: usize) -> IngestConfig {
-        IngestConfig { shards, epoch_blocks, h2: None }
+    /// Heuristic 1 only: nothing is sharded, so one shard.
+    pub fn h1_only(epoch_blocks: usize) -> IngestConfig {
+        IngestConfig { shards: 1, epoch_blocks, h2: None }
     }
 
     /// Heuristic 1 plus Heuristic 2 with the given configuration.
@@ -125,15 +116,8 @@ struct TxVerdict {
     candidate: Result<(u32, AddressId), SkipReason>,
 }
 
-/// What one shard worker brings back from an epoch scan.
+/// What one shard worker brings back from an epoch's Heuristic 2 scan.
 struct ScanOutcome {
-    /// Largest address id among this shard's home transactions (for the
-    /// global union-find grow — home shards jointly cover every tx).
-    max_addr: Option<AddressId>,
-    /// Non-coinbase home transactions (H1 statistics).
-    transactions: usize,
-    /// Home transactions with two or more distinct input addresses.
-    multi_input: usize,
     /// Verdicts for this shard's home transactions, in chain order.
     verdicts: Vec<TxVerdict>,
     /// Per epoch transaction (dense, in chain order): bit 0 = reused-change
@@ -141,8 +125,8 @@ struct ScanOutcome {
     vetoes: Vec<u8>,
 }
 
-/// Online H1(+H2) clustering over a block-by-block feed, sharded across
-/// worker threads with epoch-based reconciliation.
+/// Online H1(+H2) clustering over a block-by-block feed, reconciled at
+/// epoch boundaries, with the Heuristic 2 scan sharded across threads.
 ///
 /// Blocks must be ingested contiguously in chain order from block 0 (the
 /// engine asserts it). All blocks must come from the same
@@ -151,7 +135,7 @@ struct ScanOutcome {
 #[derive(Debug)]
 pub struct ShardedIngest {
     config: IngestConfig,
-    uf: ShardedUnionFind,
+    uf: UnionFind,
     scanners: Vec<ChangeScanner>,
     h1_stats: H1Stats,
     labels: ChangeLabels,
@@ -176,7 +160,7 @@ impl ShardedIngest {
         assert!(config.epoch_blocks >= 1, "epochs must span at least one block");
         let shards = config.shards;
         ShardedIngest {
-            uf: ShardedUnionFind::new(shards),
+            uf: UnionFind::default(),
             scanners: (0..shards as u32)
                 .map(|s| ChangeScanner::for_shard(s, shards as u32))
                 .collect(),
@@ -198,8 +182,8 @@ impl ShardedIngest {
     }
 
     /// Ingests the next block. The block is buffered; once
-    /// `epoch_blocks` blocks have accumulated, the concurrent scan and
-    /// reconcile run and the buffered blocks become visible to queries.
+    /// `epoch_blocks` blocks have accumulated, the scan and reconcile run
+    /// and the buffered blocks become visible to queries.
     /// Panics if the block does not start at the next expected transaction
     /// (blocks must be replayed contiguously, in order, from block 0).
     pub fn ingest_block(&mut self, block: &ResolvedBlockView<'_>) {
@@ -228,43 +212,38 @@ impl ShardedIngest {
         self.resolve_pending(chain, None);
     }
 
-    /// The concurrent epoch pass: scan the buffered span on all shards,
-    /// then reconcile into the global state.
+    /// The epoch pass: link the buffered span's Heuristic 1 edges, scan it
+    /// for Heuristic 2 on all shards, then reconcile the verdicts.
     fn process_epoch(&mut self, chain: &ResolvedChain) {
         let span = chain.block_span(self.epoch_start_block..self.blocks_ingested as BlockId);
         self.epoch_start_block = self.blocks_ingested as BlockId;
-        let shard_count = self.config.shards as u32;
-        let h2 = self.config.h2.as_ref();
 
-        // Scan: one worker per shard, all walking the same span.
-        let (locals, queue) = self.uf.scan_parts();
-        let outcomes: Vec<ScanOutcome> = std::thread::scope(|s| {
-            let handles: Vec<_> = locals
-                .iter_mut()
-                .zip(self.scanners.iter_mut())
-                .map(|(shard, scanner)| {
-                    s.spawn(move || scan_shard(shard_count, shard, scanner, span, h2, queue))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-
-        // Reconcile: grow the global forest to cover the epoch's addresses
-        // (home shards jointly saw every transaction), then replay merges.
-        if let Some(max_addr) = outcomes.iter().filter_map(|o| o.max_addr).max() {
-            self.uf.grow(max_addr as usize + 1);
+        // Every input spends an earlier transaction's output, so growing
+        // over the outputs in chain order covers every address.
+        for (_, tx) in span.txs() {
+            if let Some(max) = tx.outputs.iter().map(|o| o.address).max() {
+                self.uf.grow(max as usize + 1);
+            }
+            heuristic1::link_tx(tx, &mut self.uf, &mut self.h1_stats);
         }
-        for o in &outcomes {
-            self.h1_stats.transactions += o.transactions;
-            self.h1_stats.multi_input_transactions += o.multi_input;
-        }
-        self.h1_stats.merges += self.uf.reconcile();
 
-        // Combine per-transaction H2 verdicts in sequential precedence.
         if let Some(config) = self.config.h2.as_ref() {
+            // Scan: one worker per shard, all walking the same span.
+            let shard_count = self.config.shards as u32;
+            let outcomes: Vec<ScanOutcome> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..shard_count)
+                    .zip(self.scanners.iter_mut())
+                    .map(|(sid, scanner)| {
+                        s.spawn(move || scan_shard(shard_count, sid, scanner, span, config))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            });
+
+            // Combine per-transaction verdicts in sequential precedence.
             let mut cursors = vec![0usize; outcomes.len()];
             for (t, tx) in span.txs() {
                 let idx = (t - span.tx_start()) as usize;
@@ -297,7 +276,7 @@ impl ShardedIngest {
                         None => {
                             self.labels.vout_of[t as usize] = Some(vout);
                             self.labels.labels += 1;
-                            link_change_global(&mut self.uf, chain, t, addr);
+                            link_change(&mut self.uf, chain, t, addr);
                         }
                     },
                     Err(reason) => self.labels.note_skip(reason),
@@ -333,7 +312,7 @@ impl ShardedIngest {
             } else {
                 self.labels.vout_of[p.tx as usize] = Some(p.vout);
                 self.labels.labels += 1;
-                link_change_global(&mut self.uf, chain, p.tx, p.addr);
+                link_change(&mut self.uf, chain, p.tx, p.addr);
             }
         }
     }
@@ -371,15 +350,15 @@ impl ShardedIngest {
     }
 
     /// The representative of `addr`'s cluster: always the cluster's minimum
-    /// address id (lowest-root-wins reconcile), so representatives agree
-    /// across runs with different shard counts and epoch lengths.
+    /// address id (the forest merges lowest root wins), so representatives
+    /// agree across runs with different shard counts and epoch lengths.
     pub fn cluster_of(&self, addr: AddressId) -> u32 {
-        self.uf.find(addr)
+        self.uf.find_immutable(addr)
     }
 
     /// True if `a` and `b` are in the same reconciled cluster.
     pub fn same_cluster(&self, a: AddressId, b: AddressId) -> bool {
-        self.uf.same(a, b)
+        self.uf.find_immutable(a) == self.uf.find_immutable(b)
     }
 
     /// Heuristic 1 statistics over the reconciled prefix. Identical to the
@@ -461,98 +440,37 @@ impl ShardedIngest {
     }
 }
 
-/// The Heuristic 2 amplification link, applied to the canonical global
-/// forest. Mirrors `cluster::link_change`, but merges lowest-root-wins so
-/// reconciled representatives stay the cluster minimum.
-fn link_change_global(
-    uf: &mut ShardedUnionFind,
-    chain: &ResolvedChain,
-    tx: TxId,
-    change_addr: AddressId,
-) {
-    if let Some(first_input) = chain.txs[tx as usize].inputs.first() {
-        uf.union_global(first_input.address, change_addr);
-    }
-}
-
-/// One shard's pass over an epoch span. Runs concurrently with the other
-/// shards; touches only shard-local state plus (once, at the end) the
-/// shared merge queue.
+/// One shard's Heuristic 2 pass over an epoch span. Runs concurrently
+/// with the other shards and touches only its own scanner.
 fn scan_shard(
     shard_count: u32,
-    shard: &mut UnionFindShard,
+    sid: u32,
     scanner: &mut ChangeScanner,
     span: ResolvedSpanView<'_>,
-    h2: Option<&ChangeConfig>,
-    queue: &MergeQueue,
+    config: &ChangeConfig,
 ) -> ScanOutcome {
     let chain = span.chain();
-    let sid = shard.shard();
-    let mut out = ScanOutcome {
-        max_addr: None,
-        transactions: 0,
-        multi_input: 0,
-        verdicts: Vec::new(),
-        vetoes: if h2.is_some() { Vec::with_capacity(span.tx_count()) } else { Vec::new() },
-    };
+    let mut out =
+        ScanOutcome { verdicts: Vec::new(), vetoes: Vec::with_capacity(span.tx_count()) };
     for (t, tx) in span.txs() {
-        let home = t % shard_count == sid;
-
-        // Heuristic 1: the shard owning the first input's address applies
-        // the star edges; the home shard counts the tx-local statistics
-        // (mirroring `heuristic1::link_tx`).
-        if !tx.is_coinbase {
-            if home {
-                out.transactions += 1;
-            }
-            let mut it = tx.inputs.iter();
-            if let Some(first) = it.next() {
-                let owned = shard.owns(first.address);
-                let mut multi = false;
-                for input in it {
-                    if input.address != first.address {
-                        multi = true;
-                    }
-                    if owned {
-                        shard.link(first.address, input.address);
-                    }
-                }
-                if home && multi {
-                    out.multi_input += 1;
-                }
-            }
+        // The home shard takes the tx-local verdict; every shard evaluates
+        // its own stateful vetoes and absorbs the transaction.
+        let mut flags = 0u8;
+        if config.skip_reused_change && scanner.reused_change_veto(tx) {
+            flags |= 1;
         }
-        if home {
-            let max = tx
-                .inputs
-                .iter()
-                .map(|i| i.address)
-                .chain(tx.outputs.iter().map(|o| o.address))
-                .max();
-            out.max_addr = out.max_addr.max(max);
+        if config.skip_prior_self_change && scanner.prior_self_change_veto(tx) {
+            flags |= 2;
         }
-
-        // Heuristic 2: home shard takes the tx-local verdict; every shard
-        // evaluates its own stateful vetoes and absorbs the transaction.
-        if let Some(config) = h2 {
-            let mut flags = 0u8;
-            if config.skip_reused_change && scanner.reused_change_veto(tx) {
-                flags |= 1;
-            }
-            if config.skip_prior_self_change && scanner.prior_self_change_veto(tx) {
-                flags |= 2;
-            }
-            out.vetoes.push(flags);
-            if home {
-                out.verdicts.push(TxVerdict {
-                    pre: precondition_skip(tx, config),
-                    candidate: fresh_candidate(chain, t, tx),
-                });
-            }
-            scanner.absorb(tx);
+        out.vetoes.push(flags);
+        if t % shard_count == sid {
+            out.verdicts.push(TxVerdict {
+                pre: precondition_skip(tx, config),
+                candidate: fresh_candidate(chain, t, tx),
+            });
         }
+        scanner.absorb(tx);
     }
-    shard.flush_outbox(queue);
     out
 }
 
@@ -616,7 +534,7 @@ mod tests {
 
         for shards in [1, 2, 4, 8] {
             for epoch in [1, 3, 100] {
-                let (s, ingest) = replay(&t.chain, IngestConfig::h1_only(shards, epoch));
+                let (s, ingest) = replay(&t.chain, IngestConfig::h1_only(epoch));
                 assert_equivalent(&s, &h1);
                 // H1-only mode: the statistics coincide exactly.
                 assert_eq!(s.h1_stats, h1.h1_stats, "{shards} shards, epoch {epoch}");
@@ -689,7 +607,7 @@ mod tests {
     #[test]
     fn queries_reflect_epoch_boundaries() {
         let t = scenario();
-        let mut ingest = ShardedIngest::new(IngestConfig::h1_only(2, 3));
+        let mut ingest = ShardedIngest::new(IngestConfig::h1_only(3));
         let blocks: Vec<_> = t.chain.blocks().collect();
         ingest.ingest_block(&blocks[0]);
         ingest.ingest_block(&blocks[1]);
@@ -721,7 +639,7 @@ mod tests {
         let t = scenario();
         let db = TagDb::new();
         let blocks: Vec<_> = t.chain.blocks().collect();
-        let mut ingest = ShardedIngest::new(IngestConfig::h1_only(2, 3));
+        let mut ingest = ShardedIngest::new(IngestConfig::h1_only(3));
 
         // First epoch boundary: the export covers exactly the reconciled
         // prefix, no more.
@@ -751,20 +669,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn rejects_zero_shards() {
-        let _ = ShardedIngest::new(IngestConfig::h1_only(0, 4));
+        let _ = ShardedIngest::new(IngestConfig::with_h2(0, 4, ChangeConfig::naive()));
     }
 
     #[test]
     #[should_panic(expected = "at least one block")]
     fn rejects_zero_epoch() {
-        let _ = ShardedIngest::new(IngestConfig::h1_only(4, 0));
+        let _ = ShardedIngest::new(IngestConfig::h1_only(0));
     }
 
     #[test]
     #[should_panic(expected = "contiguously")]
     fn rejects_out_of_order_blocks() {
         let t = scenario();
-        let mut ingest = ShardedIngest::new(IngestConfig::h1_only(2, 1));
+        let mut ingest = ShardedIngest::new(IngestConfig::h1_only(1));
         ingest.ingest_block(&t.chain.block(1));
     }
 }

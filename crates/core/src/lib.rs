@@ -15,7 +15,7 @@
 //! [`cluster`] drives both heuristics over a
 //! [`ResolvedChain`](fistful_chain::resolve::ResolvedChain) with a
 //! [`union_find::UnionFind`]; [`incremental`] maintains the same partition
-//! online, epoch by epoch on address shards, for live chains; [`tagdb`]
+//! online, epoch by epoch through the same linking steps, for live chains; [`tagdb`]
 //! and [`naming`] turn ground-truth interactions into cluster names (and
 //! detect the super-cluster failure mode); [`snapshot`] freezes a finished
 //! clustering plus its names and aggregates into an immutable, serializable

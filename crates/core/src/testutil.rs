@@ -1,5 +1,5 @@
 //! Test-only helpers for building small hand-crafted chains and the
-//! snapshots that name their addresses.
+//! snapshots that name their addresses, plus a naive Heuristic 1 oracle.
 
 use crate::cluster::Clustering;
 use crate::naming::NamingReport;
@@ -10,6 +10,7 @@ use fistful_chain::resolve::{AddressId, ResolvedChain};
 use fistful_chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use fistful_chain::utxo::UtxoSet;
 use fistful_crypto::hash::Hash256;
+use std::collections::VecDeque;
 
 /// Incrementally builds a [`ResolvedChain`] from abstract transactions.
 ///
@@ -132,6 +133,48 @@ pub fn named_snapshot(
     ClusterSnapshot::build(chain, &clustering, &names)
 }
 
+/// Heuristic 1 as §4 states it — "if two (or more) addresses are used as
+/// inputs to the same transaction, then they are controlled by the same
+/// user" — transcribed with no union-find, as a check on the two engines,
+/// which share `heuristic1::link_tx` and `UnionFind`.
+///
+/// Every pair of distinct input addresses of a non-coinbase transaction is
+/// an edge; a cluster is a connected component of that graph, found by
+/// breadth-first search. Returns, for each address, the smallest address
+/// id in its component.
+pub fn h1_oracle(chain: &ResolvedChain) -> Vec<AddressId> {
+    let n = chain.address_count();
+    let mut adjacent: Vec<Vec<AddressId>> = vec![Vec::new(); n];
+    for tx in chain.txs.iter().filter(|tx| !tx.is_coinbase) {
+        for a in &tx.inputs {
+            for b in &tx.inputs {
+                if a.address != b.address {
+                    adjacent[a.address as usize].push(b.address);
+                }
+            }
+        }
+    }
+    let mut label = vec![AddressId::MAX; n];
+    // Starting from each unlabelled address in increasing order, the
+    // start is the smallest address of the component it reaches.
+    for start in 0..n as AddressId {
+        if label[start as usize] != AddressId::MAX {
+            continue;
+        }
+        label[start as usize] = start;
+        let mut queue = VecDeque::from([start]);
+        while let Some(a) = queue.pop_front() {
+            for &b in &adjacent[a as usize] {
+                if label[b as usize] == AddressId::MAX {
+                    label[b as usize] = start;
+                    queue.push_back(b);
+                }
+            }
+        }
+    }
+    label
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +188,19 @@ mod tests {
         assert_eq!(t.chain.txs[spend].inputs.len(), 1);
         assert_eq!(t.chain.txs[spend].outputs.len(), 2);
         assert_eq!(t.chain.txs[spend].inputs[0].address, t.id(1));
+    }
+
+    #[test]
+    fn h1_oracle_labels_components_by_their_smallest_address() {
+        let mut t = TestChain::new();
+        let (cb1, cb2, cb3, cb3_again) =
+            (t.coinbase(1, 50), t.coinbase(2, 50), t.coinbase(3, 50), t.coinbase(3, 50));
+        // 2 co-spends with 3, and 3 later with 1; outputs 4 and 5 stay apart.
+        t.tx(&[(cb2, 0), (cb3, 0)], &[(4, 60), (5, 40)]);
+        t.tx(&[(cb3_again, 0), (cb1, 0)], &[(4, 100)]);
+        let label = h1_oracle(&t.chain);
+        for (n, min) in [(1, 1), (2, 1), (3, 1), (4, 4), (5, 5)] {
+            assert_eq!(label[t.id(n) as usize], t.id(min), "address {n}");
+        }
     }
 }

@@ -154,10 +154,9 @@ pub struct LivePipeline {
 }
 
 impl LivePipeline {
-    /// A pipeline over `chain` (which may keep growing behind the `Arc`
-    /// is not supported — the pipeline reads a fixed chain; re-run to
-    /// pick up appended blocks) with tag database `db` for cluster
-    /// naming.
+    /// A pipeline over `chain` with tag database `db` for cluster naming.
+    /// The chain is fixed: the pipeline does not see blocks appended
+    /// after it starts, so re-run it to pick them up.
     pub fn new(chain: Arc<ResolvedChain>, db: TagDb, config: LiveConfig) -> LivePipeline {
         let ingest =
             IngestConfig::with_h2(config.shards, config.epoch_blocks, config.change.clone());

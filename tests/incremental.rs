@@ -65,7 +65,7 @@ fn sharded_matches_batch_h1_only() {
     let batch = Clusterer::h1_only().run(chain);
     assert!(batch.cluster_count() > 100, "economy produced a real chain");
     for (shards, epoch) in [(1, 1), (1, 4), (2, 4), (4, 4), (8, 4)] {
-        let (sharded, _) = replay_sharded(chain, IngestConfig::h1_only(shards, epoch));
+        let (sharded, _) = replay_sharded(chain, IngestConfig::h1_only(epoch));
         assert_equivalent(&sharded, &batch);
         // In H1-only mode even the statistics coincide: reconcile counts
         // exactly the merges that reduce the global component count.
@@ -132,28 +132,30 @@ fn sharded_sweep_matches_batch_on_tiny_economy() {
 
 #[test]
 fn sharded_cluster_ids_are_shard_count_independent() {
-    // Regression for the reconcile tie-break: lowest root wins, so the raw
-    // representative of every cluster is its minimum address id no matter
-    // how many shards produced the merges (and the dense snapshot ids are
-    // identical too).
+    // The forest merges lowest root wins, so the raw representative of
+    // every cluster is its minimum address id however many shards scanned
+    // for Heuristic 2 and however long the epochs were (and the dense
+    // snapshot ids are identical too).
     let eco = Economy::run(SimConfig::tiny());
     let chain = eco.chain.resolved();
     let mut reference: Option<Vec<u32>> = None;
-    for shards in [1, 2, 4, 8] {
-        let mut ingest =
-            ShardedIngest::new(IngestConfig::with_h2(shards, 3, ChangeConfig::naive()));
-        for block in chain.blocks() {
-            ingest.ingest_block(&block);
-        }
-        ingest.flush(chain);
-        let reps: Vec<u32> =
-            (0..chain.address_count() as u32).map(|a| ingest.cluster_of(a)).collect();
-        for (a, &rep) in reps.iter().enumerate() {
-            assert!(rep as usize <= a, "representative is the cluster minimum");
-        }
-        match &reference {
-            Some(r) => assert_eq!(&reps, r, "{shards} shards diverged"),
-            None => reference = Some(reps),
+    for epoch in [1, 3, 16] {
+        for shards in [1, 2, 4, 8] {
+            let mut ingest =
+                ShardedIngest::new(IngestConfig::with_h2(shards, epoch, ChangeConfig::naive()));
+            for block in chain.blocks() {
+                ingest.ingest_block(&block);
+            }
+            ingest.flush(chain);
+            let reps: Vec<u32> =
+                (0..chain.address_count() as u32).map(|a| ingest.cluster_of(a)).collect();
+            for (a, &rep) in reps.iter().enumerate() {
+                assert!(rep as usize <= a, "representative is the cluster minimum");
+            }
+            match &reference {
+                Some(r) => assert_eq!(&reps, r, "{shards} shards, epoch {epoch} diverged"),
+                None => reference = Some(reps),
+            }
         }
     }
 }

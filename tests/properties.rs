@@ -99,10 +99,10 @@ proptest! {
         n in 2usize..200,
         unions in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..400),
     ) {
+        let unions: Vec<(u32, u32)> =
+            unions.into_iter().map(|(a, b)| (a % n as u32, b % n as u32)).collect();
         let mut uf = UnionFind::new(n);
-        for (a, b) in unions {
-            let a = a % n as u32;
-            let b = b % n as u32;
+        for &(a, b) in &unions {
             uf.union(a, b);
             // Reflexive + symmetric + the union took effect.
             prop_assert!(uf.same(a, a));
@@ -122,6 +122,17 @@ proptest! {
                 );
             }
         }
+        // Lowest root wins: every set's representative is its minimum, i.e.
+        // (being a member itself) at most every member.
+        let finds: Vec<u32> = (0..n as u32).map(|x| uf.find(x)).collect();
+        prop_assert!(finds.iter().enumerate().all(|(x, &rep)| rep as usize <= x));
+        // So the representatives do not depend on the order of the unions.
+        let mut reversed = UnionFind::new(n);
+        for &(a, b) in unions.iter().rev() {
+            reversed.union(b, a);
+        }
+        let reversed_finds: Vec<u32> = (0..n as u32).map(|x| reversed.find(x)).collect();
+        prop_assert_eq!(reversed_finds, finds);
     }
 }
 
@@ -250,6 +261,48 @@ proptest! {
             }
             _ => prop_assert!(false, "H2 ran on one side only"),
         }
+    }
+}
+
+// ---------- Heuristic 1 against the paper's definition ----------
+
+/// Both engines link through the same `heuristic1::link_tx` and
+/// `UnionFind`, so no engine-against-engine differential can see a bug in
+/// them. `testutil::h1_oracle` finds the co-spend components by
+/// breadth-first search with no union-find; batch H1 and the online engine
+/// at one and four shards must land on its partition.
+fn assert_h1_matches_oracle(chain: &fistful::chain::resolve::ResolvedChain) {
+    use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
+
+    let oracle = fistful::core::testutil::h1_oracle(chain);
+    // Dense cluster ids number the components by their smallest address.
+    let minima: Vec<u32> = (0..oracle.len() as u32).filter(|&a| oracle[a as usize] == a).collect();
+    let dense: Vec<u32> = oracle.iter().map(|m| minima.binary_search(m).unwrap() as u32).collect();
+    assert_eq!(Clusterer::h1_only().run(chain).assignment, dense, "batch");
+    for shards in [1, 4] {
+        let mut ingest = ShardedIngest::new(IngestConfig { shards, epoch_blocks: 4, h2: None });
+        for block in chain.blocks() {
+            ingest.ingest_block(&block);
+        }
+        ingest.flush(chain);
+        let reps: Vec<u32> = (0..oracle.len() as u32).map(|a| ingest.cluster_of(a)).collect();
+        assert_eq!(reps, oracle, "{shards} shards");
+        assert_eq!(ingest.snapshot().assignment, dense, "{shards} shards");
+    }
+}
+
+#[test]
+fn h1_matches_the_spec_oracle_on_the_tiny_economy() {
+    let eco = Economy::run(SimConfig::tiny());
+    assert_h1_matches_oracle(eco.chain.resolved());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn h1_matches_the_spec_oracle_on_random_chains(seed in any::<u64>(), txs in 20usize..150) {
+        assert_h1_matches_oracle(&random_chain(seed, txs).chain);
     }
 }
 
@@ -500,7 +553,7 @@ proptest! {
         let config = if with_h2 {
             IngestConfig::with_h2(shards, 1, ChangeConfig::naive())
         } else {
-            IngestConfig::h1_only(shards, 1)
+            IngestConfig::h1_only(1)
         };
         let mut pipe = ShardedIngest::new(config);
         let mut exports: Vec<ClusterSnapshot> = Vec::new();

@@ -160,7 +160,7 @@ fn merge_free_delta_files_stay_o_new_blocks() {
 
     // Ingest block by block, persisting a base at the first epoch
     // boundary and one delta file per later boundary.
-    let mut pipe = ShardedIngest::new(IngestConfig::h1_only(4, EPOCH_BLOCKS));
+    let mut pipe = ShardedIngest::new(IngestConfig::h1_only(EPOCH_BLOCKS));
     let mut prev: Option<ClusterSnapshot> = None;
     let mut delta_sizes: Vec<u64> = Vec::new();
     let mut last_reconciled = 0;
