@@ -28,7 +28,8 @@ pub const DEFAULT_SERVE_SHARDS: usize = 4;
 /// Largest `--workers` value `repro serve` accepts: each is a thread.
 pub const MAX_SERVE_WORKERS: usize = 256;
 
-/// Largest `--shards` value: each is a scan thread started every epoch.
+/// Largest `--shards` value: each shard past the first is a thread
+/// started every epoch to decide Heuristic 2 over its chunk of the epoch.
 pub const MAX_SERVE_SHARDS: usize = 64;
 
 /// Largest `--cache` value: the cache allocates its capacity up front.
@@ -55,12 +56,12 @@ pub fn usage() -> String {
          \x20        per-connection budgets, backpressure) instead of pinning\n\
          \x20        one worker per connection; --live streams the economy's blocks\n\
          \x20        through the sharded ingest pipeline in the background,\n\
-         \x20        hot-swapping fresh artifacts every --epoch blocks across\n\
-         \x20        --shards shards (at most {MAX_SERVE_SHARDS}), persisting\n\
-         \x20        per-epoch deltas to --store so a restart resumes from\n\
-         \x20        disk; --metrics-port binds a second listener (must differ\n\
-         \x20        from --port; 0 = ephemeral) answering GET /metrics with\n\
-         \x20        the Prometheus text exposition",
+         \x20        hot-swapping fresh artifacts every --epoch blocks, with\n\
+         \x20        Heuristic 2 decided on --shards threads (at most\n\
+         \x20        {MAX_SERVE_SHARDS}), persisting per-epoch deltas to --store so\n\
+         \x20        a restart resumes from disk; --metrics-port binds a second\n\
+         \x20        listener (must differ from --port; 0 = ephemeral) answering\n\
+         \x20        GET /metrics with the Prometheus text exposition",
         EXPERIMENTS.join(" ")
     )
 }

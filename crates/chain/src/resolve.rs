@@ -4,9 +4,11 @@
 //! the address and value of the output they spend — plus fast per-address
 //! history. [`ResolvedChain`] interns addresses into dense [`AddressId`]s
 //! and transactions into dense [`TxId`]s, and maintains spent-by backlinks
-//! (which peeling-chain traversal follows) and per-address event lists
-//! (which Heuristic 2's "has the address appeared before?" conditions and
-//! the false-positive estimator consume).
+//! (which peeling-chain traversal follows) and per-address history: first
+//! appearance, receive and spend lists, first self-change. Heuristic 2
+//! reads its "previous transactions" conditions from that history (the
+//! entries before the transaction it decides), and the false-positive
+//! estimator reads the receives after it.
 
 use crate::address::Address;
 use crate::amount::Amount;
@@ -132,9 +134,9 @@ impl<'a> ResolvedBlockView<'a> {
 
 /// A contiguous run of blocks of a [`ResolvedChain`] — the unit of epoch
 /// replay consumed by the sharded ingest pipeline
-/// (`fistful_core::incremental::sharded`). Every shard worker walks the
-/// same span; [`ResolvedChain::block_span`] is how an epoch's worth of
-/// buffered blocks is turned back into a transaction range.
+/// (`fistful_core::incremental::sharded`): [`ResolvedChain::block_span`]
+/// is how an epoch's worth of buffered blocks is turned back into a
+/// transaction range.
 #[derive(Clone, Copy)]
 pub struct ResolvedSpanView<'a> {
     chain: &'a ResolvedChain,
@@ -145,21 +147,6 @@ pub struct ResolvedSpanView<'a> {
 }
 
 impl<'a> ResolvedSpanView<'a> {
-    /// The chain this span belongs to.
-    pub fn chain(&self) -> &'a ResolvedChain {
-        self.chain
-    }
-
-    /// The first block id in the span.
-    pub fn block_start(&self) -> BlockId {
-        self.block_start
-    }
-
-    /// One past the last block id in the span.
-    pub fn block_end(&self) -> BlockId {
-        self.block_end
-    }
-
     /// Number of blocks in the span.
     pub fn block_count(&self) -> usize {
         (self.block_end - self.block_start) as usize
@@ -219,6 +206,9 @@ pub struct ResolvedChain {
     received_in: Vec<Vec<TxId>>,
     /// Per address: transactions in which the address spent an input.
     spent_in: Vec<Vec<TxId>>,
+    /// Per address: the first transaction that both spent from the address
+    /// and paid it (a self-change), or `TxId::MAX` if none has.
+    first_self_change: Vec<TxId>,
 }
 
 impl ResolvedChain {
@@ -309,6 +299,12 @@ impl ResolvedChain {
         &self.received_in[addr as usize]
     }
 
+    /// The first transaction (chain order) that spent from `addr` and paid
+    /// it back, or `TxId::MAX` if `addr` was never a self-change address.
+    pub fn first_self_change(&self, addr: AddressId) -> TxId {
+        self.first_self_change[addr as usize]
+    }
+
     /// Transactions in which `addr` spent inputs, in chain order.
     pub fn spent_in(&self, addr: AddressId) -> &[TxId] {
         &self.spent_in[addr as usize]
@@ -350,6 +346,7 @@ impl ResolvedChain {
         self.first_seen.push(TxId::MAX);
         self.received_in.push(Vec::new());
         self.spent_in.push(Vec::new());
+        self.first_self_change.push(TxId::MAX);
         id
     }
 
@@ -419,6 +416,10 @@ impl ResolvedChain {
             outputs.push(ResolvedOutput { address, value: out.value, spent_by: None });
             self.received_in[address as usize].push(id);
             self.note_seen(address, id);
+            let self_change = &mut self.first_self_change[address as usize];
+            if *self_change == TxId::MAX && inputs.iter().any(|i| i.address == address) {
+                *self_change = id;
+            }
         }
 
         self.txid_index.insert(txid, id);
@@ -488,6 +489,47 @@ mod tests {
         assert_eq!(rc.spent_in(a_id), &[1]);
         assert!(rc.is_sink(b_id));
         assert!(!rc.is_sink(a_id));
+    }
+
+    #[test]
+    fn first_self_change_records_the_earliest_spend_that_pays_back() {
+        let mut utxos = UtxoSet::new();
+        let mut rc = ResolvedChain::new();
+        let (a, b, c) = (Address::from_seed(1), Address::from_seed(2), Address::from_seed(3));
+        let mut add = |rc: &mut ResolvedChain, prev: Option<(Hash256, u32)>, outs: &[Address]| {
+            let tx = match prev {
+                None => cb(0, Amount::from_btc(50), outs[0]),
+                Some((txid, vout)) => Transaction {
+                    version: 1,
+                    inputs: vec![TxIn::unsigned(OutPoint { txid, vout })],
+                    outputs: outs
+                        .iter()
+                        .map(|&address| TxOut { value: Amount::from_sat(1), address })
+                        .collect(),
+                    lock_time: 0,
+                },
+            };
+            let height = rc.tx_count() as u64;
+            let id = rc.add_tx(&tx, tx.txid(), &utxos, height, 0);
+            utxos.apply(&tx, tx.txid(), height);
+            (id, tx.txid())
+        };
+        let (_, funding) = add(&mut rc, None, &[a]);
+        // `a` pays `b` and itself twice over; the first self-change stands.
+        let (first, spend) = add(&mut rc, Some((funding, 0)), &[b, a]);
+        let (second, _) = add(&mut rc, Some((spend, 1)), &[c, a]);
+        // `b` pays `c` only.
+        add(&mut rc, Some((spend, 0)), &[c]);
+
+        let id = |addr| rc.address_id(&addr).unwrap();
+        assert_eq!(rc.first_self_change(id(a)), first);
+        assert_eq!(rc.first_self_change(id(b)), TxId::MAX);
+        assert_eq!(rc.first_self_change(id(c)), TxId::MAX);
+        // Recorded at its own transaction, so the strict "prior
+        // self-change" test does not veto that transaction itself.
+        let prior_self_change = |addr, t: TxId| rc.first_self_change(id(addr)) < t;
+        assert!(!prior_self_change(a, first));
+        assert!(prior_self_change(a, second));
     }
 
     #[test]

@@ -21,6 +21,15 @@
 //!   has already received exactly one input, nothing is tagged;
 //! * **prior-self-change exclusion** — if any output address was previously
 //!   used as a self-change address, nothing is tagged.
+//!
+//! "Previous transactions" are a read of the chain, not running state:
+//! [`ResolvedChain`] keeps each address's history (first appearance,
+//! receives, first self-change), and [`decide`] consults only the entries
+//! before the transaction it labels. Both clustering engines call it —
+//! [`identify`] over the whole chain, the sharded ingest pipeline over
+//! contiguous chunks of each epoch on parallel threads — so they share
+//! every line of the decision. `testutil::h2_oracle` is the independent
+//! check: this definition transcribed as rescans of earlier transactions.
 
 use fistful_chain::resolve::{AddressId, ResolvedChain, ResolvedTx, TxId};
 use std::collections::HashSet;
@@ -201,201 +210,76 @@ fn spends_from(tx: &ResolvedTx, addr: AddressId) -> bool {
     tx.inputs.iter().any(|i| i.address == addr)
 }
 
-/// The stateless, transaction-local half of the labelling decision:
-/// conditions 2–3 plus the output-count gate, in the exact precedence
-/// [`ChangeScanner::decide`] reports them. Needs no per-address history, so
-/// the sharded ingest pipeline computes it on a transaction's home shard
-/// without consulting the other shards. Condition 3 is O(inputs · outputs)
-/// array comparisons ([`spends_from`]), with no allocation.
-pub(crate) fn precondition_skip(tx: &ResolvedTx, config: &ChangeConfig) -> Option<SkipReason> {
-    // Condition 2: not a coin generation.
-    if tx.is_coinbase {
-        return Some(SkipReason::Coinbase);
-    }
-    if tx.outputs.len() < config.min_outputs.max(1) {
-        return Some(SkipReason::TooFewOutputs);
-    }
-
-    // Condition 3: no self-change address.
-    if tx.outputs.iter().any(|o| spends_from(tx, o.address)) {
-        return Some(SkipReason::SelfChange);
-    }
-    None
+/// True if exactly one output paid `addr` before transaction `t`: the
+/// change-reuse refinement's test. O(1), because
+/// [`ResolvedChain::received_in`] is sorted by transaction.
+fn received_once_before(chain: &ResolvedChain, addr: AddressId, t: TxId) -> bool {
+    let receives = chain.received_in(addr);
+    receives.first().is_some_and(|&first| first < t)
+        && receives.get(1).map_or(true, |&second| second >= t)
 }
 
-/// Conditions 1 + 4: exactly one output address makes its first appearance
-/// in this transaction (and only once within it). Pure chain lookup — the
-/// "previous transactions" of condition 1 come from
-/// [`ResolvedChain::first_seen`], not from running state — so it too is
-/// computable per transaction without cross-shard coordination.
-pub(crate) fn fresh_candidate(
+/// Conditions 1 + 4: exactly one output pays an address making its first
+/// appearance in this transaction, so every other output's address
+/// appeared before. A new address paid twice is two fresh outputs.
+fn fresh_candidate(
     chain: &ResolvedChain,
     t_id: TxId,
     tx: &ResolvedTx,
 ) -> Result<(u32, AddressId), SkipReason> {
-    let mut candidate: Option<(u32, AddressId)> = None;
-    let mut candidates = 0;
-    for (vout, out) in tx.outputs.iter().enumerate() {
-        let fresh = chain.first_seen(out.address) == t_id
-            && tx
-                .outputs
-                .iter()
-                .filter(|o| o.address == out.address)
-                .count()
-                == 1;
-        if fresh {
-            candidates += 1;
-            candidate = Some((vout as u32, out.address));
-        }
-    }
-    match candidates {
-        0 => Err(SkipReason::NoCandidate),
-        1 => Ok(candidate.unwrap()),
+    let mut fresh =
+        tx.outputs.iter().enumerate().filter(|(_, o)| chain.first_seen(o.address) == t_id);
+    match (fresh.next(), fresh.next()) {
+        (None, _) => Err(SkipReason::NoCandidate),
+        (Some((vout, out)), None) => Ok((vout as u32, out.address)),
         _ => Err(SkipReason::Ambiguous),
     }
 }
 
-/// The running per-address state behind Heuristic 2's "previous
-/// transactions" conditions, factored out so the batch [`identify`] pass
-/// and the sharded pipeline (`crate::incremental::sharded`) share one
-/// decision procedure.
+/// The labelling decision for transaction `t_id` (conditions 1–4 plus the
+/// non-temporal refinements), in the precedence the skip counts report:
+/// preconditions (coinbase, output count, self-change), then the reuse
+/// veto, then the prior-self-change veto, then the fresh-candidate search.
 ///
-/// Feed transactions in chain order: call [`decide`](Self::decide) *before*
-/// [`absorb`](Self::absorb) for each transaction, so "previous" always means
-/// strictly-earlier transactions. State grows on demand as new addresses
-/// appear, which is what lets the sharded pipeline use it without knowing
-/// the final address count up front.
-///
-/// A scanner can be restricted to one shard of the address space
-/// ([`for_shard`](Self::for_shard)): it then tracks history only for
-/// addresses it owns (`addr % shard_count == shard`), stored at local index
-/// `addr / shard_count` so per-shard memory is proportional to the shard's
-/// share. The stateful refinement checks decompose per address, so each
-/// shard evaluates its own veto over the outputs it owns and the sharded
-/// reconcile step ORs the per-shard verdicts — exactly the predicate an
-/// unsharded scanner computes.
-#[derive(Debug, Clone)]
-pub struct ChangeScanner {
-    /// Per owned address (local index): how many outputs have paid it.
-    receive_count: Vec<u32>,
-    /// Per owned address (local index): ever used as a self-change address.
-    was_self_change: Vec<bool>,
-    shard: u32,
-    stride: u32,
-}
-
-impl ChangeScanner {
-    /// A scanner pre-sized for `n_addr` addresses (batch path).
-    pub fn with_capacity(n_addr: usize) -> ChangeScanner {
-        ChangeScanner {
-            receive_count: Vec::with_capacity(n_addr),
-            was_self_change: Vec::with_capacity(n_addr),
-            shard: 0,
-            stride: 1,
-        }
+/// Pure: every "previous transaction" is read from `chain`'s per-address
+/// history strictly before `t_id` ([`ResolvedChain::first_seen`],
+/// [`ResolvedChain::received_in`], [`ResolvedChain::first_self_change`]),
+/// so transactions decide independently and in any order, and history
+/// appended after `t_id` never changes the answer. The temporal
+/// wait-to-label refinement is the caller's concern: batch labelling
+/// looks ahead with [`receives_again_within`]; the sharded pipeline parks
+/// the decision in its pending queue.
+pub fn decide(
+    chain: &ResolvedChain,
+    t_id: TxId,
+    tx: &ResolvedTx,
+    config: &ChangeConfig,
+) -> Result<(u32, AddressId), SkipReason> {
+    // Condition 2: not a coin generation.
+    if tx.is_coinbase {
+        return Err(SkipReason::Coinbase);
+    }
+    if tx.outputs.len() < config.min_outputs.max(1) {
+        return Err(SkipReason::TooFewOutputs);
+    }
+    // Condition 3: no self-change address.
+    if tx.outputs.iter().any(|o| spends_from(tx, o.address)) {
+        return Err(SkipReason::SelfChange);
     }
 
-    /// A scanner owning only the addresses of shard `shard` out of
-    /// `shard_count` (round-robin partition). Panics unless
-    /// `shard < shard_count` and `shard_count >= 1`.
-    pub fn for_shard(shard: u32, shard_count: u32) -> ChangeScanner {
-        assert!(
-            shard_count >= 1 && shard < shard_count,
-            "shard {shard} out of range for {shard_count} shards"
-        );
-        ChangeScanner {
-            receive_count: Vec::new(),
-            was_self_change: Vec::new(),
-            shard,
-            stride: shard_count,
-        }
+    // Refinements that veto the whole transaction.
+    if config.skip_reused_change
+        && tx.outputs.iter().any(|o| received_once_before(chain, o.address, t_id))
+    {
+        return Err(SkipReason::ReusedChange);
+    }
+    if config.skip_prior_self_change
+        && tx.outputs.iter().any(|o| chain.first_self_change(o.address) < t_id)
+    {
+        return Err(SkipReason::PriorSelfChange);
     }
 
-    /// The local slot for `addr`, or `None` if another shard owns it.
-    fn slot(&self, addr: AddressId) -> Option<usize> {
-        (addr % self.stride == self.shard).then(|| (addr / self.stride) as usize)
-    }
-
-    fn receives(&self, slot: usize) -> u32 {
-        self.receive_count.get(slot).copied().unwrap_or(0)
-    }
-
-    fn self_changed(&self, slot: usize) -> bool {
-        self.was_self_change.get(slot).copied().unwrap_or(false)
-    }
-
-    /// The change-reuse refinement's veto over the outputs this scanner
-    /// owns: some owned output address has received exactly one input so
-    /// far. For an unsharded scanner this is the whole refinement; sharded
-    /// verdicts are ORed across shards.
-    pub(crate) fn reused_change_veto(&self, tx: &ResolvedTx) -> bool {
-        tx.outputs
-            .iter()
-            .any(|o| self.slot(o.address).is_some_and(|s| self.receives(s) == 1))
-    }
-
-    /// The prior-self-change refinement's veto over the outputs this
-    /// scanner owns.
-    pub(crate) fn prior_self_change_veto(&self, tx: &ResolvedTx) -> bool {
-        tx.outputs
-            .iter()
-            .any(|o| self.slot(o.address).is_some_and(|s| self.self_changed(s)))
-    }
-
-    /// The per-transaction labelling decision (conditions 1–4 plus the
-    /// non-temporal refinements), against the history absorbed so far.
-    /// The temporal wait-to-label refinement is the caller's concern: batch
-    /// labelling looks ahead with [`receives_again_within`]; the sharded
-    /// pipeline parks the decision in its pending queue.
-    ///
-    /// Only valid on an unsharded scanner (a sharded one sees a subset of
-    /// the history; the sharded pipeline combines per-shard vetoes at
-    /// reconcile time instead).
-    pub fn decide(
-        &self,
-        chain: &ResolvedChain,
-        t_id: TxId,
-        tx: &ResolvedTx,
-        config: &ChangeConfig,
-    ) -> Result<(u32, AddressId), SkipReason> {
-        assert_eq!(self.stride, 1, "decide requires an unsharded scanner");
-        if let Some(reason) = precondition_skip(tx, config) {
-            return Err(reason);
-        }
-
-        // Refinements that veto the whole transaction.
-        if config.skip_reused_change && self.reused_change_veto(tx) {
-            return Err(SkipReason::ReusedChange);
-        }
-        if config.skip_prior_self_change && self.prior_self_change_veto(tx) {
-            return Err(SkipReason::PriorSelfChange);
-        }
-
-        fresh_candidate(chain, t_id, tx)
-    }
-
-    /// Updates the running state with the outputs of `tx` this scanner
-    /// owns. Call once per transaction, after [`decide`](Self::decide) — in
-    /// the sharded pipeline, *every* shard absorbs every transaction (each
-    /// updating only its own addresses), so per-shard state stays in
-    /// lockstep with what one unsharded scanner would hold.
-    ///
-    /// Costs at most O(inputs · outputs) comparisons (the self-change test
-    /// scans the inputs, for owned outputs only) and allocates only when a
-    /// new address grows the state.
-    pub fn absorb(&mut self, tx: &ResolvedTx) {
-        for out in &tx.outputs {
-            let Some(s) = self.slot(out.address) else { continue };
-            if s >= self.receive_count.len() {
-                self.receive_count.resize(s + 1, 0);
-                self.was_self_change.resize(s + 1, false);
-            }
-            self.receive_count[s] += 1;
-            if spends_from(tx, out.address) {
-                self.was_self_change[s] = true;
-            }
-        }
-    }
+    fresh_candidate(chain, t_id, tx)
 }
 
 /// Runs Heuristic 2 over the chain with the given configuration.
@@ -404,12 +288,10 @@ pub fn identify(chain: &ResolvedChain, config: &ChangeConfig) -> ChangeLabels {
         vout_of: vec![None; chain.tx_count()],
         ..Default::default()
     };
-    let mut scanner = ChangeScanner::with_capacity(chain.address_count());
 
     for (t, tx) in chain.txs.iter().enumerate() {
         let t_id = t as TxId;
-        // Decide the label first, then update running state.
-        match scanner.decide(chain, t_id, tx, config) {
+        match decide(chain, t_id, tx, config) {
             Ok((vout, addr)) => {
                 // Wait-to-label: discard if the address receives again within
                 // the window (dice-sourced receives excepted).
@@ -426,7 +308,6 @@ pub fn identify(chain: &ResolvedChain, config: &ChangeConfig) -> ChangeLabels {
             }
             Err(reason) => labels.note_skip(reason),
         }
-        scanner.absorb(tx);
     }
     labels
 }
@@ -586,8 +467,14 @@ mod tests {
         let _cb2 = t.coinbase(2, 50);
         // Outputs: [3, 3] — address 3 fresh but duplicated; [2] seen.
         let spend = t.tx(&[(cb, 0)], &[(3, 20), (3, 10), (2, 20)]);
-        let labels = identify(&t.chain, &ChangeConfig::naive());
+        // Outputs: [4] fresh once, [5, 5] fresh twice: 5 has not appeared
+        // before, so condition 4 fails for 4 too.
+        let cb3 = t.coinbase(6, 50);
+        let beside = t.tx(&[(cb3, 0)], &[(4, 20), (5, 10), (5, 19)]);
+        let labels = labels_on_every_engine(&t, &ChangeConfig::naive());
         assert_eq!(labels.change_vout(spend as u32), None);
+        assert_eq!(labels.change_vout(beside as u32), None);
+        assert_eq!(labels.skipped(SkipReason::Ambiguous), 2);
     }
 
     #[test]
@@ -761,55 +648,6 @@ mod tests {
         cfg.dice_addresses.insert(t.id(9));
         let lenient = identify(&t.chain, &cfg);
         assert_eq!(lenient.change_vout(tx1 as u32), Some(1));
-    }
-
-    #[test]
-    fn sharded_scanners_reproduce_unsharded_vetoes() {
-        // Per-shard veto verdicts, ORed across shards, must equal the
-        // unsharded scanner's verdicts on every transaction — the identity
-        // the sharded ingest reconcile step is built on.
-        let mut t = TestChain::new();
-        let cb1 = t.coinbase(1, 50);
-        let cb2 = t.coinbase(2, 50);
-        let tx1 = t.tx(&[(cb1, 0)], &[(2, 30), (4, 20)]); // change to fresh 4
-        let _tx2 = t.tx(&[(cb2, 0)], &[(6, 30), (4, 20)]); // reuses 4
-        let _tx3 = t.tx(&[(tx1, 0)], &[(2, 15), (7, 14)]); // self-change on 2
-        let chain = &t.chain;
-
-        for shards in [2u32, 3, 4] {
-            let mut whole = ChangeScanner::for_shard(0, 1);
-            let mut parts: Vec<ChangeScanner> =
-                (0..shards).map(|s| ChangeScanner::for_shard(s, shards)).collect();
-            for tx in &chain.txs {
-                assert_eq!(
-                    parts.iter().any(|p| p.reused_change_veto(tx)),
-                    whole.reused_change_veto(tx),
-                    "reused veto, {shards} shards"
-                );
-                assert_eq!(
-                    parts.iter().any(|p| p.prior_self_change_veto(tx)),
-                    whole.prior_self_change_veto(tx),
-                    "prior-self-change veto, {shards} shards"
-                );
-                whole.absorb(tx);
-                for p in &mut parts {
-                    p.absorb(tx);
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unsharded")]
-    fn decide_rejects_sharded_scanner() {
-        let (t, spend) = canonical();
-        let scanner = ChangeScanner::for_shard(0, 2);
-        let _ = scanner.decide(
-            &t.chain,
-            spend as TxId,
-            &t.chain.txs[spend],
-            &ChangeConfig::naive(),
-        );
     }
 
     #[test]

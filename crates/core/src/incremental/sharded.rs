@@ -6,18 +6,15 @@
 //!
 //! * **Heuristic 1.** The calling thread links each transaction's inputs,
 //!   in chain order, through the batch pass's own [`heuristic1::link_tx`].
-//!   It is cheap next to Heuristic 2: an H1-only ingest starts no thread.
-//! * **Heuristic 2 scan.** Address `a` belongs to shard `a % N`;
-//!   transaction `t`'s *home* shard is `t % N`. All `N` shards scan the
-//!   span concurrently (`std::thread::scope`). The home shard computes the
-//!   transaction-local verdict (coinbase / output-count / self-change
-//!   preconditions and the fresh-candidate search); *every* shard
-//!   evaluates the refinement vetoes over the output addresses it owns and
-//!   absorbs the transaction into its [`ChangeScanner`].
-//! * **Heuristic 2 reconcile.** Verdicts are combined per transaction in
-//!   the sequential precedence order (preconditions, then the ORed
-//!   reused-change vetoes, then the ORed prior-self-change vetoes, then the
-//!   candidate). Labels link at once through the batch pass's
+//! * **Heuristic 2 decisions.** [`change::decide`] reads each
+//!   transaction's "previous transactions" from the chain's per-address
+//!   history, so transactions decide independently. The span splits into
+//!   `shards` contiguous chunks of transactions: `shards - 1` scoped
+//!   threads and the calling thread each fill their chunk of one reused
+//!   buffer, allocating nothing. One shard, or an H1-only ingest, starts
+//!   no thread.
+//! * **Heuristic 2 links.** The calling thread then walks the decisions in
+//!   chain order. Labels link at once through the batch pass's
 //!   `cluster::link_change`, or park in the wait-to-label pending queue
 //!   and link through it once their window has fully elapsed.
 //!
@@ -56,34 +53,30 @@
 //! assert_eq!(ingest.snapshot().assignment, batch.assignment);
 //! ```
 
-use crate::change::{
-    fresh_candidate, precondition_skip, receives_again_within, ChangeConfig, ChangeLabels,
-    ChangeScanner, SkipReason,
-};
+use crate::change::{self, receives_again_within, ChangeConfig, ChangeLabels, SkipReason};
 use crate::cluster::{link_change, Clustering};
 use crate::heuristic1::{self, H1Stats};
 use crate::snapshot::{ClusterSnapshot, SnapshotDelta};
 use crate::union_find::UnionFind;
-use fistful_chain::resolve::{
-    AddressId, BlockId, ResolvedBlockView, ResolvedChain, ResolvedSpanView, TxId,
-};
+use fistful_chain::resolve::{AddressId, BlockId, ResolvedBlockView, ResolvedChain, TxId};
 use std::collections::VecDeque;
 
 /// Configuration of the sharded ingest pipeline.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Number of address shards (and Heuristic 2 scan threads). Must be
-    /// `>= 1`; unused without Heuristic 2.
+    /// Number of threads deciding Heuristic 2 (the calling thread
+    /// included): each epoch's transactions split into this many
+    /// contiguous chunks. Must be `>= 1`; unused without Heuristic 2.
     pub shards: usize,
-    /// Blocks per epoch: how many ingested blocks are buffered before a
-    /// scan + reconcile runs. Must be `>= 1`.
+    /// Blocks per epoch: how many ingested blocks are buffered before the
+    /// epoch pass links them. Must be `>= 1`.
     pub epoch_blocks: usize,
     /// Heuristic 2 configuration; `None` runs Heuristic 1 only.
     pub h2: Option<ChangeConfig>,
 }
 
 impl IngestConfig {
-    /// Heuristic 1 only: nothing is sharded, so one shard.
+    /// Heuristic 1 only: nothing is decided in parallel, so one shard.
     pub fn h1_only(epoch_blocks: usize) -> IngestConfig {
         IngestConfig { shards: 1, epoch_blocks, h2: None }
     }
@@ -107,26 +100,8 @@ struct PendingDecision {
     height: u64,
 }
 
-/// The transaction-local Heuristic 2 verdict a home shard computes during
-/// the scan; combined with the other shards' veto flags at reconcile time.
-struct TxVerdict {
-    /// Failed precondition (coinbase / too few outputs / self-change).
-    pre: Option<SkipReason>,
-    /// The fresh-candidate search result (conditions 1 + 4).
-    candidate: Result<(u32, AddressId), SkipReason>,
-}
-
-/// What one shard worker brings back from an epoch's Heuristic 2 scan.
-struct ScanOutcome {
-    /// Verdicts for this shard's home transactions, in chain order.
-    verdicts: Vec<TxVerdict>,
-    /// Per epoch transaction (dense, in chain order): bit 0 = reused-change
-    /// veto over this shard's addresses, bit 1 = prior-self-change veto.
-    vetoes: Vec<u8>,
-}
-
 /// Online H1(+H2) clustering over a block-by-block feed, reconciled at
-/// epoch boundaries, with the Heuristic 2 scan sharded across threads.
+/// epoch boundaries, with the Heuristic 2 decisions split across threads.
 ///
 /// Blocks must be ingested contiguously in chain order from block 0 (the
 /// engine asserts it). All blocks must come from the same
@@ -136,7 +111,9 @@ struct ScanOutcome {
 pub struct ShardedIngest {
     config: IngestConfig,
     uf: UnionFind,
-    scanners: Vec<ChangeScanner>,
+    /// The epoch's Heuristic 2 decisions, one per transaction, kept between
+    /// epochs so the deciding threads write into capacity already there.
+    decisions: Vec<Result<(u32, AddressId), SkipReason>>,
     h1_stats: H1Stats,
     labels: ChangeLabels,
     pending: VecDeque<PendingDecision>,
@@ -158,12 +135,9 @@ impl ShardedIngest {
     pub fn new(config: IngestConfig) -> ShardedIngest {
         assert!(config.shards >= 1, "at least one shard is required");
         assert!(config.epoch_blocks >= 1, "epochs must span at least one block");
-        let shards = config.shards;
         ShardedIngest {
             uf: UnionFind::default(),
-            scanners: (0..shards as u32)
-                .map(|s| ChangeScanner::for_shard(s, shards as u32))
-                .collect(),
+            decisions: Vec::new(),
             config,
             h1_stats: H1Stats::default(),
             labels: ChangeLabels::default(),
@@ -182,7 +156,7 @@ impl ShardedIngest {
     }
 
     /// Ingests the next block. The block is buffered; once
-    /// `epoch_blocks` blocks have accumulated, the scan and reconcile run
+    /// `epoch_blocks` blocks have accumulated, the epoch pass runs
     /// and the buffered blocks become visible to queries.
     /// Panics if the block does not start at the next expected transaction
     /// (blocks must be replayed contiguously, in order, from block 0).
@@ -212,8 +186,9 @@ impl ShardedIngest {
         self.resolve_pending(chain, None);
     }
 
-    /// The epoch pass: link the buffered span's Heuristic 1 edges, scan it
-    /// for Heuristic 2 on all shards, then reconcile the verdicts.
+    /// The epoch pass: link the buffered span's Heuristic 1 edges, decide
+    /// its Heuristic 2 labels on `shards` threads, then link or park them
+    /// in chain order.
     fn process_epoch(&mut self, chain: &ResolvedChain) {
         let span = chain.block_span(self.epoch_start_block..self.blocks_ingested as BlockId);
         self.epoch_start_block = self.blocks_ingested as BlockId;
@@ -228,42 +203,31 @@ impl ShardedIngest {
         }
 
         if let Some(config) = self.config.h2.as_ref() {
-            // Scan: one worker per shard, all walking the same span.
-            let shard_count = self.config.shards as u32;
-            let outcomes: Vec<ScanOutcome> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..shard_count)
-                    .zip(self.scanners.iter_mut())
-                    .map(|(sid, scanner)| {
-                        s.spawn(move || scan_shard(shard_count, sid, scanner, span, config))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
+            // Decide: one contiguous chunk per shard, the first on this
+            // thread.
+            let decide_chunk = |start: usize, out: &mut [Result<(u32, AddressId), SkipReason>]| {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    let t = span.tx_start() + (start + i) as TxId;
+                    *slot = change::decide(chain, t, &chain.txs[t as usize], config);
+                }
+            };
+            self.decisions.clear();
+            self.decisions.resize(span.tx_count(), Err(SkipReason::NoCandidate));
+            let chunk = span.tx_count().div_ceil(self.config.shards).max(1);
+            std::thread::scope(|s| {
+                let mut chunks = self.decisions.chunks_mut(chunk).enumerate();
+                let first = chunks.next();
+                for (i, out) in chunks {
+                    s.spawn(move || decide_chunk(i * chunk, out));
+                }
+                if let Some((_, out)) = first {
+                    decide_chunk(0, out);
+                }
             });
 
-            // Combine per-transaction verdicts in sequential precedence.
-            let mut cursors = vec![0usize; outcomes.len()];
-            for (t, tx) in span.txs() {
-                let idx = (t - span.tx_start()) as usize;
-                let home = (t as usize) % outcomes.len();
-                let verdict = &outcomes[home].verdicts[cursors[home]];
-                cursors[home] += 1;
-                let reused = outcomes.iter().any(|o| o.vetoes[idx] & 1 != 0);
-                let prior = outcomes.iter().any(|o| o.vetoes[idx] & 2 != 0);
-
-                let outcome = if let Some(reason) = verdict.pre {
-                    Err(reason)
-                } else if reused {
-                    Err(SkipReason::ReusedChange)
-                } else if prior {
-                    Err(SkipReason::PriorSelfChange)
-                } else {
-                    verdict.candidate
-                };
+            for ((t, tx), &decision) in span.txs().zip(&self.decisions) {
                 self.labels.vout_of.push(None);
-                match outcome {
+                match decision {
                     Ok((vout, addr)) => match config.wait_blocks {
                         // Wait-to-label needs future blocks: park the
                         // decision until the window has fully elapsed.
@@ -339,7 +303,7 @@ impl ShardedIngest {
         self.blocks_ingested - self.epoch_start_block as usize
     }
 
-    /// Number of scan + reconcile passes completed.
+    /// Number of epoch passes completed.
     pub fn epochs_completed(&self) -> usize {
         self.epochs_completed
     }
@@ -440,40 +404,6 @@ impl ShardedIngest {
     }
 }
 
-/// One shard's Heuristic 2 pass over an epoch span. Runs concurrently
-/// with the other shards and touches only its own scanner.
-fn scan_shard(
-    shard_count: u32,
-    sid: u32,
-    scanner: &mut ChangeScanner,
-    span: ResolvedSpanView<'_>,
-    config: &ChangeConfig,
-) -> ScanOutcome {
-    let chain = span.chain();
-    let mut out =
-        ScanOutcome { verdicts: Vec::new(), vetoes: Vec::with_capacity(span.tx_count()) };
-    for (t, tx) in span.txs() {
-        // The home shard takes the tx-local verdict; every shard evaluates
-        // its own stateful vetoes and absorbs the transaction.
-        let mut flags = 0u8;
-        if config.skip_reused_change && scanner.reused_change_veto(tx) {
-            flags |= 1;
-        }
-        if config.skip_prior_self_change && scanner.prior_self_change_veto(tx) {
-            flags |= 2;
-        }
-        out.vetoes.push(flags);
-        if t % shard_count == sid {
-            out.verdicts.push(TxVerdict {
-                pre: precondition_skip(tx, config),
-                candidate: fresh_candidate(chain, t, tx),
-            });
-        }
-        scanner.absorb(tx);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,16 +462,18 @@ mod tests {
         waitcfg.skip_prior_self_change = true;
         let waited = Clusterer::with_h2(waitcfg.clone()).run(&t.chain);
 
+        // An H1-only ingest has no shards to vary.
+        for epoch in [1, 3, 100] {
+            let (s, ingest) = replay(&t.chain, IngestConfig::h1_only(epoch));
+            assert_equivalent(&s, &h1);
+            // H1-only mode: the statistics coincide exactly.
+            assert_eq!(s.h1_stats, h1.h1_stats, "epoch {epoch}");
+            assert_eq!(ingest.address_count(), t.chain.address_count());
+            assert_eq!(ingest.tx_count(), t.chain.tx_count());
+            assert_eq!(ingest.block_count(), t.chain.block_count());
+        }
         for shards in [1, 2, 4, 8] {
             for epoch in [1, 3, 100] {
-                let (s, ingest) = replay(&t.chain, IngestConfig::h1_only(epoch));
-                assert_equivalent(&s, &h1);
-                // H1-only mode: the statistics coincide exactly.
-                assert_eq!(s.h1_stats, h1.h1_stats, "{shards} shards, epoch {epoch}");
-                assert_eq!(ingest.address_count(), t.chain.address_count());
-                assert_eq!(ingest.tx_count(), t.chain.tx_count());
-                assert_eq!(ingest.block_count(), t.chain.block_count());
-
                 let (s, _) =
                     replay(&t.chain, IngestConfig::with_h2(shards, epoch, ChangeConfig::naive()));
                 assert_equivalent(&s, &naive);

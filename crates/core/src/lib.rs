@@ -37,7 +37,7 @@ pub mod tagdb;
 pub mod testutil;
 pub mod union_find;
 
-pub use change::{ChangeConfig, ChangeLabels, ChangeScanner};
+pub use change::{ChangeConfig, ChangeLabels};
 pub use cluster::{Clusterer, Clustering};
 pub use incremental::sharded::{IngestConfig, ShardedIngest};
 pub use naming::{NamingReport, SuperCluster};

@@ -1,12 +1,14 @@
 //! Test-only helpers for building small hand-crafted chains and the
-//! snapshots that name their addresses, plus a naive Heuristic 1 oracle.
+//! snapshots that name their addresses, plus naive Heuristic 1 and 2
+//! oracles.
 
+use crate::change::ChangeConfig;
 use crate::cluster::Clustering;
 use crate::naming::NamingReport;
 use crate::snapshot::ClusterSnapshot;
 use fistful_chain::address::Address;
 use fistful_chain::amount::Amount;
-use fistful_chain::resolve::{AddressId, ResolvedChain};
+use fistful_chain::resolve::{AddressId, ResolvedChain, ResolvedTx};
 use fistful_chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
 use fistful_chain::utxo::UtxoSet;
 use fistful_crypto::hash::Hash256;
@@ -24,6 +26,8 @@ pub struct TestChain {
     pub chain: ResolvedChain,
     utxos: UtxoSet,
     txids: Vec<Hash256>,
+    /// Every transaction added, with its height, for [`prefix`](Self::prefix).
+    log: Vec<(Transaction, u64)>,
     next_height: u64,
     cb_tag: u64,
 }
@@ -41,6 +45,7 @@ impl TestChain {
             chain: ResolvedChain::new(),
             utxos: UtxoSet::new(),
             txids: Vec::new(),
+            log: Vec::new(),
             next_height: 0,
             cb_tag: 0,
         }
@@ -106,7 +111,19 @@ impl TestChain {
         self.chain.add_tx(&tx, txid, &self.utxos, h, h * 600);
         self.utxos.apply(&tx, txid, h);
         self.txids.push(txid);
+        self.log.push((tx, h));
         self.txids.len() - 1
+    }
+
+    /// A fresh chain holding this chain's first `blocks` blocks, replayed
+    /// transaction by transaction.
+    pub fn prefix(&self, blocks: usize) -> ResolvedChain {
+        let end = self.chain.blocks().nth(blocks).map_or(self.log.len(), |b| b.tx_start() as usize);
+        let mut replay = TestChain::new();
+        for (tx, height) in &self.log[..end] {
+            replay.push(tx.clone(), Some(*height));
+        }
+        replay.chain
     }
 }
 
@@ -173,6 +190,65 @@ pub fn h1_oracle(chain: &ResolvedChain) -> Vec<AddressId> {
         }
     }
     label
+}
+
+/// Heuristic 2 as §4.1 defines it and §4.2 refines it, transcribed with
+/// no per-address history, as a check on the two engines, which share
+/// `change::decide`. Each transaction rescans the transactions before it
+/// (and, for the wait window, after it). Returns, per transaction, the
+/// labelled change output.
+pub fn h2_oracle(chain: &ResolvedChain, config: &ChangeConfig) -> Vec<Option<u32>> {
+    let txs = &chain.txs;
+    let pays = |tx: &ResolvedTx, a: AddressId| tx.outputs.iter().any(|o| o.address == a);
+    let spends = |tx: &ResolvedTx, a: AddressId| tx.inputs.iter().any(|i| i.address == a);
+    let label = |t: usize| -> Option<u32> {
+        let tx = &txs[t];
+        let earlier = &txs[..t];
+        let appeared = |a| earlier.iter().any(|p| pays(p, a) || spends(p, a));
+        // Condition 2: not a coin generation; and the output-count gate.
+        if tx.is_coinbase || tx.outputs.len() < config.min_outputs.max(1) {
+            return None;
+        }
+        // Condition 3: no output address is also an input address.
+        if tx.outputs.iter().any(|o| spends(tx, o.address)) {
+            return None;
+        }
+        // Change reuse: an output address has already received exactly once.
+        let receives =
+            |a| earlier.iter().flat_map(|p| &p.outputs).filter(|o| o.address == a).count();
+        if config.skip_reused_change && tx.outputs.iter().any(|o| receives(o.address) == 1) {
+            return None;
+        }
+        // Prior self-change: an earlier transaction spent from an output
+        // address and paid it back.
+        let self_changed = |a| earlier.iter().any(|p| spends(p, a) && pays(p, a));
+        if config.skip_prior_self_change && tx.outputs.iter().any(|o| self_changed(o.address)) {
+            return None;
+        }
+        // Conditions 1 and 4: the change address has not appeared before,
+        // and every other output's address has.
+        let n = tx.outputs.len();
+        let change = (0..n).find(|&v| {
+            !appeared(tx.outputs[v].address)
+                && (0..n).all(|w| w == v || appeared(tx.outputs[w].address))
+        })?;
+        // Wait-to-label: the change address must not receive again within
+        // the window, except from dice addresses alone under the exception.
+        if let Some(window) = config.wait_blocks {
+            let addr = tx.outputs[change].address;
+            let from_dice = |p: &ResolvedTx| {
+                config.dice_exception
+                    && !p.inputs.is_empty()
+                    && p.inputs.iter().all(|i| config.dice_addresses.contains(&i.address))
+            };
+            let again = |p: &ResolvedTx| pays(p, addr) && p.height - tx.height <= window;
+            if txs[t + 1..].iter().any(|p| again(p) && !from_dice(p)) {
+                return None;
+            }
+        }
+        Some(change as u32)
+    };
+    (0..txs.len()).map(label).collect()
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ use fistful_flow::balance_series_at;
 use fistful_flow::graph::TxGraph;
 use fistful_store::{StoreError, StoreWriter};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -75,8 +75,9 @@ fn store_err(e: StoreError) -> ServeError {
 /// Configuration of a live ingest pipeline.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Address shards (and scan threads) of the underlying
-    /// [`ShardedIngest`]. Must be `>= 1`.
+    /// Threads deciding Heuristic 2 in the underlying [`ShardedIngest`]
+    /// (the ingest thread included): each epoch's transactions split into
+    /// this many contiguous chunks. Must be `>= 1`.
     pub shards: usize,
     /// Blocks per reconcile epoch. Must be `>= 1`.
     pub epoch_blocks: usize,
@@ -344,16 +345,10 @@ impl LivePipeline {
     /// answering throughout.
     ///
     /// [`bootstrap`]: LivePipeline::bootstrap
-    pub fn run(self, publisher: &Publisher, stop: &AtomicBool) -> Result<LiveReport, ServeError> {
-        let observed = AtomicU64::new(0);
-        self.run_observed(publisher, stop, &observed)
-    }
-
-    fn run_observed(
+    pub fn run(
         mut self,
         publisher: &Publisher,
         stop: &AtomicBool,
-        observed: &AtomicU64,
     ) -> Result<LiveReport, ServeError> {
         if self.current.is_none() {
             self.bootstrap()?;
@@ -367,7 +362,6 @@ impl LivePipeline {
             publisher.publish(current, self.epoch, true);
             self.publishes += 1;
         }
-        observed.store(self.epoch, Ordering::Relaxed);
         let chain = Arc::clone(&self.chain);
         let mut flushed = false;
         while self.blocks_fed < chain.block_count() {
@@ -380,7 +374,6 @@ impl LivePipeline {
             publisher.core.metrics.ingest_blocks.inc();
             if self.pipe.reconciled_txs() as usize != self.last_cut {
                 self.publish_epoch(publisher, false)?;
-                observed.store(self.epoch, Ordering::Relaxed);
             }
             if !self.config.block_delay.is_zero() {
                 thread::sleep(self.config.block_delay);
@@ -393,7 +386,6 @@ impl LivePipeline {
             // relabel already-reconciled transactions, which must raise
             // the cache's graph floor.
             self.publish_epoch(publisher, true)?;
-            observed.store(self.epoch, Ordering::Relaxed);
             flushed = true;
         }
         Ok(LiveReport {
@@ -409,14 +401,13 @@ impl LivePipeline {
     /// and joins for the report; dropping it stops and joins implicitly.
     pub fn spawn(self, publisher: Publisher) -> LiveHandle {
         let stop = Arc::new(AtomicBool::new(false));
-        let epoch = Arc::new(AtomicU64::new(self.epoch));
         let thread_stop = Arc::clone(&stop);
-        let thread_epoch = Arc::clone(&epoch);
+        let thread_publisher = publisher.clone();
         let thread = thread::Builder::new()
             .name("live-ingest".into())
-            .spawn(move || self.run_observed(&publisher, &thread_stop, &thread_epoch))
+            .spawn(move || self.run(&thread_publisher, &thread_stop))
             .expect("spawn live ingest thread");
-        LiveHandle { stop, epoch, thread: Some(thread) }
+        LiveHandle { stop, publisher, thread: Some(thread) }
     }
 }
 
@@ -424,15 +415,16 @@ impl LivePipeline {
 /// [`LivePipeline::spawn`]).
 pub struct LiveHandle {
     stop: Arc<AtomicBool>,
-    epoch: Arc<AtomicU64>,
+    publisher: Publisher,
     thread: Option<thread::JoinHandle<Result<LiveReport, ServeError>>>,
 }
 
 impl LiveHandle {
     /// The epoch of the most recent publish (the value `Stats` responses
-    /// report once workers pick the generation up).
+    /// report once workers pick the generation up), read lock-free from
+    /// the server's `live_epoch` gauge that [`Publisher::publish`] sets.
     pub fn published_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.publisher.core.metrics.live_epoch.get()
     }
 
     /// Whether the ingest thread has finished (chain exhausted, stopped,

@@ -306,6 +306,118 @@ proptest! {
     }
 }
 
+// ---------- Heuristic 2 against the paper's definition ----------
+
+/// Both engines decide through the same `change::decide`, so no
+/// engine-against-engine differential can see a bug in it.
+/// `testutil::h2_oracle` rescans earlier transactions for §4's conditions
+/// with no per-address history; batch H2 and the online engine at one and
+/// four shards must label exactly what it labels.
+fn assert_h2_matches_oracle(chain: &fistful::chain::resolve::ResolvedChain, cfg: &ChangeConfig) {
+    use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
+
+    let oracle = fistful::core::testutil::h2_oracle(chain, cfg);
+    assert_eq!(change::identify(chain, cfg).vout_of, oracle, "batch, {cfg:?}");
+    for (shards, epoch) in [(1, 1), (4, 16)] {
+        let mut ingest = ShardedIngest::new(IngestConfig::with_h2(shards, epoch, cfg.clone()));
+        for block in chain.blocks() {
+            ingest.ingest_block(&block);
+        }
+        ingest.flush(chain);
+        let labels = &ingest.change_labels().expect("H2 is on").vout_of;
+        assert_eq!(labels, &oracle, "{shards} shards, {cfg:?}");
+    }
+}
+
+#[test]
+fn h2_matches_the_spec_oracle_on_the_tiny_economy() {
+    let wb = fistful_bench::Workbench::build(SimConfig::tiny());
+    let chain = wb.eco.chain.resolved();
+    // The configurations the paper's false-positive ladder labels with.
+    let mut day = ChangeConfig::naive();
+    day.dice_exception = true;
+    day.dice_addresses = wb.dice.clone();
+    day.wait_blocks = Some(change::BLOCKS_PER_DAY);
+    let mut week = day.clone();
+    week.wait_blocks = Some(change::BLOCKS_PER_WEEK);
+    for cfg in [ChangeConfig::naive(), day, week, wb.refined_config()] {
+        assert_h2_matches_oracle(chain, &cfg);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every combination of the four refinement switches, with windows
+    /// 0..12 and `min_outputs` 1 and 2.
+    #[test]
+    fn h2_matches_the_spec_oracle_on_random_chains(seed in any::<u64>(), txs in 20usize..120) {
+        let t = random_chain(seed, txs);
+        // Every third address is a dice house.
+        let dice: std::collections::HashSet<u32> =
+            (0..t.chain.address_count() as u32).filter(|a| a % 3 == 0).collect();
+        for switches in 0..8u8 {
+            for wait in std::iter::once(None).chain((0..12).map(Some)) {
+                for min_outputs in [1, 2] {
+                    let cfg = ChangeConfig {
+                        dice_addresses: dice.clone(),
+                        dice_exception: switches & 1 != 0,
+                        wait_blocks: wait,
+                        skip_reused_change: switches & 2 != 0,
+                        skip_prior_self_change: switches & 4 != 0,
+                        min_outputs,
+                    };
+                    assert_h2_matches_oracle(&t.chain, &cfg);
+                }
+            }
+        }
+    }
+
+    /// Heuristic 2 decides each transaction from the history before it:
+    /// an ingest of a chain's first blocks, replayed into a fresh chain,
+    /// and an ingest of the whole chain agree at every epoch the prefix
+    /// reaches.
+    #[test]
+    fn h2_never_reads_past_the_tip(seed in any::<u64>(), txs in 40usize..120, cut in 0u64..100) {
+        use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
+
+        let t = random_chain(seed, txs);
+        let k = 1 + (cut as usize * (t.chain.block_count() - 1)) / 100;
+        let prefix = t.prefix(k);
+        prop_assert_eq!(prefix.block_count(), k);
+        let mut cfg = ChangeConfig::naive();
+        cfg.wait_blocks = Some(3);
+        cfg.skip_reused_change = true;
+        cfg.skip_prior_self_change = true;
+        for shards in [1, 3] {
+            for epoch in [1, 4] {
+                let config = IngestConfig::with_h2(shards, epoch, cfg.clone());
+                let mut short = ShardedIngest::new(config.clone());
+                let mut long = ShardedIngest::new(config);
+                for (p, f) in prefix.blocks().zip(t.chain.blocks()) {
+                    short.ingest_block(&p);
+                    long.ingest_block(&f);
+                    if short.buffered_blocks() > 0 {
+                        continue;
+                    }
+                    let (a, b) = (short.change_labels().unwrap(), long.change_labels().unwrap());
+                    let at = (shards, epoch, short.block_count());
+                    prop_assert!(a.vout_of == b.vout_of, "(shards, epoch, block) {:?}", at);
+                    prop_assert!(
+                        a.skip_counts == b.skip_counts,
+                        "skips {:?} vs {:?} at (shards, epoch, block) {:?}",
+                        a.skip_counts, b.skip_counts, at
+                    );
+                    prop_assert!(
+                        short.pending_decisions() == long.pending_decisions(),
+                        "pending at (shards, epoch, block) {:?}", at
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------- graph differential: indexed traversals vs the oracle ----------
 
 proptest! {
