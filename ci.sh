@@ -10,12 +10,12 @@ cargo build --release --locked
 # Every unit, integration, differential and golden-transcript suite, plus
 # the doctests.
 cargo test -q --locked
-# Heuristic 2 at paper scale (1.87 M transactions; about a minute and
-# 1.6 GB of memory, so not part of `cargo test`): the §4.2 ladder,
-# super-cluster and refined-clustering sections must match the golden
-# transcript byte for byte.
-./target/release/repro --scale paper fp super h2 \
-    | diff crates/bench/tests/golden/repro-paper-h2.txt -
+# The whole transcript at paper scale (1.87 M transactions; about a
+# minute and 1.8 GB of memory, so not part of `cargo test`): Tables 1-3,
+# Figure 2 and every Heuristic 2 section must match the golden transcript
+# byte for byte.
+./target/release/repro --scale paper \
+    | diff crates/bench/tests/golden/repro-paper.txt -
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked
 cargo clippy --locked --workspace --all-targets -- -D warnings
 # Every example, so none of them rots unbuilt and unrun.

@@ -1,39 +1,29 @@
-//! The chain manager: accepts blocks, maintains the UTXO set and the
-//! resolved analysis view.
+//! The chain manager: accepts blocks onto the resolved analysis view.
 
 use crate::amount::Amount;
 use crate::block::Block;
 use crate::params::Params;
 use crate::resolve::ResolvedChain;
 use crate::transaction::Transaction;
-use crate::utxo::UtxoSet;
 use crate::validate::{check_block, ValidationError};
 use fistful_crypto::hash::Hash256;
 
-/// A validated, linear chain of blocks with derived state.
+/// A validated, linear chain of blocks.
 ///
-/// `ChainState` owns consensus state (UTXO set, tip) and the
-/// [`ResolvedChain`] view that the clustering and flow crates consume. Forks
-/// are the network simulator's concern; `ChainState` models the settled
-/// chain the paper's analysis downloads.
+/// `ChainState` holds the consensus parameters, the tip and the
+/// [`ResolvedChain`] that the clustering and flow crates consume; blocks
+/// are validated against that same chain's unspent outputs. It models the
+/// settled chain the paper's analysis downloads.
 pub struct ChainState {
     params: Params,
-    headers: Vec<(Hash256, u64)>, // (block hash, tx count)
-    utxos: UtxoSet,
+    tip: Hash256,
     resolved: ResolvedChain,
-    total_fees: Amount,
 }
 
 impl ChainState {
     /// An empty chain with the given parameters.
     pub fn new(params: Params) -> ChainState {
-        ChainState {
-            params,
-            headers: Vec::new(),
-            utxos: UtxoSet::new(),
-            resolved: ResolvedChain::new(),
-            total_fees: Amount::ZERO,
-        }
+        ChainState { params, tip: Hash256::ZERO, resolved: ResolvedChain::new() }
     }
 
     /// The consensus parameters.
@@ -43,12 +33,12 @@ impl ChainState {
 
     /// Height of the tip, or `None` before genesis.
     pub fn height(&self) -> Option<u64> {
-        (self.headers.len() as u64).checked_sub(1)
+        self.next_height().checked_sub(1)
     }
 
     /// The height the next block will occupy.
     pub fn next_height(&self) -> u64 {
-        self.headers.len() as u64
+        self.resolved.block_count() as u64
     }
 
     /// Subsidy for the next block.
@@ -58,12 +48,7 @@ impl ChainState {
 
     /// Hash of the tip block (all-zero before genesis).
     pub fn tip_hash(&self) -> Hash256 {
-        self.headers.last().map(|(h, _)| *h).unwrap_or(Hash256::ZERO)
-    }
-
-    /// The UTXO set.
-    pub fn utxos(&self) -> &UtxoSet {
-        &self.utxos
+        self.tip
     }
 
     /// The resolved analysis view.
@@ -76,28 +61,18 @@ impl ChainState {
         self.resolved
     }
 
-    /// Cumulative fees across all accepted blocks.
-    pub fn total_fees(&self) -> Amount {
-        self.total_fees
-    }
-
     /// Validates and applies a block on top of the current tip. Each
-    /// transaction is hashed once, here; validation, the resolved view and
-    /// the UTXO set all take their txids from that one pass.
+    /// transaction is hashed once, here; validation and the resolved view
+    /// both take their txids from that one pass. A rejected block leaves
+    /// the chain as it was.
     pub fn accept_block(&mut self, block: Block) -> Result<(), ValidationError> {
         let height = self.next_height();
-        let tip = self.tip_hash();
         let txids: Vec<Hash256> = block.transactions.iter().map(Transaction::txid).collect();
-        let fees = check_block(&block, &txids, &tip, &self.utxos, height, &self.params)?;
+        check_block(&block, &txids, &self.tip, &self.resolved, height, &self.params)?;
         for (tx, &txid) in block.transactions.iter().zip(&txids) {
-            self.resolved.add_tx(tx, txid, &self.utxos, height, block.header.time);
-            self.utxos.apply(tx, txid, height);
+            self.resolved.add_tx(tx, txid, height, block.header.time);
         }
-        self.total_fees = self
-            .total_fees
-            .checked_add(fees)
-            .expect("fee accumulation overflow");
-        self.headers.push((block.hash(), block.transactions.len() as u64));
+        self.tip = block.hash();
         Ok(())
     }
 }
@@ -122,7 +97,7 @@ mod tests {
             .build_on(&chain);
         chain.accept_block(b0).unwrap();
         assert_eq!(chain.height(), Some(0));
-        assert_eq!(chain.utxos().total_value(), Amount::from_btc(50));
+        assert_eq!(chain.resolved().unspent_value(), Amount::from_btc(50));
 
         let b1 = BlockBuilder::new(&params)
             .coinbase_to(miner, 1, chain.next_subsidy())
@@ -174,9 +149,9 @@ mod tests {
             .tx(tx)
             .build_on(&chain);
         chain.accept_block(b1).unwrap();
-        assert_eq!(chain.total_fees(), Amount::from_sat(10000000));
+        assert_eq!(chain.resolved().txs[2].fee(), Amount::from_sat(10000000));
         assert_eq!(chain.resolved().tx_count(), 3);
         // Total supply = 2 subsidies (fees recirculate to the miner).
-        assert_eq!(chain.utxos().total_value(), Amount::from_btc(100));
+        assert_eq!(chain.resolved().unspent_value(), Amount::from_btc(100));
     }
 }

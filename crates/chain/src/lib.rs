@@ -2,9 +2,9 @@
 //!
 //! This crate implements the ledger the paper's analysis runs over:
 //! transactions with multiple inputs and outputs, blocks with merkle-rooted
-//! headers, a UTXO set, value and structure validation (including the
-//! 50 BTC → 25 BTC subsidy halving at block 210,000), and a
-//! [`chainstate::ChainState`] that maintains an analysis-friendly
+//! headers, value and structure validation (including the 50 BTC → 25 BTC
+//! subsidy halving at block 210,000), and a [`chainstate::ChainState`] that
+//! validates blocks against, and appends them to, one analysis-friendly
 //! [`resolve::ResolvedChain`] view with interned address ids.
 //!
 //! Like the chain the paper parsed, this one is taken as already
@@ -43,7 +43,6 @@ pub mod params;
 pub mod resolve;
 pub mod stats;
 pub mod transaction;
-pub mod utxo;
 pub mod validate;
 
 pub use address::Address;

@@ -12,8 +12,7 @@
 
 use crate::address::Address;
 use crate::amount::Amount;
-use crate::transaction::Transaction;
-use crate::utxo::UtxoSet;
+use crate::transaction::{OutPoint, Transaction};
 use fistful_crypto::hash::{DigestMap, Hash256};
 
 /// Dense index of an address within a [`ResolvedChain`].
@@ -147,19 +146,9 @@ pub struct ResolvedSpanView<'a> {
 }
 
 impl<'a> ResolvedSpanView<'a> {
-    /// Number of blocks in the span.
-    pub fn block_count(&self) -> usize {
-        (self.block_end - self.block_start) as usize
-    }
-
     /// The first transaction id in the span.
     pub fn tx_start(&self) -> TxId {
         self.start
-    }
-
-    /// One past the last transaction id in the span.
-    pub fn tx_end(&self) -> TxId {
-        self.end
     }
 
     /// Number of transactions in the span.
@@ -171,12 +160,6 @@ impl<'a> ResolvedSpanView<'a> {
     pub fn txs(&self) -> impl Iterator<Item = (TxId, &'a ResolvedTx)> {
         let chain = self.chain;
         (self.start..self.end).map(move |t| (t, &chain.txs[t as usize]))
-    }
-
-    /// Iterates the span block by block, in height order.
-    pub fn blocks(&self) -> impl Iterator<Item = ResolvedBlockView<'a>> {
-        let chain = self.chain;
-        (self.block_start..self.block_end).map(move |i| chain.block(i))
     }
 
     /// Height of the span's last block, or `None` for an empty span.
@@ -289,6 +272,24 @@ impl ResolvedChain {
         Some((id, &self.txs[id as usize]))
     }
 
+    /// The output `op` names, if the chain holds it and nothing has spent
+    /// it yet: the id of the transaction that created it, and the output.
+    pub fn unspent(&self, op: &OutPoint) -> Option<(TxId, &ResolvedOutput)> {
+        let (id, tx) = self.tx_by_txid(&op.txid)?;
+        let out = tx.outputs.get(op.vout as usize)?;
+        out.spent_by.is_none().then_some((id, out))
+    }
+
+    /// Total value of the unspent outputs: the coins in circulation.
+    pub fn unspent_value(&self) -> Amount {
+        self.txs
+            .iter()
+            .flat_map(|t| &t.outputs)
+            .filter(|o| o.spent_by.is_none())
+            .map(|o| o.value)
+            .sum()
+    }
+
     /// The first transaction in which `addr` appeared.
     pub fn first_seen(&self, addr: AddressId) -> TxId {
         self.first_seen[addr as usize]
@@ -357,24 +358,17 @@ impl ResolvedChain {
         }
     }
 
-    /// Appends a validated transaction whose id is `txid`. `utxos` must
-    /// reflect the state *before* this transaction is applied (inputs still
-    /// present).
+    /// Appends a validated transaction whose id is `txid`, resolving each
+    /// input against the outputs already in the chain.
     ///
-    /// Panics if a non-coinbase input is missing from `utxos` or references
-    /// an unknown txid — validation must run first — or if `height` is below
-    /// the previous transaction's height. Chain order must be height order;
-    /// the per-address event lists ([`received_in`](Self::received_in),
-    /// [`spent_in`](Self::spent_in)) are documented as height-sorted and the
-    /// wait-window scan in `fistful_core` prunes on that invariant.
-    pub fn add_tx(
-        &mut self,
-        tx: &Transaction,
-        txid: Hash256,
-        utxos: &UtxoSet,
-        height: u64,
-        time: u64,
-    ) -> TxId {
+    /// Panics if a non-coinbase input names an output the chain does not
+    /// hold or one already spent — validation must run first — or if
+    /// `height` is below the previous transaction's height. Chain order must
+    /// be height order; the per-address event lists
+    /// ([`received_in`](Self::received_in), [`spent_in`](Self::spent_in))
+    /// are documented as height-sorted and the wait-window scan in
+    /// `fistful_core` prunes on that invariant.
+    pub fn add_tx(&mut self, tx: &Transaction, txid: Hash256, height: u64, time: u64) -> TxId {
         let id = self.txs.len() as TxId;
         match self.block_spans.last() {
             Some(&(h, _)) if height < h => {
@@ -388,25 +382,20 @@ impl ResolvedChain {
         let mut inputs = Vec::with_capacity(if is_coinbase { 0 } else { tx.inputs.len() });
         if !is_coinbase {
             for input in &tx.inputs {
-                let entry = utxos
-                    .get(&input.prevout)
-                    .expect("resolving tx with missing input; validate first");
-                let prev_tx = *self
-                    .txid_index
-                    .get(&input.prevout.txid)
-                    .expect("input references unknown txid");
-                let address = self.intern(entry.address);
+                let (prev_tx, &prev) = self
+                    .unspent(&input.prevout)
+                    .expect("resolving tx with a missing or spent input; validate first");
+                let prev_vout = input.prevout.vout;
                 inputs.push(ResolvedInput {
-                    address,
-                    value: entry.value,
+                    address: prev.address,
+                    value: prev.value,
                     prev_tx,
-                    prev_vout: input.prevout.vout,
+                    prev_vout,
                 });
                 // Mark the spent output's backlink.
-                let prev = &mut self.txs[prev_tx as usize];
-                prev.outputs[input.prevout.vout as usize].spent_by = Some(id);
-                self.spent_in[address as usize].push(id);
-                self.note_seen(address, id);
+                self.txs[prev_tx as usize].outputs[prev_vout as usize].spent_by = Some(id);
+                self.spent_in[prev.address as usize].push(id);
+                self.note_seen(prev.address, id);
             }
         }
 
@@ -431,7 +420,7 @@ impl ResolvedChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transaction::{OutPoint, TxIn, TxOut};
+    use crate::transaction::{TxIn, TxOut};
 
     fn cb(tag: u64, value: Amount, addr: Address) -> Transaction {
         Transaction {
@@ -444,14 +433,12 @@ mod tests {
 
     #[test]
     fn resolves_inputs_and_backlinks() {
-        let mut utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let a = Address::from_seed(1);
         let b = Address::from_seed(2);
 
         let funding = cb(0, Amount::from_btc(50), a);
-        rc.add_tx(&funding, funding.txid(), &utxos, 0, 100);
-        utxos.apply(&funding, funding.txid(), 0);
+        rc.add_tx(&funding, funding.txid(), 0, 100);
 
         let spend = Transaction {
             version: 1,
@@ -462,8 +449,7 @@ mod tests {
             ],
             lock_time: 0,
         };
-        rc.add_tx(&spend, spend.txid(), &utxos, 1, 200);
-        utxos.apply(&spend, spend.txid(), 1);
+        rc.add_tx(&spend, spend.txid(), 1, 200);
 
         assert_eq!(rc.tx_count(), 2);
         assert_eq!(rc.address_count(), 2);
@@ -493,10 +479,9 @@ mod tests {
 
     #[test]
     fn first_self_change_records_the_earliest_spend_that_pays_back() {
-        let mut utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let (a, b, c) = (Address::from_seed(1), Address::from_seed(2), Address::from_seed(3));
-        let mut add = |rc: &mut ResolvedChain, prev: Option<(Hash256, u32)>, outs: &[Address]| {
+        let add = |rc: &mut ResolvedChain, prev: Option<(Hash256, u32)>, outs: &[Address]| {
             let tx = match prev {
                 None => cb(0, Amount::from_btc(50), outs[0]),
                 Some((txid, vout)) => Transaction {
@@ -510,8 +495,7 @@ mod tests {
                 },
             };
             let height = rc.tx_count() as u64;
-            let id = rc.add_tx(&tx, tx.txid(), &utxos, height, 0);
-            utxos.apply(&tx, tx.txid(), height);
+            let id = rc.add_tx(&tx, tx.txid(), height, 0);
             (id, tx.txid())
         };
         let (_, funding) = add(&mut rc, None, &[a]);
@@ -532,13 +516,54 @@ mod tests {
         assert!(prior_self_change(a, second));
     }
 
+    /// A 50 BTC coinbase at height 0, and a spend of all of it at height 1.
+    fn funded_and_spent(rc: &mut ResolvedChain) -> (Transaction, Transaction) {
+        let funding = cb(0, Amount::from_btc(50), Address::from_seed(1));
+        rc.add_tx(&funding, funding.txid(), 0, 0);
+        let spend = Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
+            outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(2) }],
+            lock_time: 0,
+        };
+        rc.add_tx(&spend, spend.txid(), 1, 600);
+        (funding, spend)
+    }
+
+    #[test]
+    fn unspent_finds_only_outputs_nothing_has_spent() {
+        let mut rc = ResolvedChain::new();
+        let (funding, spend) = funded_and_spent(&mut rc);
+        let unknown = OutPoint { txid: Hash256::ZERO, vout: 0 };
+        let out_of_range = OutPoint { txid: spend.txid(), vout: 1 };
+        let spent = OutPoint { txid: funding.txid(), vout: 0 };
+        assert!(rc.unspent(&unknown).is_none());
+        assert!(rc.unspent(&out_of_range).is_none());
+        assert!(rc.unspent(&spent).is_none());
+        let (t, out) = rc.unspent(&OutPoint { txid: spend.txid(), vout: 0 }).unwrap();
+        assert_eq!((t, out.value, out.spent_by), (1, Amount::from_btc(50), None));
+        assert_eq!(rc.unspent_value(), Amount::from_btc(50));
+    }
+
+    #[test]
+    #[should_panic(expected = "missing or spent input")]
+    fn add_tx_rejects_an_already_spent_output() {
+        let mut rc = ResolvedChain::new();
+        let (funding, _) = funded_and_spent(&mut rc);
+        let again = Transaction {
+            version: 1,
+            inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
+            outputs: vec![TxOut { value: Amount::from_btc(50), address: Address::from_seed(3) }],
+            lock_time: 0,
+        };
+        rc.add_tx(&again, again.txid(), 2, 1200);
+    }
+
     #[test]
     fn txid_lookup() {
-        let mut utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let funding = cb(7, Amount::from_btc(50), Address::from_seed(1));
-        let id = rc.add_tx(&funding, funding.txid(), &utxos, 0, 0);
-        utxos.apply(&funding, funding.txid(), 0);
+        let id = rc.add_tx(&funding, funding.txid(), 0, 0);
         let (found, rtx) = rc.tx_by_txid(&funding.txid()).unwrap();
         assert_eq!(found, id);
         assert!(rtx.is_coinbase);
@@ -547,25 +572,21 @@ mod tests {
 
     #[test]
     fn block_views_partition_the_chain() {
-        let mut utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let a = Address::from_seed(1);
 
         // Block 0: one coinbase. Block 1: coinbase + spend (two txs).
         let cb0 = cb(0, Amount::from_btc(50), a);
-        rc.add_tx(&cb0, cb0.txid(), &utxos, 0, 0);
-        utxos.apply(&cb0, cb0.txid(), 0);
+        rc.add_tx(&cb0, cb0.txid(), 0, 0);
         let cb1 = cb(1, Amount::from_btc(50), a);
-        rc.add_tx(&cb1, cb1.txid(), &utxos, 1, 600);
-        utxos.apply(&cb1, cb1.txid(), 1);
+        rc.add_tx(&cb1, cb1.txid(), 1, 600);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: cb0.txid(), vout: 0 })],
             outputs: vec![TxOut { value: Amount::from_btc(49), address: Address::from_seed(2) }],
             lock_time: 0,
         };
-        rc.add_tx(&spend, spend.txid(), &utxos, 1, 600);
-        utxos.apply(&spend, spend.txid(), 1);
+        rc.add_tx(&spend, spend.txid(), 1, 600);
 
         assert_eq!(rc.block_count(), 2);
         let b0 = rc.block(0);
@@ -582,25 +603,20 @@ mod tests {
 
     #[test]
     fn block_spans_cover_contiguous_ranges() {
-        let mut utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         // Four single-coinbase blocks at heights 0..4.
         for i in 0..4u64 {
             let c = cb(i, Amount::from_btc(50), Address::from_seed(i + 1));
-            rc.add_tx(&c, c.txid(), &utxos, i, i * 600);
-            utxos.apply(&c, c.txid(), i);
+            rc.add_tx(&c, c.txid(), i, i * 600);
         }
 
         let all = rc.block_span(0..4);
-        assert_eq!((all.tx_start(), all.tx_end()), (0, 4));
-        assert_eq!(all.block_count(), 4);
+        assert_eq!((all.tx_start(), all.tx_count()), (0, 4));
         assert_eq!(all.last_height(), Some(3));
         assert_eq!(all.txs().map(|(t, _)| t).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        // Per-block views of the span agree with the chain's own.
-        assert_eq!(all.blocks().map(|b| b.height()).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
 
         let mid = rc.block_span(1..3);
-        assert_eq!((mid.tx_start(), mid.tx_end()), (1, 3));
+        assert_eq!((mid.tx_start(), mid.tx_count()), (1, 2));
         assert_eq!(mid.last_height(), Some(2));
 
         // Spans of consecutive epochs partition the chain's transactions.
@@ -625,20 +641,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "chain order must be height order")]
     fn add_tx_rejects_decreasing_heights() {
-        let utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let funding = cb(7, Amount::from_btc(50), Address::from_seed(1));
-        rc.add_tx(&funding, funding.txid(), &utxos, 5, 0);
+        rc.add_tx(&funding, funding.txid(), 5, 0);
         let funding2 = cb(8, Amount::from_btc(50), Address::from_seed(2));
-        rc.add_tx(&funding2, funding2.txid(), &utxos, 4, 0);
+        rc.add_tx(&funding2, funding2.txid(), 4, 0);
     }
 
     #[test]
     fn coinbase_has_no_inputs() {
-        let utxos = UtxoSet::new();
         let mut rc = ResolvedChain::new();
         let funding = cb(7, Amount::from_btc(50), Address::from_seed(1));
-        rc.add_tx(&funding, funding.txid(), &utxos, 0, 0);
+        rc.add_tx(&funding, funding.txid(), 0, 0);
         assert!(rc.txs[0].inputs.is_empty());
         assert_eq!(rc.txs[0].fee(), Amount::ZERO);
     }

@@ -92,15 +92,11 @@ mod tests {
     use crate::address::Address;
     use crate::amount::Amount;
     use crate::transaction::{OutPoint, Transaction, TxIn, TxOut};
-    use crate::utxo::UtxoSet;
 
     fn build() -> ResolvedChain {
         let mut rc = ResolvedChain::new();
-        let mut utxos = UtxoSet::new();
-        let push = |rc: &mut ResolvedChain, utxos: &mut UtxoSet, tx: &Transaction, h: u64| {
-            let txid = tx.txid();
-            rc.add_tx(tx, txid, utxos, h, h * 600);
-            utxos.apply(tx, txid, h);
+        let push = |rc: &mut ResolvedChain, tx: &Transaction, h: u64| {
+            rc.add_tx(tx, tx.txid(), h, h * 600);
         };
         let cb = |tag: u64, addr: u64| Transaction {
             version: 1,
@@ -110,8 +106,8 @@ mod tests {
         };
         let c1 = cb(1, 1);
         let c2 = cb(2, 2);
-        push(&mut rc, &mut utxos, &c1, 0);
-        push(&mut rc, &mut utxos, &c2, 1);
+        push(&mut rc, &c1, 0);
+        push(&mut rc, &c2, 1);
         // Multi-input self-change spend: inputs {1, 2}, change to 1.
         let spend = Transaction {
             version: 1,
@@ -125,7 +121,7 @@ mod tests {
             ],
             lock_time: 0,
         };
-        push(&mut rc, &mut utxos, &spend, 2);
+        push(&mut rc, &spend, 2);
         rc
     }
 

@@ -4,9 +4,21 @@ use crate::amount::{Amount, MAX_MONEY};
 use crate::block::Block;
 use crate::merkle::merkle_root;
 use crate::params::Params;
+use crate::resolve::ResolvedChain;
 use crate::transaction::{OutPoint, Transaction};
-use crate::utxo::{created_entries, UtxoEntry, UtxoSet};
 use fistful_crypto::hash::{DigestMap, DigestSet, Hash256};
+
+/// What validation reads of an unspent output: its value, and the height
+/// and kind of the transaction that created it (for coinbase maturity).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Coin {
+    /// The value of the output.
+    pub value: Amount,
+    /// The height of the block that created it.
+    pub height: u64,
+    /// True if created by a coinbase.
+    pub coinbase: bool,
+}
 
 /// Reasons a transaction or block is rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,7 +33,7 @@ pub enum ValidationError {
     DuplicateInput(OutPoint),
     /// A non-coinbase transaction has a null-prevout input.
     UnexpectedNullPrevout,
-    /// An input spends an outpoint not in the UTXO set.
+    /// An input spends an outpoint that does not exist or is already spent.
     MissingInput(OutPoint),
     /// Inputs are worth less than outputs.
     InsufficientInputValue {
@@ -131,9 +143,9 @@ pub fn check_transaction(tx: &Transaction) -> Result<(), ValidationError> {
 
 /// Contextual transaction checks against the unspent outputs `lookup`
 /// finds. Returns the fee.
-pub fn check_tx_inputs(
+pub(crate) fn check_tx_inputs(
     tx: &Transaction,
-    lookup: impl Fn(&OutPoint) -> Option<UtxoEntry>,
+    lookup: impl Fn(&OutPoint) -> Option<Coin>,
     height: u64,
     params: &Params,
 ) -> Result<Amount, ValidationError> {
@@ -166,7 +178,8 @@ pub fn check_tx_inputs(
     Ok(input_value.checked_sub(output_value).unwrap())
 }
 
-/// Full block validation against the current tip and UTXO set.
+/// Full block validation against the current tip and the chain's unspent
+/// outputs.
 ///
 /// `txids` holds the id of each of `block.transactions`, in order; the
 /// merkle root is recomputed from them. Checks structure, merkle
@@ -176,7 +189,7 @@ pub fn check_block(
     block: &Block,
     txids: &[Hash256],
     prev_hash: &Hash256,
-    utxos: &UtxoSet,
+    chain: &ResolvedChain,
     height: u64,
     params: &Params,
 ) -> Result<Amount, ValidationError> {
@@ -202,9 +215,10 @@ pub fn check_block(
 
     // Per-transaction checks. Later transactions may spend outputs created
     // earlier in the same block, so inputs are looked up in those first and
-    // then in `utxos`. An outpoint already spent in this block never gets
-    // that far: `spent_in_block` rejects the second spend before the lookup.
-    let mut created: DigestMap<OutPoint, UtxoEntry> = DigestMap::default();
+    // then among the chain's unspent outputs. An outpoint already spent in
+    // this block never gets that far: `spent_in_block` rejects the second
+    // spend before the lookup.
+    let mut created: DigestMap<OutPoint, Coin> = DigestMap::default();
     let mut spent_in_block: DigestSet<OutPoint> = DigestSet::default();
     let mut total_fees = Amount::ZERO;
     for (tx, &txid) in block.transactions.iter().zip(txids) {
@@ -216,12 +230,22 @@ pub fn check_block(
                 }
             }
         }
-        let lookup = |op: &OutPoint| created.get(op).or_else(|| utxos.get(op)).copied();
+        let lookup = |op: &OutPoint| {
+            created.get(op).copied().or_else(|| {
+                let (t, out) = chain.unspent(op)?;
+                let prev = &chain.txs[t as usize];
+                Some(Coin { value: out.value, height: prev.height, coinbase: prev.is_coinbase })
+            })
+        };
         let fee = check_tx_inputs(tx, lookup, height, params)?;
         total_fees = total_fees
             .checked_add(fee)
             .ok_or(ValidationError::OutputValueOutOfRange)?;
-        created.extend(created_entries(tx, txid, height));
+        let coinbase = tx.is_coinbase();
+        created.extend(tx.outputs.iter().enumerate().map(|(vout, out)| {
+            let coin = Coin { value: out.value, height, coinbase };
+            (OutPoint { txid, vout: vout as u32 }, coin)
+        }));
     }
 
     // Coinbase value ceiling: subsidy + fees.
@@ -317,9 +341,9 @@ mod tests {
     #[test]
     fn good_block_accepted() {
         let p = params();
-        let utxos = UtxoSet::new();
+        let chain = ResolvedChain::new();
         let b = block_with(vec![cb(0, Amount::from_btc(50))], Hash256::ZERO, p.time_at(0));
-        assert_eq!(check_block(&b, &txids(&b), &Hash256::ZERO, &utxos, 0, &p), Ok(Amount::ZERO));
+        assert_eq!(check_block(&b, &txids(&b), &Hash256::ZERO, &chain, 0, &p), Ok(Amount::ZERO));
     }
 
     #[test]
@@ -328,7 +352,7 @@ mod tests {
         let mut b = block_with(vec![cb(0, Amount::from_btc(50))], Hash256::ZERO, p.time_at(0));
         b.header.merkle_root = sha256d(b"wrong");
         assert_eq!(
-            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 0, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &ResolvedChain::new(), 0, &p),
             Err(ValidationError::BadMerkleRoot)
         );
     }
@@ -338,7 +362,7 @@ mod tests {
         let p = params();
         let b = block_with(vec![cb(0, Amount::from_btc(51))], Hash256::ZERO, p.time_at(0));
         assert!(matches!(
-            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 0, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &ResolvedChain::new(), 0, &p),
             Err(ValidationError::ExcessiveCoinbase { .. })
         ));
     }
@@ -348,7 +372,7 @@ mod tests {
         let p = params();
         let b = block_with(vec![cb(0, Amount::from_btc(50))], sha256d(b"fork"), p.time_at(0));
         assert!(matches!(
-            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 0, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &ResolvedChain::new(), 0, &p),
             Err(ValidationError::BadPrevHash { .. })
         ));
     }
@@ -356,9 +380,9 @@ mod tests {
     #[test]
     fn rejects_first_not_coinbase_and_extra_coinbase() {
         let p = params();
-        let mut utxos = UtxoSet::new();
+        let mut chain = ResolvedChain::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, funding.txid(), 0);
+        chain.add_tx(&funding, funding.txid(), 0, 0);
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
@@ -367,13 +391,13 @@ mod tests {
         };
         let b = block_with(vec![spend.clone()], Hash256::ZERO, p.time_at(1));
         assert_eq!(
-            check_block(&b, &txids(&b), &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &chain, 1, &p),
             Err(ValidationError::FirstNotCoinbase)
         );
         let b2 = block_with(vec![cb(1, Amount::from_btc(50)), cb(2, Amount::from_btc(50))],
                             Hash256::ZERO, p.time_at(1));
         assert_eq!(
-            check_block(&b2, &txids(&b2), &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&b2, &txids(&b2), &Hash256::ZERO, &chain, 1, &p),
             Err(ValidationError::ExtraCoinbase)
         );
     }
@@ -381,9 +405,9 @@ mod tests {
     #[test]
     fn spend_within_block_allowed_double_spend_rejected() {
         let p = params();
-        let mut utxos = UtxoSet::new();
+        let mut chain = ResolvedChain::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, funding.txid(), 0);
+        chain.add_tx(&funding, funding.txid(), 0, 0);
         let op = OutPoint { txid: funding.txid(), vout: 0 };
         let spend1 = Transaction {
             version: 1,
@@ -403,7 +427,7 @@ mod tests {
             Hash256::ZERO,
             p.time_at(1),
         );
-        assert!(check_block(&good, &txids(&good), &Hash256::ZERO, &utxos, 1, &p).is_ok());
+        assert!(check_block(&good, &txids(&good), &Hash256::ZERO, &chain, 1, &p).is_ok());
 
         // Same outpoint spent by two txs: rejected.
         let conflict = Transaction {
@@ -418,7 +442,7 @@ mod tests {
             p.time_at(1),
         );
         assert_eq!(
-            check_block(&bad, &txids(&bad), &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&bad, &txids(&bad), &Hash256::ZERO, &chain, 1, &p),
             Err(ValidationError::DoubleSpendInBlock(op))
         );
     }
@@ -426,9 +450,9 @@ mod tests {
     #[test]
     fn fees_flow_to_coinbase_ceiling() {
         let p = params();
-        let mut utxos = UtxoSet::new();
+        let mut chain = ResolvedChain::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, funding.txid(), 0);
+        chain.add_tx(&funding, funding.txid(), 0, 0);
         // Spend 50, output 49 → fee 1.
         let spend = Transaction {
             version: 1,
@@ -439,11 +463,11 @@ mod tests {
         // Coinbase claims subsidy + fee = 51: allowed.
         let b = block_with(vec![cb(1, Amount::from_btc(51)), spend.clone()], Hash256::ZERO,
                            p.time_at(1));
-        assert_eq!(check_block(&b, &txids(&b), &Hash256::ZERO, &utxos, 1, &p), Ok(Amount::from_btc(1)));
+        assert_eq!(check_block(&b, &txids(&b), &Hash256::ZERO, &chain, 1, &p), Ok(Amount::from_btc(1)));
         // Claiming 52 is rejected.
         let b2 = block_with(vec![cb(1, Amount::from_btc(52)), spend], Hash256::ZERO, p.time_at(1));
         assert!(matches!(
-            check_block(&b2, &txids(&b2), &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&b2, &txids(&b2), &Hash256::ZERO, &chain, 1, &p),
             Err(ValidationError::ExcessiveCoinbase { .. })
         ));
     }
@@ -452,9 +476,8 @@ mod tests {
     fn coinbase_maturity_enforced() {
         let mut p = params();
         p.coinbase_maturity = 100;
-        let mut utxos = UtxoSet::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, funding.txid(), 0);
+        let coin = Coin { value: Amount::from_btc(50), height: 0, coinbase: true };
         let spend = Transaction {
             version: 1,
             inputs: vec![TxIn::unsigned(OutPoint { txid: funding.txid(), vout: 0 })],
@@ -462,10 +485,10 @@ mod tests {
             lock_time: 0,
         };
         assert!(matches!(
-            check_tx_inputs(&spend, |op| utxos.get(op).copied(), 50, &p),
+            check_tx_inputs(&spend, |_| Some(coin), 50, &p),
             Err(ValidationError::ImmatureCoinbaseSpend { .. })
         ));
-        assert!(check_tx_inputs(&spend, |op| utxos.get(op).copied(), 100, &p).is_ok());
+        assert!(check_tx_inputs(&spend, |_| Some(coin), 100, &p).is_ok());
     }
 
     fn spend_of(prevout: OutPoint, value: Amount, to: u64) -> Transaction {
@@ -480,9 +503,9 @@ mod tests {
     #[test]
     fn output_created_later_in_the_block_is_missing() {
         let p = params();
-        let mut utxos = UtxoSet::new();
+        let mut chain = ResolvedChain::new();
         let funding = cb(0, Amount::from_btc(50));
-        utxos.apply(&funding, funding.txid(), 0);
+        chain.add_tx(&funding, funding.txid(), 0, 0);
         let first = spend_of(OutPoint { txid: funding.txid(), vout: 0 }, Amount::from_btc(50), 2);
         let later = OutPoint { txid: first.txid(), vout: 0 };
         let second = spend_of(later, Amount::from_btc(50), 3);
@@ -492,12 +515,12 @@ mod tests {
             Hash256::ZERO,
             p.time_at(1),
         );
-        assert!(check_block(&ordered, &txids(&ordered), &Hash256::ZERO, &utxos, 1, &p).is_ok());
+        assert!(check_block(&ordered, &txids(&ordered), &Hash256::ZERO, &chain, 1, &p).is_ok());
         // ...but ahead of it, the output does not exist yet.
         let reversed =
             block_with(vec![cb(1, Amount::from_btc(50)), second, first], Hash256::ZERO, p.time_at(1));
         assert_eq!(
-            check_block(&reversed, &txids(&reversed), &Hash256::ZERO, &utxos, 1, &p),
+            check_block(&reversed, &txids(&reversed), &Hash256::ZERO, &chain, 1, &p),
             Err(ValidationError::MissingInput(later))
         );
     }
@@ -508,10 +531,10 @@ mod tests {
         let coinbase = cb(1, Amount::from_btc(50));
         let spend = spend_of(OutPoint { txid: coinbase.txid(), vout: 0 }, Amount::from_btc(50), 2);
         let b = block_with(vec![coinbase, spend], Hash256::ZERO, p.time_at(1));
-        assert!(check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 1, &p).is_ok());
+        assert!(check_block(&b, &txids(&b), &Hash256::ZERO, &ResolvedChain::new(), 1, &p).is_ok());
         p.coinbase_maturity = 1;
         assert_eq!(
-            check_block(&b, &txids(&b), &Hash256::ZERO, &UtxoSet::new(), 1, &p),
+            check_block(&b, &txids(&b), &Hash256::ZERO, &ResolvedChain::new(), 1, &p),
             Err(ValidationError::ImmatureCoinbaseSpend { created: 1, spent: 1 })
         );
     }
@@ -527,12 +550,8 @@ mod tests {
         let b0 = b0.build_on(&chain);
         let funding = OutPoint { txid: b0.transactions[0].txid(), vout: 0 };
         chain.accept_block(b0).unwrap();
-        let (tip, txs, utxo_count, supply) = (
-            chain.tip_hash(),
-            chain.resolved().tx_count(),
-            chain.utxos().len(),
-            chain.utxos().total_value(),
-        );
+        let (tip, txs, supply) =
+            (chain.tip_hash(), chain.resolved().tx_count(), chain.resolved().unspent_value());
 
         // A valid spend (and its in-block child) ahead of an input that does
         // not exist: validation fails only after the overlay has grown.
@@ -552,8 +571,39 @@ mod tests {
         assert_eq!(chain.tip_hash(), tip);
         assert_eq!(chain.height(), Some(0));
         assert_eq!(chain.resolved().tx_count(), txs);
-        assert_eq!(chain.utxos().len(), utxo_count);
-        assert_eq!(chain.utxos().total_value(), supply);
-        assert!(chain.utxos().contains(&funding));
+        assert_eq!(chain.resolved().unspent_value(), supply);
+        assert!(chain.resolved().unspent(&funding).is_some());
+    }
+
+    #[test]
+    fn output_spent_in_an_earlier_block_is_missing() {
+        use crate::builder::BlockBuilder;
+        use crate::chainstate::ChainState;
+
+        let p = params();
+        let mut chain = ChainState::new(p.clone());
+        let miner = Address::from_seed(1);
+        let b0 = BlockBuilder::new(&p).coinbase_to(miner, 0, chain.next_subsidy()).build_on(&chain);
+        let funding = OutPoint { txid: b0.transactions[0].txid(), vout: 0 };
+        chain.accept_block(b0).unwrap();
+        let b1 = BlockBuilder::new(&p)
+            .coinbase_to(miner, 1, chain.next_subsidy())
+            .tx(spend_of(funding, Amount::from_btc(50), 2))
+            .build_on(&chain);
+        chain.accept_block(b1).unwrap();
+        let (tip, txs, supply) =
+            (chain.tip_hash(), chain.resolved().tx_count(), chain.resolved().unspent_value());
+        assert_eq!(supply, Amount::from_btc(100));
+
+        // A later block spends the same output again.
+        let again = BlockBuilder::new(&p)
+            .coinbase_to(miner, 2, chain.next_subsidy())
+            .tx(spend_of(funding, Amount::from_btc(50), 3))
+            .build_on(&chain);
+        assert_eq!(chain.accept_block(again), Err(ValidationError::MissingInput(funding)));
+        assert_eq!(chain.tip_hash(), tip);
+        assert_eq!(chain.height(), Some(1));
+        assert_eq!(chain.resolved().tx_count(), txs);
+        assert_eq!(chain.resolved().unspent_value(), supply);
     }
 }

@@ -65,13 +65,11 @@ mod tests {
     use fistful_chain::address::Address;
     use fistful_chain::amount::Amount;
     use fistful_chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
-    use fistful_chain::utxo::UtxoSet;
 
     /// Builds a tiny chain: coinbases to three addresses, then one tx that
     /// co-spends two of them.
     fn tiny_chain() -> ResolvedChain {
         let mut rc = ResolvedChain::new();
-        let mut utxos = UtxoSet::new();
         let a = Address::from_seed(1);
         let b = Address::from_seed(2);
         let c = Address::from_seed(3);
@@ -86,8 +84,7 @@ mod tests {
                 outputs: vec![TxOut { value: Amount::from_btc(50), address: addr }],
                 lock_time: 0,
             };
-            rc.add_tx(&cb, cb.txid(), &utxos, i as u64, i as u64 * 600);
-            utxos.apply(&cb, cb.txid(), i as u64);
+            rc.add_tx(&cb, cb.txid(), i as u64, i as u64 * 600);
             fundings.push(cb);
         }
         // Co-spend a and b.
@@ -103,8 +100,7 @@ mod tests {
             }],
             lock_time: 0,
         };
-        rc.add_tx(&spend, spend.txid(), &utxos, 3, 1800);
-        utxos.apply(&spend, spend.txid(), 3);
+        rc.add_tx(&spend, spend.txid(), 3, 1800);
         rc
     }
 

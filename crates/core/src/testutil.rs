@@ -10,8 +10,6 @@ use fistful_chain::address::Address;
 use fistful_chain::amount::Amount;
 use fistful_chain::resolve::{AddressId, ResolvedChain, ResolvedTx};
 use fistful_chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
-use fistful_chain::utxo::UtxoSet;
-use fistful_crypto::hash::Hash256;
 use std::collections::VecDeque;
 
 /// Incrementally builds a [`ResolvedChain`] from abstract transactions.
@@ -24,8 +22,6 @@ use std::collections::VecDeque;
 pub struct TestChain {
     /// The resolved chain built so far.
     pub chain: ResolvedChain,
-    utxos: UtxoSet,
-    txids: Vec<Hash256>,
     /// Every transaction added, with its height, for [`prefix`](Self::prefix).
     log: Vec<(Transaction, u64)>,
     next_height: u64,
@@ -43,8 +39,6 @@ impl TestChain {
     pub fn new() -> TestChain {
         TestChain {
             chain: ResolvedChain::new(),
-            utxos: UtxoSet::new(),
-            txids: Vec::new(),
             log: Vec::new(),
             next_height: 0,
             cb_tag: 0,
@@ -94,7 +88,7 @@ impl TestChain {
     ) -> usize {
         let inputs = spends
             .iter()
-            .map(|&(h, vout)| TxIn::unsigned(OutPoint { txid: self.txids[h], vout }))
+            .map(|&(h, vout)| TxIn::unsigned(OutPoint { txid: self.chain.txs[h].txid, vout }))
             .collect();
         let outputs = outs
             .iter()
@@ -107,12 +101,9 @@ impl TestChain {
     fn push(&mut self, tx: Transaction, height: Option<u64>) -> usize {
         let h = height.unwrap_or(self.next_height);
         self.next_height = h + 1;
-        let txid = tx.txid();
-        self.chain.add_tx(&tx, txid, &self.utxos, h, h * 600);
-        self.utxos.apply(&tx, txid, h);
-        self.txids.push(txid);
+        let id = self.chain.add_tx(&tx, tx.txid(), h, h * 600);
         self.log.push((tx, h));
-        self.txids.len() - 1
+        id as usize
     }
 
     /// A fresh chain holding this chain's first `blocks` blocks, replayed

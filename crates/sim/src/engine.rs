@@ -784,19 +784,14 @@ impl Economy {
         }
     }
 
-    /// The address that a queued (not yet mined) or mined outpoint pays to.
+    /// The address that a mined or queued (not yet mined) outpoint pays to.
     fn outpoint_addr(&self, op: &OutPoint) -> Option<Address> {
-        // Check the chain first, then the pending set.
-        if let Some(entry) = self.chain.utxos().get(op) {
-            return Some(entry.address);
+        let rc = self.chain.resolved();
+        if let Some((_, rtx)) = rc.tx_by_txid(&op.txid) {
+            return rtx.outputs.get(op.vout as usize).map(|o| rc.address(o.address));
         }
-        if let Some(&i) = self.pending_index.get(&op.txid) {
-            return self.pending[i].0.outputs.get(op.vout as usize).map(|o| o.address);
-        }
-        // Spent outputs: look in the resolved view.
-        let (_, rtx) = self.chain.resolved().tx_by_txid(&op.txid)?;
-        let out = rtx.outputs.get(op.vout as usize)?;
-        Some(self.chain.resolved().address(out.address))
+        let &i = self.pending_index.get(&op.txid)?;
+        self.pending[i].0.outputs.get(op.vout as usize).map(|o| o.address)
     }
 
     fn user_p2p(&mut self, ui: usize) {
@@ -1685,14 +1680,14 @@ mod tests {
     #[test]
     fn supply_conservation() {
         let eco = Economy::run(SimConfig::tiny());
-        // Total UTXO value == sum of claimed coinbase values (subsidy+fees
+        // Total unspent value == sum of claimed coinbase values (subsidy+fees
         // recirculate; nothing is created or destroyed beyond that).
         let expected: Amount = (0..SimConfig::tiny().blocks)
             .map(|h| eco.chain.params().subsidy_at(h))
             .sum::<Amount>()
             .checked_add(Amount::ZERO)
             .unwrap();
-        let total = eco.chain.utxos().total_value();
+        let total = eco.chain.resolved().unspent_value();
         // Fees recirculate into coinbases, so totals match subsidies exactly.
         assert_eq!(total, expected);
     }

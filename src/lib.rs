@@ -5,7 +5,7 @@
 //!
 //! * [`crypto`] — from-scratch SHA-256 / RIPEMD-160 / Base58Check.
 //! * [`chain`] — a Bitcoin-style block-chain substrate (transactions,
-//!   blocks, UTXO set, value and structure validation).
+//!   blocks, value and structure validation, the resolved chain view).
 //! * [`store`] — the versioned, checksummed columnar container every
 //!   persistent artifact is written to.
 //! * [`sim`] — a Bitcoin economy simulator with ground-truth ownership,

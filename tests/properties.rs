@@ -10,14 +10,17 @@ use fistful::chain::address::Address;
 use fistful::chain::amount::Amount;
 use fistful::chain::encode::{Decodable, Encodable};
 use fistful::chain::transaction::{OutPoint, Transaction, TxIn, TxOut};
+use fistful::chain::validate::ValidationError;
 use fistful::core::change::{self, ChangeConfig};
 use fistful::core::cluster::Clusterer;
 use fistful::core::score::score_clustering;
 use fistful::core::union_find::UnionFind;
 use fistful::crypto::base58;
+use fistful::crypto::hash::Hash256;
 use fistful::sim::{Economy, SimConfig};
 use frame_reader::read_frame;
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 // ---------- crypto ----------
 
@@ -50,7 +53,7 @@ fn arb_txout() -> impl Strategy<Value = TxOut> {
 fn arb_txin() -> impl Strategy<Value = TxIn> {
     (any::<[u8; 32]>(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..100)).prop_map(
         |(txid, vout, witness)| TxIn {
-            prevout: OutPoint { txid: fistful::crypto::hash::Hash256(txid), vout },
+            prevout: OutPoint { txid: Hash256(txid), vout },
             witness,
         },
     )
@@ -85,6 +88,101 @@ proptest! {
     fn txid_is_injective_on_distinct_txs(a in arb_tx(), b in arb_tx()) {
         if a != b {
             prop_assert_ne!(a.txid(), b.txid());
+        }
+    }
+}
+
+// ---------- block acceptance against a naive UTXO-set model ----------
+
+/// Unspent outputs as `(value, height, coinbase)`: the test oracle for
+/// `accept_block`, which keeps no such set.
+type Utxos = HashMap<OutPoint, (Amount, u64, bool)>;
+
+/// Blocks a coinbase output waits before it can be spent, in both.
+const MATURITY: u64 = 2;
+
+/// Applies one block (coinbase first) to `utxos` the obvious way, returning
+/// the set after it or the first error.
+fn model_accept(utxos: &Utxos, txs: &[Transaction], height: u64) -> Result<Utxos, ValidationError> {
+    let (mut next, mut spent) = (utxos.clone(), HashSet::new());
+    for (i, tx) in txs.iter().enumerate() {
+        if i > 0 {
+            if let Some(again) = tx.inputs.iter().find(|input| !spent.insert(input.prevout)) {
+                return Err(ValidationError::DoubleSpendInBlock(again.prevout));
+            }
+            let mut inputs = Amount::ZERO;
+            for op in tx.inputs.iter().map(|input| input.prevout) {
+                let (value, created, coinbase) =
+                    next.remove(&op).ok_or(ValidationError::MissingInput(op))?;
+                if coinbase && height < created + MATURITY {
+                    return Err(ValidationError::ImmatureCoinbaseSpend { created, spent: height });
+                }
+                inputs = inputs.checked_add(value).unwrap();
+            }
+            let outputs = tx.output_value().unwrap();
+            if inputs < outputs {
+                return Err(ValidationError::InsufficientInputValue { inputs, outputs });
+            }
+        }
+        for (vout, out) in tx.outputs.iter().enumerate() {
+            let op = OutPoint { txid: tx.txid(), vout: vout as u32 };
+            next.insert(op, (out.value, height, i == 0));
+        }
+    }
+    Ok(next)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `accept_block` and the model agree on every block of a random chain:
+    /// accepted or rejected, with the same error, and on the supply after it.
+    #[test]
+    fn block_acceptance_matches_a_utxo_set_model(seed in any::<u64>()) {
+        use fistful::chain::builder::{BlockBuilder, TransactionBuilder};
+        use fistful::chain::{ChainState, Params};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = Params { coinbase_maturity: MATURITY, ..Params::regtest() };
+        let (mut chain, mut model) = (ChainState::new(params.clone()), Utxos::new());
+        // Every outpoint ever built, in accepted blocks or not, with its value.
+        let mut all: Vec<(OutPoint, Amount)> = Vec::new();
+        for _ in 0..24 {
+            let height = chain.next_height();
+            let mut block = BlockBuilder::new(&params)
+                .coinbase_to(Address::from_seed(rng.gen()), height, chain.next_subsidy());
+            for _ in 0..rng.gen_range(0..4) {
+                // An unspent output (mature or not); a recent one (in-block
+                // chains, in-block and cross-block double spends); or none.
+                let unspent: Vec<_> = all.iter().filter(|(op, _)| model.contains_key(op)).collect();
+                let recent = all.len().saturating_sub(6)..all.len();
+                let (prevout, value) = match rng.gen_range(0..10) {
+                    0..=4 if !unspent.is_empty() => *unspent[rng.gen_range(0..unspent.len())],
+                    0..=8 if !all.is_empty() => all[rng.gen_range(recent)],
+                    _ => (OutPoint { txid: Hash256::ZERO, vout: rng.gen() }, Amount::ZERO),
+                };
+                // Two outputs splitting the input, now and then one satoshi over.
+                let half = value.to_sat() / 2;
+                let rest = value.to_sat() - half + rng.gen_bool(0.05) as u64;
+                let tx = TransactionBuilder::new()
+                    .input(prevout)
+                    .output(Address::from_seed(rng.gen()), Amount::from_sat(half))
+                    .output(Address::from_seed(rng.gen()), Amount::from_sat(rest))
+                    .build_unsigned();
+                let txid = tx.txid();
+                let outs = tx.outputs.iter().zip(0..);
+                all.extend(outs.map(|(out, vout)| (OutPoint { txid, vout }, out.value)));
+                block = block.tx(tx);
+            }
+            let block = block.build_on(&chain);
+            let coinbase = &block.transactions[0];
+            all.push((OutPoint { txid: coinbase.txid(), vout: 0 }, coinbase.outputs[0].value));
+            let expected = model_accept(&model, &block.transactions, height);
+            prop_assert_eq!(chain.accept_block(block).err(), expected.as_ref().err().cloned());
+            model = expected.unwrap_or(model);
+            let supply: Amount = model.values().map(|&(value, _, _)| value).sum();
+            prop_assert_eq!(chain.resolved().unspent_value(), supply);
         }
     }
 }
@@ -354,7 +452,7 @@ proptest! {
     fn h2_matches_the_spec_oracle_on_random_chains(seed in any::<u64>(), txs in 20usize..120) {
         let t = random_chain(seed, txs);
         // Every third address is a dice house.
-        let dice: std::collections::HashSet<u32> =
+        let dice: HashSet<u32> =
             (0..t.chain.address_count() as u32).filter(|a| a % 3 == 0).collect();
         for switches in 0..8u8 {
             for wait in std::iter::once(None).chain((0..12).map(Some)) {
@@ -1168,6 +1266,6 @@ proptest! {
         let expected: Amount = (0..60u64)
             .map(|h| eco.chain.params().subsidy_at(h))
             .sum();
-        prop_assert_eq!(eco.chain.utxos().total_value(), expected);
+        prop_assert_eq!(eco.chain.resolved().unspent_value(), expected);
     }
 }
