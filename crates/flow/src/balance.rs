@@ -4,6 +4,14 @@
 //! total active bitcoins; i.e., the bitcoins that are not held in sink
 //! addresses." A *sink* address is one that has never spent (over the
 //! whole observation window).
+//!
+//! One production path computes the series: [`BalanceSeries`], a
+//! forward-only builder that the live pipeline extends once per epoch in
+//! O(new blocks), and that [`balance_series_at`] extends once from empty
+//! for the batch paths. A later spend revises the past (a sink that spends
+//! stops being one over the whole window), so the builder keeps per-bucket
+//! changes rather than finished samples, and takes prefix sums only when
+//! the points are read.
 
 use fistful_chain::amount::Amount;
 use fistful_chain::resolve::{AddressId, ResolvedChain};
@@ -75,106 +83,316 @@ pub fn balance_series(
 }
 
 /// [`balance_series`] over only the first `tx_end` transactions of the
-/// chain — the mid-ingest rebuild the live hot-swap pipeline runs at each
-/// epoch publish.
+/// chain: a [`BalanceSeries`] extended once from empty.
 ///
 /// Sink flags are scanned over the *prefix* window: an address whose only
 /// spends sit at or past `tx_end` has never spent as far as this window
 /// knows, exactly as if the chain ended there. With
 /// `tx_end == chain.tx_count()` the result is identical to
 /// [`balance_series`].
-///
-/// Cost: one pass over the addresses resolves each address once into a
-/// `u32` slot (sink, no category, or the dense index of its category);
-/// the pass over the transactions then does one slot read and one add per
-/// input and output, into per-category running totals. No string is
-/// looked up or cloned per input or output: category names are cloned
-/// only when a sample is emitted.
 pub fn balance_series_at(
     chain: &ResolvedChain,
     tx_end: usize,
     snapshot: &ClusterSnapshot,
     every: u64,
 ) -> Vec<BalancePoint> {
-    assert!(every > 0, "sampling interval must be positive");
-    assert!(tx_end <= chain.tx_count(), "tx_end exceeds the chain");
+    let mut series = BalanceSeries::new(every);
+    series.extend_to(chain, tx_end, snapshot);
+    series.points()
+}
 
-    // One slot per address. A sink (never spends within the window; the
-    // per-address spend lists are chain-ordered, so that is "no first
-    // spend before tx_end") gets SINK: its receives count as sink-held and
-    // it never spends. Every other address gets its category's index in
-    // `slot_of`, or NO_CATEGORY. One array keeps the per-I/O work to a
-    // single read of per-address state.
-    const SINK: u32 = u32::MAX;
-    const NO_CATEGORY: u32 = u32::MAX - 1;
-    let mut slot_of: BTreeMap<&str, u32> = BTreeMap::new();
-    let slot: Vec<u32> = (0..chain.address_count() as AddressId)
-        .map(|a| {
-            if chain.spent_in(a).first().map_or(true, |&t| t as usize >= tx_end) {
-                return SINK;
-            }
-            let next = slot_of.len() as u32;
-            snapshot.category_of(a).map_or(NO_CATEGORY, |c| *slot_of.entry(c).or_insert(next))
-        })
-        .collect();
+/// Slot of an address that has not spent within the window.
+const SINK: u32 = u32::MAX;
+/// Slot of a spender whose cluster has no category.
+const NO_CATEGORY: u32 = u32::MAX - 1;
 
-    // Per category: the running total in satoshis, `None` until its first
-    // receive — a category joins the samples then and stays, even when
-    // its total falls back to zero.
-    let mut totals: Vec<Option<u64>> = vec![None; slot_of.len()];
-    let mut supply: u64 = 0;
-    let mut sink_held: u64 = 0;
+/// One sample bucket: a run of transactions, in chain order, with equal
+/// `height / every`. Heights may skip, so buckets are not a dense range.
+#[derive(Debug, Clone)]
+struct Bucket {
+    /// `height / every` of the run.
+    key: u64,
+    /// The run's first transaction.
+    first_tx: usize,
+    /// Time of the run's first transaction: the previous sample's time.
+    first_time: u64,
+    /// Height of the run's last transaction: the sample's height.
+    last_height: u64,
+    /// Change of the total supply over the run, in satoshis.
+    supply: i64,
+    /// Change of the sink-held supply over the run, in satoshis.
+    sink_held: i64,
+}
 
-    let sample = |height: u64, time: u64, totals: &[Option<u64>], supply: u64, sink_held: u64| {
-        BalancePoint {
-            height,
-            time,
-            balances: slot_of
-                .iter()
-                .filter_map(|(&name, &s)| {
-                    totals[s as usize].map(|v| (name.to_string(), Amount::from_sat(v)))
-                })
-                .collect(),
-            supply: Amount::from_sat(supply),
-            sink_held: Amount::from_sat(sink_held),
+/// One category's change over one bucket.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// Balance change in satoshis.
+    value: i64,
+    /// Outputs received by the category's spenders.
+    receives: i64,
+}
+
+/// The Figure 2 series as a forward-only builder: [`new`](Self::new),
+/// then [`extend_to`](Self::extend_to) any number of times with a growing
+/// `tx_end` and that cut's snapshot, then [`points`](Self::points). The
+/// points always equal [`balance_series_at`] at the last cut and snapshot;
+/// the live pipeline extends one builder per epoch instead of rebuilding
+/// the series from genesis.
+///
+/// # State
+///
+/// * a slot per address seen in the prefix: sink (no spend before the
+///   cut), no category, or the index of its category in `names`;
+/// * per bucket, the change of the supply and of the sink-held supply;
+/// * per (category, bucket), the change of the balance and a count of
+///   receives. A category appears in the points from the first bucket
+///   holding one of its receives, and stays.
+///
+/// [`points`](Self::points) takes prefix sums over the buckets.
+///
+/// # Cost of one `extend_to`
+///
+/// * one pass over the snapshot's clusters, mapping each to a category
+///   index, and one `u32` compare per spender already in the prefix; a
+///   spender whose category changed (a cluster merge, a new name) moves
+///   its receives and spends before the old cut to the new slot;
+/// * one slot per address new to the prefix: a category when it spends
+///   before the new cut, else a sink;
+/// * one pass over the new transactions' inputs and outputs. A sink that
+///   spends there for the first time moves its earlier receives from
+///   sink-held to its category.
+///
+/// So an epoch costs O(new inputs and outputs + clusters + addresses +
+/// the history of the addresses that moved): no transaction before the
+/// old cut is read unless an address in it moved. Extended once from
+/// empty it is the batch pass.
+#[derive(Debug, Clone)]
+pub struct BalanceSeries {
+    every: u64,
+    tx_end: usize,
+    /// Time of the prefix's last transaction: the last sample's time.
+    last_time: u64,
+    slot: Vec<u32>,
+    /// Category names by index, in order of first sight.
+    names: Vec<String>,
+    buckets: Vec<Bucket>,
+    /// `cells[category][bucket]`.
+    cells: Vec<Vec<Cell>>,
+}
+
+impl BalanceSeries {
+    /// An empty series sampling every `every` blocks. Panics when `every`
+    /// is zero.
+    pub fn new(every: u64) -> BalanceSeries {
+        assert!(every > 0, "sampling interval must be positive");
+        BalanceSeries {
+            every,
+            tx_end: 0,
+            last_time: 0,
+            slot: Vec::new(),
+            names: Vec::new(),
+            buckets: Vec::new(),
+            cells: Vec::new(),
         }
-    };
+    }
 
-    let mut out = Vec::new();
-    let mut last_height: Option<u64> = None;
-    for tx in &chain.txs[..tx_end] {
-        // Sample boundary crossings before applying this tx.
-        if let Some(prev) = last_height {
-            if tx.height / every != prev / every {
-                out.push(sample(prev, tx.time, &totals, supply, sink_held));
+    /// Extends the series to the first `tx_end` transactions of `chain`,
+    /// with categories read from `snapshot`. `tx_end` may equal the
+    /// current cut (a new snapshot over the same prefix). Panics when
+    /// `tx_end` exceeds the chain or falls before the current cut.
+    pub fn extend_to(&mut self, chain: &ResolvedChain, tx_end: usize, snapshot: &ClusterSnapshot) {
+        assert!(tx_end <= chain.tx_count(), "tx_end exceeds the chain");
+        assert!(tx_end >= self.tx_end, "a balance series only extends forward");
+        let old_end = self.tx_end;
+
+        let category_of_cluster: Vec<u32> = (0..snapshot.cluster_count() as u32)
+            .map(|c| match snapshot.info(c).and_then(|info| info.category.as_deref()) {
+                Some(name) => self.category_index(name),
+                None => NO_CATEGORY,
+            })
+            .collect();
+        let category = |a: AddressId| {
+            snapshot.cluster_of(a).map_or(NO_CATEGORY, |c| category_of_cluster[c as usize])
+        };
+
+        // Spenders whose category moved carry their history along. A sink
+        // has no history to re-read until it spends (below).
+        for a in 0..self.slot.len() {
+            let old = self.slot[a];
+            if old == SINK {
+                continue;
+            }
+            let new = category(a as AddressId);
+            if new != old {
+                self.move_history(chain, a as AddressId, old, new, old_end);
+                self.slot[a] = new;
             }
         }
-        last_height = Some(tx.height);
 
-        for input in &tx.inputs {
-            let v = input.value.to_sat();
-            supply -= v;
-            let s = slot[input.address as usize];
-            debug_assert_ne!(s, SINK, "sinks never spend");
-            if s < NO_CATEGORY {
-                *totals[s as usize].as_mut().expect("category received before") -= v;
+        // Addresses are interned in order of first appearance, so the
+        // prefix's addresses are a leading range of ids.
+        let mut seen = self.slot.len();
+        while seen < chain.address_count()
+            && (chain.first_seen(seen as AddressId) as usize) < tx_end
+        {
+            seen += 1;
+        }
+        for a in self.slot.len() as AddressId..seen as AddressId {
+            let spends = chain.spent_in(a).first().is_some_and(|&t| (t as usize) < tx_end);
+            self.slot.push(if spends { category(a) } else { SINK });
+        }
+
+        // A sink's first spend gives it its category at once; its earlier
+        // receives move after the pass, since bucket changes add up in any
+        // order.
+        let mut first_spends = Vec::new();
+        let (slot, buckets, cells) = (&mut self.slot[..], &mut self.buckets, &mut self.cells);
+        for (i, tx) in (old_end..).zip(&chain.txs[old_end..tx_end]) {
+            let key = tx.height / self.every;
+            if buckets.last().map_or(true, |b| b.key != key) {
+                buckets.push(Bucket {
+                    key,
+                    first_tx: i,
+                    first_time: tx.time,
+                    last_height: tx.height,
+                    supply: 0,
+                    sink_held: 0,
+                });
+                for cells in cells.iter_mut() {
+                    cells.push(Cell::default());
+                }
+            }
+            let b = buckets.len() - 1;
+            buckets[b].last_height = tx.height;
+            for input in &tx.inputs {
+                let v = input.value.to_sat() as i64;
+                buckets[b].supply -= v;
+                let mut s = slot[input.address as usize];
+                if s == SINK {
+                    s = category(input.address);
+                    slot[input.address as usize] = s;
+                    first_spends.push((input.address, s, i));
+                }
+                add(buckets, cells, s, b, -v, 0);
+            }
+            for out in &tx.outputs {
+                let v = out.value.to_sat() as i64;
+                buckets[b].supply += v;
+                add(buckets, cells, slot[out.address as usize], b, v, 1);
             }
         }
-        for out_ in &tx.outputs {
-            let v = out_.value.to_sat();
-            supply += v;
-            match slot[out_.address as usize] {
-                SINK => sink_held += v,
-                NO_CATEGORY => {}
-                s => *totals[s as usize].get_or_insert(0) += v,
+        for (a, s, i) in first_spends {
+            self.move_history(chain, a, SINK, s, i);
+        }
+        self.tx_end = tx_end;
+        if let Some(last) = tx_end.checked_sub(1) {
+            self.last_time = chain.txs[last].time;
+        }
+    }
+
+    /// The sampled points: one per bucket, at its last transaction's
+    /// height and its successor's first transaction's time (the last
+    /// transaction's time for the last bucket).
+    pub fn points(&self) -> Vec<BalancePoint> {
+        let (mut supply, mut sink_held) = (0i64, 0i64);
+        let mut running = vec![Cell::default(); self.names.len()];
+        let mut out = Vec::with_capacity(self.buckets.len());
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            supply += bucket.supply;
+            sink_held += bucket.sink_held;
+            for (total, cells) in running.iter_mut().zip(&self.cells) {
+                total.value += cells[b].value;
+                total.receives += cells[b].receives;
+            }
+            out.push(BalancePoint {
+                height: bucket.last_height,
+                time: self.buckets.get(b + 1).map_or(self.last_time, |next| next.first_time),
+                balances: self
+                    .names
+                    .iter()
+                    .zip(&running)
+                    .filter(|(_, total)| total.receives > 0)
+                    .map(|(name, total)| (name.clone(), sat(total.value)))
+                    .collect(),
+                supply: sat(supply),
+                sink_held: sat(sink_held),
+            });
+        }
+        out
+    }
+
+    /// The index of category `name`, adding it on first sight.
+    fn category_index(&mut self, name: &str) -> u32 {
+        if let Some(i) = self.names.iter().position(|n| n == name) {
+            return i as u32;
+        }
+        self.names.push(name.to_string());
+        self.cells.push(vec![Cell::default(); self.buckets.len()]);
+        (self.names.len() - 1) as u32
+    }
+
+    /// Moves `a`'s receives and spends in transactions before `before`
+    /// from slot `from` to slot `to`. The per-address lists name a
+    /// transaction once per output or input, so repeats are skipped: each
+    /// visit moves every output or input of `a` in that transaction.
+    fn move_history(
+        &mut self,
+        chain: &ResolvedChain,
+        a: AddressId,
+        from: u32,
+        to: u32,
+        before: usize,
+    ) {
+        let mut last = None;
+        for &t in chain.received_in(a).iter().take_while(|&&t| (t as usize) < before) {
+            if last.replace(t) == Some(t) {
+                continue;
+            }
+            let b = self.bucket_of(t as usize);
+            for out in chain.txs[t as usize].outputs.iter().filter(|o| o.address == a) {
+                let v = out.value.to_sat() as i64;
+                add(&mut self.buckets, &mut self.cells, from, b, -v, -1);
+                add(&mut self.buckets, &mut self.cells, to, b, v, 1);
+            }
+        }
+        let mut last = None;
+        for &t in chain.spent_in(a).iter().take_while(|&&t| (t as usize) < before) {
+            if last.replace(t) == Some(t) {
+                continue;
+            }
+            let b = self.bucket_of(t as usize);
+            for input in chain.txs[t as usize].inputs.iter().filter(|i| i.address == a) {
+                let v = input.value.to_sat() as i64;
+                add(&mut self.buckets, &mut self.cells, from, b, v, 0);
+                add(&mut self.buckets, &mut self.cells, to, b, -v, 0);
             }
         }
     }
-    if let Some(h) = last_height {
-        let t = chain.txs[..tx_end].last().map(|t| t.time).unwrap_or(0);
-        out.push(sample(h, t, &totals, supply, sink_held));
+
+    /// The bucket holding transaction `t` of the prefix.
+    fn bucket_of(&self, t: usize) -> usize {
+        self.buckets.partition_point(|b| b.first_tx <= t) - 1
     }
-    out
+}
+
+/// Adds `value` satoshis and `receives` receives to slot `s` in bucket
+/// `b`.
+fn add(buckets: &mut [Bucket], cells: &mut [Vec<Cell>], s: u32, b: usize, value: i64, receives: i64) {
+    match s {
+        SINK => buckets[b].sink_held += value,
+        NO_CATEGORY => {}
+        c => {
+            let cell = &mut cells[c as usize][b];
+            cell.value += value;
+            cell.receives += receives;
+        }
+    }
+}
+
+/// A running total as an amount; totals never go negative.
+fn sat(v: i64) -> Amount {
+    Amount::from_sat(u64::try_from(v).expect("running totals stay non-negative"))
 }
 
 #[cfg(test)]
@@ -336,10 +554,133 @@ mod tests {
         for tx_end in 0..=t.chain.tx_count() {
             assert_eq!(
                 balance_series_at(&t.chain, tx_end, &dir, 1),
-                crate::flow_oracle::balance_series_at(&t.chain, tx_end, &dir, 1),
+                crate::balance_oracle::balance_series_at(&t.chain, tx_end, &dir, 1),
                 "tx_end {tx_end}"
             );
         }
+    }
+
+    /// Extends one builder through `steps` of (cut, snapshot), checking
+    /// its points against the oracle after every step.
+    fn check_steps(chain: &ResolvedChain, every: u64, steps: &[(usize, &ClusterSnapshot)]) {
+        let mut series = BalanceSeries::new(every);
+        for &(cut, snapshot) in steps {
+            series.extend_to(chain, cut, snapshot);
+            assert_eq!(
+                series.points(),
+                crate::balance_oracle::balance_series_at(chain, cut, snapshot, every),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn extended_sink_that_spends_later_moves_its_receives() {
+        let mut t = TestChain::new();
+        let cb1 = t.coinbase(1, 50);
+        let cb2 = t.coinbase(2, 50);
+        let a = t.tx(&[(cb1, 0)], &[(3, 20), (4, 30)]);
+        t.tx(&[(cb2, 0)], &[(3, 50)]);
+        // Address 3 spends for the first time in the fifth transaction.
+        t.tx(&[(a, 0)], &[(5, 20)]);
+        let dir = named_snapshot(
+            &t.chain,
+            &[(t.id(1), "Mt. Gox", "exchange"), (t.id(3), "Mt. Gox", "exchange")],
+        );
+        check_steps(&t.chain, 1, &[(1, &dir), (3, &dir), (4, &dir), (5, &dir)]);
+
+        // The spend revises the past: address 3's receive at height 2 now
+        // counts for the exchange, which it did not at the 4-tx cut.
+        let mut series = BalanceSeries::new(1);
+        series.extend_to(&t.chain, 4, &dir);
+        let exchange_at_2 = |s: &BalanceSeries| s.points()[2].balances.get("exchange").copied();
+        assert_eq!(exchange_at_2(&series), Some(Amount::ZERO));
+        series.extend_to(&t.chain, 5, &dir);
+        assert_eq!(exchange_at_2(&series), Some(Amount::from_btc(20)));
+    }
+
+    #[test]
+    fn extended_cluster_gains_and_changes_its_category() {
+        let mut t = TestChain::new();
+        let cb1 = t.coinbase(1, 50);
+        let cb2 = t.coinbase(2, 50);
+        let a = t.tx(&[(cb1, 0)], &[(3, 20), (4, 30)]);
+        let b = t.tx(&[(cb2, 0), (a, 0)], &[(3, 60), (5, 10)]);
+        t.tx(&[(b, 0), (a, 1)], &[(6, 90)]);
+        let unnamed = named_snapshot(&t.chain, &[]);
+        let exchange = named_snapshot(&t.chain, &[(t.id(3), "Mt. Gox", "exchange")]);
+        let vendor = named_snapshot(
+            &t.chain,
+            &[(t.id(3), "Silk Road", "vendor"), (t.id(4), "Mt. Gox", "exchange")],
+        );
+        let steps: [(usize, &ClusterSnapshot); 6] = [
+            (2, &unnamed),
+            (4, &unnamed),
+            (4, &exchange),
+            (4, &vendor),
+            (5, &exchange),
+            (5, &unnamed),
+        ];
+        check_steps(&t.chain, 1, &steps);
+        check_steps(&t.chain, 2, &steps);
+    }
+
+    #[test]
+    fn extended_address_paid_twice_in_one_transaction_moves_once() {
+        let mut t = TestChain::new();
+        let cb1 = t.coinbase(1, 50);
+        let cb2 = t.coinbase(2, 50);
+        // Address 3 is paid twice by one transaction and spends both
+        // outputs in one transaction, so it is listed twice in each of its
+        // receive and spend lists.
+        let p = t.tx(&[(cb1, 0)], &[(3, 10), (3, 40)]);
+        t.tx(&[(p, 0), (p, 1)], &[(4, 50)]);
+        t.tx(&[(cb2, 0)], &[(3, 30), (3, 20)]);
+        let unnamed = named_snapshot(&t.chain, &[]);
+        let exchange = named_snapshot(&t.chain, &[(t.id(3), "Mt. Gox", "exchange")]);
+        let vendor = named_snapshot(&t.chain, &[(t.id(3), "Silk Road", "vendor")]);
+        check_steps(
+            &t.chain,
+            1,
+            &[(3, &exchange), (4, &unnamed), (4, &exchange), (5, &vendor), (5, &exchange)],
+        );
+    }
+
+    #[test]
+    fn extended_over_skipped_heights_keeps_sparse_buckets() {
+        let mut t = TestChain::new();
+        let cb1 = t.coinbase(1, 50);
+        let cb2 = t.coinbase(2, 50);
+        // Heights 0, 1, 7, 7, 8, 15, 22 with every = 3: buckets 0, 2, 5
+        // and 7, none for the heights skipped between them.
+        let a = t.tx_at(&[(cb1, 0)], &[(3, 20), (4, 30)], Some(7));
+        let b = t.tx_at(&[(cb2, 0)], &[(5, 50)], Some(7));
+        let c = t.tx_at(&[(a, 1)], &[(6, 30)], Some(8));
+        t.tx_at(&[(a, 0), (b, 0)], &[(4, 70)], Some(15));
+        t.tx_at(&[(c, 0)], &[(3, 30)], Some(22));
+        let dir = named_snapshot(
+            &t.chain,
+            &[(t.id(3), "Mt. Gox", "exchange"), (t.id(4), "Silk Road", "vendor")],
+        );
+        let n = t.chain.tx_count();
+        for every in [1, 3, 10] {
+            let each: Vec<(usize, &ClusterSnapshot)> = (0..=n).map(|k| (k, &dir)).collect();
+            check_steps(&t.chain, every, &each);
+            check_steps(&t.chain, every, &[(3, &dir), (6, &dir), (n, &dir)]);
+        }
+        assert_eq!(balance_series_at(&t.chain, n, &dir, 3).len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "only extends forward")]
+    fn extending_backwards_is_rejected() {
+        let mut t = TestChain::new();
+        t.coinbase(1, 50);
+        t.coinbase(2, 50);
+        let dir = named_snapshot(&t.chain, &[]);
+        let mut series = BalanceSeries::new(1);
+        series.extend_to(&t.chain, 2, &dir);
+        series.extend_to(&t.chain, 1, &dir);
     }
 
     #[test]

@@ -35,16 +35,19 @@ pub mod peel;
 pub mod theft;
 pub mod track;
 
-// The unit tests compare the graph walks against the resolver-walking
-// oracle that the workspace's differential suites share; the oracle names
-// this crate as `fistful_flow`.
+// The unit tests compare the graph walks and the balance series against
+// the resolver-walking oracles that the workspace's differential suites
+// share; the oracles name this crate as `fistful_flow`.
 #[cfg(test)]
 extern crate self as fistful_flow;
+#[cfg(test)]
+#[path = "../../../tests/common/balance_oracle.rs"]
+mod balance_oracle;
 #[cfg(test)]
 #[path = "../../../tests/common/flow_oracle.rs"]
 mod flow_oracle;
 
-pub use balance::{balance_series, balance_series_at, point_at, BalancePoint};
+pub use balance::{balance_series, balance_series_at, point_at, BalancePoint, BalanceSeries};
 pub use graph::{TaintScratch, TxGraph};
 pub use movement::{classify_movements_indexed, MovementKind};
 pub use peel::{follow_chain_indexed, follow_chains_indexed, FollowStrategy, Hop, PeelChain};

@@ -21,7 +21,7 @@
 //!   ingest_block ──┘    │                                       (workers
 //!        ...            ├─ export_delta → snapshot + delta       pin the
 //!                       ├─ TxGraph::extend_to (O(new blocks))    old Arc
-//!                       ├─ balance_series_at                     per
+//!                       ├─ BalanceSeries::extend_to (O(new ...)) per
 //!                       └─ delta + meta appended to disk         request)
 //! ```
 //!
@@ -43,10 +43,11 @@
 //! A restarted pipeline pointed at the same directory folds base + deltas
 //! back ([`ServeArtifacts::open_dir`]), replays exactly the recorded
 //! block prefix to rebuild its in-memory engine, and cross-checks the
-//! replayed export against the disk snapshot byte-for-byte — resuming at
-//! the recorded epoch on success and silently falling back to a fresh
-//! build on any mismatch (a different chain, a truncated file, a stale
-//! layout).
+//! replayed export against the disk snapshot byte-for-byte and the series
+//! rebuilt at the configured `balance_every` against the disk series —
+//! resuming at the recorded epoch on success and silently falling back to
+//! a fresh build on any mismatch (a different chain or sampling interval,
+//! a truncated file, a stale layout).
 //!
 //! [`SnapshotDelta`]: fistful_core::snapshot::SnapshotDelta
 
@@ -56,9 +57,8 @@ use crate::store::{delta_file_name, delta_files, read_live_meta, LiveMeta, SERVE
 use fistful_chain::resolve::{BlockId, ResolvedChain};
 use fistful_core::change::ChangeConfig;
 use fistful_core::incremental::sharded::{IngestConfig, ShardedIngest};
-use fistful_core::snapshot::ClusterSnapshot;
 use fistful_core::tagdb::TagDb;
-use fistful_flow::balance_series_at;
+use fistful_flow::BalanceSeries;
 use fistful_flow::graph::TxGraph;
 use fistful_store::{StoreError, StoreWriter};
 use std::path::PathBuf;
@@ -145,7 +145,7 @@ pub struct LivePipeline {
     config: LiveConfig,
     pipe: ShardedIngest,
     graph: TxGraph,
-    base: ClusterSnapshot,
+    balances: BalanceSeries,
     current: Option<Arc<ServeArtifacts>>,
     blocks_fed: usize,
     epoch: u64,
@@ -164,7 +164,7 @@ impl LivePipeline {
         LivePipeline {
             pipe: ShardedIngest::new(ingest),
             graph: TxGraph::build_at(&chain, 0),
-            base: ClusterSnapshot::default(),
+            balances: BalanceSeries::new(config.balance_every),
             current: None,
             blocks_fed: 0,
             epoch: 0,
@@ -237,19 +237,26 @@ impl LivePipeline {
         }
         // The replayed engine must land exactly where the disk bundle
         // says it did; the folded base+delta snapshot must equal a fresh
-        // export. Anything else means the save belongs to another chain
-        // or config.
-        if u64::from(self.pipe.reconciled_txs()) != meta.tx_count
+        // export, and the saved balances the series at this interval.
+        // Anything else means the save belongs to another chain or config.
+        let cut = self.pipe.reconciled_txs() as usize;
+        if cut as u64 != meta.tx_count
             || disk.graph.tx_count() as u64 != meta.tx_count
             || self.pipe.export_snapshot(&self.chain, &self.db) != disk.snapshot
         {
             self.reset_engine();
             return Ok(None);
         }
+        let mut balances = BalanceSeries::new(self.config.balance_every);
+        balances.extend_to(&self.chain, cut, &disk.snapshot);
+        if balances.points() != disk.balances {
+            self.reset_engine();
+            return Ok(None);
+        }
         self.blocks_fed = meta.block_count as usize;
         self.epoch = meta.epoch;
         self.delta_seq = delta_files(&dir).map_err(store_err)?.len() + 1;
-        self.base = disk.snapshot.clone();
+        self.balances = balances;
         self.graph = disk.graph.clone();
         self.last_cut = meta.tx_count as usize;
         let artifacts = Arc::new(disk);
@@ -276,10 +283,14 @@ impl LivePipeline {
         let labels =
             self.pipe.change_labels().expect("live ingest always runs Heuristic 2").clone();
         self.graph = TxGraph::build_at(&self.chain, cut);
-        let balances = balance_series_at(&self.chain, cut, &snapshot, self.config.balance_every);
-        let artifacts =
-            Arc::new(ServeArtifacts::new(snapshot.clone(), self.graph.clone(), labels, balances)?);
-        self.base = snapshot;
+        self.balances = BalanceSeries::new(self.config.balance_every);
+        self.balances.extend_to(&self.chain, cut, &snapshot);
+        let artifacts = Arc::new(ServeArtifacts::new(
+            snapshot,
+            self.graph.clone(),
+            labels,
+            self.balances.points(),
+        )?);
         self.last_cut = cut;
         self.current = Some(Arc::clone(&artifacts));
         Ok(artifacts)
@@ -296,24 +307,30 @@ impl LivePipeline {
     }
 
     /// Builds and publishes one fresh artifact generation at the current
-    /// reconciled cut: snapshot via delta export, graph extended in
-    /// place, labels cloned, balances rebuilt over the prefix; the delta
-    /// and refreshed meta are appended to the store directory before the
-    /// swap so a crash right after the publish still resumes here.
+    /// reconciled cut: snapshot via delta export against the current
+    /// bundle's snapshot, graph and balance series extended in place,
+    /// labels cloned; the delta and refreshed meta are appended to the
+    /// store directory before the swap so a crash right after the publish
+    /// still resumes here.
     fn publish_epoch(&mut self, publisher: &Publisher, flushed: bool) -> Result<(), ServeError> {
         let swap_started = Instant::now();
         let cut = self.pipe.reconciled_txs() as usize;
-        let (snapshot, delta) = self.pipe.export_delta(&self.chain, &self.db, &self.base);
+        let base = &self.current.as_ref().expect("bootstrapped before publishing").snapshot;
+        let (snapshot, delta) = self.pipe.export_delta(&self.chain, &self.db, base);
         // Purely additive epoch? Then every cached Some-bodied snapshot
         // answer is still byte-exact and may outlive the swap.
-        let ids_stable = delta.assign.iter().all(|&(a, _)| (a as usize) >= self.base.address_count())
-            && delta.clusters.iter().all(|(c, _)| self.base.info(*c).is_none());
+        let ids_stable = delta.assign.iter().all(|&(a, _)| (a as usize) >= base.address_count())
+            && delta.clusters.iter().all(|(c, _)| base.info(*c).is_none());
         self.graph.extend_to(&self.chain, cut);
         let labels =
             self.pipe.change_labels().expect("live ingest always runs Heuristic 2").clone();
-        let balances = balance_series_at(&self.chain, cut, &snapshot, self.config.balance_every);
-        let artifacts =
-            Arc::new(ServeArtifacts::new(snapshot.clone(), self.graph.clone(), labels, balances)?);
+        self.balances.extend_to(&self.chain, cut, &snapshot);
+        let artifacts = Arc::new(ServeArtifacts::new(
+            snapshot,
+            self.graph.clone(),
+            labels,
+            self.balances.points(),
+        )?);
         self.epoch += 1;
         if let Some(dir) = self.config.store_dir.clone() {
             if !delta.is_empty() {
@@ -327,11 +344,10 @@ impl LivePipeline {
         }
         publisher.publish(Arc::clone(&artifacts), self.epoch, ids_stable);
         // The swap latency covers the whole rebuild — delta export, graph
-        // extension, balance rebuild, store append — not just the pointer
+        // and balance extension, store append — not just the pointer
         // swap, because that is the freshness lag a scraper cares about.
         publisher.core.metrics.swap_latency.observe(swap_started.elapsed());
         self.publishes += 1;
-        self.base = snapshot;
         self.last_cut = cut;
         self.current = Some(artifacts);
         Ok(())
@@ -465,7 +481,9 @@ mod tests {
     use crate::server::{ServeConfig, Server};
     use fistful_core::cluster::Clusterer;
     use fistful_core::naming::name_clusters;
+    use fistful_core::snapshot::ClusterSnapshot;
     use fistful_core::testutil::TestChain;
+    use fistful_flow::balance_series_at;
     use std::path::Path;
 
     /// A small multi-block economy: six coinbases, then a run of spends
@@ -613,6 +631,36 @@ mod tests {
         assert_eq!(fresh.epoch(), 0);
         assert_eq!(fresh.blocks_fed(), 2);
         assert_eq!(rebuilt.graph.tx_count(), 0, "2 blocks never reach a 3-block epoch");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_falls_back_to_fresh_when_the_balance_interval_differs() {
+        let t = economy();
+        let chain = Arc::new(t.chain);
+        let dir = temp_dir("interval");
+
+        let mut live = LivePipeline::new(Arc::clone(&chain), TagDb::new(), config(Some(&dir)));
+        let artifacts = live.bootstrap().unwrap();
+        let server = Server::start(
+            ServeConfig { workers: 1, cache_entries: 0, ..ServeConfig::default() },
+            artifacts,
+        )
+        .unwrap();
+        let report = live.run(&server.publisher(), &AtomicBool::new(false)).unwrap();
+        server.shutdown();
+        assert!(report.flushed);
+
+        // The save holds per-block samples; a pipeline sampling every 2
+        // blocks must not serve them, so it builds fresh at epoch 0.
+        let mut every_two = config(Some(&dir));
+        every_two.balance_every = 2;
+        let mut fresh = LivePipeline::new(Arc::clone(&chain), TagDb::new(), every_two);
+        let rebuilt = fresh.bootstrap().unwrap();
+        assert_eq!(fresh.epoch(), 0);
+        assert_eq!(fresh.blocks_fed(), 4);
+        let cut = rebuilt.graph.tx_count();
+        assert_eq!(rebuilt.balances, balance_series_at(&chain, cut, &rebuilt.snapshot, 2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,6 +6,8 @@
 //! hand-built chains — and the batch taint engine must agree with both at
 //! every thread count.
 
+#[path = "common/balance_oracle.rs"]
+mod balance_oracle;
 #[path = "common/flow_oracle.rs"]
 mod flow_oracle;
 
@@ -357,7 +359,7 @@ fn balance_series_identical_to_oracle_over_economy() {
     for every in [1, 20, (blocks / 24).max(1)] {
         for tx_end in [0, 1, n / 2, n] {
             let got = balance_series_at(chain, tx_end, &snapshot, every);
-            let oracle = flow_oracle::balance_series_at(chain, tx_end, &snapshot, every);
+            let oracle = balance_oracle::balance_series_at(chain, tx_end, &snapshot, every);
             // Whole points, so the key sets are compared too.
             assert_eq!(got, oracle, "every {every}, tx_end {tx_end}");
             if tx_end == n {

@@ -8,6 +8,8 @@
 //! base+delta trail reopens to the final published state and that a
 //! restarted pipeline resumes (and re-publishes identically) from it.
 
+#[path = "common/balance_oracle.rs"]
+mod balance_oracle;
 #[path = "common/frame.rs"]
 mod frame_reader;
 
@@ -16,7 +18,7 @@ use fistful::core::{IngestConfig, ShardedIngest};
 use fistful::flow::graph::TxGraph;
 use fistful::flow::graph::TaintScratch;
 use fistful::flow::theft::track_theft_indexed;
-use fistful::flow::{balance_series_at, point_at};
+use fistful::flow::point_at;
 use fistful::serve::store::read_live_meta;
 use fistful::serve::{
     AddressReport, BalanceReport, Client, ClusterReport, EventServeConfig, EventServer,
@@ -105,7 +107,8 @@ fn baselines(
 
 /// Batch-builds the full serving bundle at the engine's current
 /// reconciled cut, from scratch each time (no delta export, no graph
-/// extension — deliberately *not* the pipeline's code path).
+/// extension, and the oracle's balance series — deliberately *not* the
+/// pipeline's code path).
 fn bundle_at_cut(
     pipe: &mut ShardedIngest,
     chain: &ResolvedChain,
@@ -116,7 +119,7 @@ fn bundle_at_cut(
     let snapshot = pipe.export_snapshot(chain, db);
     let labels = pipe.change_labels().expect("soak always runs Heuristic 2").clone();
     let graph = TxGraph::build_at(chain, cut);
-    let balances = balance_series_at(chain, cut, &snapshot, every);
+    let balances = balance_oracle::balance_series_at(chain, cut, &snapshot, every);
     Arc::new(ServeArtifacts::new(snapshot, graph, labels, balances).expect("baseline pairs"))
 }
 
@@ -406,9 +409,11 @@ fn soak(cache_entries: usize, store_dir: Option<&Path>, event_loop: bool) {
         // block goes in.
         start.wait();
         let handle = live.spawn(server.publisher());
-        let report = handle.join().expect("live run");
+        let report = handle.join();
+        // Release the clients before failing on a broken run: a client
+        // still looping would keep the scope, and the test, from ending.
         done.store(true, Ordering::SeqCst);
-        report
+        report.expect("live run")
     });
 
     assert!(report.flushed, "soak must reach the terminal flush");

@@ -1,6 +1,8 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! paper's invariants.
 
+#[path = "common/balance_oracle.rs"]
+mod balance_oracle;
 #[path = "common/flow_oracle.rs"]
 mod flow_oracle;
 #[path = "common/frame.rs"]
@@ -631,8 +633,96 @@ proptest! {
         for tx_end in [(seed as usize * 7919) % (n + 1), n] {
             prop_assert_eq!(
                 balance_series_at(chain, tx_end, &snapshot, every),
-                flow_oracle::balance_series_at(chain, tx_end, &snapshot, every)
+                balance_oracle::balance_series_at(chain, tx_end, &snapshot, every)
             );
+        }
+    }
+}
+
+// ---------- incremental balance series ----------
+
+/// Extends `series` (sampling every `every` blocks) to `cut` under
+/// `snapshot` and checks it against the oracle's rebuild from genesis.
+fn extend_and_check(
+    series: &mut fistful::flow::BalanceSeries,
+    every: u64,
+    chain: &fistful::chain::resolve::ResolvedChain,
+    cut: usize,
+    snapshot: &fistful::core::snapshot::ClusterSnapshot,
+) {
+    series.extend_to(chain, cut, snapshot);
+    assert_eq!(
+        series.points(),
+        balance_oracle::balance_series_at(chain, cut, snapshot, every),
+        "cut {cut} of {}",
+        chain.tx_count()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One `BalanceSeries` per ingest, extended at every reconcile with
+    /// that epoch's exported snapshot, at a random cut (often part way into
+    /// a block) before each reconcile under the previous snapshot, and at
+    /// the flush, which can merge clusters without moving the cut. After
+    /// every step it must equal the oracle's rebuild from genesis, at shard
+    /// counts 1/2/4/8, on random chains with random tags, so categories
+    /// appear, move with merges and change as names re-vote.
+    #[test]
+    fn balance_series_extended_per_epoch_matches_the_oracle(
+        seed in any::<u64>(),
+        txs in 20usize..100,
+        epoch_blocks in 1usize..8,
+        every in 1u64..5,
+        tags in proptest::collection::vec((any::<u32>(), 0usize..3), 1..16),
+        cut_seed in any::<u64>(),
+    ) {
+        use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
+        use fistful::core::tagdb::{Tag, TagDb, TagSource};
+        use fistful::flow::BalanceSeries;
+
+        const SERVICES: [(&str, &str); 3] =
+            [("Mt. Gox", "exchange"), ("Silk Road", "vendor"), ("Satoshi Dice", "gambling")];
+        let t = random_chain(seed, txs);
+        let chain = &t.chain;
+        let mut db = TagDb::new();
+        for (addr, which) in tags {
+            let (service, category) = SERVICES[which];
+            db.add(Tag {
+                address: addr % chain.address_count() as u32,
+                service: service.into(),
+                category: category.into(),
+                source: TagSource::OwnTransaction,
+            });
+        }
+
+        let mut rng = cut_seed;
+        for shards in [1usize, 2, 4, 8] {
+            let mut pipe = ShardedIngest::new(IngestConfig::with_h2(
+                shards,
+                epoch_blocks,
+                ChangeConfig::naive(),
+            ));
+            let mut series = BalanceSeries::new(every);
+            let mut snapshot = pipe.export_snapshot(chain, &db);
+            let mut last = 0;
+            for block in chain.blocks() {
+                pipe.ingest_block(&block);
+                let cut = pipe.reconciled_txs() as usize;
+                if cut == last {
+                    continue;
+                }
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let mid = last + (rng >> 33) as usize % (cut - last);
+                extend_and_check(&mut series, every, chain, mid, &snapshot);
+                snapshot = pipe.export_snapshot(chain, &db);
+                extend_and_check(&mut series, every, chain, cut, &snapshot);
+                last = cut;
+            }
+            pipe.flush(chain);
+            snapshot = pipe.export_snapshot(chain, &db);
+            extend_and_check(&mut series, every, chain, chain.tx_count(), &snapshot);
         }
     }
 }
