@@ -210,6 +210,13 @@ impl ResolvedChain {
         self.addresses.len()
     }
 
+    /// Number of addresses the first `tx_end` transactions reference. Ids
+    /// are dense in order of first appearance, so those are exactly the
+    /// ids `0..address_count_at(tx_end)`.
+    pub fn address_count_at(&self, tx_end: usize) -> usize {
+        self.first_seen.partition_point(|&t| (t as usize) < tx_end)
+    }
+
     /// Number of blocks (distinct heights) seen.
     pub fn block_count(&self) -> usize {
         self.block_spans.len()
@@ -471,6 +478,7 @@ mod tests {
         // Event lists.
         assert_eq!(rc.first_seen(a_id), 0);
         assert_eq!(rc.first_seen(b_id), 1);
+        assert_eq!([0, 1, 2].map(|end| rc.address_count_at(end)), [0, 1, 2]);
         assert_eq!(rc.received_in(a_id), &[0, 1]);
         assert_eq!(rc.spent_in(a_id), &[1]);
         assert!(rc.is_sink(b_id));

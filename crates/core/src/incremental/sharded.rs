@@ -56,7 +56,7 @@
 use crate::change::{self, receives_again_within, ChangeConfig, ChangeLabels, SkipReason};
 use crate::cluster::{link_change, Clustering};
 use crate::heuristic1::{self, H1Stats};
-use crate::snapshot::{ClusterSnapshot, SnapshotDelta};
+use crate::snapshot::{AddressTotals, ClusterSnapshot, SnapshotDelta};
 use crate::union_find::UnionFind;
 use fistful_chain::resolve::{AddressId, BlockId, ResolvedBlockView, ResolvedChain, TxId};
 use std::collections::VecDeque;
@@ -127,6 +127,9 @@ pub struct ShardedIngest {
     /// mid-ingest snapshot export may aggregate over (buffered blocks are
     /// not yet visible to queries).
     reconciled_txs: TxId,
+    /// Received and spent satoshis per address over exactly the reconciled
+    /// prefix, which the export folds through the partition.
+    totals: AddressTotals,
 }
 
 impl ShardedIngest {
@@ -147,6 +150,7 @@ impl ShardedIngest {
             blocks_ingested: 0,
             epochs_completed: 0,
             reconciled_txs: 0,
+            totals: AddressTotals::new(),
         }
     }
 
@@ -252,6 +256,7 @@ impl ShardedIngest {
         // The whole buffered span just reconciled, so the watermark is the
         // end of the last ingested block.
         self.reconciled_txs = self.next_tx;
+        self.totals.extend_to(chain, self.reconciled_txs as usize);
         if let Some(tip) = span.last_height() {
             self.resolve_pending(chain, Some(tip));
         }
@@ -370,6 +375,11 @@ impl ShardedIngest {
     /// canonical clustering, tag-vote naming against `db`, and chain
     /// aggregates over exactly the reconciled transaction prefix.
     ///
+    /// It walks no transaction: the partition comes from the union-find,
+    /// and the aggregates fold the per-address received/spent totals the
+    /// epoch pass keeps current, so it costs O(addresses + clusters +
+    /// tags).
+    ///
     /// Call at an epoch boundary or after [`flush`](Self::flush);
     /// buffered blocks are not included (they are not reconciled yet).
     /// After `flush`, the result is identical to
@@ -381,17 +391,22 @@ impl ShardedIngest {
         chain: &ResolvedChain,
         db: &crate::tagdb::TagDb,
     ) -> ClusterSnapshot {
-        let clustering = self.snapshot();
-        let names = crate::naming::name_clusters(&clustering, db);
-        ClusterSnapshot::build_at(chain, self.reconciled_txs as usize, &clustering, &names)
+        let (assignment, sizes) = self.uf.assignments();
+        let partition =
+            Clustering { assignment, sizes, h1_stats: self.h1_stats, change_labels: None };
+        let names = crate::naming::name_clusters(&partition, db);
+        ClusterSnapshot::fold(chain, &self.totals, partition.assignment, &partition.sizes, &names)
     }
 
     /// Exports the reconciled state as a delta against `base` (an earlier
     /// export of this same run): the successor snapshot plus the
-    /// [`SnapshotDelta`] that turns `base` into it. Persisting the delta
-    /// after each epoch writes O(new blocks) bytes instead of re-writing
-    /// the O(chain) snapshot; `ClusterSnapshot::from_base_and_deltas`
-    /// folds the files back, byte-identical to a full export.
+    /// [`SnapshotDelta`] that turns `base` into it, for a store that
+    /// persists it; `ClusterSnapshot::from_base_and_deltas` folds the
+    /// files back, byte-identical to a full export. Canonical ids renumber
+    /// on merges, so the delta is usually O(chain), not O(new blocks)
+    /// (see [`SnapshotDelta`]). Without a store, call
+    /// [`export_snapshot`](Self::export_snapshot) and ask
+    /// [`ClusterSnapshot::keeps_ids_of`] instead.
     pub fn export_delta(
         &mut self,
         chain: &ResolvedChain,

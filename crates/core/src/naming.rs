@@ -14,7 +14,7 @@
 
 use crate::cluster::Clustering;
 use crate::tagdb::{TagDb, TagSource};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A cluster identified as containing several distinct first-party-tagged
 /// services — the paper's super-cluster failure mode.
@@ -74,82 +74,122 @@ impl NamingReport {
 }
 
 /// Names clusters by reliability-weighted tag vote.
+///
+/// Each in-range tag votes its source's [`TagSource::reliability`] for its
+/// service in its address's cluster; a cluster takes the service with the
+/// largest total, equal totals going to the lexicographically smaller
+/// name. A service's category is that of its last in-range tag. Tags on
+/// addresses the clustering does not cover are ignored.
+///
+/// One sort does the grouping: the in-range tags, keyed by (cluster,
+/// service rank, tag index), sorted once, then summed and decided run by
+/// run. Each (cluster, service) total is summed in tag order, so float
+/// ties (0.6 + 0.4 against 1.0; 0.4 × 3 against 0.6 × 2, which is not a
+/// tie) come out as a sum in that order says. Super-clusters are listed
+/// largest first, equal sizes by cluster id.
 pub fn name_clusters(clustering: &Clustering, tags: &TagDb) -> NamingReport {
-    // Accumulate votes per (cluster, service).
-    let mut votes: HashMap<u32, HashMap<&str, f64>> = HashMap::new();
-    let mut categories: HashMap<&str, &str> = HashMap::new();
-    let mut own_services: HashMap<u32, HashSet<&str>> = HashMap::new();
+    let tags = tags.tags();
 
-    for tag in tags.tags() {
+    // Services numbered in order of first in-range sight, one vote
+    // (cluster, service, tag index) per in-range tag; the last in-range
+    // tag of a service names its category.
+    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let mut services: Vec<&str> = Vec::new();
+    let mut category_of: Vec<&str> = Vec::new();
+    let mut votes: Vec<(u32, u32, u32)> = Vec::with_capacity(tags.len());
+    for (i, tag) in tags.iter().enumerate() {
         if tag.address as usize >= clustering.assignment.len() {
             continue; // tag for an address outside this chain view
         }
-        let cluster = clustering.cluster_of(tag.address);
-        *votes
-            .entry(cluster)
-            .or_default()
-            .entry(tag.service.as_str())
-            .or_default() += tag.source.reliability();
-        categories.insert(tag.service.as_str(), tag.category.as_str());
-        if tag.source == TagSource::OwnTransaction {
-            own_services
-                .entry(cluster)
-                .or_default()
-                .insert(tag.service.as_str());
-        }
+        let id = *ids.entry(&tag.service).or_insert_with(|| {
+            services.push(&tag.service);
+            category_of.push("");
+            services.len() as u32 - 1
+        });
+        category_of[id as usize] = &tag.category;
+        votes.push((clustering.cluster_of(tag.address), id, i as u32));
     }
+    // Renumber services by name, so rank order is the tie-break order.
+    let mut by_name: Vec<u32> = (0..services.len() as u32).collect();
+    by_name.sort_unstable_by_key(|&id| services[id as usize]);
+    let mut rank_of = vec![0u32; services.len()];
+    for (rank, &id) in by_name.iter().enumerate() {
+        rank_of[id as usize] = rank as u32;
+    }
+    let services: Vec<&str> = by_name.iter().map(|&id| services[id as usize]).collect();
+    let category_of: Vec<&str> = by_name.iter().map(|&id| category_of[id as usize]).collect();
+    for vote in &mut votes {
+        vote.1 = rank_of[vote.1 as usize];
+    }
+    votes.sort_unstable();
 
     let mut report = NamingReport::default();
-    let mut clusters_per_service: HashMap<&str, usize> = HashMap::new();
+    let named = runs(&votes, |v| v.0).count();
+    report.names.reserve(named);
+    report.categories.reserve(named);
+    let mut clusters_per_service = vec![0usize; services.len()];
+    let mut strong: Vec<u32> = Vec::new();
+    for cluster_run in runs(&votes, |v| v.0) {
+        let cluster = cluster_run[0].0;
+        let mut winner = (0u32, f64::NEG_INFINITY);
+        strong.clear();
+        for service_run in runs(cluster_run, |v| v.1) {
+            let rank = service_run[0].1;
+            let mut weight = 0.0;
+            let mut own = false;
+            for &(_, _, i) in service_run {
+                let source = tags[i as usize].source;
+                weight += source.reliability();
+                own |= source == TagSource::OwnTransaction;
+            }
+            // Strictly greater: on equal weights the smaller rank stays.
+            if weight > winner.1 {
+                winner = (rank, weight);
+            }
+            // ≥ 1.0 of vote weight (an own-transaction tag, or several
+            // public tags), or own-transaction evidence at all.
+            if weight >= 1.0 || own {
+                strong.push(rank);
+            }
+        }
+        let (rank, _) = winner;
+        report.names.insert(cluster, services[rank as usize].to_string());
+        report.categories.insert(cluster, category_of[rank as usize].to_string());
+        clusters_per_service[rank as usize] += 1;
+        let size = clustering.sizes[cluster as usize];
+        report.named_addresses += size as u64;
 
-    for (cluster, tally) in &votes {
-        // Winner by weight, ties broken by name for determinism.
-        let winner = tally
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(a.0)))
-            .map(|(name, _)| *name)
-            .expect("non-empty tally");
-        report.names.insert(*cluster, winner.to_string());
-        report
-            .categories
-            .insert(*cluster, categories[winner].to_string());
-        *clusters_per_service.entry(winner).or_default() += 1;
-        report.named_addresses += clustering.sizes[*cluster as usize] as u64;
+        // Super-cluster detection: ≥2 distinct services with substantial
+        // vote weight in one cluster is strong evidence of a false merge.
+        if strong.len() >= 2 {
+            let services = strong.iter().map(|&r| services[r as usize].to_string()).collect();
+            report.super_clusters.push(SuperCluster { cluster, size, services });
+        }
     }
 
     report.named_clusters = report.names.len();
-    report.distinct_services = clusters_per_service.len();
-    report.collapsed_by_names = clusters_per_service.values().map(|k| k - 1).sum();
-
-    // Super-cluster detection: ≥2 distinct services with substantial vote
-    // weight (an own-transaction tag, or several public tags) in one
-    // cluster is strong evidence of a false merge.
-    for (cluster, tally) in &votes {
-        let mut strong: Vec<&str> = tally
-            .iter()
-            .filter(|(_, &w)| w >= 1.0)
-            .map(|(name, _)| *name)
-            .collect();
-        // Own-transaction evidence always counts.
-        if let Some(own) = own_services.get(cluster) {
-            for s in own {
-                if !strong.contains(s) {
-                    strong.push(s);
-                }
-            }
-        }
-        if strong.len() >= 2 {
-            let mut names: Vec<String> = strong.into_iter().map(String::from).collect();
-            names.sort();
-            report.super_clusters.push(SuperCluster {
-                cluster: *cluster,
-                size: clustering.sizes[*cluster as usize],
-                services: names,
-            });
-        }
-    }
+    let applied = clusters_per_service.iter().filter(|&&k| k > 0);
+    report.distinct_services = applied.clone().count();
+    report.collapsed_by_names = applied.map(|k| k - 1).sum();
+    // Pushed in cluster order, so the stable sort breaks size ties by id.
     report.super_clusters.sort_by_key(|s| std::cmp::Reverse(s.size));
     report
+}
+
+/// The maximal runs of `items` that agree on `key` (what `slice::chunk_by`
+/// does, which is newer than the workspace's minimum Rust version).
+fn runs<'a, T, K: PartialEq>(
+    items: &'a [T],
+    key: impl Fn(&T) -> K + 'a,
+) -> impl Iterator<Item = &'a [T]> + 'a {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let first = key(rest.first()?);
+        let len = rest.iter().take_while(|x| key(x) == first).count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
 }
 
 #[cfg(test)]
@@ -262,6 +302,29 @@ mod tests {
         let refined = Clusterer::with_h2(cfg).run(&t.chain);
         let report = name_clusters(&refined, &db);
         assert!(report.super_clusters.is_empty(), "refined H2 keeps A and B apart");
+    }
+
+    #[test]
+    fn super_clusters_tie_break_by_cluster_id() {
+        // Two equal-size clusters, each welding two services: the order
+        // must not depend on hash-map iteration, so build the report many
+        // times over fresh maps and expect cluster 0 first every time.
+        let clustering = Clustering {
+            assignment: vec![0, 0, 1, 1, 2],
+            sizes: vec![2, 2, 1],
+            h1_stats: Default::default(),
+            change_labels: None,
+        };
+        let mut db = TagDb::new();
+        for (addr, service) in [(3, "C"), (0, "A"), (2, "D"), (1, "B")] {
+            db.add(tag(addr, service, TagSource::OwnTransaction));
+        }
+        for round in 0..64 {
+            let report = name_clusters(&clustering, &db);
+            let order: Vec<u32> = report.super_clusters.iter().map(|s| s.cluster).collect();
+            assert_eq!(order, vec![0, 1], "round {round}");
+            assert_eq!(report.super_clusters[1].services, vec!["C".to_string(), "D".to_string()]);
+        }
     }
 
     #[test]

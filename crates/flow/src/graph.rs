@@ -144,19 +144,7 @@ impl TxGraph {
         assert!(old_end <= tx_end, "graphs only extend forward");
         let tx_end_id = tx_end as TxId;
 
-        // The prefix's address range: ids are dense in first-appearance
-        // order, so binary search for the first address born at or past
-        // `tx_end`.
-        let (mut lo, mut hi) = (self.address_count(), chain.address_count());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if chain.first_seen(mid as AddressId) < tx_end_id {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let n_addr = lo;
+        let n_addr = chain.address_count_at(tx_end);
         for a in self.address_count() as AddressId..n_addr as AddressId {
             self.first_seen.push(chain.first_seen(a));
             self.last_spent.push(NO_TX);

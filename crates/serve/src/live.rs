@@ -14,26 +14,38 @@
 //! blocks:
 //!
 //! ```text
-//!   ingest thread                        worker pool
-//!   ─────────────                        ───────────
+//!   ingest thread                          worker pool
+//!   ─────────────                          ───────────
 //!   ingest_block ──┐
-//!   ingest_block   ├─ epoch reconcile ─▶ Publisher::publish ──▶ Arc swap
-//!   ingest_block ──┘    │                                       (workers
-//!        ...            ├─ export_delta → snapshot + delta       pin the
-//!                       ├─ TxGraph::extend_to (O(new blocks))    old Arc
-//!                       ├─ BalanceSeries::extend_to (O(new ...)) per
-//!                       └─ delta + meta appended to disk         request)
+//!   ingest_block   ├─ epoch reconcile ───▶ Publisher::publish ──▶ Arc swap
+//!   ingest_block ──┘    │ (+ address totals, O(new blocks))      (workers
+//!        ...            ├─ export_snapshot: partition, vote, fold  pin the
+//!                       ├─ TxGraph::extend_to (O(new blocks))      old Arc
+//!                       ├─ BalanceSeries::extend_to (O(new ...))   per
+//!                       └─ with a store: delta + meta to disk      request)
 //! ```
+//!
+//! The export walks no transaction: the reconcile extends the engine's
+//! per-address received/spent totals over the epoch's new inputs and
+//! outputs, and the export folds them through the fresh partition. The
+//! [`SnapshotDelta`] against the previous bundle is built only when a
+//! store directory will write it.
 //!
 //! Each publish increments the **publish epoch** — a sequence number, not
 //! the engine's epoch counter, because a terminal
 //! [`flush`](ShardedIngest::flush) can resolve pending wait-to-label
 //! decisions (changing taint answers) without advancing the reconciled
 //! transaction watermark; such a publish must still raise the cache's
-//! graph floor. The snapshot floor is left in place when the delta shows
-//! the epoch was purely additive — no existing address reassigned, no
-//! existing cluster's aggregates touched — so still-valid cached
-//! `AddressInfo`/`ClusterSummary` entries survive non-merging epochs.
+//! graph floor. The snapshot floor is left in place only when the epoch
+//! was purely additive ([`ClusterSnapshot::keeps_ids_of`]: no existing
+//! address reassigned, no existing cluster row touched). That is rare:
+//! a merge of two old clusters renumbers every later one, and a payment
+//! to an old cluster rewrites its row, so cached
+//! `AddressInfo`/`ClusterSummary` entries survive 1 of the 30 publishes
+//! of the benchmark economy (16-block epochs) and 2 of 187 at
+//! `paper_scale()`.
+//!
+//! [`ClusterSnapshot::keeps_ids_of`]: fistful_core::snapshot::ClusterSnapshot::keeps_ids_of
 //!
 //! # Persistence and resume
 //!
@@ -48,8 +60,6 @@
 //! resuming at the recorded epoch on success and silently falling back to
 //! a fresh build on any mismatch (a different chain or sampling interval,
 //! a truncated file, a stale layout).
-//!
-//! [`SnapshotDelta`]: fistful_core::snapshot::SnapshotDelta
 
 use crate::protocol::ServeError;
 use crate::server::{Publisher, ServeArtifacts};
@@ -57,6 +67,7 @@ use crate::store::{delta_file_name, delta_files, read_live_meta, LiveMeta, SERVE
 use fistful_chain::resolve::{BlockId, ResolvedChain};
 use fistful_core::change::ChangeConfig;
 use fistful_core::incremental::sharded::{IngestConfig, ShardedIngest};
+use fistful_core::snapshot::SnapshotDelta;
 use fistful_core::tagdb::TagDb;
 use fistful_flow::BalanceSeries;
 use fistful_flow::graph::TxGraph;
@@ -307,20 +318,25 @@ impl LivePipeline {
     }
 
     /// Builds and publishes one fresh artifact generation at the current
-    /// reconciled cut: snapshot via delta export against the current
-    /// bundle's snapshot, graph and balance series extended in place,
-    /// labels cloned; the delta and refreshed meta are appended to the
-    /// store directory before the swap so a crash right after the publish
-    /// still resumes here.
+    /// reconciled cut: snapshot exported from the partition and the
+    /// engine's per-address totals, graph and balance series extended in
+    /// place, labels cloned. With a store directory, the snapshot's delta
+    /// against the current bundle and the refreshed meta are appended to
+    /// it before the swap, so a crash right after the publish still
+    /// resumes here; without one, no delta is built.
     fn publish_epoch(&mut self, publisher: &Publisher, flushed: bool) -> Result<(), ServeError> {
         let swap_started = Instant::now();
         let cut = self.pipe.reconciled_txs() as usize;
         let base = &self.current.as_ref().expect("bootstrapped before publishing").snapshot;
-        let (snapshot, delta) = self.pipe.export_delta(&self.chain, &self.db, base);
+        let snapshot = self.pipe.export_snapshot(&self.chain, &self.db);
         // Purely additive epoch? Then every cached Some-bodied snapshot
         // answer is still byte-exact and may outlive the swap.
-        let ids_stable = delta.assign.iter().all(|&(a, _)| (a as usize) >= base.address_count())
-            && delta.clusters.iter().all(|(c, _)| base.info(*c).is_none());
+        let ids_stable = snapshot.keeps_ids_of(base);
+        let store = self
+            .config
+            .store_dir
+            .clone()
+            .map(|dir| (dir, SnapshotDelta::between(base, &snapshot)));
         self.graph.extend_to(&self.chain, cut);
         let labels =
             self.pipe.change_labels().expect("live ingest always runs Heuristic 2").clone();
@@ -332,7 +348,7 @@ impl LivePipeline {
             self.balances.points(),
         )?);
         self.epoch += 1;
-        if let Some(dir) = self.config.store_dir.clone() {
+        if let Some((dir, delta)) = store {
             if !delta.is_empty() {
                 let mut w = StoreWriter::new();
                 delta.write_store(&mut w);
@@ -343,7 +359,7 @@ impl LivePipeline {
             artifacts.write_serve_file(&dir, Some(&self.meta(flushed))).map_err(store_err)?;
         }
         publisher.publish(Arc::clone(&artifacts), self.epoch, ids_stable);
-        // The swap latency covers the whole rebuild — delta export, graph
+        // The swap latency covers the whole rebuild — snapshot export, graph
         // and balance extension, store append — not just the pointer
         // swap, because that is the freshness lag a scraper cares about.
         publisher.core.metrics.swap_latency.observe(swap_started.elapsed());

@@ -7,6 +7,8 @@ mod balance_oracle;
 mod flow_oracle;
 #[path = "common/frame.rs"]
 mod frame_reader;
+#[path = "common/naming_oracle.rs"]
+mod naming_oracle;
 
 use fistful::chain::address::Address;
 use fistful::chain::amount::Amount;
@@ -639,6 +641,109 @@ proptest! {
     }
 }
 
+// ---------- cluster naming against the nested-map vote ----------
+
+const NAMING_SERVICES: [&str; 5] = ["BitPay", "Instawallet", "Mt. Gox", "Satoshi Dice", "Silk Road"];
+const NAMING_CATEGORIES: [&str; 4] = ["exchange", "gambling", "vendor", "wallet"];
+
+fn naming_source(i: usize) -> fistful::core::tagdb::TagSource {
+    use fistful::core::tagdb::TagSource;
+    [TagSource::OwnTransaction, TagSource::SelfSubmitted, TagSource::Forum][i % 3]
+}
+
+/// Every `NamingReport` field of the sort-based vote equals the oracle's.
+/// The oracle lists equal-size super-clusters in hash-map order, so its
+/// list is put in (size descending, cluster id) order before comparing.
+fn assert_naming_matches_oracle(
+    clustering: &fistful::core::cluster::Clustering,
+    db: &fistful::core::tagdb::TagDb,
+) {
+    let got = fistful::core::naming::name_clusters(clustering, db);
+    let mut want = naming_oracle::name_clusters(clustering, db);
+    want.super_clusters.sort_by_key(|s| (std::cmp::Reverse(s.size), s.cluster));
+    assert_eq!(got.names, want.names);
+    assert_eq!(got.categories, want.categories);
+    assert_eq!(got.named_clusters, want.named_clusters);
+    assert_eq!(got.named_addresses, want.named_addresses);
+    assert_eq!(got.distinct_services, want.distinct_services);
+    assert_eq!(got.collapsed_by_names, want.collapsed_by_names);
+    assert_eq!(got.super_clusters, want.super_clusters);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random clusterings (a union-find over random links) and random tag
+    /// sets, shuffled into random tag order, with four groups planted in
+    /// each: a 0.6 + 0.4 total against a 1.0 (a float tie the name
+    /// breaks), 0.4 × 3 against 0.6 × 2 (1.2000000000000002 against 1.2,
+    /// not a tie), one service tagged under two categories, and tags past
+    /// the address range, one of them carrying a third category for that
+    /// service (which must not count).
+    #[test]
+    fn naming_matches_the_oracle(
+        n in 1u32..40,
+        links in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
+        tags in proptest::collection::vec((any::<u32>(), 0usize..5, 0usize..4, 0usize..3), 0..24),
+        planted in proptest::collection::vec((any::<u32>(), 0usize..5, 0usize..5), 4..5),
+        order_seed in any::<u64>(),
+    ) {
+        use fistful::core::cluster::Clustering;
+        use fistful::core::tagdb::{Tag, TagDb};
+
+        let mut uf = UnionFind::new(n as usize);
+        for (a, b) in links {
+            uf.union(a % n, b % n);
+        }
+        let (assignment, sizes) = uf.assignments();
+        let clustering =
+            Clustering { assignment, sizes, h1_stats: Default::default(), change_labels: None };
+
+        let tag = |address: u32, service: usize, category: usize, source: usize| Tag {
+            address,
+            service: NAMING_SERVICES[service].into(),
+            category: NAMING_CATEGORIES[category].into(),
+            source: naming_source(source),
+        };
+        let mut all: Vec<Tag> = tags
+            .into_iter()
+            .map(|(addr, service, category, source)| tag(addr % (n + 4), service, category, source))
+            .collect();
+        // Two distinct services: `x` and the one `step` names after it.
+        let other = |x: usize, step: usize| (x + 1 + step % 4) % 5;
+        // 0.6 + 0.4 against 1.0 on one address.
+        let (addr, x, step) = planted[0];
+        let y = other(x, step);
+        all.extend([tag(addr % n, x, 0, 1), tag(addr % n, x, 0, 2), tag(addr % n, y, 1, 0)]);
+        // 0.4 × 3 against 0.6 × 2 on one address.
+        let (addr, x, step) = planted[1];
+        let y = other(x, step);
+        all.extend([2, 2, 2, 1, 1].map(|source| {
+            let service = if source == 2 { x } else { y };
+            tag(addr % n, service, 2, source)
+        }));
+        // One service under two categories.
+        let (addr, x, other) = planted[2];
+        all.extend([tag(addr % n, x, 0, 0), tag((addr / 7) % n, x, 3, other % 3)]);
+        // Out of range, with a category nothing in range gives the service.
+        let (addr, x, _) = planted[3];
+        all.extend([tag(n + addr % 5, x, 1, 0), tag(n, x, 2, 1)]);
+
+        // Fisher–Yates over the whole list: ties must not depend on where
+        // the planted tags sit.
+        let mut rng = order_seed;
+        for i in (1..all.len()).rev() {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            all.swap(i, (rng >> 33) as usize % (i + 1));
+        }
+        let mut db = TagDb::new();
+        for t in all {
+            db.add(t);
+        }
+        assert_naming_matches_oracle(&clustering, &db);
+    }
+}
+
 // ---------- incremental balance series ----------
 
 /// Extends `series` (sampling every `every` blocks) to `cut` under
@@ -892,6 +997,123 @@ proptest! {
         let names = name_clusters(&clustering, &db);
         let batch = ClusterSnapshot::build(chain, &clustering, &names);
         prop_assert_eq!(last.to_bytes(), batch.to_bytes());
+    }
+}
+
+// ---------- snapshot export against naive sums ----------
+
+/// Exports `pipe`'s reconciled state and checks it field by field against
+/// a naive reading: the partition from `pipe.snapshot()`, per-cluster
+/// received/spent summed over `txs[..cut]` input by input and output by
+/// output, and names from the nested-map vote oracle.
+fn export_and_check(
+    pipe: &mut fistful::core::incremental::sharded::ShardedIngest,
+    chain: &fistful::chain::resolve::ResolvedChain,
+    db: &fistful::core::tagdb::TagDb,
+) -> fistful::core::snapshot::ClusterSnapshot {
+    let cut = pipe.reconciled_txs() as usize;
+    let export = pipe.export_snapshot(chain, db);
+    let partition = pipe.snapshot();
+    let names = naming_oracle::name_clusters(&partition, db);
+    let mut received = vec![0u64; partition.cluster_count()];
+    let mut spent = vec![0u64; partition.cluster_count()];
+    for tx in &chain.txs[..cut] {
+        for input in &tx.inputs {
+            spent[partition.cluster_of(input.address) as usize] += input.value.to_sat();
+        }
+        for o in &tx.outputs {
+            received[partition.cluster_of(o.address) as usize] += o.value.to_sat();
+        }
+    }
+    assert_eq!(export.tx_count(), cut as u64);
+    let tip = cut.checked_sub(1).map_or(0, |i| chain.txs[i].height);
+    assert_eq!(export.tip_height(), tip, "cut {cut}");
+    assert_eq!(export.address_count(), partition.assignment.len(), "cut {cut}");
+    assert_eq!(export.cluster_count(), partition.cluster_count(), "cut {cut}");
+    for (a, &c) in partition.assignment.iter().enumerate() {
+        assert_eq!(export.cluster_of(a as u32), Some(c), "cut {cut} address {a}");
+    }
+    for c in 0..partition.cluster_count() {
+        let info = export.info(c as u32).expect("cluster in range");
+        let id = c as u32;
+        assert_eq!(info.size, partition.sizes[c], "cut {cut} cluster {c}");
+        assert_eq!(info.received.to_sat(), received[c], "cut {cut} cluster {c}");
+        assert_eq!(info.spent.to_sat(), spent[c], "cut {cut} cluster {c}");
+        assert_eq!(info.name.as_ref(), names.names.get(&id), "cut {cut} cluster {c}");
+        assert_eq!(info.category.as_ref(), names.categories.get(&id), "cut {cut} cluster {c}");
+    }
+    export
+}
+
+/// `keeps_ids_of` against the rule it replaces: the delta from `base`
+/// touches only new addresses and new clusters.
+fn assert_keeps_ids_matches_delta_rule(
+    base: &fistful::core::snapshot::ClusterSnapshot,
+    new: &fistful::core::snapshot::ClusterSnapshot,
+) {
+    let delta = fistful::core::snapshot::SnapshotDelta::between(base, new);
+    let additive = delta.assign.iter().all(|&(a, _)| (a as usize) >= base.address_count())
+        && delta.clusters.iter().all(|(c, _)| base.info(*c).is_none());
+    assert_eq!(new.keeps_ids_of(base), additive);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The export folds per-address totals the reconcile keeps instead of
+    /// walking the prefix; it must equal the naive per-cluster sums over
+    /// `txs[..cut]` at every reconcile, at random checks between them
+    /// (blocks buffered, same cut), and after the flush, at shard counts
+    /// 1/2/4/8, random epoch lengths, random tags, and refined Heuristic 2
+    /// with a wait window, so pending labels merge clusters late. At each
+    /// export `keeps_ids_of` against the previous one must agree with the
+    /// delta rule.
+    #[test]
+    fn export_snapshot_matches_naive_sums(
+        seed in any::<u64>(),
+        txs in 20usize..100,
+        epoch_blocks in 1usize..8,
+        window in 0u64..8,
+        tags in proptest::collection::vec((any::<u32>(), 0usize..5, 0usize..3), 0..16),
+    ) {
+        use fistful::core::incremental::sharded::{IngestConfig, ShardedIngest};
+        use fistful::core::tagdb::{Tag, TagDb};
+
+        let t = random_chain(seed, txs);
+        let chain = &t.chain;
+        let mut db = TagDb::new();
+        for (addr, which, source) in tags {
+            db.add(Tag {
+                address: addr % (chain.address_count() as u32 + 3),
+                service: NAMING_SERVICES[which].into(),
+                category: NAMING_CATEGORIES[which % 4].into(),
+                source: naming_source(source),
+            });
+        }
+        let mut cfg = ChangeConfig::naive();
+        cfg.wait_blocks = Some(window);
+        cfg.skip_reused_change = true;
+        cfg.skip_prior_self_change = true;
+
+        let mut rng = seed;
+        for shards in [1usize, 2, 4, 8] {
+            let mut pipe =
+                ShardedIngest::new(IngestConfig::with_h2(shards, epoch_blocks, cfg.clone()));
+            let mut prev = export_and_check(&mut pipe, chain, &db);
+            for block in chain.blocks() {
+                let before = pipe.reconciled_txs();
+                pipe.ingest_block(&block);
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                if pipe.reconciled_txs() != before || (rng >> 33) % 3 == 0 {
+                    let export = export_and_check(&mut pipe, chain, &db);
+                    assert_keeps_ids_matches_delta_rule(&prev, &export);
+                    prev = export;
+                }
+            }
+            pipe.flush(chain);
+            let last = export_and_check(&mut pipe, chain, &db);
+            assert_keeps_ids_matches_delta_rule(&prev, &last);
+        }
     }
 }
 
